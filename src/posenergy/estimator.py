@@ -9,10 +9,9 @@ model's prediction at each grid point.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .core import (
     NetworkObservation,
@@ -126,22 +125,28 @@ def default_grid(
     profile: NetworkProfile,
     n_points: int = DEFAULT_GRID_POINTS,
     min_tps: float = DEFAULT_MIN_TPS,
-) -> np.ndarray:
-    """Log-spaced throughput grid from ``min_tps`` to the profile's maximum."""
+) -> list[float]:
+    """Log-spaced throughput grid from ``min_tps`` to the profile's maximum.
+
+    Both endpoints are exactly the requested values; the interior points are
+    evenly spaced in log10.
+    """
     if n_points < 2:
         raise GridDomainError(f"grid needs at least 2 points, got {n_points}")
     if not 0 < min_tps < profile.max_tps:
         raise GridDomainError(
             f"min_tps must lie in (0, {profile.max_tps!r}), got {min_tps!r}"
         )
-    grid = np.geomspace(min_tps, profile.max_tps, n_points)
+    start = math.log10(min_tps)
+    step = (math.log10(profile.max_tps) - start) / (n_points - 1)
+    grid = [10.0 ** (i * step + start) for i in range(n_points)]
     grid[0] = min_tps
     grid[-1] = profile.max_tps
     return grid
 
 
 def consumption_band(
-    fit: RegressionFit, profile: NetworkProfile, grid: Sequence[float] | np.ndarray
+    fit: RegressionFit, profile: NetworkProfile, grid: Sequence[float]
 ) -> ConsumptionBand:
     """Evaluate the fitted model across a grid, between the hardware bounds.
 

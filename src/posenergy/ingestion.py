@@ -1,5 +1,8 @@
 """Snapshot files, merge rules, and optional live explorer fetchers.
 
+The fetchers import their network modules (``urllib.request``, ``json``,
+``concurrent.futures``) when called, so loading snapshots never pays for them.
+
 Snapshots are small CSV files with a fixed header. Rows normally carry a
 validator count; rows that instead carry vote/nonvote day counts with an
 empty validators cell contribute vote-ratio records only (historical rows
@@ -12,13 +15,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
-
-import requests
 
 from .core import (
     NetworkObservation,
@@ -342,6 +342,27 @@ def _resolve_field(payload: object, dotted: str) -> object:
     return current
 
 
+def _get_json(url: str, timeout: float) -> object:
+    """GET ``url`` and decode its body as JSON.
+
+    Raises:
+        OSError: unsupported scheme, unreachable host, timeout or an error
+            status (``urllib.error.URLError`` and ``HTTPError`` are OSErrors).
+        http.client.HTTPException: a malformed HTTP response.
+        ValueError: the body is not JSON.
+    """
+    import json
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    scheme = urllib.parse.urlsplit(url).scheme
+    if scheme not in ("http", "https"):
+        raise urllib.error.URLError(f"unsupported URL scheme {scheme!r}")
+    with urllib.request.urlopen(url, timeout=timeout) as response:
+        return json.load(response)
+
+
 def fetch_observation(
     spec: FetcherSpec, at: dt.date | dt.datetime | None = None
 ) -> NetworkObservation:
@@ -352,11 +373,11 @@ def fetch_observation(
             does not return JSON.
         SchemaDriftError: the payload no longer carries a mapped field.
     """
+    from http.client import HTTPException
+
     try:
-        response = requests.get(spec.url, timeout=spec.timeout)
-        response.raise_for_status()
-        payload = response.json()
-    except requests.RequestException as exc:
+        payload = _get_json(spec.url, timeout=spec.timeout)
+    except (OSError, HTTPException) as exc:
         raise FetchError(f"{spec.network}: {spec.url}: {exc}") from exc
     except ValueError as exc:
         raise FetchError(f"{spec.network}: {spec.url}: response is not JSON: {exc}") from exc
@@ -396,6 +417,8 @@ def fetch_all(
     errors: list[Exception] = []
     if not spec_list:
         return [], []
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
         for outcome in pool.map(lambda s: _try_fetch(s, at), spec_list):
             if isinstance(outcome, Exception):

@@ -12,10 +12,9 @@ not as a hard constraint on the intercept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .core import NetworkObservation, _check_finite
 
@@ -81,17 +80,19 @@ def fit_affine(
     if len(points) < 2:
         raise InsufficientDataError(f"need at least 2 points, got {len(points)}")
 
-    x = np.array([p.tps for p in points], dtype=float)
-    y = np.array([float(p.validators) for p in points], dtype=float)
-    x_scale = float(np.max(np.abs(x)))
-    dx = x - x.mean()
-    s_xx = float(dx @ dx)
+    x = [p.tps for p in points]
+    y = [float(p.validators) for p in points]
+    x_scale = max(abs(v) for v in x)
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    s_xx = math.fsum(d * d for d in dx)
     if s_xx / len(points) <= _VARIANCE_FLOOR * x_scale * x_scale:
         raise DegenerateVarianceError(
             f"throughput values for {network!r} have no usable variance"
         )
-    slope = float(dx @ (y - y.mean())) / s_xx
-    intercept = float(y.mean()) - slope * float(x.mean())
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
+    intercept = y_mean - slope * x_mean
     return RegressionFit(
         network=network,
         intercept=intercept,
@@ -123,18 +124,17 @@ def r_squared(fit: RegressionFit, observations: Iterable[NetworkObservation]) ->
     points = list(observations)
     if not points:
         raise InsufficientDataError("no observations to score")
-    x = np.array([p.tps for p in points], dtype=float)
-    y = np.array([float(p.validators) for p in points], dtype=float)
+    x = [p.tps for p in points]
+    y = [float(p.validators) for p in points]
     return _coefficient_of_determination(fit.intercept, fit.slope, x, y)
 
 
 def _coefficient_of_determination(
-    intercept: float, slope: float, x: np.ndarray, y: np.ndarray
+    intercept: float, slope: float, x: Sequence[float], y: Sequence[float]
 ) -> float:
-    resid = y - (intercept + slope * x)
-    ss_res = float(resid @ resid)
-    dy = y - y.mean()
-    ss_tot = float(dy @ dy)
+    ss_res = math.fsum((v - (intercept + slope * u)) ** 2 for u, v in zip(x, y))
+    y_mean = math.fsum(y) / len(y)
+    ss_tot = math.fsum((v - y_mean) ** 2 for v in y)
     if ss_tot == 0.0:
         # A constant series is explained exactly by a flat fit through it.
         return 1.0 if ss_res == 0.0 else 0.0

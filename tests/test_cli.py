@@ -1,10 +1,14 @@
 """End-to-end command line behaviour, driven through main()."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posenergy
 from posenergy.cli import build_parser, main
 
 
@@ -231,3 +235,25 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0].startswith("network,intercept")
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_network_or_numeric_modules(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        heavy = ("numpy", "requests", "urllib.request", "concurrent.futures")
+        src = str(Path(posenergy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import posenergy.cli, sys; "
+                f"print(','.join(m for m in {heavy!r} if m in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == ""

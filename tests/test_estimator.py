@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
 from posenergy.estimator import (
@@ -105,6 +107,23 @@ class TestDefaultGrid:
         grid = default_grid(polkadot_profile())
         assert len(grid) == 200
         assert np.all(np.diff(grid) > 0)
+
+    @settings(deadline=None)
+    @given(
+        min_tps=st.floats(min_value=1e-6, max_value=1e4),
+        ratio=st.floats(min_value=2.0, max_value=1e8),
+        n_points=st.integers(min_value=2, max_value=5000),
+    )
+    def test_matches_geomspace(self, min_tps, ratio, n_points):
+        profile = polkadot_profile(min_tps * ratio)
+        grid = default_grid(profile, n_points=n_points, min_tps=min_tps)
+        assert len(grid) == n_points
+        assert grid[0] == min_tps
+        assert grid[-1] == profile.max_tps
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        # numpy's vectorised log10/power may differ from libm by a few dozen ulp
+        reference = np.geomspace(min_tps, profile.max_tps, n_points)
+        np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=0.0)
 
     def test_rejects_single_point(self):
         with pytest.raises(GridDomainError):

@@ -1,10 +1,11 @@
 """Snapshot CSV round-trips, merge rules, and the live-fetch path (mocked)."""
 
 import datetime as dt
+import io
+import urllib.error
 from unittest import mock
 
 import pytest
-import requests
 
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
@@ -237,20 +238,11 @@ class TestReferenceTables:
             load_bounds(path)
 
 
-class FakeResponse:
-    def __init__(self, payload=None, status_error=None, json_error=False):
-        self.payload = payload
-        self.status_error = status_error
-        self.json_error = json_error
+GET_JSON = "posenergy.ingestion._get_json"
 
-    def raise_for_status(self):
-        if self.status_error:
-            raise requests.HTTPError(self.status_error)
 
-    def json(self):
-        if self.json_error:
-            raise ValueError("not json")
-        return self.payload
+def http_error(url, code):
+    return urllib.error.HTTPError(url, code, "unavailable", hdrs=None, fp=None)
 
 
 SPEC = FetcherSpec(
@@ -276,8 +268,8 @@ class TestFetcherSpec:
 
 class TestFetchObservation:
     def test_happy_path_with_unit_conversion(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse(PAYLOAD)
+        with mock.patch(GET_JSON) as get:
+            get.return_value = PAYLOAD
             observation = fetch_observation(SPEC, at="2023-01-31")
         get.assert_called_once_with(SPEC.url, timeout=5.0)
         assert observation.network == "near"
@@ -288,42 +280,65 @@ class TestFetchObservation:
         assert "per-day" in observation.provenance
 
     def test_default_date_is_today_utc(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse(PAYLOAD)
+        with mock.patch(GET_JSON) as get:
+            get.return_value = PAYLOAD
             observation = fetch_observation(SPEC)
         assert observation.date == dt.datetime.now(dt.timezone.utc).date()
 
     def test_list_index_in_path(self):
         spec = FetcherSpec("near", "https://x", "nodes.1.n", "tps")
         payload = {"nodes": [{"n": 1}, {"n": 42}], "tps": 6.33}
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse(payload)
+        with mock.patch(GET_JSON) as get:
+            get.return_value = payload
             observation = fetch_observation(spec, at="2023-01-31")
         assert observation.validators == 42
 
     def test_http_error_becomes_fetch_error(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse(status_error="503 unavailable")
+        with mock.patch(GET_JSON) as get:
+            get.side_effect = http_error(SPEC.url, 503)
             with pytest.raises(FetchError, match="near"):
                 fetch_observation(SPEC)
 
     def test_connection_error_becomes_fetch_error(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.side_effect = requests.ConnectionError("refused")
+        with mock.patch(GET_JSON) as get:
+            get.side_effect = urllib.error.URLError("refused")
             with pytest.raises(FetchError, match="refused"):
                 fetch_observation(SPEC)
 
     def test_non_json_becomes_fetch_error(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse(json_error=True)
+        with mock.patch(GET_JSON) as get:
+            get.side_effect = ValueError("not json")
             with pytest.raises(FetchError, match="not JSON"):
                 fetch_observation(SPEC)
 
     def test_missing_field_is_schema_drift(self):
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse({"data": {"validators": {"count": 158}}})
+        with mock.patch(GET_JSON) as get:
+            get.return_value = {"data": {"validators": {"count": 158}}}
             with pytest.raises(SchemaDriftError, match="data.tx.per_day"):
                 fetch_observation(SPEC)
+
+    def test_urlopen_failures_become_fetch_errors(self):
+        # drives the real _get_json with urlopen stubbed; nothing leaves the process
+        failures = {
+            "HTTP Error 503": mock.Mock(side_effect=http_error(SPEC.url, 503)),
+            "refused": mock.Mock(side_effect=urllib.error.URLError("refused")),
+            "not JSON": mock.Mock(return_value=io.BytesIO(b"<html>down</html>")),
+        }
+        for expected, urlopen in failures.items():
+            with mock.patch("urllib.request.urlopen", urlopen):
+                with pytest.raises(FetchError) as caught:
+                    fetch_observation(SPEC)
+            message = str(caught.value)
+            assert message.startswith(f"near: {SPEC.url}: ")
+            assert expected in message
+            urlopen.assert_called_once_with(SPEC.url, timeout=5.0)
+
+    def test_non_http_scheme_is_refused(self):
+        spec = FetcherSpec("near", "file:///etc/hostname", "a", "b")
+        with mock.patch("urllib.request.urlopen") as urlopen:
+            with pytest.raises(FetchError, match="unsupported URL scheme 'file'"):
+                fetch_observation(spec)
+        urlopen.assert_not_called()
 
 
 class TestFetchAll:
@@ -333,10 +348,10 @@ class TestFetchAll:
 
         def route(url, timeout):
             if url == good.url:
-                return FakeResponse(PAYLOAD)
-            return FakeResponse(status_error="500")
+                return PAYLOAD
+            raise http_error(url, 500)
 
-        with mock.patch("posenergy.ingestion.requests.get", side_effect=route):
+        with mock.patch(GET_JSON, side_effect=route):
             observations, errors = fetch_all([good, bad], at="2023-01-31")
         assert [o.network for o in observations] == ["near"]
         assert len(errors) == 1
@@ -347,8 +362,8 @@ class TestFetchAll:
             FetcherSpec("tezos", "https://example.invalid/t", "v", "tps"),
             FetcherSpec("near", "https://example.invalid/n", "v", "tps"),
         ]
-        with mock.patch("posenergy.ingestion.requests.get") as get:
-            get.return_value = FakeResponse({"v": 10, "tps": 1.0})
+        with mock.patch(GET_JSON) as get:
+            get.return_value = {"v": 10, "tps": 1.0}
             observations, errors = fetch_all(specs, at="2023-01-31")
         assert errors == []
         assert [o.network for o in observations] == ["near", "tezos"]
