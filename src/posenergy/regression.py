@@ -60,7 +60,8 @@ def fit_affine(
 
     Points are sorted internally, so the result does not depend on input
     order. Duplicate rows are kept; they legitimately raise the weight of
-    that point.
+    that point. With exactly two points the line through both is solved
+    directly, so an origin fit has an intercept of exactly zero.
 
     Raises:
         InsufficientDataError: fewer than two points after origin injection.
@@ -91,8 +92,15 @@ def fit_affine(
         raise DegenerateVarianceError(
             f"throughput values for {network!r} have no usable variance"
         )
-    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
-    intercept = y_mean - slope * x_mean
+    if len(points) == 2:
+        # The line through both points, solved directly: the centred sums
+        # would leave rounding noise in the intercept of an origin fit.
+        (x0, x1), (y0, y1) = x, y
+        slope = (y1 - y0) / (x1 - x0)
+        intercept = y0 - slope * x0
+    else:
+        slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
+        intercept = y_mean - slope * x_mean
     return RegressionFit(
         network=network,
         intercept=intercept,

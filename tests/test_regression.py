@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from posenergy.core import NetworkObservation
+from posenergy.ingestion import bundled, load_snapshots
 from posenergy.regression import (
     DegenerateVarianceError,
     InsufficientDataError,
@@ -20,6 +21,7 @@ from posenergy.regression import (
     predict_validators,
     r_squared,
 )
+from posenergy.report import fit_networks
 
 
 def ols_oracle(xs, ys):
@@ -114,6 +116,14 @@ class TestFitAffine:
         assert fit.n_points == 2
         assert fit.intercept == pytest.approx(0.0, abs=1e-9)
         assert fit.slope == pytest.approx(158 / 6.33, rel=1e-9)
+
+    def test_bundled_default_fits_have_exact_zero_intercept(self):
+        # one observation per network plus the origin: the line is solved
+        # through both points, so no rounding noise reaches the intercept
+        fits = fit_networks(load_snapshots(bundled("observations.csv")).observations)
+        assert len(fits) == 14
+        assert all(f.n_points == 2 for f in fits)
+        assert [(f.network, f.intercept) for f in fits if f.intercept != 0.0] == []
 
     def test_coincident_tps_rejected(self):
         points = [obs("tron", 1, 50, 33.4), obs("tron", 2, 60, 33.4)]
