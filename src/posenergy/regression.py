@@ -79,7 +79,7 @@ def fit_affine(
         obs.append(origin_observation(obs))
     points = sorted(obs, key=lambda o: (o.tps, o.validators, o.date.isoformat()))
     if len(points) < 2:
-        raise InsufficientDataError(f"need at least 2 points, got {len(points)}")
+        raise InsufficientDataError(f"{network}: need at least 2 points, got {len(points)}")
 
     x = [p.tps for p in points]
     y = [float(p.validators) for p in points]

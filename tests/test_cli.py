@@ -61,6 +61,12 @@ class TestFit:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_no_origin_error_names_network_and_count(self, capsys):
+        code, out, err = run(capsys, "fit", "--no-origin", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert err == "error: algorand: need at least 2 points, got 1\n"
+
     def test_unknown_network_fails(self, capsys):
         code, _, err = run(capsys, "fit", "--network", "dogecoin")
         assert code == 1
