@@ -85,7 +85,6 @@ def fit_affine(
     y = [float(p.validators) for p in points]
     x_scale = max(abs(v) for v in x)
     x_mean = math.fsum(x) / len(x)
-    y_mean = math.fsum(y) / len(y)
     dx = [v - x_mean for v in x]
     s_xx = math.fsum(d * d for d in dx)
     if s_xx / len(points) <= _VARIANCE_FLOOR * x_scale * x_scale:
@@ -99,6 +98,7 @@ def fit_affine(
         slope = (y1 - y0) / (x1 - x0)
         intercept = y0 - slope * x0
     else:
+        y_mean = math.fsum(y) / len(y)
         slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
         intercept = y_mean - slope * x_mean
     return RegressionFit(

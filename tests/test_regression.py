@@ -108,7 +108,7 @@ class TestFitAffine:
             fit_affine([])
 
     def test_single_point_without_origin_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match=r"^near: need at least 2 points, got 1$"):
             fit_affine([obs("near", 1, 158, 6.33)], include_origin=False)
 
     def test_single_point_with_origin_fits(self):
@@ -124,10 +124,6 @@ class TestFitAffine:
         assert len(fits) == 14
         assert all(f.n_points == 2 for f in fits)
         assert [(f.network, f.intercept) for f in fits if f.intercept != 0.0] == []
-
-    def test_insufficient_data_names_network_and_count(self):
-        with pytest.raises(InsufficientDataError, match=r"^near: need at least 2 points, got 1$"):
-            fit_affine([obs("near", 1, 158, 6.33)], include_origin=False)
 
     def test_coincident_tps_rejected(self):
         points = [obs("tron", 1, 50, 33.4), obs("tron", 2, 60, 33.4)]
