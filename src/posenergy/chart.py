@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress, groupby
+from math import log10
+from typing import Sequence
 
-from .estimator import BandPoint, ConsumptionBand
+from .estimator import ConsumptionBand
 
 DEFAULT_WIDTH = 1200
 DEFAULT_HEIGHT = 800
@@ -93,12 +95,13 @@ def chart_geometry(
     height: int = DEFAULT_HEIGHT,
 ) -> ChartGeometry:
     """Decade-rounded axis ranges covering every plottable value."""
-    xs = [p.tps for band in bands for p in band.points if p.physical]
-    xs += [m.tps for m in markers]
-    ys = [v for band in bands for p in band.points if p.physical
-          for v in (p.kwh_per_tx_lower, p.kwh_per_tx_upper)]
-    ys += [m.kwh_per_tx for m in markers]
+    xs = [m.tps for m in markers]
+    ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
+    for band in bands:
+        xs += compress(band.tps, band.physical)
+        ys += compress(band.kwh_per_tx_lower, band.physical)
+        ys += compress(band.kwh_per_tx_upper, band.physical)
     xs = [x for x in xs if x > 0]
     ys = [y for y in ys if y > 0]
     if not xs or not ys:
@@ -115,17 +118,15 @@ def chart_geometry(
                          float(y_log_min), float(y_log_max))
 
 
-def _physical_runs(points: Iterable[BandPoint]) -> list[list[BandPoint]]:
-    runs: list[list[BandPoint]] = []
-    current: list[BandPoint] = []
-    for point in points:
-        if point.physical:
-            current.append(point)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
+def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
+    """Half-open index ranges of the contiguous physical points of a band."""
+    runs = []
+    start = 0
+    for flag, group in groupby(physical):
+        stop = start + len(list(group))
+        if flag:
+            runs.append((start, stop))
+        start = stop
     return runs
 
 
@@ -165,16 +166,33 @@ def render_chart(
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
 
+    # geom.x_px and geom.y_px, inlined with the same operation order so every
+    # coordinate keeps its bits; the per-point calls dominated large charts.
+    x_min, x_span = geom.x_log_min, geom.x_log_max - geom.x_log_min
+    y_max, y_span = geom.y_log_max, geom.y_log_max - geom.y_log_min
+    left, x_width = geom.plot_left, geom.plot_right - geom.plot_left
+    top, y_height = geom.plot_top, geom.plot_bottom - geom.plot_top
     for band in bands:
         color = colors[band.network]
-        for run in _physical_runs(band.points):
-            if len(run) < 2:
+        for start, stop in _physical_runs(band.physical):
+            if stop - start < 2:
                 continue
-            forward = [(geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_lower)) for p in run]
-            backward = [(geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_upper)) for p in reversed(run)]
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in forward + backward)
+            xs = [
+                f"{left + ((log10(t) - x_min) / x_span) * x_width:.2f}"
+                for t in band.tps[start:stop]
+            ]
+            lower = [
+                f"{top + ((y_max - log10(v)) / y_span) * y_height:.2f}"
+                for v in band.kwh_per_tx_lower[start:stop]
+            ]
+            upper = [
+                f"{top + ((y_max - log10(v)) / y_span) * y_height:.2f}"
+                for v in band.kwh_per_tx_upper[start:stop]
+            ]
+            forward = " ".join([f"{x},{y}" for x, y in zip(xs, lower)])
+            backward = " ".join([f"{x},{y}" for x, y in zip(reversed(xs), reversed(upper))])
             parts.append(
-                f'<polygon points="{coords}" fill="{color}" fill-opacity="0.35" '
+                f'<polygon points="{forward} {backward}" fill="{color}" fill-opacity="0.35" '
                 f'stroke="{color}" stroke-width="1"/>'
             )
 

@@ -20,6 +20,7 @@ from .solana import (
     DEFAULT_POSTULATED_MAX_TPS,
     adjusted_max_tps,
     average_tps,
+    mean_nonvote_ratio,
     nonvote_ratio,
     nonvote_tps,
 )
@@ -281,10 +282,9 @@ def _cmd_adjust_solana(args: argparse.Namespace) -> None:
         for r in records
     ]
     render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
-    mean_ratio = sum(nonvote_ratio(r) for r in records) / len(records)
     adjusted = adjusted_max_tps(args.postulated_max, records)
     summary = (
-        f"# mean_nonvote_ratio,{report.format_series(mean_ratio)}\n"
+        f"# mean_nonvote_ratio,{report.format_series(mean_nonvote_ratio(records))}\n"
         f"# adjusted_max_tps,{report.format_series(adjusted)}\n"
     )
     _emit(render(header, rows) + summary, args.out)

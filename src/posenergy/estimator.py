@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
+    _check_finite,
     energy_per_tx,
     global_power,
 )
-from .regression import RegressionFit, predict_validators
+from .regression import RegressionFit
+from .units import JOULES_PER_KWH
 
 DEFAULT_GRID_POINTS = 200
 # Per-transaction energy diverges as throughput approaches zero; the default
@@ -53,6 +57,8 @@ class ContemporaryEstimate:
 
 @dataclass(frozen=True)
 class BandPoint:
+    """One grid value of a :class:`ConsumptionBand`, as a row."""
+
     tps: float
     kwh_per_tx_lower: float
     kwh_per_tx_upper: float
@@ -61,18 +67,42 @@ class BandPoint:
 
 @dataclass(frozen=True)
 class ConsumptionBand:
-    """Sampled lower/upper per-transaction energy over a throughput grid."""
+    """Sampled lower/upper per-transaction energy over a throughput grid.
+
+    The band is held as four equal-length columns indexed by grid position.
+    ``physical`` is false where the model predicts less than one validator;
+    both energy values are 0.0 there.
+    """
 
     network: str
-    points: tuple[BandPoint, ...]
+    tps: tuple[float, ...]
+    kwh_per_tx_lower: tuple[float, ...]
+    kwh_per_tx_upper: tuple[float, ...]
+    physical: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        rates = [p.tps for p in self.points]
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise ValueError("band grid must be strictly increasing")
-        for p in self.points:
-            if p.physical and p.kwh_per_tx_lower > p.kwh_per_tx_upper:
-                raise ValueError(f"band inverted at tps={p.tps!r}")
+        for name in ("tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        rates, lower, upper, physical = (
+            self.tps, self.kwh_per_tx_lower, self.kwh_per_tx_upper, self.physical
+        )
+        if not len(rates) == len(lower) == len(upper) == len(physical):
+            raise ValueError(
+                f"{self.network}: band columns differ in length "
+                f"({len(rates)}, {len(lower)}, {len(upper)}, {len(physical)})"
+            )
+        if not all(map(operator.lt, rates, rates[1:])):
+            raise GridDomainError(f"{self.network}: band grid must be strictly increasing")
+        if any(map(operator.gt, compress(lower, physical), compress(upper, physical))):
+            tps = next(t for t, lo, up, p in zip(rates, lower, upper, physical) if p and lo > up)
+            raise ValueError(f"{self.network}: band inverted at tps={tps!r}")
+
+    @property
+    def points(self) -> tuple[BandPoint, ...]:
+        """The band as one :class:`BandPoint` per grid value, built on each access."""
+        return tuple(
+            map(BandPoint, self.tps, self.kwh_per_tx_lower, self.kwh_per_tx_upper, self.physical)
+        )
 
 
 def contemporary_estimate(
@@ -152,37 +182,64 @@ def consumption_band(
 
     Where the model predicts less than one validator the point is flagged
     non-physical and both band values are reported with the prediction
-    clamped to zero.
+    clamped to zero. Each value is computed with the arithmetic of
+    :func:`~posenergy.regression.predict_validators` and
+    :func:`~posenergy.core.energy_per_tx`; the inputs are validated once,
+    before the loop, and the results once, after it.
+
+    Raises:
+        GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
+        ValueError: fit and profile disagree on the network, the fit's
+            coefficients are not finite, or a band value overflows.
     """
-    if fit.network != profile.network:
+    network = profile.network
+    if fit.network != network:
         raise ValueError(
-            f"fit for {fit.network!r} evaluated against profile for {profile.network!r}"
+            f"fit for {fit.network!r} evaluated against profile for {network!r}"
         )
-    rates = [float(v) for v in grid]
+    intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
+    slope = _check_finite(f"{network}: fit slope", fit.slope)
+    w_lower, w_upper = profile.bounds.lower_w, profile.bounds.upper_w
+    if not 0 < w_lower <= w_upper < math.inf:
+        raise ValueError(
+            f"{network}: power bounds must satisfy 0 < lower <= upper < inf, "
+            f"got ({w_lower!r}, {w_upper!r})"
+        )
+    rates = list(map(float, grid))
     if not rates:
         raise GridDomainError("empty throughput grid")
-    if any(r <= 0 or r > profile.max_tps for r in rates):
+    # min/max let a NaN through depending on where it sits, so test it too.
+    if not (
+        0 < min(rates)
+        and max(rates) <= profile.max_tps
+        and all(map(math.isfinite, rates))
+    ):
         raise GridDomainError(
-            f"grid values must lie in (0, {profile.max_tps!r}] for {profile.network!r}"
+            f"grid values must lie in (0, {profile.max_tps!r}] for {network!r}"
         )
-    if any(b <= a for a, b in zip(rates, rates[1:])):
-        raise GridDomainError("grid must be strictly increasing")
 
-    points = []
+    lower: list[float] = []
+    upper: list[float] = []
+    physical: list[bool] = []
     for rate in rates:
-        predicted = predict_validators(fit, rate)
+        predicted = intercept + slope * rate
         if predicted < _MIN_PHYSICAL_VALIDATORS:
-            points.append(BandPoint(rate, 0.0, 0.0, physical=False))
+            lower.append(0.0)
+            upper.append(0.0)
+            physical.append(False)
         else:
-            points.append(
-                BandPoint(
-                    rate,
-                    energy_per_tx(predicted, profile.bounds.lower_w, rate),
-                    energy_per_tx(predicted, profile.bounds.upper_w, rate),
-                    physical=True,
-                )
-            )
-    return ConsumptionBand(fit.network, tuple(points))
+            joules = rate * JOULES_PER_KWH
+            lower.append((predicted * w_lower) / joules)
+            upper.append((predicted * w_upper) / joules)
+            physical.append(True)
+    # lower <= upper pointwise, so a finite upper column bounds the lower one.
+    if not all(map(math.isfinite, upper)):
+        where = next(i for i, v in enumerate(upper) if not math.isfinite(v))
+        raise ValueError(
+            f"{network}: band value overflows at tps={rates[where]!r} "
+            f"(fit intercept {intercept!r}, slope {slope!r})"
+        )
+    return ConsumptionBand(network, rates, lower, upper, physical)
 
 
 @dataclass(frozen=True)

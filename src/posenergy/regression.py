@@ -89,7 +89,7 @@ def fit_affine(
     s_xx = math.fsum(d * d for d in dx)
     if s_xx / len(points) <= _VARIANCE_FLOOR * x_scale * x_scale:
         raise DegenerateVarianceError(
-            f"throughput values for {network!r} have no usable variance"
+            f"{network}: throughput values have no usable variance ({len(points)} points)"
         )
     if len(points) == 2:
         # The line through both points, solved directly: the centred sums

@@ -173,25 +173,11 @@ def _table_cells(row: TableRow) -> tuple[str, ...]:
 
 
 def render_table_csv(rows: Sequence[TableRow]) -> str:
-    lines = [",".join(_TABLE_HEADER)]
-    lines += [",".join(_table_cells(r)) for r in rows]
-    return "\n".join(lines) + "\n"
+    return render_grid_csv(_TABLE_HEADER, [_table_cells(r) for r in rows])
 
 
 def render_table_text(rows: Sequence[TableRow]) -> str:
-    grid = [_TABLE_HEADER] + [_table_cells(r) for r in rows]
-    widths = [max(len(line[i]) for line in grid) for i in range(len(_TABLE_HEADER))]
-    out = []
-    for index, line in enumerate(grid):
-        out.append(
-            "  ".join(
-                cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-                for i, cell in enumerate(line)
-            ).rstrip()
-        )
-        if index == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
+    return render_grid_text(_TABLE_HEADER, [_table_cells(r) for r in rows])
 
 
 def render_grid_text(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
@@ -288,17 +274,14 @@ def chart_rows(
     """
     rows = []
     for band in sorted(bands, key=lambda b: b.network):
-        for p in band.points:
-            rows.append(
-                (
-                    band.network,
-                    format_series(p.tps),
-                    format_series(p.kwh_per_tx_lower),
-                    format_series(p.kwh_per_tx_upper),
-                    "true" if p.physical else "false",
-                )
+        # f"{v:.10g}" is format_series, inlined for the per-point hot path.
+        rows += [
+            (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
+            for t, lo, up, ok in zip(
+                band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
             )
-    grid_extremes = [p.tps for band in bands for p in (band.points[0], band.points[-1])]
+        ]
+    grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     for ref in sorted(reference_bands, key=lambda r: r.label):
         for tps in (min(grid_extremes), max(grid_extremes)):
             rows.append(

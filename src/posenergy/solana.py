@@ -73,14 +73,18 @@ def nonvote_tps(record: VoteRatioRecord) -> float:
     return adjust_tps(record.reported_tps, nonvote_ratio(record))
 
 
+def mean_nonvote_ratio(records: Iterable[VoteRatioRecord]) -> float:
+    """Unweighted mean of the records' nonvote shares."""
+    rows = list(records)
+    if not rows:
+        raise ValueError("no vote ratio records to average")
+    return sum(nonvote_ratio(r) for r in rows) / len(rows)
+
+
 def adjusted_max_tps(
     postulated_max: float, records: Iterable[VoteRatioRecord]
 ) -> float:
     """Scale a postulated maximum throughput by the mean nonvote share."""
     if not math.isfinite(postulated_max) or postulated_max <= 0:
         raise ValueError(f"postulated_max must be positive, got {postulated_max!r}")
-    rows = list(records)
-    if not rows:
-        raise ValueError("no vote ratio records to average")
-    mean_ratio = sum(nonvote_ratio(r) for r in rows) / len(rows)
-    return postulated_max * mean_ratio
+    return postulated_max * mean_nonvote_ratio(records)

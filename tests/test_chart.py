@@ -12,17 +12,18 @@ from posenergy.chart import (
     chart_geometry,
     render_chart,
 )
-from posenergy.estimator import BandPoint, ConsumptionBand
+from posenergy.estimator import ConsumptionBand
 
 
 def band(network="polkadot", points=None):
+    """A band from (tps, lower, upper, physical) rows, transposed into columns."""
     if points is None:
         points = [
-            BandPoint(0.1, 1e-4, 1e-3, True),
-            BandPoint(1.0, 1e-5, 1e-4, True),
-            BandPoint(10.0, 1e-6, 1e-5, True),
+            (0.1, 1e-4, 1e-3, True),
+            (1.0, 1e-5, 1e-4, True),
+            (10.0, 1e-6, 1e-5, True),
         ]
-    return ConsumptionBand(network, tuple(points))
+    return ConsumptionBand(network, *zip(*points))
 
 
 class TestChartGeometry:
@@ -35,7 +36,7 @@ class TestChartGeometry:
         assert geom.y_log_max == -3.0
 
     def test_degenerate_range_widens_one_decade(self):
-        points = [BandPoint(2.0, 5e-5, 5e-5, True), BandPoint(3.0, 5e-5, 5e-5, True)]
+        points = [(2.0, 5e-5, 5e-5, True), (3.0, 5e-5, 5e-5, True)]
         geom = chart_geometry([band(points=points)])
         assert geom.x_log_max > geom.x_log_min
         assert geom.y_log_max > geom.y_log_min
@@ -51,15 +52,15 @@ class TestChartGeometry:
 
     def test_non_physical_points_ignored(self):
         points = [
-            BandPoint(1.0, 1e-5, 1e-4, True),
-            BandPoint(10.0, 1e-6, 1e-5, True),
-            BandPoint(100.0, 0.0, 0.0, False),
+            (1.0, 1e-5, 1e-4, True),
+            (10.0, 1e-6, 1e-5, True),
+            (100.0, 0.0, 0.0, False),
         ]
         geom = chart_geometry([band(points=points)])
         assert geom.x_log_max == 1.0
 
     def test_nothing_to_plot(self):
-        points = [BandPoint(1.0, 0.0, 0.0, False)]
+        points = [(1.0, 0.0, 0.0, False)]
         with pytest.raises(ValueError, match="nothing to plot"):
             chart_geometry([band(points=points)])
 
@@ -110,19 +111,19 @@ class TestRenderChart:
 
     def test_non_physical_gap_splits_polygons(self):
         points = [
-            BandPoint(0.1, 1e-4, 1e-3, True),
-            BandPoint(1.0, 1e-5, 1e-4, True),
-            BandPoint(10.0, 0.0, 0.0, False),
-            BandPoint(100.0, 1e-6, 1e-5, True),
-            BandPoint(1000.0, 1e-7, 1e-6, True),
+            (0.1, 1e-4, 1e-3, True),
+            (1.0, 1e-5, 1e-4, True),
+            (10.0, 0.0, 0.0, False),
+            (100.0, 1e-6, 1e-5, True),
+            (1000.0, 1e-7, 1e-6, True),
         ]
         svg, _ = render_chart([band(points=points)])
         assert len(self.parse_polygons(svg)) == 2
 
     def test_single_point_run_not_drawn(self):
         points = [
-            BandPoint(1.0, 1e-5, 1e-4, True),
-            BandPoint(10.0, 0.0, 0.0, False),
+            (1.0, 1e-5, 1e-4, True),
+            (10.0, 0.0, 0.0, False),
         ]
         svg, _ = render_chart([band(points=points)])
         assert self.parse_polygons(svg) == []

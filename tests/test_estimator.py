@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
 from posenergy.estimator import (
+    ConsumptionBand,
     ContemporaryEstimate,
     GridDomainError,
     ReportedEstimate,
@@ -17,7 +18,7 @@ from posenergy.estimator import (
     latest_observation,
     printed_tolerance,
 )
-from posenergy.regression import RegressionFit
+from posenergy.regression import RegressionFit, predict_validators
 
 
 HEDERA_BOUNDS = ValidatorPowerBounds("hedera", 168.10, 328.00)
@@ -213,6 +214,83 @@ class TestConsumptionBand:
     def test_network_mismatch_rejected(self):
         with pytest.raises(ValueError):
             consumption_band(flat_fit("tezos", 400), polkadot_profile(), [10.0])
+
+    @pytest.mark.parametrize("intercept, slope", [(0.0, 1e308), (1e307, 0.0)])
+    def test_overflow_names_network(self, intercept, slope):
+        # 1e308 validators per tx/s overflow the prediction above 1 tx/s; 1e307
+        # validators overflow only once multiplied by the power draw
+        fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
+        with pytest.raises(ValueError, match=r"^polkadot: band value overflows at tps=2\.0"):
+            consumption_band(fit, polkadot_profile(), [2.0, 3.0])
+
+    @pytest.mark.parametrize("intercept, slope", [(float("nan"), 1.0), (1.0, float("inf"))])
+    def test_non_finite_fit_rejected(self, intercept, slope):
+        fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
+        with pytest.raises(ValueError, match=r"^polkadot: fit (intercept|slope) must be finite"):
+            consumption_band(fit, polkadot_profile(), [1.0, 2.0])
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(GridDomainError):
+            consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [float("nan"), 1.0])
+
+    @settings(deadline=None)
+    @given(
+        intercept=st.floats(min_value=-1e4, max_value=1e4),
+        slope=st.floats(min_value=-1e3, max_value=1e3),
+        lower_w=st.floats(min_value=0.1, max_value=1e3),
+        upper_ratio=st.floats(min_value=1.0, max_value=100.0),
+        max_tps=st.floats(min_value=1.0, max_value=1e5),
+        n_points=st.integers(min_value=2, max_value=2000),
+    )
+    def test_columns_match_pointwise_model(
+        self, intercept, slope, lower_w, upper_ratio, max_tps, n_points
+    ):
+        bounds = ValidatorPowerBounds("polkadot", lower_w, lower_w * upper_ratio)
+        profile = NetworkProfile("polkadot", bounds, max_tps)
+        fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
+        grid = default_grid(profile, n_points=n_points, min_tps=max_tps / 1e4)
+        band = consumption_band(fit, profile, grid)
+        assert band.tps == tuple(grid)
+        columns = zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
+        for rate, lower, upper, physical in columns:
+            predicted = predict_validators(fit, rate)
+            if predicted < 1.0:
+                assert (lower, upper, physical) == (0.0, 0.0, False)
+            else:
+                assert physical
+                assert lower == energy_per_tx(predicted, bounds.lower_w, rate)
+                assert upper == energy_per_tx(predicted, bounds.upper_w, rate)
+                assert lower <= upper
+
+
+class TestConsumptionBandColumns:
+    def test_columns_become_tuples(self):
+        band = ConsumptionBand("near", [1.0, 2.0], [1e-6, 2e-6], [1e-5, 2e-5], [True, True])
+        assert band.tps == (1.0, 2.0)
+        assert band.physical == (True, True)
+
+    def test_points_view(self):
+        band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 0.0), (1e-5, 0.0), (True, False))
+        assert [(p.tps, p.kwh_per_tx_lower, p.physical) for p in band.points] == [
+            (1.0, 1e-6, True),
+            (2.0, 0.0, False),
+        ]
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"^near: band columns differ in length"):
+            ConsumptionBand("near", (1.0, 2.0), (1e-6,), (1e-5, 2e-5), (True, True))
+
+    def test_unsorted_grid_rejected(self):
+        with pytest.raises(GridDomainError, match=r"^near: band grid must be strictly"):
+            ConsumptionBand("near", (2.0, 1.0), (1e-6, 1e-6), (1e-5, 1e-5), (True, True))
+
+    def test_inverted_physical_point_rejected(self):
+        with pytest.raises(ValueError, match=r"^near: band inverted at tps=2\.0$"):
+            ConsumptionBand("near", (1.0, 2.0), (1e-6, 3e-5), (1e-5, 2e-5), (True, True))
+
+    def test_inverted_non_physical_point_allowed(self):
+        band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 3e-5), (1e-5, 2e-5), (True, False))
+        assert band.physical == (True, False)
 
 
 class TestErrata:

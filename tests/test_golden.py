@@ -2,13 +2,15 @@
 
 Each file under ``tests/golden/`` pins what one default invocation prints.
 Stdout goes to the named file; stderr, when the command writes any, goes to
-the same name plus ``.stderr``. A change that alters any byte must update the
-file and say why. Regenerate with::
+the same name plus ``.stderr``. The 20,000-point chart outputs are too large
+to keep, so only their sha256 is pinned. A change that alters any byte must
+update the file (or hash) and say why. Regenerate the files with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -43,6 +45,21 @@ def test_output_matches_golden(name):
     assert out == (GOLDEN / name).read_bytes()
     stderr_file = GOLDEN / f"{name}.stderr"
     assert err == (stderr_file.read_bytes() if stderr_file.exists() else b"")
+
+
+# sha256 of stdout at 20,000 grid points per network (14 networks): the
+# per-point hot paths of band evaluation, CSV rows and SVG polygons.
+STRESS_SHA256 = {
+    "csv": "e129074cc23b8ad0e800153b62016d7091c32d3ca703a15e1db7d8d8e3a15588",
+    "svg": "e6f06eae2d93951bdea542cbdbe6fb8ecb3d4af0a51c0b6da85eb61ecf3231a0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(STRESS_SHA256))
+def test_stress_chart_matches_pinned_hash(fmt):
+    code, out, err = run_case(["chart", "--format", fmt, "--points", "20000"])
+    assert (code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == STRESS_SHA256[fmt]
 
 
 if __name__ == "__main__":

@@ -126,8 +126,9 @@ class TestFitAffine:
         assert [(f.network, f.intercept) for f in fits if f.intercept != 0.0] == []
 
     def test_coincident_tps_rejected(self):
-        points = [obs("tron", 1, 50, 33.4), obs("tron", 2, 60, 33.4)]
-        with pytest.raises(DegenerateVarianceError):
+        points = [obs("tron", 1, 50, 33.4), obs("tron", 2, 60, 33.4), obs("tron", 3, 56, 33.4)]
+        message = r"^tron: throughput values have no usable variance \(3 points\)$"
+        with pytest.raises(DegenerateVarianceError, match=message):
             fit_affine(points, include_origin=False)
 
     def test_mixed_networks_rejected(self):

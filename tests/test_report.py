@@ -5,7 +5,7 @@ import pytest
 from posenergy.baselines import load_baselines
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
-from posenergy.estimator import BandPoint, ConsumptionBand
+from posenergy.estimator import ConsumptionBand
 from posenergy.ingestion import bundled, load_bounds, load_snapshots
 from posenergy.report import (
     baseline_chart_elements,
@@ -145,11 +145,8 @@ class TestComparisonTable:
 class TestChartSeries:
     def test_rows_sorted_and_flagged(self):
         bands = [
-            ConsumptionBand(
-                "tezos",
-                (BandPoint(1.0, 1e-5, 1e-4, True), BandPoint(20.0, 0.0, 0.0, False)),
-            ),
-            ConsumptionBand("near", (BandPoint(1.0, 2e-6, 5e-5, True),)),
+            ConsumptionBand("tezos", (1.0, 20.0), (1e-5, 0.0), (1e-4, 0.0), (True, False)),
+            ConsumptionBand("near", (1.0,), (2e-6,), (5e-5,), (True,)),
         ]
         rows = chart_rows(bands)
         assert [r[0] for r in rows] == ["near", "tezos", "tezos"]
@@ -157,11 +154,7 @@ class TestChartSeries:
         assert rows[2][4] == "false"
 
     def test_reference_band_pinned_to_grid_extremes(self):
-        bands = [
-            ConsumptionBand(
-                "near", (BandPoint(0.01, 1e-5, 1e-4, True), BandPoint(100.0, 1e-6, 1e-5, True))
-            )
-        ]
+        bands = [ConsumptionBand("near", (0.01, 100.0), (1e-5, 1e-6), (1e-4, 1e-5), (True, True))]
         ref = ReferenceBand("bitcoin", 624.41, 1662.78)
         rows = chart_rows(bands, reference_bands=[ref])
         ref_rows = [r for r in rows if r[0] == "bitcoin"]
@@ -170,7 +163,7 @@ class TestChartSeries:
         assert ref_rows[0][2] == format_series(624.41)
 
     def test_markers_appended(self):
-        bands = [ConsumptionBand("near", (BandPoint(1.0, 1e-5, 1e-4, True),))]
+        bands = [ConsumptionBand("near", (1.0,), (1e-5,), (1e-4,), (True,))]
         rows = chart_rows(bands, baseline_markers=[PointMarker("visa", 1736.0, 0.0033)])
         assert rows[-1][0] == "visa"
         assert rows[-1][2] == rows[-1][3]

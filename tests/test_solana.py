@@ -8,6 +8,7 @@ from posenergy.solana import (
     adjust_tps,
     adjusted_max_tps,
     average_tps,
+    mean_nonvote_ratio,
     nonvote_ratio,
     nonvote_tps,
 )
@@ -77,6 +78,13 @@ class TestAdjustedMaxTps:
         assert adjusted_max_tps(DEFAULT_POSTULATED_MAX_TPS, records()) == pytest.approx(
             7295.0, abs=5.0
         )
+
+    def test_mean_nonvote_ratio(self):
+        recs = records()
+        assert mean_nonvote_ratio(recs) == sum(nonvote_ratio(r) for r in recs) / len(recs)
+        assert mean_nonvote_ratio(iter(recs)) == mean_nonvote_ratio(recs)
+        with pytest.raises(ValueError, match="no vote ratio records"):
+            mean_nonvote_ratio([])
 
     def test_is_mean_ratio_times_postulate(self):
         recs = records()
