@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, groupby
 from math import log10
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .estimator import ConsumptionBand
 
@@ -77,14 +77,22 @@ class ChartGeometry:
         return self.height - _MARGIN_BOTTOM
 
     def x_px(self, tps: float) -> float:
-        span = self.x_log_max - self.x_log_min
-        frac = (math.log10(tps) - self.x_log_min) / span
-        return self.plot_left + frac * (self.plot_right - self.plot_left)
+        return self.xs_px((tps,))[0]
 
     def y_px(self, kwh_per_tx: float) -> float:
-        span = self.y_log_max - self.y_log_min
-        frac = (self.y_log_max - math.log10(kwh_per_tx)) / span
-        return self.plot_top + frac * (self.plot_bottom - self.plot_top)
+        return self.ys_px((kwh_per_tx,))[0]
+
+    def xs_px(self, tps: Iterable[float]) -> list[float]:
+        """Pixel x of each throughput value, with the axis constants hoisted."""
+        x_min, span = self.x_log_min, self.x_log_max - self.x_log_min
+        left, extent = self.plot_left, self.plot_right - self.plot_left
+        return [left + ((log10(t) - x_min) / span) * extent for t in tps]
+
+    def ys_px(self, kwh_per_tx: Iterable[float]) -> list[float]:
+        """Pixel y of each per-transaction energy value, with the axis constants hoisted."""
+        y_max, span = self.y_log_max, self.y_log_max - self.y_log_min
+        top, extent = self.plot_top, self.plot_bottom - self.plot_top
+        return [top + ((y_max - log10(v)) / span) * extent for v in kwh_per_tx]
 
 
 def chart_geometry(
@@ -166,29 +174,14 @@ def render_chart(
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
 
-    # geom.x_px and geom.y_px, inlined with the same operation order so every
-    # coordinate keeps its bits; the per-point calls dominated large charts.
-    x_min, x_span = geom.x_log_min, geom.x_log_max - geom.x_log_min
-    y_max, y_span = geom.y_log_max, geom.y_log_max - geom.y_log_min
-    left, x_width = geom.plot_left, geom.plot_right - geom.plot_left
-    top, y_height = geom.plot_top, geom.plot_bottom - geom.plot_top
     for band in bands:
         color = colors[band.network]
         for start, stop in _physical_runs(band.physical):
             if stop - start < 2:
                 continue
-            xs = [
-                f"{left + ((log10(t) - x_min) / x_span) * x_width:.2f}"
-                for t in band.tps[start:stop]
-            ]
-            lower = [
-                f"{top + ((y_max - log10(v)) / y_span) * y_height:.2f}"
-                for v in band.kwh_per_tx_lower[start:stop]
-            ]
-            upper = [
-                f"{top + ((y_max - log10(v)) / y_span) * y_height:.2f}"
-                for v in band.kwh_per_tx_upper[start:stop]
-            ]
+            xs = [f"{v:.2f}" for v in geom.xs_px(band.tps[start:stop])]
+            lower = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_lower[start:stop])]
+            upper = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_upper[start:stop])]
             forward = " ".join([f"{x},{y}" for x, y in zip(xs, lower)])
             backward = " ".join([f"{x},{y}" for x, y in zip(reversed(xs), reversed(upper))])
             parts.append(

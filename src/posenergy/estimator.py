@@ -97,9 +97,8 @@ class ConsumptionBand:
             tps = next(t for t, lo, up, p in zip(rates, lower, upper, physical) if p and lo > up)
             raise ValueError(f"{self.network}: band inverted at tps={tps!r}")
 
-    @property
-    def points(self) -> tuple[BandPoint, ...]:
-        """The band as one :class:`BandPoint` per grid value, built on each access."""
+    def rows(self) -> tuple[BandPoint, ...]:
+        """The band as one :class:`BandPoint` per grid value, built on each call."""
         return tuple(
             map(BandPoint, self.tps, self.kwh_per_tx_lower, self.kwh_per_tx_upper, self.physical)
         )
@@ -200,22 +199,13 @@ def consumption_band(
     intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
     slope = _check_finite(f"{network}: fit slope", fit.slope)
     w_lower, w_upper = profile.bounds.lower_w, profile.bounds.upper_w
-    if not 0 < w_lower <= w_upper < math.inf:
-        raise ValueError(
-            f"{network}: power bounds must satisfy 0 < lower <= upper < inf, "
-            f"got ({w_lower!r}, {w_upper!r})"
-        )
     rates = list(map(float, grid))
     if not rates:
         raise GridDomainError("empty throughput grid")
-    # min/max let a NaN through depending on where it sits, so test it too.
-    if not (
-        0 < min(rates)
-        and max(rates) <= profile.max_tps
-        and all(map(math.isfinite, rates))
-    ):
+    max_tps = profile.max_tps
+    if not all(0 < rate <= max_tps for rate in rates):
         raise GridDomainError(
-            f"grid values must lie in (0, {profile.max_tps!r}] for {network!r}"
+            f"grid values must lie in (0, {max_tps!r}] for {network!r}"
         )
 
     lower: list[float] = []

@@ -212,8 +212,8 @@ def test_criterion_5_estimator_properties(capsys):
 
     flat = RegressionFit("net0", 297.0, 0.0, 1.0, 3, False)
     band = consumption_band(flat, profile, grid)
-    lowers = [p.kwh_per_tx_lower for p in band.points if p.physical]
-    uppers = [p.kwh_per_tx_upper for p in band.points if p.physical]
+    lowers = [p.kwh_per_tx_lower for p in band.rows() if p.physical]
+    uppers = [p.kwh_per_tx_upper for p in band.rows() if p.physical]
     if not all(b < a for a, b in zip(lowers, lowers[1:])):
         problems.append("slope-0 lower edge is not strictly decreasing")
     if not all(b < a for a, b in zip(uppers, uppers[1:])):
@@ -222,7 +222,7 @@ def test_criterion_5_estimator_properties(capsys):
     proportional = RegressionFit("net0", 0.0, 2.0, 1.0, 3, True)
     band = consumption_band(proportional, profile, grid)
     for edge in ("kwh_per_tx_lower", "kwh_per_tx_upper"):
-        values = [getattr(p, edge) for p in band.points if p.physical]
+        values = [getattr(p, edge) for p in band.rows() if p.physical]
         if max(values) - min(values) > 1e-12 * max(values):
             problems.append("intercept-0 band is not constant")
             break
@@ -233,13 +233,13 @@ def test_criterion_5_estimator_properties(capsys):
             "net0", float(rng.uniform(0.0, 500.0)), float(rng.uniform(-5.0, 50.0)), 0.9, 4, True
         )
         band = consumption_band(fit, profile, grid)
-        for point in band.points:
+        for point in band.rows():
             if point.physical and point.kwh_per_tx_lower > point.kwh_per_tx_upper:
                 problems.append(f"lower > upper at tps {point.tps}")
                 break
 
     tezos_like = RegressionFit("net0", 440.7, -24.6, 0.8, 8, True)
-    (point,) = consumption_band(tezos_like, profile, [20.0]).points
+    (point,) = consumption_band(tezos_like, profile, [20.0]).rows()
     if point.physical or point.kwh_per_tx_lower != 0.0 or point.kwh_per_tx_upper != 0.0:
         problems.append("negative prediction at throughput 20 was not flagged non-physical")
     verdict(capsys, 5, "estimator band properties", not problems, "; ".join(problems))

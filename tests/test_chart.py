@@ -99,15 +99,14 @@ class TestRenderChart:
         polygons = self.parse_polygons(svg)
         assert len(polygons) == 1
         vertices = polygons[0]
-        physical = [p for p in b.points if p.physical]
+        physical = [p for p in b.rows() if p.physical]
         expected = [(geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_lower)) for p in physical]
         expected += [
             (geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_upper)) for p in reversed(physical)
         ]
         assert len(vertices) == len(expected)
         for (got_x, got_y), (want_x, want_y) in zip(vertices, expected):
-            assert abs(got_x - want_x) <= 0.5
-            assert abs(got_y - want_y) <= 0.5
+            assert (f"{got_x:.2f}", f"{got_y:.2f}") == (f"{want_x:.2f}", f"{want_y:.2f}")
 
     def test_non_physical_gap_splits_polygons(self):
         points = [

@@ -143,7 +143,7 @@ class TestConsumptionBand:
     def test_capped_fit_known_values(self):
         # flat fit at 297 validators, evaluated at 1000 tx/s
         band = consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [1000.0])
-        point = band.points[0]
+        point = band.rows()[0]
         assert point.physical
         assert point.kwh_per_tx_lower == pytest.approx(297 * 4.31 / (1000 * 3.6e6), rel=1e-12)
         assert point.kwh_per_tx_upper == pytest.approx(297 * 107.86 / (1000 * 3.6e6), rel=1e-12)
@@ -156,7 +156,7 @@ class TestConsumptionBand:
         profile = polkadot_profile()
         grid = default_grid(profile, n_points=50)
         band = consumption_band(fit, profile, grid)
-        for point in band.points:
+        for point in band.rows():
             predicted = fit.intercept + fit.slope * point.tps
             if predicted >= 1.0:
                 assert point.kwh_per_tx_lower == energy_per_tx(predicted, 4.31, point.tps)
@@ -166,8 +166,8 @@ class TestConsumptionBand:
         band = consumption_band(
             flat_fit("polkadot", 297), polkadot_profile(), default_grid(polkadot_profile())
         )
-        lowers = [p.kwh_per_tx_lower for p in band.points if p.physical]
-        uppers = [p.kwh_per_tx_upper for p in band.points if p.physical]
+        lowers = [p.kwh_per_tx_lower for p in band.rows() if p.physical]
+        uppers = [p.kwh_per_tx_upper for p in band.rows() if p.physical]
         assert all(b < a for a, b in zip(lowers, lowers[1:]))
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
@@ -175,7 +175,7 @@ class TestConsumptionBand:
         # intercept 0: per-tx energy does not depend on throughput
         fit = RegressionFit("polkadot", 0.0, 2.0, 1.0, 3, True)
         band = consumption_band(fit, polkadot_profile(), [1.0, 10.0, 100.0])
-        lowers = {p.kwh_per_tx_lower for p in band.points}
+        lowers = {p.kwh_per_tx_lower for p in band.rows()}
         assert len(lowers) == 1
         assert lowers.pop() == pytest.approx(2 * 4.31 / 3.6e6, rel=1e-12)
 
@@ -184,17 +184,17 @@ class TestConsumptionBand:
         fit = RegressionFit("tezos", 440.7, -24.6, 0.8, 8, True)
         profile = NetworkProfile("tezos", ValidatorPowerBounds("tezos", 4.86, 141.65), 1048.0)
         band = consumption_band(fit, profile, [1.0, 20.0])
-        assert band.points[0].physical
-        assert not band.points[1].physical
-        assert band.points[1].kwh_per_tx_lower == 0.0
-        assert band.points[1].kwh_per_tx_upper == 0.0
+        assert band.rows()[0].physical
+        assert not band.rows()[1].physical
+        assert band.rows()[1].kwh_per_tx_lower == 0.0
+        assert band.rows()[1].kwh_per_tx_upper == 0.0
 
     def test_lower_not_above_upper_everywhere(self):
         fit = RegressionFit("polkadot", 50.0, 1.7, 0.9, 6, True)
         band = consumption_band(
             fit, polkadot_profile(), default_grid(polkadot_profile(), n_points=80)
         )
-        for point in band.points:
+        for point in band.rows():
             assert point.kwh_per_tx_lower <= point.kwh_per_tx_upper
 
     def test_grid_outside_domain_rejected(self):
@@ -269,9 +269,9 @@ class TestConsumptionBandColumns:
         assert band.tps == (1.0, 2.0)
         assert band.physical == (True, True)
 
-    def test_points_view(self):
+    def test_rows_view(self):
         band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 0.0), (1e-5, 0.0), (True, False))
-        assert [(p.tps, p.kwh_per_tx_lower, p.physical) for p in band.points] == [
+        assert [(p.tps, p.kwh_per_tx_lower, p.physical) for p in band.rows()] == [
             (1.0, 1e-6, True),
             (2.0, 0.0, False),
         ]

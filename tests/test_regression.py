@@ -126,10 +126,12 @@ class TestFitAffine:
         assert [(f.network, f.intercept) for f in fits if f.intercept != 0.0] == []
 
     def test_coincident_tps_rejected(self):
-        points = [obs("tron", 1, 50, 33.4), obs("tron", 2, 60, 33.4), obs("tron", 3, 56, 33.4)]
-        message = r"^tron: throughput values have no usable variance \(3 points\)$"
-        with pytest.raises(DegenerateVarianceError, match=message):
-            fit_affine(points, include_origin=False)
+        # two points reach the closed-form solve, which divides by x1 - x0
+        for validators in ((50, 60), (50, 60, 56)):
+            points = [obs("tron", i + 1, v, 33.4) for i, v in enumerate(validators)]
+            message = rf"^tron: throughput values have no usable variance \({len(points)} points\)$"
+            with pytest.raises(DegenerateVarianceError, match=message):
+                fit_affine(points, include_origin=False)
 
     def test_mixed_networks_rejected(self):
         points = [obs("tron", 1, 50, 33.4), obs("bnb", 2, 56, 40.0)]
