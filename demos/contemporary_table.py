@@ -11,10 +11,11 @@ from posenergy.baselines import load_baselines
 from posenergy.estimator import find_errata
 from posenergy.ingestion import bundled, load_bounds, load_reported, load_snapshots
 from posenergy.report import (
+    TABLE_HEADER,
     comparison_estimates,
     comparison_rows,
     format_kw,
-    render_table_text,
+    render_grid_text,
 )
 
 # the bundled snapshot: one observation per network, all taken the same day
@@ -25,7 +26,7 @@ baselines = load_baselines(bundled("baselines.cfg"))
 # a point estimate is just N_validators x watts, priced at both bounds and
 # divided by throughput for the per-transaction figure
 estimates = comparison_estimates(snapshot.observations, bounds)
-print(render_table_text(comparison_rows(estimates, baselines)))
+print(render_grid_text(TABLE_HEADER, comparison_rows(estimates, baselines)))
 
 # cross-check the computed mid powers against a published reference table;
 # two of its rows cannot be reproduced from their own inputs

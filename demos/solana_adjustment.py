@@ -14,6 +14,7 @@ from posenergy.solana import (
     DEFAULT_POSTULATED_MAX_TPS,
     adjusted_max_tps,
     average_tps,
+    mean_nonvote_ratio,
     nonvote_ratio,
     nonvote_tps,
 )
@@ -30,7 +31,7 @@ for record in records:
         f"{nonvote_tps(record):>13.0f}"
     )
 
-mean_share = sum(nonvote_ratio(r) for r in records) / len(records)
+mean_share = mean_nonvote_ratio(records)
 adjusted = adjusted_max_tps(DEFAULT_POSTULATED_MAX_TPS, records)
 print()
 print(f"mean nonvote share: {mean_share:.4f}")

@@ -20,7 +20,6 @@ from posenergy.report import (
     fit_networks,
     fit_rows,
     observation_markers,
-    observed_networks,
     render_grid_text,
 )
 
@@ -36,9 +35,8 @@ print(render_grid_text(header, rows))
 
 # sweep the fits over log-spaced throughput grids and add the reference
 # systems: Bitcoin as a horizontal band, Visa as a single point
-networks = observed_networks(snapshot.observations)
 bands = chart_bands(snapshot.observations, profiles)
-markers = observation_markers(snapshot.observations, bounds, networks)
+markers = observation_markers(snapshot.observations, bounds, [b.network for b in bands])
 baseline_markers, reference_bands = baseline_chart_elements(
     load_baselines(bundled("baselines.cfg"))
 )

@@ -25,7 +25,6 @@ from .core import (
     validate_network_id,
 )
 from .estimator import (
-    BandPoint,
     ConsumptionBand,
     ContemporaryEstimate,
     Erratum,
@@ -84,7 +83,6 @@ from .units import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandPoint",
     "BaselineBand",
     "BaselineRecord",
     "ConsumptionBand",

@@ -14,17 +14,9 @@ from pathlib import Path
 from . import report
 from .baselines import load_baselines, summarize
 from .chart import render_chart
-from .estimator import DEFAULT_GRID_POINTS, DEFAULT_MIN_TPS, find_errata, printed_tolerance
+from .estimator import DEFAULT_GRID_POINTS, DEFAULT_MIN_TPS, find_baseline_errata, find_errata
 from .ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
-from .solana import (
-    DEFAULT_POSTULATED_MAX_TPS,
-    adjusted_max_tps,
-    average_tps,
-    mean_nonvote_ratio,
-    nonvote_ratio,
-    nonvote_tps,
-)
-from .units import SECONDS_PER_YEAR
+from .solana import DEFAULT_POSTULATED_MAX_TPS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit validator count against throughput per network")
-    _data_flags(fit, observations=True)
+    _data_flags(fit, "observations")
     fit.add_argument("--network", action="append", help="restrict to a network (repeatable)")
     fit.add_argument(
         "--no-origin",
@@ -45,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(fit)
 
     table = sub.add_parser("table", help="contemporary energy estimates plus baselines")
-    _data_flags(table, observations=True, bounds=True, baselines=True, reported=True)
+    _data_flags(table, "observations", "bounds", "baselines", "reported")
     table.add_argument("--network", action="append", help="restrict to a network (repeatable)")
     table.add_argument(
         "--verify",
@@ -55,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(table)
 
     chart = sub.add_parser("chart", help="extrapolated consumption bands as CSV or SVG")
-    _data_flags(chart, observations=True, bounds=True, profiles=True, baselines=True)
+    _data_flags(chart, "observations", "bounds", "profiles", "baselines")
     chart.add_argument("--network", action="append", help="restrict to a network (repeatable)")
     chart.add_argument(
         "--no-origin",
@@ -83,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     chart.add_argument("--out", help="write to this path instead of stdout")
 
     baseline = sub.add_parser("baseline", help="reference-system energy figures")
-    _data_flags(baseline, baselines=True, reported=True)
+    _data_flags(baseline, "baselines", "reported")
     baseline.add_argument(
         "--verify",
         action="store_true",
@@ -109,26 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _data_flags(
-    parser: argparse.ArgumentParser,
-    observations: bool = False,
-    bounds: bool = False,
-    profiles: bool = False,
-    baselines: bool = False,
-    reported: bool = False,
-) -> None:
-    if observations:
-        parser.add_argument("--observations", help="snapshot CSV (default: bundled)")
-    if bounds:
-        parser.add_argument("--bounds", help="per-validator power bounds CSV (default: bundled)")
-    if profiles:
-        parser.add_argument("--profiles", help="max-throughput profiles CSV (default: bundled)")
-    if baselines:
-        parser.add_argument("--baselines", help="baseline config file (default: bundled)")
-    if reported:
-        parser.add_argument(
-            "--reported", help="published reference estimates CSV (default: bundled)"
-        )
+_DATA_FILES = {
+    "observations": "snapshot CSV",
+    "bounds": "per-validator power bounds CSV",
+    "profiles": "max-throughput profiles CSV",
+    "baselines": "baseline config file",
+    "reported": "published reference estimates CSV",
+}
+
+
+def _data_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", help=f"{_DATA_FILES[name]} (default: bundled)")
 
 
 def _output_flags(parser: argparse.ArgumentParser) -> None:
@@ -147,14 +131,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_rows(
+    args: argparse.Namespace, header: report.Row, rows: list[report.Row], footer: str = ""
+) -> None:
+    render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
+    _emit(render(header, rows) + footer, args.out)
+
+
 def _cmd_fit(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     fits = report.fit_networks(
         snapshot.observations, networks=args.network, include_origin=not args.no_origin
     )
-    header, rows = report.fit_rows(fits)
-    render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
-    _emit(render(header, rows), args.out)
+    _emit_rows(args, *report.fit_rows(fits))
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
@@ -164,9 +153,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
     estimates = report.comparison_estimates(
         snapshot.observations, bounds, networks=args.network
     )
-    rows = report.comparison_rows(estimates, baseline_records)
-    render = report.render_table_csv if args.format == "csv" else report.render_table_text
-    _emit(render(rows), args.out)
+    _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baseline_records))
     if args.verify:
         reported = load_reported(_path(args.reported, "reported_estimates.csv"))
         for erratum in find_errata(estimates, reported):
@@ -183,111 +170,44 @@ def _cmd_chart(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     bounds = load_bounds(_path(args.bounds, "bounds.csv"))
     profiles = load_profiles(_path(args.profiles, "profiles.csv"), bounds)
-    networks = sorted(args.network) if args.network else report.observed_networks(
-        snapshot.observations
-    )
     bands = report.chart_bands(
         snapshot.observations,
         profiles,
-        networks=networks,
+        networks=args.network,
         include_origin=not args.no_origin,
         min_tps=args.lmin,
         n_points=args.points,
     )
-    markers = report.observation_markers(snapshot.observations, bounds, networks)
-    baseline_markers, reference_bands = [], []
-    if not args.no_baselines:
-        baseline_records = load_baselines(_path(args.baselines, "baselines.cfg"))
-        baseline_markers, reference_bands = report.baseline_chart_elements(baseline_records)
+    records = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
+    baseline_markers, reference_bands = report.baseline_chart_elements(records)
     if args.format == "csv":
         rows = report.chart_rows(bands, baseline_markers, reference_bands)
         _emit(report.chart_csv(rows), args.out)
     else:
+        markers = report.observation_markers(
+            snapshot.observations, bounds, [b.network for b in bands]
+        )
         svg, _ = render_chart(bands, markers + baseline_markers, reference_bands)
         _emit(svg, args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
-    records = load_baselines(_path(args.baselines, "baselines.cfg"))
-    bands = summarize(records)
-    header = (
-        "name",
-        "year",
-        "tps",
-        "annual_kwh_lower",
-        "annual_kwh_upper",
-        "kwh_per_second_lower",
-        "kwh_per_second_upper",
-        "kwh_per_tx_lower",
-        "kwh_per_tx_mid",
-        "kwh_per_tx_upper",
-    )
-    rows = [
-        (
-            band.name,
-            str(band.period_year),
-            report.format_series(band.tps),
-            report.format_series(band.kwh_per_second_lower * SECONDS_PER_YEAR),
-            report.format_series(band.kwh_per_second_upper * SECONDS_PER_YEAR),
-            report.format_series(band.kwh_per_second_lower),
-            report.format_series(band.kwh_per_second_upper),
-            report.format_kwh_per_tx(band.kwh_per_tx_lower),
-            report.format_kwh_per_tx(band.kwh_per_tx_mid),
-            report.format_kwh_per_tx(band.kwh_per_tx_upper),
-        )
-        for band in bands
-    ]
-    render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
-    _emit(render(header, rows), args.out)
+    bands = summarize(load_baselines(_path(args.baselines, "baselines.cfg")))
+    _emit_rows(args, *report.baseline_rows(bands))
     if args.verify:
         reported = load_reported(_path(args.reported, "reported_estimates.csv"))
-        for band in bands:
-            row = reported.get(band.name)
-            if row is None:
-                continue
-            tol = printed_tolerance(row.kwh_per_tx, decimals=2)
-            if abs(band.kwh_per_tx_mid - row.kwh_per_tx) > tol:
-                print(
-                    f"note: published energy per transaction for {band.name} "
-                    f"({row.kwh_per_tx} kWh/tx) does not match the midpoint of the "
-                    f"computed bounds ({report.format_kwh_per_tx(band.kwh_per_tx_mid)} kWh/tx)",
-                    file=sys.stderr,
-                )
+        for band in find_baseline_errata(bands, reported):
+            print(
+                f"note: published energy per transaction for {band.name} "
+                f"({reported[band.name].kwh_per_tx} kWh/tx) does not match the midpoint of the "
+                f"computed bounds ({report.format_kwh_per_tx(band.kwh_per_tx_mid)} kWh/tx)",
+                file=sys.stderr,
+            )
 
 
 def _cmd_adjust_solana(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(_path(args.observations, "solana_votes.csv"))
-    records = sorted(snapshot.vote_records, key=lambda r: r.date)
-    if not records:
-        raise ValueError("no vote-ratio records in the snapshot (need nonvote/total columns)")
-    header = (
-        "date",
-        "reported_tps",
-        "nonvote_per_day",
-        "total_per_day",
-        "average_tps",
-        "nonvote_ratio",
-        "nonvote_tps",
-    )
-    rows = [
-        (
-            r.date.isoformat(),
-            report.format_series(r.reported_tps),
-            str(r.nonvote_tx_per_day),
-            str(r.total_tx_per_day),
-            report.format_series(average_tps(r)),
-            report.format_series(nonvote_ratio(r)),
-            report.format_series(nonvote_tps(r)),
-        )
-        for r in records
-    ]
-    render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
-    adjusted = adjusted_max_tps(args.postulated_max, records)
-    summary = (
-        f"# mean_nonvote_ratio,{report.format_series(mean_nonvote_ratio(records))}\n"
-        f"# adjusted_max_tps,{report.format_series(adjusted)}\n"
-    )
-    _emit(render(header, rows) + summary, args.out)
+    _emit_rows(args, *report.vote_rows(snapshot.vote_records, args.postulated_max))
 
 
 _COMMANDS = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
+from .baselines import BaselineBand
 from .core import (
     NetworkObservation,
     NetworkProfile,
@@ -33,6 +34,9 @@ DEFAULT_MIN_TPS = 0.01
 
 # Fewer than one whole validator cannot draw power.
 _MIN_PHYSICAL_VALIDATORS = 1.0
+
+# Relative part of the allowance for comparing against a published figure.
+_PRINTED_REL_TOL = 0.005
 
 
 class GridDomainError(ValueError):
@@ -53,16 +57,6 @@ class ContemporaryEstimate:
     kwh_per_tx_lower: float
     kwh_per_tx_mid: float
     kwh_per_tx_upper: float
-
-
-@dataclass(frozen=True)
-class BandPoint:
-    """One grid value of a :class:`ConsumptionBand`, as a row."""
-
-    tps: float
-    kwh_per_tx_lower: float
-    kwh_per_tx_upper: float
-    physical: bool
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,6 @@ class ConsumptionBand:
         if any(map(operator.gt, compress(lower, physical), compress(upper, physical))):
             tps = next(t for t, lo, up, p in zip(rates, lower, upper, physical) if p and lo > up)
             raise ValueError(f"{self.network}: band inverted at tps={tps!r}")
-
-    def rows(self) -> tuple[BandPoint, ...]:
-        """The band as one :class:`BandPoint` per grid value, built on each call."""
-        return tuple(
-            map(BandPoint, self.tps, self.kwh_per_tx_lower, self.kwh_per_tx_upper, self.physical)
-        )
 
 
 def contemporary_estimate(
@@ -252,19 +240,22 @@ class Erratum:
     computed_kw: float
 
 
-def printed_tolerance(reported: float, decimals: int, rel_tol: float = 0.005) -> float:
+def printed_tolerance(reported: float, decimals: int) -> float:
     """Allowance for comparing against a value printed with fixed decimals.
 
     Combines a relative tolerance with half a unit in the last printed place,
     so values the source rounded heavily still compare fairly.
     """
-    return max(rel_tol * abs(reported), 0.5 * 10.0 ** -decimals)
+    return max(_PRINTED_REL_TOL * abs(reported), 0.5 * 10.0 ** -decimals)
+
+
+def _disagrees(computed: float, published: float) -> bool:
+    """Whether a computed value misses a figure published with two decimals."""
+    return abs(computed - published) > printed_tolerance(published, decimals=2)
 
 
 def find_errata(
-    estimates: Iterable[ContemporaryEstimate],
-    reported: Mapping[str, ReportedEstimate],
-    rel_tol: float = 0.005,
+    estimates: Iterable[ContemporaryEstimate], reported: Mapping[str, ReportedEstimate]
 ) -> list[Erratum]:
     """Flag published rows whose global power cannot be reproduced.
 
@@ -275,9 +266,17 @@ def find_errata(
     errata = []
     for est in sorted(estimates, key=lambda e: e.network):
         row = reported.get(est.network)
-        if row is None:
-            continue
-        tol = printed_tolerance(row.global_kw, decimals=2, rel_tol=rel_tol)
-        if abs(est.global_kw_mid - row.global_kw) > tol:
+        if row is not None and _disagrees(est.global_kw_mid, row.global_kw):
             errata.append(Erratum(est.network, row.global_kw, est.global_kw_mid))
     return errata
+
+
+def find_baseline_errata(
+    bands: Iterable[BaselineBand], reported: Mapping[str, ReportedEstimate]
+) -> list[BaselineBand]:
+    """Baselines whose published kWh/tx misses the midpoint of their computed bounds."""
+    return [
+        band
+        for band in bands
+        if band.name in reported and _disagrees(band.kwh_per_tx_mid, reported[band.name].kwh_per_tx)
+    ]

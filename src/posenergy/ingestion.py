@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     NetworkObservation,
@@ -87,29 +87,18 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     observations: list[NetworkObservation] = []
     votes: list[VoteRatioRecord] = []
     seen: set[tuple[str, dt.date]] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
-        for number, row in enumerate(reader, start=2):
-            try:
-                observation, vote = _parse_row(row)
-            except ValueError as exc:
-                raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-            if observation is not None:
-                key = (observation.network, observation.date)
-                if key in seen:
-                    raise DuplicateObservationError(
-                        f"{os.fspath(path)} row {number}: duplicate observation for "
-                        f"({key[0]}, {key[1].isoformat()})"
-                    )
-                seen.add(key)
-                observations.append(observation)
-            if vote is not None:
-                votes.append(vote)
+    for number, (observation, vote) in _read_csv(path, _REQUIRED_COLUMNS, _parse_row):
+        if observation is not None:
+            key = (observation.network, observation.date)
+            if key in seen:
+                raise DuplicateObservationError(
+                    f"{os.fspath(path)} row {number}: duplicate observation for "
+                    f"({key[0]}, {key[1].isoformat()})"
+                )
+            seen.add(key)
+            observations.append(observation)
+        if vote is not None:
+            votes.append(vote)
     return Snapshot(tuple(observations), tuple(votes))
 
 
@@ -228,17 +217,16 @@ def write_snapshot(
 
 def load_bounds(path: str | os.PathLike[str]) -> dict[str, ValidatorPowerBounds]:
     """Read per-validator power bounds, keyed by network."""
+    def parse(row: dict[str, str]) -> ValidatorPowerBounds:
+        return ValidatorPowerBounds(
+            network=row["network"].strip(),
+            lower_w=float(row["lower_w"]),
+            upper_w=float(row["upper_w"]),
+            source_note=(row.get("source") or "").strip(),
+        )
+
     out: dict[str, ValidatorPowerBounds] = {}
-    for number, row in _read_csv(path, ("network", "lower_w", "upper_w")):
-        try:
-            bounds = ValidatorPowerBounds(
-                network=row["network"].strip(),
-                lower_w=float(row["lower_w"]),
-                upper_w=float(row["upper_w"]),
-                source_note=(row.get("source") or "").strip(),
-            )
-        except ValueError as exc:
-            raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
+    for number, bounds in _read_csv(path, ("network", "lower_w", "upper_w"), parse):
         if bounds.network in out:
             raise SnapshotFormatError(
                 f"{os.fspath(path)} row {number}: duplicate bounds for {bounds.network!r}"
@@ -251,46 +239,41 @@ def load_profiles(
     path: str | os.PathLike[str], bounds: dict[str, ValidatorPowerBounds]
 ) -> dict[str, NetworkProfile]:
     """Read throughput profiles and attach each network's power bounds."""
-    out: dict[str, NetworkProfile] = {}
-    for number, row in _read_csv(path, ("network", "max_tps")):
+    def parse(row: dict[str, str]) -> NetworkProfile:
         network = row["network"].strip()
         if network not in bounds:
+            raise ValueError(f"no power bounds for {network!r}")
+        return NetworkProfile(network, bounds[network], float(row["max_tps"]))
+
+    out: dict[str, NetworkProfile] = {}
+    for number, profile in _read_csv(path, ("network", "max_tps"), parse):
+        if profile.network in out:
             raise SnapshotFormatError(
-                f"{os.fspath(path)} row {number}: no power bounds for {network!r}"
+                f"{os.fspath(path)} row {number}: duplicate profile for {profile.network!r}"
             )
-        try:
-            profile = NetworkProfile(network, bounds[network], float(row["max_tps"]))
-        except ValueError as exc:
-            raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-        if network in out:
-            raise SnapshotFormatError(
-                f"{os.fspath(path)} row {number}: duplicate profile for {network!r}"
-            )
-        out[network] = profile
+        out[profile.network] = profile
     return out
 
 
 def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
     """Read published reference estimates used by the erratum cross-check."""
-    out: dict[str, ReportedEstimate] = {}
-    for number, row in _read_csv(path, ("name", "global_kw", "kwh_per_tx")):
-        try:
-            tps_cell = (row.get("tps") or "").strip()
-            validators_cell = (row.get("validators") or "").strip()
-            estimate = ReportedEstimate(
-                name=row["name"].strip(),
-                global_kw=float(row["global_kw"]),
-                kwh_per_tx=float(row["kwh_per_tx"]),
-                tps=float(tps_cell) if tps_cell else None,
-                validators=int(validators_cell) if validators_cell else None,
-            )
-        except ValueError as exc:
-            raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-        out[estimate.name] = estimate
-    return out
+    def parse(row: dict[str, str]) -> ReportedEstimate:
+        tps_cell = (row.get("tps") or "").strip()
+        validators_cell = (row.get("validators") or "").strip()
+        return ReportedEstimate(
+            name=row["name"].strip(),
+            global_kw=float(row["global_kw"]),
+            kwh_per_tx=float(row["kwh_per_tx"]),
+            tps=float(tps_cell) if tps_cell else None,
+            validators=int(validators_cell) if validators_cell else None,
+        )
+
+    rows = _read_csv(path, ("name", "global_kw", "kwh_per_tx"), parse)
+    return {estimate.name: estimate for _, estimate in rows}
 
 
-def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...]):
+def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable):
+    """Yield ``(row number, parse(row))``; a ValueError from ``parse`` names the row."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -299,7 +282,11 @@ def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...]):
         if missing:
             raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
         for number, row in enumerate(reader, start=2):
-            yield number, row
+            try:
+                parsed = parse(row)
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
+            yield number, parsed
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .baselines import BaselineBand, BaselineRecord, summarize
@@ -25,6 +24,17 @@ from .estimator import (
     latest_observation,
 )
 from .regression import RegressionFit, fit_affine
+from .solana import (
+    VoteRatioRecord,
+    adjusted_max_tps,
+    average_tps,
+    mean_nonvote_ratio,
+    nonvote_ratio,
+    nonvote_tps,
+)
+from .units import SECONDS_PER_YEAR
+
+Row = tuple[str, ...]
 
 
 def format_kw(value: float) -> str:
@@ -39,8 +49,27 @@ def format_series(value: float) -> str:
     return format(value, ".10g")
 
 
-def observed_networks(observations: Iterable[NetworkObservation]) -> list[str]:
-    return sorted({o.network for o in observations if not o.synthetic})
+def select_networks(
+    observations: Iterable[NetworkObservation], networks: Sequence[str] | None = None
+) -> dict[str, list[NetworkObservation]]:
+    """Non-synthetic observations grouped by network, keyed in name order.
+
+    ``networks`` restricts the result to those names, each once; when it is
+    None or empty every observed network is kept. Each group keeps the
+    input order of its rows.
+
+    Raises:
+        ValueError: a requested network has no non-synthetic observation.
+    """
+    groups: dict[str, list[NetworkObservation]] = {}
+    for obs in observations:
+        if not obs.synthetic:
+            groups.setdefault(obs.network, []).append(obs)
+    wanted = sorted(set(networks)) if networks else sorted(groups)
+    for network in wanted:
+        if network not in groups:
+            raise ValueError(f"no observations for network {network!r}")
+    return {network: groups[network] for network in wanted}
 
 
 def fit_networks(
@@ -49,18 +78,13 @@ def fit_networks(
     include_origin: bool = True,
 ) -> list[RegressionFit]:
     """Fit every requested network (default: all observed), sorted by name."""
-    all_obs = [o for o in observations if not o.synthetic]
-    wanted = list(networks) if networks else observed_networks(all_obs)
-    fits = []
-    for network in sorted(wanted):
-        group = [o for o in all_obs if o.network == network]
-        if not group:
-            raise ValueError(f"no observations for network {network!r}")
-        fits.append(fit_affine(group, include_origin=include_origin))
-    return fits
+    return [
+        fit_affine(group, include_origin=include_origin)
+        for group in select_networks(observations, networks).values()
+    ]
 
 
-def fit_rows(fits: Sequence[RegressionFit]) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+def fit_rows(fits: Sequence[RegressionFit]) -> tuple[Row, list[Row]]:
     header = ("network", "intercept", "slope", "r2", "n_points", "origin_included")
     rows = [
         (
@@ -76,19 +100,75 @@ def fit_rows(fits: Sequence[RegressionFit]) -> tuple[tuple[str, ...], list[tuple
     return header, rows
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One rendered line of the comparison table (network or baseline)."""
+def baseline_rows(bands: Sequence[BaselineBand]) -> tuple[Row, list[Row]]:
+    """Annual, per-second and per-transaction figures of each baseline."""
+    header = (
+        "name",
+        "year",
+        "tps",
+        "annual_kwh_lower",
+        "annual_kwh_upper",
+        "kwh_per_second_lower",
+        "kwh_per_second_upper",
+        "kwh_per_tx_lower",
+        "kwh_per_tx_mid",
+        "kwh_per_tx_upper",
+    )
+    rows = [
+        (
+            band.name,
+            str(band.period_year),
+            format_series(band.tps),
+            format_series(band.kwh_per_second_lower * SECONDS_PER_YEAR),
+            format_series(band.kwh_per_second_upper * SECONDS_PER_YEAR),
+            format_series(band.kwh_per_second_lower),
+            format_series(band.kwh_per_second_upper),
+            format_kwh_per_tx(band.kwh_per_tx_lower),
+            format_kwh_per_tx(band.kwh_per_tx_mid),
+            format_kwh_per_tx(band.kwh_per_tx_upper),
+        )
+        for band in bands
+    ]
+    return header, rows
 
-    name: str
-    validators: int | None
-    tps: float
-    kw_lower: float
-    kw_mid: float
-    kw_upper: float
-    kwh_per_tx_lower: float
-    kwh_per_tx_mid: float
-    kwh_per_tx_upper: float
+
+def vote_rows(
+    records: Iterable[VoteRatioRecord], postulated_max: float
+) -> tuple[Row, list[Row], str]:
+    """Per-day vote/nonvote figures, oldest first, and a two-line summary.
+
+    The summary holds the mean nonvote share and the postulated maximum
+    scaled by it, as ``#`` comment lines. Raises ValueError without records.
+    """
+    ordered = sorted(records, key=lambda r: r.date)
+    if not ordered:
+        raise ValueError("no vote-ratio records in the snapshot (need nonvote/total columns)")
+    header = (
+        "date",
+        "reported_tps",
+        "nonvote_per_day",
+        "total_per_day",
+        "average_tps",
+        "nonvote_ratio",
+        "nonvote_tps",
+    )
+    rows = [
+        (
+            r.date.isoformat(),
+            format_series(r.reported_tps),
+            str(r.nonvote_tx_per_day),
+            str(r.total_tx_per_day),
+            format_series(average_tps(r)),
+            format_series(nonvote_ratio(r)),
+            format_series(nonvote_tps(r)),
+        )
+        for r in ordered
+    ]
+    summary = (
+        f"# mean_nonvote_ratio,{format_series(mean_nonvote_ratio(ordered))}\n"
+        f"# adjusted_max_tps,{format_series(adjusted_max_tps(postulated_max, ordered))}\n"
+    )
+    return header, rows, summary
 
 
 def comparison_estimates(
@@ -97,55 +177,15 @@ def comparison_estimates(
     networks: Sequence[str] | None = None,
 ) -> list[ContemporaryEstimate]:
     """Contemporary estimate at each network's latest observation."""
-    all_obs = list(observations)
-    wanted = sorted(networks) if networks else observed_networks(all_obs)
     estimates = []
-    for network in wanted:
+    for network, group in select_networks(observations, networks).items():
         if network not in bounds:
             raise ValueError(f"no power bounds for network {network!r}")
-        estimates.append(
-            contemporary_estimate(latest_observation(all_obs, network), bounds[network])
-        )
+        estimates.append(contemporary_estimate(latest_observation(group, network), bounds[network]))
     return estimates
 
 
-def comparison_rows(
-    estimates: Sequence[ContemporaryEstimate],
-    baseline_records: Sequence[BaselineRecord] = (),
-) -> list[TableRow]:
-    """Network rows followed by baseline rows, each priced lower/mid/upper."""
-    rows = [
-        TableRow(
-            name=e.network,
-            validators=e.validators,
-            tps=e.tps,
-            kw_lower=e.global_kw_lower,
-            kw_mid=e.global_kw_mid,
-            kw_upper=e.global_kw_upper,
-            kwh_per_tx_lower=e.kwh_per_tx_lower,
-            kwh_per_tx_mid=e.kwh_per_tx_mid,
-            kwh_per_tx_upper=e.kwh_per_tx_upper,
-        )
-        for e in estimates
-    ]
-    for band in summarize(baseline_records):
-        rows.append(
-            TableRow(
-                name=band.name,
-                validators=None,
-                tps=band.tps,
-                kw_lower=band.kw_lower,
-                kw_mid=(band.kw_lower + band.kw_upper) / 2.0,
-                kw_upper=band.kw_upper,
-                kwh_per_tx_lower=band.kwh_per_tx_lower,
-                kwh_per_tx_mid=band.kwh_per_tx_mid,
-                kwh_per_tx_upper=band.kwh_per_tx_upper,
-            )
-        )
-    return rows
-
-
-_TABLE_HEADER = (
+TABLE_HEADER = (
     "name",
     "validators",
     "tps",
@@ -158,29 +198,41 @@ _TABLE_HEADER = (
 )
 
 
-def _table_cells(row: TableRow) -> tuple[str, ...]:
-    return (
-        row.name,
-        "" if row.validators is None else str(row.validators),
-        format_series(row.tps),
-        format_kw(row.kw_lower),
-        format_kw(row.kw_mid),
-        format_kw(row.kw_upper),
-        format_kwh_per_tx(row.kwh_per_tx_lower),
-        format_kwh_per_tx(row.kwh_per_tx_mid),
-        format_kwh_per_tx(row.kwh_per_tx_upper),
-    )
+def comparison_rows(
+    estimates: Sequence[ContemporaryEstimate],
+    baseline_records: Sequence[BaselineRecord] = (),
+) -> list[Row]:
+    """Network rows followed by baseline rows, each priced lower/mid/upper.
+
+    The cells follow :data:`TABLE_HEADER`. Baseline rows leave ``validators``
+    empty and take the mean of their lower and upper power as ``kw_mid``.
+    """
+    rows = [
+        (
+            e.network,
+            str(e.validators),
+            format_series(e.tps),
+            *map(format_kw, (e.global_kw_lower, e.global_kw_mid, e.global_kw_upper)),
+            *map(format_kwh_per_tx, (e.kwh_per_tx_lower, e.kwh_per_tx_mid, e.kwh_per_tx_upper)),
+        )
+        for e in estimates
+    ]
+    for band in summarize(baseline_records):
+        kw_mid = (band.kw_lower + band.kw_upper) / 2.0
+        kwh = (band.kwh_per_tx_lower, band.kwh_per_tx_mid, band.kwh_per_tx_upper)
+        rows.append(
+            (
+                band.name,
+                "",
+                format_series(band.tps),
+                *map(format_kw, (band.kw_lower, kw_mid, band.kw_upper)),
+                *map(format_kwh_per_tx, kwh),
+            )
+        )
+    return rows
 
 
-def render_table_csv(rows: Sequence[TableRow]) -> str:
-    return render_grid_csv(_TABLE_HEADER, [_table_cells(r) for r in rows])
-
-
-def render_table_text(rows: Sequence[TableRow]) -> str:
-    return render_grid_text(_TABLE_HEADER, [_table_cells(r) for r in rows])
-
-
-def render_grid_text(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
+def render_grid_text(header: Row, rows: Sequence[Row]) -> str:
     grid = [header] + list(rows)
     widths = [max(len(line[i]) for line in grid) for i in range(len(header))]
     out = []
@@ -196,7 +248,7 @@ def render_grid_text(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -
     return "\n".join(out) + "\n"
 
 
-def render_grid_csv(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
+def render_grid_csv(header: Row, rows: Sequence[Row]) -> str:
     lines = [",".join(header)]
     lines += [",".join(r) for r in rows]
     return "\n".join(lines) + "\n"
@@ -211,16 +263,12 @@ def chart_bands(
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> list[ConsumptionBand]:
     """Fit each network and evaluate its band over the default grid."""
-    all_obs = [o for o in observations if not o.synthetic]
-    wanted = sorted(networks) if networks else observed_networks(all_obs)
     bands = []
-    for network in wanted:
+    for network, group in select_networks(observations, networks).items():
         if network not in profiles:
             raise ValueError(f"no throughput profile for network {network!r}")
         profile = profiles[network]
-        fit = fit_affine(
-            [o for o in all_obs if o.network == network], include_origin=include_origin
-        )
+        fit = fit_affine(group, include_origin=include_origin)
         bands.append(consumption_band(fit, profile, default_grid(profile, n_points, min_tps)))
     return bands
 
@@ -231,10 +279,9 @@ def observation_markers(
     networks: Sequence[str],
 ) -> list[PointMarker]:
     """Two markers per network: the latest observation priced at each bound."""
-    all_obs = list(observations)
     markers = []
-    for network in sorted(networks):
-        obs = latest_observation(all_obs, network)
+    for network, group in select_networks(observations, networks).items():
+        obs = latest_observation(group, network)
         if obs.tps <= 0:
             continue
         b = bounds[network]
@@ -266,7 +313,7 @@ def chart_rows(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> list[tuple[str, ...]]:
+) -> list[Row]:
     """Flatten band series (plus baseline anchors) into CSV cells.
 
     Reference bands contribute two rows, pinned to the extremes of the
@@ -282,29 +329,18 @@ def chart_rows(
             )
         ]
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
-    for ref in sorted(reference_bands, key=lambda r: r.label):
-        for tps in (min(grid_extremes), max(grid_extremes)):
-            rows.append(
-                (
-                    ref.label,
-                    format_series(tps),
-                    format_series(ref.kwh_per_tx_lower),
-                    format_series(ref.kwh_per_tx_upper),
-                    "true",
-                )
-            )
-    for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps)):
-        rows.append(
-            (
-                marker.label,
-                format_series(marker.tps),
-                format_series(marker.kwh_per_tx),
-                format_series(marker.kwh_per_tx),
-                "true",
-            )
-        )
+    anchors = [
+        (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper)
+        for ref in sorted(reference_bands, key=lambda r: r.label)
+        for tps in (min(grid_extremes), max(grid_extremes))
+    ]
+    anchors += [
+        (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx)
+        for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
+    ]
+    rows += [(label, *map(format_series, values), "true") for label, *values in anchors]
     return rows
 
 
-def chart_csv(rows: Sequence[tuple[str, ...]]) -> str:
+def chart_csv(rows: Sequence[Row]) -> str:
     return render_grid_csv(_CHART_HEADER, rows)

@@ -12,6 +12,7 @@ stated relative tolerance, whichever is wider.
 
 import math
 import time
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from posenergy.estimator import (
 )
 from posenergy.ingestion import bundled, load_bounds, load_reported, load_snapshots, merge, write_snapshot
 from posenergy.regression import RegressionFit, fit_affine, predict_validators
-from posenergy.report import comparison_estimates, observed_networks
+from posenergy.report import comparison_estimates, select_networks
 from posenergy.solana import VoteRatioRecord, adjusted_max_tps, average_tps, nonvote_ratio
 
 
@@ -212,8 +213,8 @@ def test_criterion_5_estimator_properties(capsys):
 
     flat = RegressionFit("net0", 297.0, 0.0, 1.0, 3, False)
     band = consumption_band(flat, profile, grid)
-    lowers = [p.kwh_per_tx_lower for p in band.rows() if p.physical]
-    uppers = [p.kwh_per_tx_upper for p in band.rows() if p.physical]
+    lowers = list(compress(band.kwh_per_tx_lower, band.physical))
+    uppers = list(compress(band.kwh_per_tx_upper, band.physical))
     if not all(b < a for a, b in zip(lowers, lowers[1:])):
         problems.append("slope-0 lower edge is not strictly decreasing")
     if not all(b < a for a, b in zip(uppers, uppers[1:])):
@@ -222,7 +223,7 @@ def test_criterion_5_estimator_properties(capsys):
     proportional = RegressionFit("net0", 0.0, 2.0, 1.0, 3, True)
     band = consumption_band(proportional, profile, grid)
     for edge in ("kwh_per_tx_lower", "kwh_per_tx_upper"):
-        values = [getattr(p, edge) for p in band.rows() if p.physical]
+        values = list(compress(getattr(band, edge), band.physical))
         if max(values) - min(values) > 1e-12 * max(values):
             problems.append("intercept-0 band is not constant")
             break
@@ -233,14 +234,16 @@ def test_criterion_5_estimator_properties(capsys):
             "net0", float(rng.uniform(0.0, 500.0)), float(rng.uniform(-5.0, 50.0)), 0.9, 4, True
         )
         band = consumption_band(fit, profile, grid)
-        for point in band.rows():
-            if point.physical and point.kwh_per_tx_lower > point.kwh_per_tx_upper:
-                problems.append(f"lower > upper at tps {point.tps}")
+        columns = zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
+        for rate, lower, upper, physical in columns:
+            if physical and lower > upper:
+                problems.append(f"lower > upper at tps {rate}")
                 break
 
     tezos_like = RegressionFit("net0", 440.7, -24.6, 0.8, 8, True)
-    (point,) = consumption_band(tezos_like, profile, [20.0]).rows()
-    if point.physical or point.kwh_per_tx_lower != 0.0 or point.kwh_per_tx_upper != 0.0:
+    band = consumption_band(tezos_like, profile, [20.0])
+    ((lower,), (upper,), (physical,)) = band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
+    if physical or lower != 0.0 or upper != 0.0:
         problems.append("negative prediction at throughput 20 was not flagged non-physical")
     verdict(capsys, 5, "estimator band properties", not problems, "; ".join(problems))
 
@@ -290,7 +293,7 @@ def test_criterion_8_orders_of_magnitude(capsys):
     bounds = load_bounds(bundled("bounds.csv"))
     bitcoin_lower_kwh_per_tx = 624.0
     shortfalls = []
-    for network in observed_networks(snapshot.observations):
+    for network in select_networks(snapshot.observations):
         latest = latest_observation(snapshot.observations, network)
         upper = energy_per_tx(latest.validators, bounds[network].upper_w, latest.tps)
         ratio = bitcoin_lower_kwh_per_tx / upper

@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import compress
 
 import pytest
 
@@ -99,11 +100,11 @@ class TestRenderChart:
         polygons = self.parse_polygons(svg)
         assert len(polygons) == 1
         vertices = polygons[0]
-        physical = [p for p in b.rows() if p.physical]
-        expected = [(geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_lower)) for p in physical]
-        expected += [
-            (geom.x_px(p.tps), geom.y_px(p.kwh_per_tx_upper)) for p in reversed(physical)
-        ]
+        tps = list(compress(b.tps, b.physical))
+        lower = list(compress(b.kwh_per_tx_lower, b.physical))
+        upper = list(compress(b.kwh_per_tx_upper, b.physical))
+        expected = [(geom.x_px(t), geom.y_px(v)) for t, v in zip(tps, lower)]
+        expected += [(geom.x_px(t), geom.y_px(v)) for t, v in zip(reversed(tps), reversed(upper))]
         assert len(vertices) == len(expected)
         for (got_x, got_y), (want_x, want_y) in zip(vertices, expected):
             assert (f"{got_x:.2f}", f"{got_y:.2f}") == (f"{want_x:.2f}", f"{want_y:.2f}")

@@ -162,6 +162,45 @@ class TestChart:
         assert err.startswith("error:")
 
 
+class TestNetworkSelection:
+    @pytest.mark.parametrize(
+        "argv, near_rows",
+        [
+            (["fit", "--format", "csv"], 1),
+            (["table", "--format", "csv"], 1),
+            (["chart", "--format", "csv", "--points", "5"], 5),
+        ],
+        ids=["fit", "table", "chart"],
+    )
+    def test_repeated_network_selected_once(self, capsys, argv, near_rows):
+        code, repeated, _ = run(capsys, *argv, "--network", "near", "--network", "near")
+        _, once, _ = run(capsys, *argv, "--network", "near")
+        assert code == 0
+        assert repeated == once
+        assert sum(1 for line in repeated.splitlines() if line.startswith("near,")) == near_rows
+
+    def test_repeated_network_drawn_once(self, capsys):
+        code, svg, _ = run(capsys, "chart", "--format", "svg", "--network", "near",
+                           "--network", "near")
+        assert code == 0
+        assert svg.count("<polygon") == 1
+
+    @pytest.mark.parametrize("command", ["fit", "table", "chart"])
+    def test_network_without_observations_named(self, capsys, tmp_path, command):
+        path = tmp_path / "tezos_only.csv"
+        path.write_text("network,date,validators,tps\ntezos,2023-01-31,407,0.9\n")
+        code, out, err = run(capsys, command, "--observations", str(path), "--network", "near")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no observations for network 'near'\n"
+
+    @pytest.mark.parametrize("command", ["table", "chart"])
+    def test_unknown_network_reports_missing_observations(self, capsys, command):
+        code, _, err = run(capsys, command, "--network", "dogecoin")
+        assert code == 1
+        assert err == "error: no observations for network 'dogecoin'\n"
+
+
 class TestBaseline:
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "baseline", "--format", "csv")

@@ -1,10 +1,13 @@
 """Contemporary estimates, throughput grids and consumption bands."""
 
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posenergy.baselines import BaselineBand
 from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
 from posenergy.estimator import (
     ConsumptionBand,
@@ -14,6 +17,7 @@ from posenergy.estimator import (
     consumption_band,
     contemporary_estimate,
     default_grid,
+    find_baseline_errata,
     find_errata,
     latest_observation,
     printed_tolerance,
@@ -143,31 +147,31 @@ class TestConsumptionBand:
     def test_capped_fit_known_values(self):
         # flat fit at 297 validators, evaluated at 1000 tx/s
         band = consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [1000.0])
-        point = band.rows()[0]
-        assert point.physical
-        assert point.kwh_per_tx_lower == pytest.approx(297 * 4.31 / (1000 * 3.6e6), rel=1e-12)
-        assert point.kwh_per_tx_upper == pytest.approx(297 * 107.86 / (1000 * 3.6e6), rel=1e-12)
+        assert band.physical[0]
+        lower, upper = band.kwh_per_tx_lower[0], band.kwh_per_tx_upper[0]
+        assert lower == pytest.approx(297 * 4.31 / (1000 * 3.6e6), rel=1e-12)
+        assert upper == pytest.approx(297 * 107.86 / (1000 * 3.6e6), rel=1e-12)
         # published-precision spot values
-        assert point.kwh_per_tx_lower == pytest.approx(3.56e-07, rel=5e-3)
-        assert point.kwh_per_tx_upper == pytest.approx(8.90e-06, rel=5e-3)
+        assert lower == pytest.approx(3.56e-07, rel=5e-3)
+        assert upper == pytest.approx(8.90e-06, rel=5e-3)
 
     def test_matches_pointwise_formula_exactly(self):
         fit = RegressionFit("polkadot", 120.0, 3.5, 0.9, 5, True)
         profile = polkadot_profile()
         grid = default_grid(profile, n_points=50)
         band = consumption_band(fit, profile, grid)
-        for point in band.rows():
-            predicted = fit.intercept + fit.slope * point.tps
+        for rate, lower, upper in zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+            predicted = fit.intercept + fit.slope * rate
             if predicted >= 1.0:
-                assert point.kwh_per_tx_lower == energy_per_tx(predicted, 4.31, point.tps)
-                assert point.kwh_per_tx_upper == energy_per_tx(predicted, 107.86, point.tps)
+                assert lower == energy_per_tx(predicted, 4.31, rate)
+                assert upper == energy_per_tx(predicted, 107.86, rate)
 
     def test_flat_fit_band_strictly_decreasing(self):
         band = consumption_band(
             flat_fit("polkadot", 297), polkadot_profile(), default_grid(polkadot_profile())
         )
-        lowers = [p.kwh_per_tx_lower for p in band.rows() if p.physical]
-        uppers = [p.kwh_per_tx_upper for p in band.rows() if p.physical]
+        lowers = list(compress(band.kwh_per_tx_lower, band.physical))
+        uppers = list(compress(band.kwh_per_tx_upper, band.physical))
         assert all(b < a for a, b in zip(lowers, lowers[1:]))
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
@@ -175,7 +179,7 @@ class TestConsumptionBand:
         # intercept 0: per-tx energy does not depend on throughput
         fit = RegressionFit("polkadot", 0.0, 2.0, 1.0, 3, True)
         band = consumption_band(fit, polkadot_profile(), [1.0, 10.0, 100.0])
-        lowers = {p.kwh_per_tx_lower for p in band.rows()}
+        lowers = set(band.kwh_per_tx_lower)
         assert len(lowers) == 1
         assert lowers.pop() == pytest.approx(2 * 4.31 / 3.6e6, rel=1e-12)
 
@@ -184,18 +188,18 @@ class TestConsumptionBand:
         fit = RegressionFit("tezos", 440.7, -24.6, 0.8, 8, True)
         profile = NetworkProfile("tezos", ValidatorPowerBounds("tezos", 4.86, 141.65), 1048.0)
         band = consumption_band(fit, profile, [1.0, 20.0])
-        assert band.rows()[0].physical
-        assert not band.rows()[1].physical
-        assert band.rows()[1].kwh_per_tx_lower == 0.0
-        assert band.rows()[1].kwh_per_tx_upper == 0.0
+        assert band.physical[0]
+        assert not band.physical[1]
+        assert band.kwh_per_tx_lower[1] == 0.0
+        assert band.kwh_per_tx_upper[1] == 0.0
 
     def test_lower_not_above_upper_everywhere(self):
         fit = RegressionFit("polkadot", 50.0, 1.7, 0.9, 6, True)
         band = consumption_band(
             fit, polkadot_profile(), default_grid(polkadot_profile(), n_points=80)
         )
-        for point in band.rows():
-            assert point.kwh_per_tx_lower <= point.kwh_per_tx_upper
+        for lower, upper in zip(band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+            assert lower <= upper
 
     def test_grid_outside_domain_rejected(self):
         with pytest.raises(GridDomainError):
@@ -269,13 +273,6 @@ class TestConsumptionBandColumns:
         assert band.tps == (1.0, 2.0)
         assert band.physical == (True, True)
 
-    def test_rows_view(self):
-        band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 0.0), (1e-5, 0.0), (True, False))
-        assert [(p.tps, p.kwh_per_tx_lower, p.physical) for p in band.rows()] == [
-            (1.0, 1e-6, True),
-            (2.0, 0.0, False),
-        ]
-
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match=r"^near: band columns differ in length"):
             ConsumptionBand("near", (1.0, 2.0), (1e-6,), (1e-5, 2e-5), (True, True))
@@ -318,6 +315,16 @@ class TestErrata:
     def test_unreported_networks_skipped(self):
         estimates = [self.make_estimate("hedera", 26, 568.45, 168.10, 328.00)]
         assert find_errata(estimates, {}) == []
+
+    def test_baseline_midpoint_checked_against_published_kwh_per_tx(self):
+        bitcoin = BaselineBand("bitcoin", 2022, 2.56, 1598.49, 4256.72, 624.41, 1662.78)
+        visa = BaselineBand("visa", 2021, 1736.0, 5.69, 5.69, 0.00327773, 0.00327773)
+        reported = {
+            "bitcoin": ReportedEstimate("bitcoin", 0.0, 2927.0),
+            "visa": ReportedEstimate("visa", 0.0, 0.0033),
+        }
+        assert find_baseline_errata([bitcoin, visa], reported) == [bitcoin]
+        assert find_baseline_errata([bitcoin, visa], {}) == []
 
     def test_printed_tolerance_floor(self):
         # half a unit in the last printed place dominates for tiny values

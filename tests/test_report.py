@@ -1,13 +1,19 @@
 """Deterministic rendering of fit summaries, comparison tables, chart series."""
 
-import pytest
+import datetime as dt
+from collections import Counter
 
-from posenergy.baselines import load_baselines
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from posenergy.baselines import load_baselines, summarize
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
 from posenergy.estimator import ConsumptionBand
 from posenergy.ingestion import bundled, load_bounds, load_snapshots
 from posenergy.report import (
+    TABLE_HEADER,
     baseline_chart_elements,
     chart_csv,
     chart_rows,
@@ -19,11 +25,9 @@ from posenergy.report import (
     format_kwh_per_tx,
     format_series,
     observation_markers,
-    observed_networks,
     render_grid_csv,
     render_grid_text,
-    render_table_csv,
-    render_table_text,
+    select_networks,
 )
 
 
@@ -56,11 +60,55 @@ class TestObservedNetworks:
             NetworkObservation("near", "2023-01-31", 158, 6.33),
             NetworkObservation("near", "2023-02-01", 158, 6.4),
         ]
-        assert observed_networks(rows) == ["near", "tezos"]
+        assert list(select_networks(rows)) == ["near", "tezos"]
 
     def test_synthetic_rows_skipped(self):
         rows = [NetworkObservation("tezos", "2023-01-31", 0, 0.0, synthetic=True)]
-        assert observed_networks(rows) == []
+        assert select_networks(rows) == {}
+
+
+OBSERVATIONS = st.lists(
+    st.builds(
+        NetworkObservation,
+        network=st.sampled_from(["bnb", "near", "tezos", "tron"]),
+        date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
+        validators=st.integers(0, 500),
+        tps=st.floats(0.0, 1e4),
+        synthetic=st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+def as_multisets(groups):
+    return {network: Counter(rows) for network, rows in groups.items()}
+
+
+class TestSelectNetworks:
+    @given(observations=OBSERVATIONS, data=st.data())
+    def test_order_and_repeats_do_not_matter(self, observations, data):
+        observed = sorted({o.network for o in observations if not o.synthetic})
+        requested = data.draw(st.lists(st.sampled_from(observed), max_size=6)) if observed else []
+        shuffled = data.draw(st.permutations(observations))
+        groups = select_networks(observations, requested)
+        assert list(groups) == (sorted(set(requested)) if requested else observed)
+        for network, rows in groups.items():
+            assert rows
+            assert all(o.network == network and not o.synthetic for o in rows)
+            assert Counter(rows) == Counter(
+                o for o in observations if o.network == network and not o.synthetic
+            )
+        again = select_networks(shuffled, requested[::-1] + requested)
+        assert as_multisets(again) == as_multisets(groups)
+
+    def test_missing_network_named(self):
+        rows = [
+            NetworkObservation("near", "2023-01-31", 158, 6.33),
+            NetworkObservation("tezos", "2023-01-31", 0, 0.0, synthetic=True),
+        ]
+        for network in ("dogecoin", "tezos"):
+            with pytest.raises(ValueError, match=f"^no observations for network '{network}'$"):
+                select_networks(rows, ["near", network])
 
 
 class TestFitNetworks:
@@ -89,7 +137,7 @@ class TestComparisonTable:
         snapshot, bounds, baselines = bundle()
         estimates = comparison_estimates(snapshot.observations, bounds)
         rows = comparison_rows(estimates, baselines)
-        names = [r.name for r in rows]
+        names = [r[0] for r in rows]
         assert len(rows) == 16  # 14 networks + bitcoin + visa
         assert names[:14] == sorted(names[:14])
         assert names[14:] == ["bitcoin", "visa"]
@@ -98,17 +146,29 @@ class TestComparisonTable:
         snapshot, bounds, _ = bundle()
         (estimate,) = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
         (row,) = comparison_rows([estimate])
-        assert row.validators == 26
-        assert row.kw_mid == pytest.approx(6.4493, rel=1e-9)
-        assert row.kwh_per_tx_mid == pytest.approx(3.1515e-06, rel=1e-4)
+        assert dict(zip(TABLE_HEADER, row)) == {
+            "name": "hedera",
+            "validators": "26",
+            "tps": format_series(568.45),
+            "kw_lower": format_kw(estimate.global_kw_lower),
+            "kw_mid": format_kw(6.4493),
+            "kw_upper": format_kw(estimate.global_kw_upper),
+            "kwh_per_tx_lower": format_kwh_per_tx(estimate.kwh_per_tx_lower),
+            "kwh_per_tx_mid": format_kwh_per_tx(estimate.kwh_per_tx_mid),
+            "kwh_per_tx_upper": format_kwh_per_tx(estimate.kwh_per_tx_upper),
+        }
+        assert float(row[7]) == pytest.approx(3.1515e-06, rel=1e-4)
 
     def test_baseline_rows_have_no_validators(self):
         _, _, baselines = bundle()
         rows = comparison_rows([], baselines)
-        assert all(r.validators is None for r in rows)
-        bitcoin = rows[0]
-        assert bitcoin.kwh_per_tx_lower == pytest.approx(624.41, abs=0.005)
-        assert bitcoin.kw_mid == pytest.approx((bitcoin.kw_lower + bitcoin.kw_upper) / 2)
+        assert all(r[1] == "" for r in rows)
+        bitcoin = dict(zip(TABLE_HEADER, rows[0]))
+        assert bitcoin["kwh_per_tx_lower"] == "624.41"
+        band = summarize(baselines)[0]
+        assert bitcoin["kw_lower"] == format_kw(band.kw_lower)
+        assert bitcoin["kw_upper"] == format_kw(band.kw_upper)
+        assert bitcoin["kw_mid"] == format_kw((band.kw_lower + band.kw_upper) / 2)
 
     def test_missing_bounds(self):
         snapshot, _, _ = bundle()
@@ -118,7 +178,7 @@ class TestComparisonTable:
     def test_csv_rendering(self):
         snapshot, bounds, baselines = bundle()
         estimates = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
-        text = render_table_csv(comparison_rows(estimates, baselines))
+        text = render_grid_csv(TABLE_HEADER, comparison_rows(estimates, baselines))
         lines = text.splitlines()
         assert lines[0].startswith("name,validators,tps,kw_lower")
         assert lines[1].startswith("hedera,26,568.45,4.37,6.45,8.53,")
@@ -129,7 +189,7 @@ class TestComparisonTable:
     def test_text_rendering_aligns(self):
         snapshot, bounds, _ = bundle()
         estimates = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
-        text = render_table_text(comparison_rows(estimates))
+        text = render_grid_text(TABLE_HEADER, comparison_rows(estimates))
         lines = text.splitlines()
         assert lines[0].split()[:2] == ["name", "validators"]
         assert set(lines[1]) <= {"-", " "}
