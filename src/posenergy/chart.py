@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from math import log10
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .estimator import ConsumptionBand
 
@@ -103,15 +103,15 @@ def chart_geometry(
     height: int = DEFAULT_HEIGHT,
 ) -> ChartGeometry:
     """Decade-rounded axis ranges covering every plottable value."""
-    xs = [m.tps for m in markers]
-    ys = [m.kwh_per_tx for m in markers]
-    ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
+    xs = [m.tps for m in markers if m.tps > 0]
+    ys = [m.kwh_per_tx for m in markers if m.kwh_per_tx > 0]
+    ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper) if v > 0]
     for band in bands:
-        xs += compress(band.tps, band.physical)
-        ys += compress(band.kwh_per_tx_lower, band.physical)
-        ys += compress(band.kwh_per_tx_upper, band.physical)
-    xs = [x for x in xs if x > 0]
-    ys = [y for y in ys if y > 0]
+        # Each band adds only the extremes of its physical, positive values.
+        columns = ((xs, band.tps), (ys, band.kwh_per_tx_lower), (ys, band.kwh_per_tx_upper))
+        for out, column in columns:
+            values = [v for v in compress(column, band.physical) if v > 0]
+            out += (min(values), max(values)) if values else ()
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -127,12 +127,12 @@ def chart_geometry(
 
 
 def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
-    """Half-open index ranges of the contiguous physical points of a band."""
+    """Half-open index ranges of a band's contiguous physical runs of two or more points."""
     runs = []
     start = 0
     for flag, group in groupby(physical):
         stop = start + len(list(group))
-        if flag:
+        if flag and stop - start >= 2:
             runs.append((start, stop))
         start = stop
     return runs
@@ -150,55 +150,65 @@ def render_chart(
     height: int = DEFAULT_HEIGHT,
     title: str = "",
 ) -> tuple[str, ChartGeometry]:
-    """Render an SVG document; returns the markup and the geometry used.
+    """Render an SVG document; returns the markup and the geometry used."""
+    geom = chart_geometry(bands, markers, reference_bands, width, height)
+    return "".join(svg_chunks(geom, bands, markers, reference_bands, title)), geom
+
+
+def svg_chunks(
+    geom: ChartGeometry,
+    bands: Sequence[ConsumptionBand],
+    markers: Sequence[PointMarker] = (),
+    reference_bands: Sequence[ReferenceBand] = (),
+    title: str = "",
+) -> Iterator[str]:
+    """The SVG document on ``geom``: a head, one chunk per band polygon, then a tail.
 
     Band polygons walk the lower edge left to right, then the upper edge
     back, per contiguous physical run. Non-physical points are not drawn.
+    Head and tail are built before this returns, so they cannot raise midway.
     """
-    geom = chart_geometry(bands, markers, reference_bands, width, height)
+    width, height = geom.width, geom.height
     colors = _color_map(bands, markers, reference_bands)
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    parts.extend(_grid_lines(geom))
-
+    head.extend(_grid_lines(geom))
     for ref in reference_bands:
         top = geom.y_px(ref.kwh_per_tx_upper)
         bottom = geom.y_px(ref.kwh_per_tx_lower)
-        parts.append(
+        head.append(
             f'<rect x="{_fmt(geom.plot_left)}" y="{_fmt(top)}" '
             f'width="{_fmt(geom.plot_right - geom.plot_left)}" '
             f'height="{_fmt(bottom - top)}" fill="{colors[ref.label]}" '
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
 
-    for band in bands:
-        color = colors[band.network]
-        for start, stop in _physical_runs(band.physical):
-            if stop - start < 2:
-                continue
-            xs = [f"{v:.2f}" for v in geom.xs_px(band.tps[start:stop])]
-            lower = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_lower[start:stop])]
-            upper = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_upper[start:stop])]
-            forward = " ".join([f"{x},{y}" for x, y in zip(xs, lower)])
-            backward = " ".join([f"{x},{y}" for x, y in zip(reversed(xs), reversed(upper))])
-            parts.append(
-                f'<polygon points="{forward} {backward}" fill="{color}" fill-opacity="0.35" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
+    def polygons() -> Iterator[str]:
+        for band in bands:
+            color = colors[band.network]
+            for start, stop in _physical_runs(band.physical):
+                xs = [f"{v:.2f}" for v in geom.xs_px(band.tps[start:stop])]
+                lower = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_lower[start:stop])]
+                upper = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_upper[start:stop])]
+                edges = chain(zip(xs, lower), zip(reversed(xs), reversed(upper)))
+                points = " ".join([f"{x},{y}" for x, y in edges])
+                yield (
+                    f'<polygon points="{points}" fill="{color}" fill-opacity="0.35" '
+                    f'stroke="{color}" stroke-width="1"/>\n'
+                )
 
-    for marker in markers:
-        parts.append(
-            f'<circle cx="{_fmt(geom.x_px(marker.tps))}" cy="{_fmt(geom.y_px(marker.kwh_per_tx))}" '
-            f'r="4" fill="{colors[marker.label]}" stroke="#333333"/>'
-        )
-
-    parts.extend(_frame_and_labels(geom, title))
-    parts.extend(_legend(geom, colors))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n", geom
+    tail = [
+        f'<circle cx="{_fmt(geom.x_px(marker.tps))}" cy="{_fmt(geom.y_px(marker.kwh_per_tx))}" '
+        f'r="4" fill="{colors[marker.label]}" stroke="#333333"/>'
+        for marker in markers
+    ]
+    tail.extend(_frame_and_labels(geom, title))
+    tail.extend(_legend(geom, colors))
+    tail.append("</svg>")
+    return chain(["\n".join(head) + "\n"], polygons(), ["\n".join(tail) + "\n"])
 
 
 def _color_map(
@@ -212,29 +222,27 @@ def _color_map(
     return {label: _PALETTE[i % len(_PALETTE)] for i, label in enumerate(labels)}
 
 
-def _grid_lines(geom: ChartGeometry) -> list[str]:
-    parts = []
+def _grid_lines(geom: ChartGeometry) -> Iterator[str]:
     for exponent in range(int(geom.x_log_min), int(geom.x_log_max) + 1):
         x = geom.x_px(10.0 ** exponent)
-        parts.append(
+        yield (
             f'<line x1="{_fmt(x)}" y1="{_fmt(geom.plot_top)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(geom.plot_bottom)}" stroke="#dddddd"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_fmt(x)}" y="{_fmt(geom.plot_bottom + 20)}" '
             f'font-size="12" text-anchor="middle" fill="#333333">1e{exponent}</text>'
         )
     for exponent in range(int(geom.y_log_min), int(geom.y_log_max) + 1):
         y = geom.y_px(10.0 ** exponent)
-        parts.append(
+        yield (
             f'<line x1="{_fmt(geom.plot_left)}" y1="{_fmt(y)}" x2="{_fmt(geom.plot_right)}" '
             f'y2="{_fmt(y)}" stroke="#dddddd"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_fmt(geom.plot_left - 8)}" y="{_fmt(y + 4)}" '
             f'font-size="12" text-anchor="end" fill="#333333">1e{exponent}</text>'
         )
-    return parts
 
 
 def _frame_and_labels(geom: ChartGeometry, title: str) -> list[str]:
@@ -259,18 +267,16 @@ def _frame_and_labels(geom: ChartGeometry, title: str) -> list[str]:
     return parts
 
 
-def _legend(geom: ChartGeometry, colors: dict[str, str]) -> list[str]:
-    parts = []
+def _legend(geom: ChartGeometry, colors: dict[str, str]) -> Iterator[str]:
     x = geom.plot_right - 170
     y = geom.plot_top + 10
     for label in colors:
-        parts.append(
+        yield (
             f'<rect x="{_fmt(x)}" y="{_fmt(y - 9)}" width="12" height="12" '
             f'fill="{colors[label]}" fill-opacity="0.7"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_fmt(x + 18)}" y="{_fmt(y + 2)}" font-size="12" '
             f'fill="#111111">{label}</text>'
         )
         y += 18
-    return parts

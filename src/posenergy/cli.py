@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterable, TextIO
 
 from . import report
 from .baselines import load_baselines, summarize
-from .chart import render_chart
+from .chart import chart_geometry, svg_chunks
 from .estimator import DEFAULT_GRID_POINTS, DEFAULT_MIN_TPS, find_baseline_errata, find_errata
 from .ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 from .solana import DEFAULT_POSTULATED_MAX_TPS
@@ -124,18 +126,22 @@ def _path(value: str | None, default_name: str) -> Path:
     return Path(value) if value else bundled(default_name)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, stream: TextIO) -> None:
+    stream.write(text)
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Emit each chunk to ``--out`` or stdout; callers run everything that can raise first."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
+        for chunk in chunks:
+            _emit(chunk, stream)
 
 
 def _emit_rows(
     args: argparse.Namespace, header: report.Row, rows: list[report.Row], footer: str = ""
 ) -> None:
     render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
-    _emit(render(header, rows) + footer, args.out)
+    _write([render(header, rows) + footer], args.out)
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
@@ -153,17 +159,17 @@ def _cmd_table(args: argparse.Namespace) -> None:
     estimates = report.comparison_estimates(
         snapshot.observations, bounds, networks=args.network
     )
+    reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
+    errata = find_errata(estimates, reported)
     _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baseline_records))
-    if args.verify:
-        reported = load_reported(_path(args.reported, "reported_estimates.csv"))
-        for erratum in find_errata(estimates, reported):
-            print(
-                f"note: published global power for {erratum.network} "
-                f"({report.format_kw(erratum.reported_kw)} kW) is not reproducible from "
-                f"its own validator count and power bounds "
-                f"(computed {report.format_kw(erratum.computed_kw)} kW)",
-                file=sys.stderr,
-            )
+    for erratum in errata:
+        print(
+            f"note: published global power for {erratum.network} "
+            f"({report.format_kw(erratum.reported_kw)} kW) is not reproducible from "
+            f"its own validator count and power bounds "
+            f"(computed {report.format_kw(erratum.computed_kw)} kW)",
+            file=sys.stderr,
+        )
 
 
 def _cmd_chart(args: argparse.Namespace) -> None:
@@ -181,28 +187,28 @@ def _cmd_chart(args: argparse.Namespace) -> None:
     records = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
     baseline_markers, reference_bands = report.baseline_chart_elements(records)
     if args.format == "csv":
-        rows = report.chart_rows(bands, baseline_markers, reference_bands)
-        _emit(report.chart_csv(rows), args.out)
+        chunks = report.chart_csv_chunks(bands, baseline_markers, reference_bands)
     else:
         markers = report.observation_markers(
             snapshot.observations, bounds, [b.network for b in bands]
-        )
-        svg, _ = render_chart(bands, markers + baseline_markers, reference_bands)
-        _emit(svg, args.out)
+        ) + baseline_markers
+        geom = chart_geometry(bands, markers, reference_bands)
+        chunks = svg_chunks(geom, bands, markers, reference_bands)
+    _write(chunks, args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
     bands = summarize(load_baselines(_path(args.baselines, "baselines.cfg")))
+    reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
+    errata = find_baseline_errata(bands, reported)
     _emit_rows(args, *report.baseline_rows(bands))
-    if args.verify:
-        reported = load_reported(_path(args.reported, "reported_estimates.csv"))
-        for band in find_baseline_errata(bands, reported):
-            print(
-                f"note: published energy per transaction for {band.name} "
-                f"({reported[band.name].kwh_per_tx} kWh/tx) does not match the midpoint of the "
-                f"computed bounds ({report.format_kwh_per_tx(band.kwh_per_tx_mid)} kWh/tx)",
-                file=sys.stderr,
-            )
+    for band in errata:
+        print(
+            f"note: published energy per transaction for {band.name} "
+            f"({reported[band.name].kwh_per_tx} kWh/tx) does not match the midpoint of the "
+            f"computed bounds ({report.format_kwh_per_tx(band.kwh_per_tx_mid)} kWh/tx)",
+            file=sys.stderr,
+        )
 
 
 def _cmd_adjust_solana(args: argparse.Namespace) -> None:

@@ -103,11 +103,8 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
 
 
 def _parse_row(
-    row: dict[str, str | None],
+    cell: Callable[[str], str],
 ) -> tuple[NetworkObservation | None, VoteRatioRecord | None]:
-    def cell(name: str) -> str:
-        return (row.get(name) or "").strip()
-
     network = validate_network_id(cell("network"))
     date = parse_date(cell("date"))
     tps = float(cell("tps"))
@@ -217,12 +214,12 @@ def write_snapshot(
 
 def load_bounds(path: str | os.PathLike[str]) -> dict[str, ValidatorPowerBounds]:
     """Read per-validator power bounds, keyed by network."""
-    def parse(row: dict[str, str]) -> ValidatorPowerBounds:
+    def parse(cell: Callable[[str], str]) -> ValidatorPowerBounds:
         return ValidatorPowerBounds(
-            network=row["network"].strip(),
-            lower_w=float(row["lower_w"]),
-            upper_w=float(row["upper_w"]),
-            source_note=(row.get("source") or "").strip(),
+            network=cell("network"),
+            lower_w=float(cell("lower_w")),
+            upper_w=float(cell("upper_w")),
+            source_note=cell("source"),
         )
 
     out: dict[str, ValidatorPowerBounds] = {}
@@ -239,11 +236,11 @@ def load_profiles(
     path: str | os.PathLike[str], bounds: dict[str, ValidatorPowerBounds]
 ) -> dict[str, NetworkProfile]:
     """Read throughput profiles and attach each network's power bounds."""
-    def parse(row: dict[str, str]) -> NetworkProfile:
-        network = row["network"].strip()
+    def parse(cell: Callable[[str], str]) -> NetworkProfile:
+        network = cell("network")
         if network not in bounds:
             raise ValueError(f"no power bounds for {network!r}")
-        return NetworkProfile(network, bounds[network], float(row["max_tps"]))
+        return NetworkProfile(network, bounds[network], float(cell("max_tps")))
 
     out: dict[str, NetworkProfile] = {}
     for number, profile in _read_csv(path, ("network", "max_tps"), parse):
@@ -257,13 +254,12 @@ def load_profiles(
 
 def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
     """Read published reference estimates used by the erratum cross-check."""
-    def parse(row: dict[str, str]) -> ReportedEstimate:
-        tps_cell = (row.get("tps") or "").strip()
-        validators_cell = (row.get("validators") or "").strip()
+    def parse(cell: Callable[[str], str]) -> ReportedEstimate:
+        tps_cell, validators_cell = cell("tps"), cell("validators")
         return ReportedEstimate(
-            name=row["name"].strip(),
-            global_kw=float(row["global_kw"]),
-            kwh_per_tx=float(row["kwh_per_tx"]),
+            name=cell("name"),
+            global_kw=float(cell("global_kw")),
+            kwh_per_tx=float(cell("kwh_per_tx")),
             tps=float(tps_cell) if tps_cell else None,
             validators=int(validators_cell) if validators_cell else None,
         )
@@ -273,7 +269,16 @@ def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
 
 
 def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable):
-    """Yield ``(row number, parse(row))``; a ValueError from ``parse`` names the row."""
+    """Yield ``(row number, parse(cell))``; a ValueError from ``parse`` names the row.
+
+    ``cell(name)`` is the stripped cell of the current row, "" if the header lacks it.
+    """
+    def cell(name: str) -> str:
+        value = row.get(name, "")
+        if value is None:
+            raise ValueError(f"missing {name!r} cell")
+        return value.strip()
+
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -283,7 +288,7 @@ def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Ca
             raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
         for number, row in enumerate(reader, start=2):
             try:
-                parsed = parse(row)
+                parsed = parse(cell)
             except ValueError as exc:
                 raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
             yield number, parsed

@@ -8,7 +8,8 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import BaselineBand, BaselineRecord, summarize
 from .chart import PointMarker, ReferenceBand
@@ -248,10 +249,12 @@ def render_grid_text(header: Row, rows: Sequence[Row]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _csv_lines(rows: Iterable[Row]) -> str:
+    return "".join([",".join(r) + "\n" for r in rows])
+
+
 def render_grid_csv(header: Row, rows: Sequence[Row]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(r) for r in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_lines(chain([header], rows))
 
 
 def chart_bands(
@@ -309,25 +312,16 @@ def baseline_chart_elements(
 _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical")
 
 
-def chart_rows(
+def _chart_row_chunks(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> list[Row]:
-    """Flatten band series (plus baseline anchors) into CSV cells.
+) -> Iterator[list[Row]]:
+    """The rows of each band, sorted by network, then one list of anchor rows.
 
-    Reference bands contribute two rows, pinned to the extremes of the
-    plotted grids, which is enough to reconstruct a horizontal band.
+    Reference bands contribute two rows, pinned to the extremes of the plotted
+    grids. Only the band rows are lazy; the anchors, which can raise, are built here.
     """
-    rows = []
-    for band in sorted(bands, key=lambda b: b.network):
-        # f"{v:.10g}" is format_series, inlined for the per-point hot path.
-        rows += [
-            (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
-            for t, lo, up, ok in zip(
-                band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
-            )
-        ]
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     anchors = [
         (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper)
@@ -338,9 +332,38 @@ def chart_rows(
         (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx)
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    rows += [(label, *map(format_series, values), "true") for label, *values in anchors]
-    return rows
+    anchor_rows = [(label, *map(format_series, values), "true") for label, *values in anchors]
+    # f"{v:.10g}" is format_series, inlined for the per-point hot path.
+    band_rows = (
+        [
+            (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
+            for t, lo, up, ok in zip(
+                band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
+            )
+        ]
+        for band in sorted(bands, key=lambda b: b.network)
+    )
+    return chain(band_rows, [anchor_rows])
+
+
+def chart_rows(
+    bands: Sequence[ConsumptionBand],
+    baseline_markers: Sequence[PointMarker] = (),
+    reference_bands: Sequence[ReferenceBand] = (),
+) -> list[Row]:
+    """Flatten band series (plus baseline anchors) into CSV cells."""
+    return list(chain.from_iterable(_chart_row_chunks(bands, baseline_markers, reference_bands)))
 
 
 def chart_csv(rows: Sequence[Row]) -> str:
     return render_grid_csv(_CHART_HEADER, rows)
+
+
+def chart_csv_chunks(
+    bands: Sequence[ConsumptionBand],
+    baseline_markers: Sequence[PointMarker] = (),
+    reference_bands: Sequence[ReferenceBand] = (),
+) -> Iterator[str]:
+    """``chart_csv(chart_rows(...))`` as the header, one string per band, then the anchors."""
+    chunks = _chart_row_chunks(bands, baseline_markers, reference_bands)
+    return map(_csv_lines, chain([[_CHART_HEADER]], chunks))

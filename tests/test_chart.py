@@ -5,6 +5,8 @@ import re
 from itertools import compress
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posenergy.chart import (
     ChartGeometry,
@@ -73,6 +75,63 @@ class TestChartGeometry:
         assert geom.y_px(1e-6) == pytest.approx(geom.plot_bottom)
         # halfway in log space is halfway in pixels
         assert geom.x_px(10.0) == pytest.approx((geom.plot_left + geom.plot_right) / 2)
+
+
+def list_geometry(bands, markers=(), reference_bands=(), width=1200, height=800):
+    """The list-based chart_geometry that kept every plottable value: the reference."""
+    xs = [m.tps for m in markers]
+    ys = [m.kwh_per_tx for m in markers]
+    ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
+    for b in bands:
+        xs += compress(b.tps, b.physical)
+        ys += compress(b.kwh_per_tx_lower, b.physical)
+        ys += compress(b.kwh_per_tx_upper, b.physical)
+    xs = [x for x in xs if x > 0]
+    ys = [y for y in ys if y > 0]
+    if not xs or not ys:
+        raise ValueError("nothing to plot: no physical points in range")
+    x_log_min = math.floor(math.log10(min(xs)))
+    x_log_max = math.ceil(math.log10(max(xs)))
+    y_log_min = math.floor(math.log10(min(ys)))
+    y_log_max = math.ceil(math.log10(max(ys)))
+    if x_log_min == x_log_max:
+        x_log_max += 1
+    if y_log_min == y_log_max:
+        y_log_max += 1
+    return ChartGeometry(width, height, float(x_log_min), float(x_log_max),
+                         float(y_log_min), float(y_log_max))
+
+
+# 0.0 is drawn often: it is the value of every non-physical point and must be skipped.
+VALUES = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9))
+
+
+@st.composite
+def generated_band(draw):
+    """A valid band whose physical flags come in runs, some bands all non-physical."""
+    tps = sorted(draw(st.sets(st.floats(min_value=0.0, max_value=1e7), min_size=1, max_size=12)))
+    physical = draw(st.lists(st.booleans(), min_size=len(tps), max_size=len(tps)))
+    rows = []
+    for t, ok in zip(tps, physical):
+        lo, up = sorted((draw(VALUES), draw(VALUES))) if ok else (0.0, 0.0)
+        rows.append((t, lo, up, ok))
+    return band(draw(st.sampled_from(["near", "tezos", "tron"])), rows)
+
+
+class TestChartGeometryProperty:
+    @given(
+        bands=st.lists(generated_band(), max_size=4),
+        markers=st.lists(st.builds(PointMarker, st.just("visa"), VALUES, VALUES), max_size=3),
+        refs=st.lists(st.builds(ReferenceBand, st.just("bitcoin"), VALUES, VALUES), max_size=2),
+    )
+    def test_matches_list_based_geometry(self, bands, markers, refs):
+        try:
+            expected = list_geometry(bands, markers, refs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                chart_geometry(bands, markers, refs)
+        else:
+            assert chart_geometry(bands, markers, refs) == expected
 
 
 class TestRenderChart:

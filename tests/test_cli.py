@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, driven through main()."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -9,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import posenergy
+from posenergy import cli, report
+from posenergy.baselines import load_baselines
 from posenergy.cli import build_parser, main
+from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -162,6 +168,82 @@ class TestChart:
         assert err.startswith("error:")
 
 
+class TestStreaming:
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Every chunk passed to ``cli._emit``, which still writes it."""
+        recorded = []
+        emit = cli._emit
+
+        def recorder(text, stream):
+            recorded.append(text)
+            emit(text, stream)
+
+        monkeypatch.setattr(cli, "_emit", recorder)
+        return recorded
+
+    def test_csv_written_band_by_band(self, capsys, chunks):
+        code, out, _ = run(capsys, "chart", "--format", "csv", "--points", "500")
+        assert code == 0
+        bounds = load_bounds(bundled("bounds.csv"))
+        bands = report.chart_bands(
+            load_snapshots(bundled("observations.csv")).observations,
+            load_profiles(bundled("profiles.csv"), bounds),
+            n_points=500,
+        )
+        elements = report.baseline_chart_elements(load_baselines(bundled("baselines.cfg")))
+        assert len(chunks) == 16  # header, 14 bands, anchors
+        assert "".join(chunks) == out == report.chart_csv(report.chart_rows(bands, *elements))
+        band_names = {b.network for b in bands}
+        for chunk in chunks:
+            assert len({line.split(",")[0] for line in chunk.splitlines()} & band_names) <= 1
+
+    def test_svg_written_polygon_by_polygon(self, capsys, chunks):
+        code, out, _ = run(capsys, "chart", "--format", "svg")
+        assert code == 0
+        assert "".join(chunks) == out
+        assert out.count("<polygon") == 14
+        assert max(chunk.count("<polygon") for chunk in chunks) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize(
+        "argv", [["--lmin", "1e9"], ["--network", "nosuch"]], ids=["lmin", "network"]
+    )
+    def test_failed_chart_writes_nothing(self, capsys, tmp_path, fmt, argv):
+        target = tmp_path / "chart.out"
+        code, out, err = run(capsys, "chart", "--format", fmt, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert not target.exists()
+        target.write_bytes(b"earlier output\n")
+        assert run(capsys, "chart", "--format", fmt, *argv, "--out", str(target))[0] == 1
+        assert target.read_bytes() == b"earlier output\n"
+
+
+class TestBenchTracerContract:
+    """``bench/traced_cli.py`` wraps ``cli._emit`` and counts ``len(text.encode())``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_traced_chart_matches_untraced(self, tmp_path, fmt):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        outputs = []
+        for traced in (False, True):
+            target = tmp_path / f"chart-{traced}.{fmt}"
+            argv = ["chart", "--format", fmt, "--points", "200"]
+            if fmt == "svg":
+                argv += ["--out", str(target)]
+            prefix = [str(ROOT / "bench" / "traced_cli.py"), str(tmp_path / "spans.json")]
+            done = subprocess.run(
+                [sys.executable, *(prefix if traced else ["-m", "posenergy.cli"]), *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(target.read_bytes() if fmt == "svg" else done.stdout)
+        assert outputs[0] == outputs[1]
+        counts = json.loads((tmp_path / "spans.json").read_text())["counts"]
+        assert counts["cli.out_bytes"] == len(outputs[1])
+
+
 class TestNetworkSelection:
     @pytest.mark.parametrize(
         "argv, near_rows",
@@ -258,6 +340,25 @@ class TestErrorPaths:
         code, _, err = run(capsys, "table", "--observations", "/nonexistent.csv")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, flag, text, column",
+        [
+            (["fit"], "--observations", "network,date,validators,tps\nnear,2023-01-31,158\n",
+             "tps"),
+            (["table"], "--bounds", "network,lower_w,upper_w\nnear,1\n", "upper_w"),
+            (["chart"], "--profiles", "network,max_tps\nnear\n", "max_tps"),
+            (["table", "--verify"], "--reported", "name,global_kw,kwh_per_tx\nnear,1\n",
+             "kwh_per_tx"),
+        ],
+        ids=["snapshot", "bounds", "profiles", "reported"],
+    )
+    def test_short_row_named(self, capsys, tmp_path, argv, flag, text, column):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} row 2: missing {column!r} cell\n"
 
     def test_malformed_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
