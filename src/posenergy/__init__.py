@@ -38,15 +38,10 @@ from .estimator import (
 )
 from .ingestion import (
     DuplicateObservationError,
-    FetchError,
-    FetcherSpec,
     MergeConflictError,
-    SchemaDriftError,
     Snapshot,
     SnapshotFormatError,
     bundled,
-    fetch_all,
-    fetch_observation,
     load_bounds,
     load_profiles,
     load_reported,
@@ -91,8 +86,6 @@ __all__ = [
     "DuplicateObservationError",
     "EnergyQuantity",
     "Erratum",
-    "FetchError",
-    "FetcherSpec",
     "GridDomainError",
     "IncompatibleUnitsError",
     "InsufficientDataError",
@@ -101,7 +94,6 @@ __all__ = [
     "NetworkProfile",
     "RegressionFit",
     "ReportedEstimate",
-    "SchemaDriftError",
     "Snapshot",
     "SnapshotFormatError",
     "Unit",
@@ -118,8 +110,6 @@ __all__ = [
     "convert",
     "default_grid",
     "energy_per_tx",
-    "fetch_all",
-    "fetch_observation",
     "find_errata",
     "fit_affine",
     "global_power",

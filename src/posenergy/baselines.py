@@ -47,13 +47,14 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
     Each section is one record with keys ``year``, ``amount``, ``unit`` and
     ``tps``; extra keys (such as a free-text note) are ignored.
     """
+    where = os.fspath(path)
     parser = configparser.ConfigParser()
-    if not parser.read(os.fspath(path)):
-        raise FileNotFoundError(f"no baseline config at {os.fspath(path)!r}")
     records = []
-    for section in parser.sections():
-        sec = parser[section]
-        try:
+    try:
+        if not parser.read(where, encoding="utf-8"):
+            raise FileNotFoundError(f"no baseline config at {where!r}")
+        for section in parser.sections():
+            sec = parser[section]
             records.append(
                 BaselineRecord(
                     name=section,
@@ -62,8 +63,10 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
                     tps=float(sec["tps"]),
                 )
             )
-        except KeyError as exc:
-            raise ValueError(f"baseline section [{section}] is missing key {exc.args[0]!r}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{where} [{section}]: missing key {exc.args[0]!r}") from exc
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{where}: {' '.join(str(exc).split())}") from exc
     return records
 
 

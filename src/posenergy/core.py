@@ -65,8 +65,9 @@ class NetworkObservation:
         object.__setattr__(self, "network", validate_network_id(self.network))
         object.__setattr__(self, "date", parse_date(self.date))
         validators = int(self.validators)
-        if validators != self.validators or validators < 0:
-            raise ValueError(f"validators must be a non-negative integer, got {self.validators!r}")
+        # the model computes in floats, which hold every count up to 2**53 exactly
+        if validators != self.validators or not 0 <= validators <= 2**53:
+            raise ValueError(f"validators must be a count in [0, 2**53], got {self.validators!r}")
         object.__setattr__(self, "validators", validators)
         tps = _check_finite("tps", self.tps)
         if tps < 0:

@@ -1,7 +1,4 @@
-"""Snapshot files, merge rules, and optional live explorer fetchers.
-
-The fetchers import their network modules (``urllib.request``, ``json``,
-``concurrent.futures``) when called, so loading snapshots never pays for them.
+"""Snapshot files and merge rules.
 
 Snapshots are small CSV files with a fixed header. Rows normally carry a
 validator count; rows that instead carry vote/nonvote day counts with an
@@ -40,27 +37,18 @@ OBSERVATION_HEADER = (
     "provenance",
 )
 _REQUIRED_COLUMNS = ("network", "date", "validators", "tps")
-_TPS_DIVISORS = {"per-second": 1.0, "per-hour": 3_600.0, "per-day": 86_400.0}
 
 
 class SnapshotFormatError(ValueError):
     """A snapshot file failed to parse; the message names the row."""
 
 
-class DuplicateObservationError(ValueError):
+class DuplicateObservationError(SnapshotFormatError):
     """Two observation rows in one file share a (network, date) key."""
 
 
 class MergeConflictError(ValueError):
     """Observation sets disagree about a (network, date) pair."""
-
-
-class FetchError(RuntimeError):
-    """Endpoint unreachable or its response unusable."""
-
-
-class SchemaDriftError(RuntimeError):
-    """A mapped field is missing from an endpoint response."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +174,9 @@ def write_snapshot(
         for obs in rows:
             if obs.synthetic:
                 raise ValueError("synthetic observations are fit-time artifacts; not serialized")
+            # loading strips cells, and the csv reader of Python 3.10 refuses NUL
+            if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
+                raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
             vote = take_match(obs)
             writer.writerow(
                 (
@@ -269,7 +260,7 @@ def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
 
 
 def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable):
-    """Yield ``(row number, parse(cell))``; a ValueError from ``parse`` names the row.
+    """Yield ``(row number, parse(cell))``; a parse ValueError or a csv.Error names the row.
 
     ``cell(name)`` is the stripped cell of the current row, "" if the header lacks it.
     """
@@ -281,149 +272,21 @@ def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Ca
 
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
-        for number, row in enumerate(reader, start=2):
-            try:
-                parsed = parse(cell)
-            except ValueError as exc:
-                raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-            yield number, parsed
+        number = 1  # the row the reader is on, for errors the reader itself raises
+        try:
+            if reader.fieldnames is None:
+                raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
+            number = 2
+            for row in reader:
+                try:
+                    parsed = parse(cell)
+                except ValueError as exc:
+                    raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
+                yield number, parsed
+                number += 1
+        except csv.Error as exc:
+            raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
 
-
-@dataclass(frozen=True)
-class FetcherSpec:
-    """Mapping from one JSON endpoint to an observation.
-
-    ``validators_field`` and ``tps_field`` are dotted paths into the response
-    payload (list indices allowed, e.g. ``"data.nodes.0.count"``).
-    """
-
-    network: str
-    url: str
-    validators_field: str
-    tps_field: str
-    tps_unit: str = "per-second"
-    timeout: float = 30.0
-
-    def __post_init__(self) -> None:
-        validate_network_id(self.network)
-        if self.tps_unit not in _TPS_DIVISORS:
-            raise ValueError(
-                f"tps_unit must be one of {sorted(_TPS_DIVISORS)}, got {self.tps_unit!r}"
-            )
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-
-
-def _resolve_field(payload: object, dotted: str) -> object:
-    current = payload
-    for part in dotted.split("."):
-        if isinstance(current, dict) and part in current:
-            current = current[part]
-        elif isinstance(current, list):
-            try:
-                current = current[int(part)]
-            except (ValueError, IndexError) as exc:
-                raise KeyError(dotted) from exc
-        else:
-            raise KeyError(dotted)
-    return current
-
-
-def _get_json(url: str, timeout: float) -> object:
-    """GET ``url`` and decode its body as JSON.
-
-    Raises:
-        OSError: unsupported scheme, unreachable host, timeout or an error
-            status (``urllib.error.URLError`` and ``HTTPError`` are OSErrors).
-        http.client.HTTPException: a malformed HTTP response.
-        ValueError: the body is not JSON.
-    """
-    import json
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
-    scheme = urllib.parse.urlsplit(url).scheme
-    if scheme not in ("http", "https"):
-        raise urllib.error.URLError(f"unsupported URL scheme {scheme!r}")
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.load(response)
-
-
-def fetch_observation(
-    spec: FetcherSpec, at: dt.date | dt.datetime | None = None
-) -> NetworkObservation:
-    """Fetch one observation from a live endpoint.
-
-    Raises:
-        FetchError: the endpoint is unreachable, returns an error status, or
-            does not return JSON.
-        SchemaDriftError: the payload no longer carries a mapped field.
-    """
-    from http.client import HTTPException
-
-    try:
-        payload = _get_json(spec.url, timeout=spec.timeout)
-    except (OSError, HTTPException) as exc:
-        raise FetchError(f"{spec.network}: {spec.url}: {exc}") from exc
-    except ValueError as exc:
-        raise FetchError(f"{spec.network}: {spec.url}: response is not JSON: {exc}") from exc
-    try:
-        raw_validators = _resolve_field(payload, spec.validators_field)
-        raw_tps = _resolve_field(payload, spec.tps_field)
-    except KeyError as exc:
-        raise SchemaDriftError(
-            f"{spec.network}: field {exc.args[0]!r} missing from response of {spec.url}"
-        ) from exc
-    if at is None:
-        date = dt.datetime.now(dt.timezone.utc).date()
-    else:
-        date = parse_date(at)
-    return NetworkObservation(
-        spec.network,
-        date,
-        int(float(raw_validators)),
-        float(raw_tps) / _TPS_DIVISORS[spec.tps_unit],
-        provenance=f"fetched from {spec.url} ({spec.tps_unit})",
-    )
-
-
-def fetch_all(
-    specs: Iterable[FetcherSpec],
-    at: dt.date | dt.datetime | None = None,
-    max_workers: int = 4,
-) -> tuple[list[NetworkObservation], list[Exception]]:
-    """Fetch many endpoints with bounded parallelism.
-
-    Individual failures are collected rather than raised, so one broken
-    explorer does not sink a batch run. Results pass through :func:`merge`,
-    which gives them a deterministic order.
-    """
-    spec_list = list(specs)
-    observations: list[NetworkObservation] = []
-    errors: list[Exception] = []
-    if not spec_list:
-        return [], []
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        for outcome in pool.map(lambda s: _try_fetch(s, at), spec_list):
-            if isinstance(outcome, Exception):
-                errors.append(outcome)
-            else:
-                observations.append(outcome)
-    return merge(observations), errors
-
-
-def _try_fetch(
-    spec: FetcherSpec, at: dt.date | dt.datetime | None
-) -> NetworkObservation | Exception:
-    try:
-        return fetch_observation(spec, at=at)
-    except (FetchError, SchemaDriftError, ValueError) as exc:
-        return exc

@@ -266,8 +266,11 @@ def chart_bands(
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> list[ConsumptionBand]:
     """Fit each network and evaluate its band over the default grid."""
+    groups = select_networks(observations, networks)
+    if not groups:
+        raise ValueError("no observations to chart")
     bands = []
-    for network, group in select_networks(observations, networks).items():
+    for network, group in groups.items():
         if network not in profiles:
             raise ValueError(f"no throughput profile for network {network!r}")
         profile = profiles[network]

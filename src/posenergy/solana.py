@@ -35,8 +35,8 @@ class VoteRatioRecord:
         object.__setattr__(self, "date", parse_date(self.date))
         nonvote = int(self.nonvote_tx_per_day)
         total = int(self.total_tx_per_day)
-        if total <= 0:
-            raise ValueError(f"total_tx_per_day must be positive, got {total!r}")
+        if not 0 < total <= 2**53:  # the largest count a float holds exactly
+            raise ValueError(f"total_tx_per_day must lie in [1, 2**53], got {total!r}")
         if not 0 <= nonvote <= total:
             raise ValueError(
                 f"nonvote_tx_per_day must lie in [0, total], got {nonvote!r} of {total!r}"

@@ -83,6 +83,12 @@ class TestLoadBaselines:
         with pytest.raises(ValueError, match="tps"):
             load_baselines(cfg)
 
+    def test_parser_error_names_path(self, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("[visa]\nyear = 2021\n[visa]\n")
+        with pytest.raises(ValueError, match=f"^{cfg}: .*section 'visa' already exists"):
+            load_baselines(cfg)
+
     def test_extra_keys_ignored(self, tmp_path):
         cfg = tmp_path / "b.cfg"
         cfg.write_text(

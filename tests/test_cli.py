@@ -162,6 +162,17 @@ class TestChart:
         first_row = out.splitlines()[1].split(",")
         assert first_row[1] == "1"
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("extra", [[], ["--no-baselines"]], ids=["baselines", "no-baselines"])
+    def test_no_observations_named(self, capsys, tmp_path, fmt, extra):
+        path = tmp_path / "empty.csv"
+        path.write_text("network,date,validators,tps\n")
+        target = tmp_path / "chart.out"
+        argv = ["chart", "--observations", str(path), "--format", fmt, *extra]
+        assert run(capsys, *argv) == (1, "", "error: no observations to chart\n")
+        assert run(capsys, *argv, "--out", str(target))[0] == 1
+        assert not target.exists()
+
     def test_bad_lmin_fails(self, capsys):
         code, _, err = run(capsys, "chart", "--network", "polkadot", "--lmin", "-1")
         assert code == 1
@@ -359,6 +370,39 @@ class TestErrorPaths:
         code, out, err = run(capsys, *argv, flag, str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path} row 2: missing {column!r} cell\n"
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("year=1\n", "no section headers"),
+            ("[a]\nyear=1\n[a]\n", "section 'a' already exists"),
+            ("[a]\nyear=%x\namount=1\nunit=TWh\ntps=1\n", "'%' must be followed"),
+            ("[a]\nyear=x\namount=1\nunit=TWh\ntps=1\n", "invalid literal for int()"),
+        ],
+        ids=["no-section", "duplicate-section", "interpolation", "bad-year"],
+    )
+    def test_bad_baseline_config_named(self, capsys, tmp_path, text, detail):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code, out, err = run(capsys, "baseline", "--baselines", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}")
+        assert detail in err
+
+    def test_oversized_cell_named(self, capsys, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text("network,lower_w,upper_w\nnear,1,2\nnear," + "1" * 200_000 + ",2\n")
+        code, out, err = run(capsys, "table", "--bounds", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} row 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("command", ["fit", "table", "chart"])
+    def test_count_no_float_holds_named(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("network,date,validators,tps\nnear,2023-01-31,1" + "0" * 309 + ",6.33\n")
+        code, out, err = run(capsys, command, "--observations", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path} row 2: validators must be a count in [0, 2**53]")
 
     def test_malformed_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

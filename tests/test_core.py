@@ -108,6 +108,12 @@ class TestNetworkObservation:
         with pytest.raises(ValueError):
             NetworkObservation("hedera", "2023-01-15", 26, -0.1)
 
+    def test_rejects_count_no_float_holds_exactly(self):
+        assert NetworkObservation("hedera", "2023-01-15", 2**53, 1.0).validators == 2**53
+        for count in (2**53 + 1, 10**309):
+            with pytest.raises(ValueError, match=r"validators must be a count in \[0, 2\*\*53\]"):
+                NetworkObservation("hedera", "2023-01-15", count, 1.0)
+
     def test_zero_tps_allowed(self):
         # zero-throughput observations exist (the synthetic origin point)
         obs = NetworkObservation("hedera", "2023-01-15", 0, 0.0, synthetic=True)

@@ -1,23 +1,15 @@
-"""Snapshot CSV round-trips, merge rules, and the live-fetch path (mocked)."""
+"""Snapshot CSV round-trips and merge rules."""
 
 import datetime as dt
-import io
-import urllib.error
-from unittest import mock
 
 import pytest
 
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
     DuplicateObservationError,
-    FetcherSpec,
-    FetchError,
     MergeConflictError,
-    SchemaDriftError,
     SnapshotFormatError,
     bundled,
-    fetch_all,
-    fetch_observation,
     load_bounds,
     load_profiles,
     load_reported,
@@ -101,7 +93,14 @@ class TestLoadSnapshots:
             "near,2023-01-31,158,6.33\n"
             "near,2023-01-31,158,6.33\n"
         )
-        with pytest.raises(DuplicateObservationError, match="near"):
+        with pytest.raises(DuplicateObservationError, match="near") as raised:
+            load_snapshots(path)
+        assert isinstance(raised.value, SnapshotFormatError)
+
+    def test_reader_error_names_row(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("network,date,validators,tps\nnear,2023-01-31,158,6.33\n" + "x" * 200_000)
+        with pytest.raises(SnapshotFormatError, match=f"^{path} row 3: field larger than"):
             load_snapshots(path)
 
     def test_vote_columns_must_pair(self, tmp_path):
@@ -201,6 +200,11 @@ class TestWriteSnapshot:
         assert len(reloaded.observations) == 1
         assert reloaded.vote_records == (vote,)
 
+    @pytest.mark.parametrize("provenance", [" padded", "nul\0byte"])
+    def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance):
+        with pytest.raises(ValueError, match=r"provenance of \(tezos, 2023-01-31\)"):
+            write_snapshot(tmp_path / "out.csv", [obs(provenance=provenance)])
+
     def test_synthetic_rows_refused(self, tmp_path):
         with pytest.raises(ValueError, match="synthetic"):
             write_snapshot(tmp_path / "out.csv", [obs(synthetic=True, validators=0, tps=0.0)])
@@ -237,136 +241,3 @@ class TestReferenceTables:
         with pytest.raises(SnapshotFormatError, match="duplicate"):
             load_bounds(path)
 
-
-GET_JSON = "posenergy.ingestion._get_json"
-
-
-def http_error(url, code):
-    return urllib.error.HTTPError(url, code, "unavailable", hdrs=None, fp=None)
-
-
-SPEC = FetcherSpec(
-    network="near",
-    url="https://example.invalid/api/stats",
-    validators_field="data.validators.count",
-    tps_field="data.tx.per_day",
-    tps_unit="per-day",
-    timeout=5.0,
-)
-PAYLOAD = {"data": {"validators": {"count": 158}, "tx": {"per_day": 546_912}}}
-
-
-class TestFetcherSpec:
-    def test_bad_unit(self):
-        with pytest.raises(ValueError, match="tps_unit"):
-            FetcherSpec("near", "https://x", "a", "b", tps_unit="per-week")
-
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            FetcherSpec("near", "https://x", "a", "b", timeout=0)
-
-
-class TestFetchObservation:
-    def test_happy_path_with_unit_conversion(self):
-        with mock.patch(GET_JSON) as get:
-            get.return_value = PAYLOAD
-            observation = fetch_observation(SPEC, at="2023-01-31")
-        get.assert_called_once_with(SPEC.url, timeout=5.0)
-        assert observation.network == "near"
-        assert observation.validators == 158
-        assert observation.tps == pytest.approx(546_912 / 86_400)
-        assert observation.date == dt.date(2023, 1, 31)
-        assert SPEC.url in observation.provenance
-        assert "per-day" in observation.provenance
-
-    def test_default_date_is_today_utc(self):
-        with mock.patch(GET_JSON) as get:
-            get.return_value = PAYLOAD
-            observation = fetch_observation(SPEC)
-        assert observation.date == dt.datetime.now(dt.timezone.utc).date()
-
-    def test_list_index_in_path(self):
-        spec = FetcherSpec("near", "https://x", "nodes.1.n", "tps")
-        payload = {"nodes": [{"n": 1}, {"n": 42}], "tps": 6.33}
-        with mock.patch(GET_JSON) as get:
-            get.return_value = payload
-            observation = fetch_observation(spec, at="2023-01-31")
-        assert observation.validators == 42
-
-    def test_http_error_becomes_fetch_error(self):
-        with mock.patch(GET_JSON) as get:
-            get.side_effect = http_error(SPEC.url, 503)
-            with pytest.raises(FetchError, match="near"):
-                fetch_observation(SPEC)
-
-    def test_connection_error_becomes_fetch_error(self):
-        with mock.patch(GET_JSON) as get:
-            get.side_effect = urllib.error.URLError("refused")
-            with pytest.raises(FetchError, match="refused"):
-                fetch_observation(SPEC)
-
-    def test_non_json_becomes_fetch_error(self):
-        with mock.patch(GET_JSON) as get:
-            get.side_effect = ValueError("not json")
-            with pytest.raises(FetchError, match="not JSON"):
-                fetch_observation(SPEC)
-
-    def test_missing_field_is_schema_drift(self):
-        with mock.patch(GET_JSON) as get:
-            get.return_value = {"data": {"validators": {"count": 158}}}
-            with pytest.raises(SchemaDriftError, match="data.tx.per_day"):
-                fetch_observation(SPEC)
-
-    def test_urlopen_failures_become_fetch_errors(self):
-        # drives the real _get_json with urlopen stubbed; nothing leaves the process
-        failures = {
-            "HTTP Error 503": mock.Mock(side_effect=http_error(SPEC.url, 503)),
-            "refused": mock.Mock(side_effect=urllib.error.URLError("refused")),
-            "not JSON": mock.Mock(return_value=io.BytesIO(b"<html>down</html>")),
-        }
-        for expected, urlopen in failures.items():
-            with mock.patch("urllib.request.urlopen", urlopen):
-                with pytest.raises(FetchError) as caught:
-                    fetch_observation(SPEC)
-            message = str(caught.value)
-            assert message.startswith(f"near: {SPEC.url}: ")
-            assert expected in message
-            urlopen.assert_called_once_with(SPEC.url, timeout=5.0)
-
-    def test_non_http_scheme_is_refused(self):
-        spec = FetcherSpec("near", "file:///etc/hostname", "a", "b")
-        with mock.patch("urllib.request.urlopen") as urlopen:
-            with pytest.raises(FetchError, match="unsupported URL scheme 'file'"):
-                fetch_observation(spec)
-        urlopen.assert_not_called()
-
-
-class TestFetchAll:
-    def test_failures_collected_not_raised(self):
-        good = SPEC
-        bad = FetcherSpec("tezos", "https://example.invalid/down", "a", "b")
-
-        def route(url, timeout):
-            if url == good.url:
-                return PAYLOAD
-            raise http_error(url, 500)
-
-        with mock.patch(GET_JSON, side_effect=route):
-            observations, errors = fetch_all([good, bad], at="2023-01-31")
-        assert [o.network for o in observations] == ["near"]
-        assert len(errors) == 1
-        assert isinstance(errors[0], FetchError)
-
-    def test_results_are_merged_and_sorted(self):
-        specs = [
-            FetcherSpec("tezos", "https://example.invalid/t", "v", "tps"),
-            FetcherSpec("near", "https://example.invalid/n", "v", "tps"),
-        ]
-        with mock.patch(GET_JSON) as get:
-            get.return_value = {"v": 10, "tps": 1.0}
-            observations, errors = fetch_all(specs, at="2023-01-31")
-        assert errors == []
-        assert [o.network for o in observations] == ["near", "tezos"]
-
-    def test_empty_spec_list(self):
-        assert fetch_all([]) == ([], [])
