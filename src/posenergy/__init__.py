@@ -54,7 +54,6 @@ from .regression import (
     InsufficientDataError,
     RegressionFit,
     fit_affine,
-    origin_observation,
     predict_validators,
     r_squared,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "merge",
     "nonvote_ratio",
     "nonvote_tps",
-    "origin_observation",
     "parse_date",
     "per_second_energy",
     "predict_validators",

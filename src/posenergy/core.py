@@ -47,18 +47,12 @@ def _check_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class NetworkObservation:
-    """One dated measurement of validator count and throughput for a network.
-
-    ``synthetic`` marks points injected by the fitting step (the
-    zero-throughput origin assumption); such points never come from snapshot
-    files.
-    """
+    """One dated measurement of validator count and throughput for a network."""
 
     network: str
     date: dt.date
     validators: int
     tps: float
-    synthetic: bool = False
     provenance: str = ""
 
     def __post_init__(self) -> None:

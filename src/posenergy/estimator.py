@@ -131,8 +131,8 @@ def contemporary_estimate(
 def latest_observation(
     observations: Iterable[NetworkObservation], network: str
 ) -> NetworkObservation:
-    """Most recent non-synthetic observation for a network."""
-    candidates = [o for o in observations if o.network == network and not o.synthetic]
+    """Most recent observation for a network."""
+    candidates = [o for o in observations if o.network == network]
     if not candidates:
         raise ValueError(f"no observations for network {network!r}")
     return max(candidates, key=lambda o: o.date)

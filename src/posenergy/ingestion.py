@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import (
     NetworkObservation,
@@ -127,24 +128,23 @@ def merge(*observation_sets: Iterable[NetworkObservation]) -> list[NetworkObserv
     Rows that are exactly equal collapse to one; rows sharing (network, date)
     but differing in any field are rejected, with both values reported.
     """
-    buckets: dict[tuple[str, dt.date, bool], list[NetworkObservation]] = {}
+    buckets: dict[tuple[str, dt.date], list[NetworkObservation]] = {}
     for group in observation_sets:
         for obs in group:
-            bucket = buckets.setdefault((obs.network, obs.date, obs.synthetic), [])
+            bucket = buckets.setdefault((obs.network, obs.date), [])
             if obs not in bucket:
                 bucket.append(obs)
     conflicts = [
-        f"({key[0]}, {key[1].isoformat()}): "
-        + " vs ".join(f"validators={o.validators} tps={o.tps!r}" for o in rows)
-        for key, rows in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        f"({network}, {date.isoformat()}): "
+        + " vs ".join(
+            f"validators={o.validators} tps={o.tps!r} provenance={o.provenance!r}" for o in rows
+        )
+        for (network, date), rows in sorted(buckets.items())
         if len(rows) > 1
     ]
     if conflicts:
         raise MergeConflictError("conflicting observations: " + "; ".join(conflicts))
-    return sorted(
-        (rows[0] for rows in buckets.values()),
-        key=lambda o: (o.network, o.date, o.synthetic),
-    )
+    return [rows[0] for _, rows in sorted(buckets.items())]
 
 
 def write_snapshot(
@@ -172,8 +172,6 @@ def write_snapshot(
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_HEADER)
         for obs in rows:
-            if obs.synthetic:
-                raise ValueError("synthetic observations are fit-time artifacts; not serialized")
             # loading strips cells, and the csv reader of Python 3.10 refuses NUL
             if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
                 raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
@@ -213,14 +211,7 @@ def load_bounds(path: str | os.PathLike[str]) -> dict[str, ValidatorPowerBounds]
             source_note=cell("source"),
         )
 
-    out: dict[str, ValidatorPowerBounds] = {}
-    for number, bounds in _read_csv(path, ("network", "lower_w", "upper_w"), parse):
-        if bounds.network in out:
-            raise SnapshotFormatError(
-                f"{os.fspath(path)} row {number}: duplicate bounds for {bounds.network!r}"
-            )
-        out[bounds.network] = bounds
-    return out
+    return _read_table(path, ("network", "lower_w", "upper_w"), parse, "bounds")
 
 
 def load_profiles(
@@ -233,14 +224,7 @@ def load_profiles(
             raise ValueError(f"no power bounds for {network!r}")
         return NetworkProfile(network, bounds[network], float(cell("max_tps")))
 
-    out: dict[str, NetworkProfile] = {}
-    for number, profile in _read_csv(path, ("network", "max_tps"), parse):
-        if profile.network in out:
-            raise SnapshotFormatError(
-                f"{os.fspath(path)} row {number}: duplicate profile for {profile.network!r}"
-            )
-        out[profile.network] = profile
-    return out
+    return _read_table(path, ("network", "max_tps"), parse, "profile")
 
 
 def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
@@ -255,8 +239,20 @@ def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
             validators=int(validators_cell) if validators_cell else None,
         )
 
-    rows = _read_csv(path, ("name", "global_kw", "kwh_per_tx"), parse)
-    return {estimate.name: estimate for _, estimate in rows}
+    return _read_table(path, ("name", "global_kw", "kwh_per_tx"), parse, "estimate")
+
+
+def _read_table(
+    path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable, what: str
+) -> dict[str, Any]:
+    """``parse`` of each row, keyed by its ``required[0]`` cell; a repeated key names its row."""
+    out: dict[str, Any] = {}
+    keyed = _read_csv(path, required, lambda cell: (cell(required[0]), parse(cell)))
+    for row, (key, parsed) in keyed:
+        if key in out:
+            raise SnapshotFormatError(f"{os.fspath(path)} row {row}: duplicate {what} for {key!r}")
+        out[key] = parsed
+    return out
 
 
 def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable):
@@ -270,23 +266,28 @@ def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Ca
             raise ValueError(f"missing {name!r} cell")
         return value.strip()
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        number = 1  # the row the reader is on, for errors the reader itself raises
-        try:
-            if reader.fieldnames is None:
-                raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
-            missing = [c for c in required if c not in reader.fieldnames]
-            if missing:
-                raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
-            number = 2
-            for row in reader:
-                try:
-                    parsed = parse(cell)
-                except ValueError as exc:
-                    raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-                yield number, parsed
-                number += 1
-        except csv.Error as exc:
-            raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-
+    try:
+        # decoded whole, so an error offset counts from the start of the file
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(
+            f"{os.fspath(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    number = 1  # the row the reader is on, for errors the reader itself raises
+    try:
+        if reader.fieldnames is None:
+            raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
+        number = 2
+        for row in reader:
+            try:
+                parsed = parse(cell)
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
+            yield number, parsed
+            number += 1
+    except csv.Error as exc:
+        raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc

@@ -5,9 +5,8 @@ a fixed validator set show up as a flat line (slope near zero); networks that
 recruit validators with demand show a positive slope.
 
 The optional origin point encodes the assumption that a network processing
-nothing runs no validators. It enters the fit as one ordinary observation
-dated at the start of the series, with the same weight as any other point,
-not as a hard constraint on the intercept.
+nothing runs no validators. It enters the fit as one ordinary (0, 0) point
+of the same weight as the others, not as a hard constraint on the intercept.
 """
 
 from __future__ import annotations
@@ -47,12 +46,6 @@ class RegressionFit:
     origin_included: bool
 
 
-def origin_observation(observations: list[NetworkObservation]) -> NetworkObservation:
-    """Synthetic zero-throughput, zero-validator point dated at the series start."""
-    t0 = min(o.date for o in observations)
-    return NetworkObservation(observations[0].network, t0, 0, 0.0, synthetic=True)
-
-
 def fit_affine(
     observations: Iterable[NetworkObservation], include_origin: bool = True
 ) -> RegressionFit:
@@ -75,14 +68,13 @@ def fit_affine(
     if len(networks) != 1:
         raise ValueError(f"observations span multiple networks: {sorted(networks)}")
     network = obs[0].network
+    points = sorted((o.tps, float(o.validators)) for o in obs)
     if include_origin:
-        obs.append(origin_observation(obs))
-    points = sorted(obs, key=lambda o: (o.tps, o.validators, o.date.isoformat()))
+        points.insert(0, (0.0, 0.0))  # no pair sorts below it: counts and tps are >= 0
     if len(points) < 2:
         raise InsufficientDataError(f"{network}: need at least 2 points, got {len(points)}")
 
-    x = [p.tps for p in points]
-    y = [float(p.validators) for p in points]
+    x, y = zip(*points)
     x_scale = max(abs(v) for v in x)
     x_mean = math.fsum(x) / len(x)
     dx = [v - x_mean for v in x]
@@ -126,8 +118,8 @@ def predict_validators(fit: RegressionFit, tps: float) -> float:
 def r_squared(fit: RegressionFit, observations: Iterable[NetworkObservation]) -> float:
     """Coefficient of determination of ``fit`` over a point set.
 
-    Pass the same points the fit was produced from (including the origin
-    point if one was injected) to recover the fit's own ``r2``.
+    Pass the observations a fit was produced from to recover its own ``r2``,
+    adding one with zero validators at zero tps for an origin fit.
     """
     points = list(observations)
     if not points:

@@ -53,19 +53,18 @@ def format_series(value: float) -> str:
 def select_networks(
     observations: Iterable[NetworkObservation], networks: Sequence[str] | None = None
 ) -> dict[str, list[NetworkObservation]]:
-    """Non-synthetic observations grouped by network, keyed in name order.
+    """Observations grouped by network, keyed in name order.
 
     ``networks`` restricts the result to those names, each once; when it is
     None or empty every observed network is kept. Each group keeps the
     input order of its rows.
 
     Raises:
-        ValueError: a requested network has no non-synthetic observation.
+        ValueError: a requested network has no observation.
     """
     groups: dict[str, list[NetworkObservation]] = {}
     for obs in observations:
-        if not obs.synthetic:
-            groups.setdefault(obs.network, []).append(obs)
+        groups.setdefault(obs.network, []).append(obs)
     wanted = sorted(set(networks)) if networks else sorted(groups)
     for network in wanted:
         if network not in groups:

@@ -313,6 +313,13 @@ class TestBaseline:
         assert "2927" in notes[0]
         assert "1143.6" in notes[0]
 
+    def test_duplicate_reported_name_named(self, capsys, tmp_path):
+        path = tmp_path / "rep.csv"
+        path.write_text("name,global_kw,kwh_per_tx\nvisa,1,2\nvisa,3,4\n")
+        code, out, err = run(capsys, "baseline", "--verify", "--reported", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} row 3: duplicate estimate for 'visa'\n"
+
 
 class TestAdjustSolana:
     def test_bundled_history(self, capsys):
@@ -370,6 +377,27 @@ class TestErrorPaths:
         code, out, err = run(capsys, *argv, flag, str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path} row 2: missing {column!r} cell\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag, head",
+        [
+            (["fit"], "--observations", "network,date,validators,tps\n"),
+            (["table"], "--bounds", "network,lower_w,upper_w\n"),
+            (["chart"], "--profiles", "network,max_tps\n"),
+            (["table", "--verify"], "--reported", "name,global_kw,kwh_per_tx\n"),
+            # far past the first read-ahead chunk, the offset still counts from the file start
+            (["table"], "--bounds",
+             "network,lower_w,upper_w\n" + "".join(f"n{i},1,2\n" for i in range(2000))),
+        ],
+        ids=["snapshot", "bounds", "profiles", "reported", "bounds-long"],
+    )
+    def test_non_utf8_named(self, capsys, tmp_path, argv, flag, head):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(head.encode() + b"near,\xff\n")
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (1, "")
+        offset = len(head) + len("near,")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte {offset})\n"
 
     @pytest.mark.parametrize(
         "text, detail",

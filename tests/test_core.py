@@ -89,7 +89,6 @@ class TestNetworkObservation:
     def test_accepts_iso_date_string(self):
         obs = NetworkObservation("hedera", "2023-01-15", 26, 568.45)
         assert obs.date == dt.date(2023, 1, 15)
-        assert not obs.synthetic
 
     def test_rejects_bad_network_id(self):
         for bad in ("", "Hedera", "bnb chain", "tron!"):
@@ -115,8 +114,8 @@ class TestNetworkObservation:
                 NetworkObservation("hedera", "2023-01-15", count, 1.0)
 
     def test_zero_tps_allowed(self):
-        # zero-throughput observations exist (the synthetic origin point)
-        obs = NetworkObservation("hedera", "2023-01-15", 0, 0.0, synthetic=True)
+        # zero-throughput observations exist (an idle network, or the origin point)
+        obs = NetworkObservation("hedera", "2023-01-15", 0, 0.0)
         assert obs.tps == 0.0
 
     def test_bad_date_rejected(self):

@@ -1,4 +1,4 @@
-"""The scripts under ``demos/`` run to completion against the package."""
+"""The scripts under ``demos/`` and the README's library example run to completion."""
 
 import os
 import subprocess
@@ -9,18 +9,28 @@ import pytest
 
 import posenergy
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+SCRIPTS = ["contemporary_table.py", "solana_adjustment.py", "throughput_extrapolation.py"]
+
+
+def readme_library_block():
+    """The python block under the README's ``## Library`` heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
 
 
 @pytest.mark.parametrize(
-    "script", ["contemporary_table.py", "solana_adjustment.py", "throughput_extrapolation.py"]
+    "argv",
+    [[str(DEMOS / script)] for script in SCRIPTS] + [["-c", readme_library_block()]],
+    ids=SCRIPTS + ["README-library"],
 )
-def test_demo_runs(script, tmp_path):
+def test_demo_runs(argv, tmp_path):
     # throughput_extrapolation.py writes its SVG to the working directory
     src = str(Path(posenergy.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        [sys.executable, *argv],
         cwd=tmp_path,
         capture_output=True,
         text=True,

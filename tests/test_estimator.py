@@ -84,7 +84,7 @@ class TestLatestObservation:
         rows = [
             NetworkObservation("tezos", "2022-06-01", 410, 1.1),
             NetworkObservation("tezos", "2023-01-31", 407, 0.9),
-            NetworkObservation("tezos", "2021-01-01", 0, 0.0, synthetic=True),
+            NetworkObservation("tezos", "2021-01-01", 0, 0.0),
             NetworkObservation("near", "2023-02-10", 158, 6.33),
         ]
         picked = latest_observation(rows, "tezos")

@@ -33,7 +33,6 @@ class TestLoadSnapshots:
         assert by_network["hedera"].validators == 26
         assert by_network["hedera"].tps == 568.45
         assert by_network["solana"].tps == 493.0
-        assert all(not o.synthetic for o in snap.observations)
 
     def test_bundled_vote_history(self):
         snap = load_snapshots(bundled("solana_votes.csv"))
@@ -148,12 +147,13 @@ class TestMerge:
         assert "validators=407" in message
         assert "validators=410" in message
         assert "tezos" in message
-
-    def test_synthetic_rows_do_not_conflict_with_real_ones(self):
-        real = obs(validators=407)
-        synthetic = obs(validators=0, tps=0.0, synthetic=True)
-        merged = merge([real, synthetic])
-        assert len(merged) == 2
+        with pytest.raises(MergeConflictError) as err:
+            merge([obs(provenance="explorer")], [obs(provenance="paper")])
+        assert str(err.value) == (
+            "conflicting observations: (tezos, 2023-01-31): "
+            "validators=407 tps=0.9 provenance='explorer' vs "
+            "validators=407 tps=0.9 provenance='paper'"
+        )
 
     def test_empty_input(self):
         assert merge() == []
@@ -204,10 +204,6 @@ class TestWriteSnapshot:
     def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance):
         with pytest.raises(ValueError, match=r"provenance of \(tezos, 2023-01-31\)"):
             write_snapshot(tmp_path / "out.csv", [obs(provenance=provenance)])
-
-    def test_synthetic_rows_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="synthetic"):
-            write_snapshot(tmp_path / "out.csv", [obs(synthetic=True, validators=0, tps=0.0)])
 
 
 class TestReferenceTables:

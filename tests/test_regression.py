@@ -5,11 +5,14 @@ compensated sums; the implementation uses centered sums. Agreement between
 the two routes is the check.
 """
 
+import datetime as dt
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import bundled, load_snapshots
@@ -17,7 +20,6 @@ from posenergy.regression import (
     DegenerateVarianceError,
     InsufficientDataError,
     fit_affine,
-    origin_observation,
     predict_validators,
     r_squared,
 )
@@ -157,6 +159,42 @@ class TestFitAffine:
             assert fit.r2 == pytest.approx(want_r2, rel=1e-9, abs=1e-9)
 
 
+# Ties and zero throughput are drawn often, so the degenerate-variance and
+# two-point paths are reached as well as the general one.
+FIT_ROWS = st.lists(
+    st.builds(
+        NetworkObservation,
+        network=st.just("tezos"),
+        date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
+        validators=st.integers(0, 10**6),
+        tps=st.one_of(st.sampled_from([0.0, 0.9, 1.2]), st.floats(1e-3, 1e4)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def fit_outcome(rows, include_origin):
+    """The fitted values, or the type and message of the error the fit raises."""
+    try:
+        fit = fit_affine(rows, include_origin=include_origin)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return fit.intercept, fit.slope, fit.r2, fit.n_points
+
+
+class TestFitAffineProperties:
+    @given(rows=FIT_ROWS, include_origin=st.booleans(), data=st.data())
+    def test_permutation_gives_equal_fit(self, rows, include_origin, data):
+        shuffled = data.draw(st.permutations(rows))
+        assert fit_outcome(shuffled, include_origin) == fit_outcome(rows, include_origin)
+
+    @given(rows=FIT_ROWS, day=st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)))
+    def test_origin_is_one_ordinary_zero_point(self, rows, day):
+        origin_row = NetworkObservation("tezos", day, 0, 0.0)
+        assert fit_outcome(rows, True) == fit_outcome(rows + [origin_row], False)
+
+
 class TestPredictValidators:
     def test_affine_evaluation(self):
         fit = fit_affine(
@@ -187,7 +225,7 @@ class TestRSquared:
             obs("hedera", 3, 25, 505.0),
         ]
         fit = fit_affine(points, include_origin=True)
-        scored = r_squared(fit, points + [origin_observation(points)])
+        scored = r_squared(fit, points + [obs("hedera", 1, 0, 0.0)])
         assert scored == pytest.approx(fit.r2, rel=1e-12)
 
     def test_perfect_line_scores_one(self):

@@ -62,10 +62,6 @@ class TestObservedNetworks:
         ]
         assert list(select_networks(rows)) == ["near", "tezos"]
 
-    def test_synthetic_rows_skipped(self):
-        rows = [NetworkObservation("tezos", "2023-01-31", 0, 0.0, synthetic=True)]
-        assert select_networks(rows) == {}
-
 
 OBSERVATIONS = st.lists(
     st.builds(
@@ -74,7 +70,6 @@ OBSERVATIONS = st.lists(
         date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
         validators=st.integers(0, 500),
         tps=st.floats(0.0, 1e4),
-        synthetic=st.booleans(),
     ),
     max_size=30,
 )
@@ -87,28 +82,22 @@ def as_multisets(groups):
 class TestSelectNetworks:
     @given(observations=OBSERVATIONS, data=st.data())
     def test_order_and_repeats_do_not_matter(self, observations, data):
-        observed = sorted({o.network for o in observations if not o.synthetic})
+        observed = sorted({o.network for o in observations})
         requested = data.draw(st.lists(st.sampled_from(observed), max_size=6)) if observed else []
         shuffled = data.draw(st.permutations(observations))
         groups = select_networks(observations, requested)
         assert list(groups) == (sorted(set(requested)) if requested else observed)
         for network, rows in groups.items():
             assert rows
-            assert all(o.network == network and not o.synthetic for o in rows)
-            assert Counter(rows) == Counter(
-                o for o in observations if o.network == network and not o.synthetic
-            )
+            assert all(o.network == network for o in rows)
+            assert Counter(rows) == Counter(o for o in observations if o.network == network)
         again = select_networks(shuffled, requested[::-1] + requested)
         assert as_multisets(again) == as_multisets(groups)
 
     def test_missing_network_named(self):
-        rows = [
-            NetworkObservation("near", "2023-01-31", 158, 6.33),
-            NetworkObservation("tezos", "2023-01-31", 0, 0.0, synthetic=True),
-        ]
-        for network in ("dogecoin", "tezos"):
-            with pytest.raises(ValueError, match=f"^no observations for network '{network}'$"):
-                select_networks(rows, ["near", network])
+        rows = [NetworkObservation("near", "2023-01-31", 158, 6.33)]
+        with pytest.raises(ValueError, match="^no observations for network 'dogecoin'$"):
+            select_networks(rows, ["near", "dogecoin"])
 
 
 class TestFitNetworks:
