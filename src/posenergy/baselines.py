@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
+from .core import validate_network_id
 from .units import EnergyQuantity, SECONDS_PER_HOUR, SECONDS_PER_YEAR, Unit, as_kwh
 
 
@@ -21,8 +22,8 @@ class BaselineRecord:
     tps: float
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("baseline name must be non-empty")
+        # the name is printed where network ids are: CSV cells, SVG legend text
+        validate_network_id(self.name)
         if self.annual_energy.value <= 0:
             raise ValueError(f"annual energy must be positive for {self.name!r}")
         tps = float(self.tps)
@@ -45,11 +46,14 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
     """Read baseline records from a key-value config file.
 
     Each section is one record with keys ``year``, ``amount``, ``unit`` and
-    ``tps``; extra keys (such as a free-text note) are ignored.
+    ``tps``; extra keys (such as a free-text note) are ignored. The section
+    name is the record's name, which must be a network id. An error in a
+    section names the path and the section.
     """
     where = os.fspath(path)
     parser = configparser.ConfigParser()
     records = []
+    section = None
     try:
         if not parser.read(where, encoding="utf-8"):
             raise FileNotFoundError(f"no baseline config at {where!r}")
@@ -66,7 +70,8 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
     except KeyError as exc:
         raise ValueError(f"{where} [{section}]: missing key {exc.args[0]!r}") from exc
     except (configparser.Error, ValueError) as exc:
-        raise ValueError(f"{where}: {' '.join(str(exc).split())}") from exc
+        place = where if section is None else f"{where} [{section}]"
+        raise ValueError(f"{place}: {' '.join(str(exc).split())}") from exc
     return records
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from math import log10
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .estimator import ConsumptionBand
 
@@ -110,8 +110,7 @@ def chart_geometry(
         # Each band adds only the extremes of its physical, positive values.
         columns = ((xs, band.tps), (ys, band.kwh_per_tx_lower), (ys, band.kwh_per_tx_upper))
         for out, column in columns:
-            values = [v for v in compress(column, band.physical) if v > 0]
-            out += (min(values), max(values)) if values else ()
+            out += _positive_extremes(column, band.physical)
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -124,6 +123,17 @@ def chart_geometry(
         y_log_max += 1
     return ChartGeometry(width, height, float(x_log_min), float(x_log_max),
                          float(y_log_min), float(y_log_max))
+
+
+def _positive_extremes(column: Sequence[float], flags: Sequence[bool]) -> tuple[float, ...]:
+    """The least and greatest positive value of ``column`` where ``flags`` is true, if any."""
+    least = min(compress(column, flags), default=0.0)
+    if least > 0:
+        # Every flagged value is positive or NaN. min and max pass over a NaN
+        # that is not the first value, and a NaN first makes ``least`` NaN.
+        return least, max(compress(column, flags))
+    values = [v for v in compress(column, flags) if v > 0]
+    return (min(values), max(values)) if values else ()
 
 
 def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
@@ -142,6 +152,23 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+class BandDocument(NamedTuple):
+    """A chart output as a head, one text per band, then a tail.
+
+    ``body`` is a plain function of one band, so the band texts can be made
+    in any order, or in another process, and still be joined in band order.
+    """
+
+    head: str
+    bands: Sequence[ConsumptionBand]
+    body: Callable[[ConsumptionBand], str]
+    tail: str
+
+    def chunks(self) -> Iterator[str]:
+        """The document in order: the head, each band's text, the tail."""
+        return chain([self.head], map(self.body, self.bands), [self.tail])
+
+
 def render_chart(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
@@ -152,17 +179,17 @@ def render_chart(
 ) -> tuple[str, ChartGeometry]:
     """Render an SVG document; returns the markup and the geometry used."""
     geom = chart_geometry(bands, markers, reference_bands, width, height)
-    return "".join(svg_chunks(geom, bands, markers, reference_bands, title)), geom
+    return "".join(svg_document(geom, bands, markers, reference_bands, title).chunks()), geom
 
 
-def svg_chunks(
+def svg_document(
     geom: ChartGeometry,
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
     title: str = "",
-) -> Iterator[str]:
-    """The SVG document on ``geom``: a head, one chunk per band polygon, then a tail.
+) -> BandDocument:
+    """The SVG document on ``geom``: a head, each band's polygons, then a tail.
 
     Band polygons walk the lower edge left to right, then the upper edge
     back, per contiguous physical run. Non-physical points are not drawn.
@@ -186,19 +213,21 @@ def svg_chunks(
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
 
-    def polygons() -> Iterator[str]:
-        for band in bands:
-            color = colors[band.network]
-            for start, stop in _physical_runs(band.physical):
-                xs = [f"{v:.2f}" for v in geom.xs_px(band.tps[start:stop])]
-                lower = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_lower[start:stop])]
-                upper = [f"{v:.2f}" for v in geom.ys_px(band.kwh_per_tx_upper[start:stop])]
-                edges = chain(zip(xs, lower), zip(reversed(xs), reversed(upper)))
-                points = " ".join([f"{x},{y}" for x, y in edges])
-                yield (
-                    f'<polygon points="{points}" fill="{color}" fill-opacity="0.35" '
-                    f'stroke="{color}" stroke-width="1"/>\n'
-                )
+    def polygons(band: ConsumptionBand) -> str:
+        color = colors[band.network]
+        out = []
+        for start, stop in _physical_runs(band.physical):
+            # Each x is formatted once, with the comma that both of its vertices use.
+            xs = [f"{v:.2f}," for v in geom.xs_px(band.tps[start:stop])]
+            lower = geom.ys_px(band.kwh_per_tx_lower[start:stop])
+            upper = geom.ys_px(band.kwh_per_tx_upper[start:stop])
+            vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower)]
+            vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper))]
+            out.append(
+                f'<polygon points="{" ".join(vertices)}" fill="{color}" fill-opacity="0.35" '
+                f'stroke="{color}" stroke-width="1"/>\n'
+            )
+        return "".join(out)
 
     tail = [
         f'<circle cx="{_fmt(geom.x_px(marker.tps))}" cy="{_fmt(geom.y_px(marker.kwh_per_tx))}" '
@@ -208,7 +237,7 @@ def svg_chunks(
     tail.extend(_frame_and_labels(geom, title))
     tail.extend(_legend(geom, colors))
     tail.append("</svg>")
-    return chain(["\n".join(head) + "\n"], polygons(), ["\n".join(tail) + "\n"])
+    return BandDocument("\n".join(head) + "\n", bands, polygons, "\n".join(tail) + "\n")
 
 
 def _color_map(

@@ -190,8 +190,11 @@ def consumption_band(
     rates = list(map(float, grid))
     if not rates:
         raise GridDomainError("empty throughput grid")
+    # NaN fails every comparison, so it is caught by the order or an endpoint check.
+    if not all(map(operator.lt, rates, rates[1:])):
+        raise GridDomainError(f"{network}: band grid must be strictly increasing")
     max_tps = profile.max_tps
-    if not all(0 < rate <= max_tps for rate in rates):
+    if not 0 < rates[0] or not rates[-1] <= max_tps:  # in order, so these bound the rest
         raise GridDomainError(
             f"grid values must lie in (0, {max_tps!r}] for {network!r}"
         )

@@ -9,10 +9,10 @@ environment details leak into the output.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .baselines import BaselineBand, BaselineRecord, summarize
-from .chart import PointMarker, ReferenceBand
+from .chart import BandDocument, PointMarker, ReferenceBand
 from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
 from .estimator import (
     ConsumptionBand,
@@ -314,15 +314,15 @@ def baseline_chart_elements(
 _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical")
 
 
-def _chart_row_chunks(
+def _chart_anchor_rows(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> Iterator[list[Row]]:
-    """The rows of each band, sorted by network, then one list of anchor rows.
+) -> list[Row]:
+    """The baseline rows that follow the bands in a chart CSV.
 
     Reference bands contribute two rows, pinned to the extremes of the plotted
-    grids. Only the band rows are lazy; the anchors, which can raise, are built here.
+    grids; markers one row each.
     """
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     anchors = [
@@ -334,18 +334,7 @@ def _chart_row_chunks(
         (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx)
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    anchor_rows = [(label, *map(format_series, values), "true") for label, *values in anchors]
-    # f"{v:.10g}" is format_series, inlined for the per-point hot path.
-    band_rows = (
-        [
-            (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
-            for t, lo, up, ok in zip(
-                band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
-            )
-        ]
-        for band in sorted(bands, key=lambda b: b.network)
-    )
-    return chain(band_rows, [anchor_rows])
+    return [(label, *map(format_series, values), "true") for label, *values in anchors]
 
 
 def chart_rows(
@@ -353,19 +342,44 @@ def chart_rows(
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> list[Row]:
-    """Flatten band series (plus baseline anchors) into CSV cells."""
-    return list(chain.from_iterable(_chart_row_chunks(bands, baseline_markers, reference_bands)))
+    """Flatten band series, sorted by network, plus the baseline anchors into CSV cells."""
+    # f"{v:.10g}" is format_series, inlined for the per-point hot path.
+    rows = [
+        (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
+        for band in sorted(bands, key=lambda b: b.network)
+        for t, lo, up, ok in zip(
+            band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
+        )
+    ]
+    return rows + _chart_anchor_rows(bands, baseline_markers, reference_bands)
 
 
 def chart_csv(rows: Sequence[Row]) -> str:
     return render_grid_csv(_CHART_HEADER, rows)
 
 
-def chart_csv_chunks(
+_PHYSICAL_CELLS = ("false", "true")  # indexed by a band's physical flag
+
+
+def _band_csv(band: ConsumptionBand) -> str:
+    """The CSV lines of one band's rows in :func:`chart_rows`, one f-string per row."""
+    network = band.network
+    physical = map(_PHYSICAL_CELLS.__getitem__, band.physical)
+    return "".join([
+        f"{network},{t:.10g},{lo:.10g},{up:.10g},{ok}\n"
+        for t, lo, up, ok in zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical)
+    ])
+
+
+def chart_csv_document(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> Iterator[str]:
-    """``chart_csv(chart_rows(...))`` as the header, one string per band, then the anchors."""
-    chunks = _chart_row_chunks(bands, baseline_markers, reference_bands)
-    return map(_csv_lines, chain([[_CHART_HEADER]], chunks))
+) -> BandDocument:
+    """``chart_csv(chart_rows(...))`` as the header, one text per band, then the anchors.
+
+    The anchors, which can raise, are built before this returns.
+    """
+    anchors = _chart_anchor_rows(bands, baseline_markers, reference_bands)
+    ordered = sorted(bands, key=lambda b: b.network)
+    return BandDocument(_csv_lines([_CHART_HEADER]), ordered, _band_csv, _csv_lines(anchors))

@@ -1,5 +1,7 @@
 """End-to-end command line behaviour, driven through main()."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posenergy
 from posenergy import cli, report
 from posenergy.baselines import load_baselines
+from posenergy.chart import render_chart
 from posenergy.cli import build_parser, main
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 
@@ -229,6 +234,107 @@ class TestStreaming:
         target.write_bytes(b"earlier output\n")
         assert run(capsys, "chart", "--format", fmt, *argv, "--out", str(target))[0] == 1
         assert target.read_bytes() == b"earlier output\n"
+
+
+@contextlib.contextmanager
+def forced_split():
+    """Every chart of two or more bands formats its second half in a forked child.
+
+    Yields the pids that ``os.fork`` returned in this process.
+    """
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_SPLIT_MIN_POINTS", 0)
+        patch.setattr(cli, "_cpu_count", lambda: 2)
+        patch.setattr(os, "fork", recording_fork)
+        yield forks
+
+
+def run_main(argv, stdout=None):
+    out, err = stdout or io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+BUNDLED_OBSERVATIONS = load_snapshots(bundled("observations.csv")).observations
+BUNDLED_BOUNDS = load_bounds(bundled("bounds.csv"))
+BUNDLED_PROFILES = load_profiles(bundled("profiles.csv"), BUNDLED_BOUNDS)
+BASELINE_ELEMENTS = report.baseline_chart_elements(load_baselines(bundled("baselines.cfg")))
+NETWORKS = sorted(BUNDLED_PROFILES)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestSplitFormatting:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        points=st.integers(2, 60),
+        count=st.sampled_from([1, 2, 3, 7, len(NETWORKS)]),
+        fmt=st.sampled_from(["csv", "svg"]),
+        data=st.data(),
+    )
+    def test_split_output_equals_serial_library_output(self, points, count, fmt, data):
+        networks = data.draw(st.permutations(NETWORKS))[:count]
+        bands = report.chart_bands(BUNDLED_OBSERVATIONS, BUNDLED_PROFILES, networks=networks,
+                                   n_points=points)
+        baseline_markers, refs = BASELINE_ELEMENTS
+        if fmt == "csv":
+            expected = report.chart_csv(report.chart_rows(bands, baseline_markers, refs))
+        else:
+            markers = report.observation_markers(BUNDLED_OBSERVATIONS, BUNDLED_BOUNDS, networks)
+            expected = render_chart(bands, markers + baseline_markers, refs)[0]
+        argv = ["chart", "--format", fmt, "--points", str(points)]
+        argv += [arg for network in networks for arg in ("--network", network)]
+        with forced_split() as forks:
+            code, out, err = run_main(argv)
+        assert (code, err) == (0, "")
+        assert out == expected
+        assert len(forks) == (count > 1)
+        assert_no_child_left()
+
+    def test_failed_worker_named(self, monkeypatch):
+        def body(band):
+            if band.network == NETWORKS[-1]:  # sorted last, so formatted by the child
+                raise RuntimeError("format failed")
+            return band_csv(band)
+
+        band_csv = report._band_csv
+        monkeypatch.setattr(report, "_band_csv", body)
+        with forced_split() as forks:
+            code, _, err = run_main(["chart", "--points", "5"])
+        assert code == 1
+        assert err == f"error: chart worker (pid {forks[0]}) exited with status 1\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_closed_sink_reaps_worker(self, fmt):
+        class ClosedAfterFirstWrite(io.StringIO):
+            """A pipe whose reader took one chunk and left, like ``| head -1``."""
+
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        with forced_split() as forks:
+            code, out, err = run_main(["chart", "--format", fmt, "--points", "50"],
+                                      stdout=ClosedAfterFirstWrite())
+        assert (code, err) == (1, "error: [Errno 32] Broken pipe\n")
+        assert len(forks) == 1 and out.count("\n") >= 1
+        assert_no_child_left()
 
 
 class TestBenchTracerContract:
@@ -458,7 +564,7 @@ class TestInstalledEntryPoint:
 class TestImportFootprint:
     def test_cli_import_loads_no_network_or_numeric_modules(self):
         # a fresh interpreter, so modules other tests imported do not count
-        heavy = ("numpy", "requests", "urllib.request", "concurrent.futures")
+        heavy = ("numpy", "requests", "urllib.request", "concurrent.futures", "multiprocessing")
         src = str(Path(posenergy.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(

@@ -237,6 +237,29 @@ class TestConsumptionBand:
         with pytest.raises(GridDomainError):
             consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [float("nan"), 1.0])
 
+    @given(
+        grid=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -1.0, 100.0, float("nan"), float("inf")]),
+                st.floats(min_value=1e-3, max_value=150.0),
+            ),
+            max_size=6,
+        )
+    )
+    def test_domain_check_matches_pointwise_rule(self, grid):
+        # the per-point rule the order-then-endpoints check replaced
+        valid = (
+            bool(grid)
+            and all(0 < rate <= 100.0 for rate in grid)
+            and all(a < b for a, b in zip(grid, grid[1:]))
+        )
+        fit, profile = flat_fit("polkadot", 297), polkadot_profile(100.0)
+        if valid:
+            assert consumption_band(fit, profile, grid).tps == tuple(grid)
+        else:
+            with pytest.raises(GridDomainError):
+                consumption_band(fit, profile, grid)
+
     @settings(deadline=None)
     @given(
         intercept=st.floats(min_value=-1e4, max_value=1e4),

@@ -6,16 +6,19 @@ a traceback, and a snapshot written by the program must read back exactly.
 """
 
 import contextlib
+import csv
 import datetime as dt
 import io
 import re
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from posenergy.baselines import load_baselines
 from posenergy.cli import main
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
@@ -76,14 +79,25 @@ def csv_files(header):
     return rows.map(lambda lines: "".join(line + "\n" for line in [",".join(header), *lines]))
 
 
+# Section names: network ids, names a CSV cell or SVG text would mangle, and any line.
+SECTION_NAMES = st.one_of(
+    st.sampled_from(["visa", "bitcoin-lower", "bitcoin-upper", "a", "", "a<b&c", "a,b", "Visa"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), min_size=1, max_size=8),
+)
 CFG_LINES = st.one_of(
-    st.sampled_from(["visa", "bitcoin-lower", "bitcoin-upper", "a", ""]).map("[{}]".format),
+    SECTION_NAMES.map("[{}]".format),
     st.tuples(st.sampled_from(["year", "amount", "unit", "tps", "note"]), CELLS).map(
         " = ".join
     ),
     TEXT,
 )
-CFG_FILES = st.lists(CFG_LINES, max_size=12).map(lambda lines: "".join(l + "\n" for l in lines))
+# Whole records, so that files which load, and the names they print, are drawn often.
+RECORD = "[{}]\nyear = 2021\namount = 646000\nunit = GJ\ntps = 1736"
+CFG_SECTIONS = SECTION_NAMES.map(RECORD.format)
+CFG_FILES = st.one_of(
+    st.lists(CFG_SECTIONS, min_size=1, max_size=3),
+    st.lists(st.one_of(CFG_LINES, CFG_SECTIONS), max_size=12),
+).map(lambda lines: "".join(l + "\n" for l in lines))
 
 
 def loaded_or_named(load, text):
@@ -138,8 +152,10 @@ DATA_FLAGS = [
     ([*CHART, "--format", "svg"], "--observations", OBSERVATION_HEADER[:4]),
     (CHART, "--bounds", BOUNDS_HEADER),
     (CHART, "--profiles", PROFILES_HEADER),
+    (CHART, "--baselines", None),
     ([*CHART, "--format", "svg"], "--baselines", None),
     (["baseline", "--verify"], "--baselines", None),
+    (["baseline", "--format", "csv"], "--baselines", None),
     (["baseline", "--verify"], "--reported", REPORTED_HEADER),
     (["adjust-solana"], "--observations", OBSERVATION_HEADER),
 ]
@@ -162,6 +178,37 @@ class TestDataFlags:
         if code == 1:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert_well_formed(argv, out)
+
+
+def assert_well_formed(argv, out):
+    """An SVG parses as XML, and every CSV row has as many cells as the header."""
+    if "svg" in argv:
+        ElementTree.fromstring(out)
+    elif argv[0] == "chart" or "csv" in argv:
+        widths = {len(row) for row in csv.reader(io.StringIO(out))}
+        assert len(widths) == 1, out
+
+
+class TestBaselineNames:
+    @SETTINGS
+    @given(name=SECTION_NAMES)
+    def test_network_id_or_path_and_section_named(self, name):
+        text = RECORD.format(name) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "baselines.cfg"
+            path.write_text(text, encoding="utf-8")
+            valid = re.fullmatch(r"[a-z0-9][a-z0-9_-]*", name)
+            try:
+                records = load_baselines(path)
+            except ValueError as exc:
+                assert not valid
+                # "[]" is no section header, so that file has none to name
+                named = f"{path} [{name}]: invalid network id" if name else f"{path}: "
+                assert str(exc).startswith(named), str(exc)
+            else:
+                assert valid and [record.name for record in records] == [name]
 
 
 NETWORK_IDS = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,11}", fullmatch=True)
