@@ -152,6 +152,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` become entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 class BandDocument(NamedTuple):
     """A chart output as a head, one text per band, then a tail.
 
@@ -291,7 +296,7 @@ def _frame_and_labels(geom: ChartGeometry, title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{_fmt(mid_x)}" y="24" font-size="16" text-anchor="middle" '
-            f'fill="#111111">{title}</text>'
+            f'fill="#111111">{_escape(title)}</text>'
         )
     return parts
 
@@ -306,6 +311,6 @@ def _legend(geom: ChartGeometry, colors: dict[str, str]) -> Iterator[str]:
         )
         yield (
             f'<text x="{_fmt(x + 18)}" y="{_fmt(y + 2)}" font-size="12" '
-            f'fill="#111111">{label}</text>'
+            f'fill="#111111">{_escape(label)}</text>'
         )
         y += 18

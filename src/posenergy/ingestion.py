@@ -37,7 +37,6 @@ OBSERVATION_HEADER = (
     "total_per_day",
     "provenance",
 )
-_REQUIRED_COLUMNS = ("network", "date", "validators", "tps")
 
 
 class SnapshotFormatError(ValueError):
@@ -76,7 +75,7 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     observations: list[NetworkObservation] = []
     votes: list[VoteRatioRecord] = []
     seen: set[tuple[str, dt.date]] = set()
-    for number, (observation, vote) in _read_csv(path, _REQUIRED_COLUMNS, _parse_row):
+    for number, (observation, vote) in _read_csv(path, OBSERVATION_HEADER, 4, _parse_row):
         if observation is not None:
             key = (observation.network, observation.date)
             if key in seen:
@@ -92,32 +91,31 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
 
 
 def _parse_row(
-    cell: Callable[[str], str],
+    network: str, date: str, validators: str, tps: str, nonvote: str, total: str, provenance: str
 ) -> tuple[NetworkObservation | None, VoteRatioRecord | None]:
-    network = validate_network_id(cell("network"))
-    date = parse_date(cell("date"))
-    tps = float(cell("tps"))
-    validators_cell = cell("validators")
-    nonvote_cell = cell("nonvote_per_day")
-    total_cell = cell("total_per_day")
-    if bool(nonvote_cell) != bool(total_cell):
+    """One row's observation and vote record, each field validated once."""
+    reported_tps = float(tps)
+    if bool(nonvote) != bool(total):
         raise ValueError("nonvote_per_day and total_per_day must appear together")
 
     observation = None
-    if validators_cell:
-        observation = NetworkObservation(
-            network, date, int(validators_cell), tps, provenance=cell("provenance")
-        )
-    elif not nonvote_cell:
+    if validators:
+        # NetworkObservation validates the network id and the date
+        observation = NetworkObservation(network, date, int(validators), reported_tps, provenance)
+        day = observation.date
+    elif nonvote:
+        validate_network_id(network)
+        day = parse_date(date)
+    else:
         raise ValueError("validators cell is empty and no vote counts are present")
 
     vote = None
-    if nonvote_cell:
+    if nonvote:
         vote = VoteRatioRecord(
-            date=date,
-            nonvote_tx_per_day=int(nonvote_cell),
-            total_tx_per_day=int(total_cell),
-            reported_tps=tps,
+            date=day,
+            nonvote_tx_per_day=int(nonvote),
+            total_tx_per_day=int(total),
+            reported_tps=reported_tps,
         )
     return observation, vote
 
@@ -134,17 +132,18 @@ def merge(*observation_sets: Iterable[NetworkObservation]) -> list[NetworkObserv
             bucket = buckets.setdefault((obs.network, obs.date), [])
             if obs not in bucket:
                 bucket.append(obs)
+    ordered = sorted(buckets.items())
     conflicts = [
         f"({network}, {date.isoformat()}): "
         + " vs ".join(
             f"validators={o.validators} tps={o.tps!r} provenance={o.provenance!r}" for o in rows
         )
-        for (network, date), rows in sorted(buckets.items())
+        for (network, date), rows in ordered
         if len(rows) > 1
     ]
     if conflicts:
         raise MergeConflictError("conflicting observations: " + "; ".join(conflicts))
-    return [rows[0] for _, rows in sorted(buckets.items())]
+    return [rows[0] for _, rows in ordered]
 
 
 def write_snapshot(
@@ -160,6 +159,10 @@ def write_snapshot(
     a date and the reported throughput.
     """
     rows = sorted(observations, key=lambda o: (o.network, o.date))
+    for obs in rows:
+        # loading strips cells, and the csv reader of Python 3.10 refuses NUL
+        if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
+            raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
     pending = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
 
     def take_match(obs: NetworkObservation) -> VoteRatioRecord | None:
@@ -168,86 +171,81 @@ def write_snapshot(
                 return pending.pop(index)
         return None
 
+    def observation_row(obs: NetworkObservation) -> tuple:
+        vote = take_match(obs) if pending else None
+        return (
+            obs.network,
+            obs.date.isoformat(),
+            obs.validators,
+            repr(obs.tps),
+            vote.nonvote_tx_per_day if vote else "",
+            vote.total_tx_per_day if vote else "",
+            obs.provenance,
+        )
+
+    # every row is checked above, so a refused write leaves an existing file as it was
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_HEADER)
-        for obs in rows:
-            # loading strips cells, and the csv reader of Python 3.10 refuses NUL
-            if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
-                raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
-            vote = take_match(obs)
-            writer.writerow(
-                (
-                    obs.network,
-                    obs.date.isoformat(),
-                    obs.validators,
-                    repr(obs.tps),
-                    vote.nonvote_tx_per_day if vote else "",
-                    vote.total_tx_per_day if vote else "",
-                    obs.provenance,
-                )
+        writer.writerows(map(observation_row, rows))
+        writer.writerows(
+            (
+                "solana",
+                vote.date.isoformat(),
+                "",
+                repr(vote.reported_tps),
+                vote.nonvote_tx_per_day,
+                vote.total_tx_per_day,
+                "",
             )
-        for vote in pending:
-            writer.writerow(
-                (
-                    "solana",
-                    vote.date.isoformat(),
-                    "",
-                    repr(vote.reported_tps),
-                    vote.nonvote_tx_per_day,
-                    vote.total_tx_per_day,
-                    "",
-                )
-            )
+            for vote in pending
+        )
 
 
 def load_bounds(path: str | os.PathLike[str]) -> dict[str, ValidatorPowerBounds]:
     """Read per-validator power bounds, keyed by network."""
-    def parse(cell: Callable[[str], str]) -> ValidatorPowerBounds:
-        return ValidatorPowerBounds(
-            network=cell("network"),
-            lower_w=float(cell("lower_w")),
-            upper_w=float(cell("upper_w")),
-            source_note=cell("source"),
-        )
+    def parse(network: str, lower_w: str, upper_w: str, source: str) -> ValidatorPowerBounds:
+        return ValidatorPowerBounds(network, float(lower_w), float(upper_w), source)
 
-    return _read_table(path, ("network", "lower_w", "upper_w"), parse, "bounds")
+    return _read_table(path, ("network", "lower_w", "upper_w", "source"), 3, parse, "bounds")
 
 
 def load_profiles(
     path: str | os.PathLike[str], bounds: dict[str, ValidatorPowerBounds]
 ) -> dict[str, NetworkProfile]:
     """Read throughput profiles and attach each network's power bounds."""
-    def parse(cell: Callable[[str], str]) -> NetworkProfile:
-        network = cell("network")
+    def parse(network: str, max_tps: str) -> NetworkProfile:
         if network not in bounds:
             raise ValueError(f"no power bounds for {network!r}")
-        return NetworkProfile(network, bounds[network], float(cell("max_tps")))
+        return NetworkProfile(network, bounds[network], float(max_tps))
 
-    return _read_table(path, ("network", "max_tps"), parse, "profile")
+    return _read_table(path, ("network", "max_tps"), 2, parse, "profile")
 
 
 def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
     """Read published reference estimates used by the erratum cross-check."""
-    def parse(cell: Callable[[str], str]) -> ReportedEstimate:
-        tps_cell, validators_cell = cell("tps"), cell("validators")
+    def parse(
+        name: str, global_kw: str, kwh_per_tx: str, tps: str, validators: str
+    ) -> ReportedEstimate:
         return ReportedEstimate(
-            name=cell("name"),
-            global_kw=float(cell("global_kw")),
-            kwh_per_tx=float(cell("kwh_per_tx")),
-            tps=float(tps_cell) if tps_cell else None,
-            validators=int(validators_cell) if validators_cell else None,
+            name=name,
+            global_kw=float(global_kw),
+            kwh_per_tx=float(kwh_per_tx),
+            tps=float(tps) if tps else None,
+            validators=int(validators) if validators else None,
         )
 
-    return _read_table(path, ("name", "global_kw", "kwh_per_tx"), parse, "estimate")
+    columns = ("name", "global_kw", "kwh_per_tx", "tps", "validators")
+    return _read_table(path, columns, 3, parse, "estimate")
 
 
 def _read_table(
-    path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable, what: str
+    path: str | os.PathLike[str], columns: tuple[str, ...], required: int,
+    parse: Callable, what: str,
 ) -> dict[str, Any]:
-    """``parse`` of each row, keyed by its ``required[0]`` cell; a repeated key names its row."""
+    """``parse`` of each row, keyed by its first cell; a repeated key names its row."""
     out: dict[str, Any] = {}
-    keyed = _read_csv(path, required, lambda cell: (cell(required[0]), parse(cell)))
+    keyed = _read_csv(path, columns, required, lambda *cells: (cells[0], parse(*cells)))
     for row, (key, parsed) in keyed:
         if key in out:
             raise SnapshotFormatError(f"{os.fspath(path)} row {row}: duplicate {what} for {key!r}")
@@ -255,17 +253,17 @@ def _read_table(
     return out
 
 
-def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Callable):
-    """Yield ``(row number, parse(cell))``; a parse ValueError or a csv.Error names the row.
+def _read_csv(
+    path: str | os.PathLike[str], columns: tuple[str, ...], required: int, parse: Callable
+):
+    """Yield ``(row number, parse(*cells))``; a parse ValueError or a csv.Error names the row.
 
-    ``cell(name)`` is the stripped cell of the current row, "" if the header lacks it.
+    The header must name the first ``required`` of ``columns``, and is mapped to
+    positions once; a repeated name reads its last column. ``cells`` are the
+    row's stripped cells in ``columns`` order, "" for a column the header
+    lacks. A row too short for a column the header has fails as
+    ``missing '<column>' cell``. Blank lines are skipped and not counted.
     """
-    def cell(name: str) -> str:
-        value = row.get(name, "")
-        if value is None:
-            raise ValueError(f"missing {name!r} cell")
-        return value.strip()
-
     try:
         # decoded whole, so an error offset counts from the start of the file
         text = Path(path).read_bytes().decode("utf-8")
@@ -273,18 +271,29 @@ def _read_csv(path: str | os.PathLike[str], required: tuple[str, ...], parse: Ca
         raise SnapshotFormatError(
             f"{os.fspath(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     number = 1  # the row the reader is on, for errors the reader itself raises
     try:
-        if reader.fieldnames is None:
+        header = next(reader, None)
+        if header is None:
             raise SnapshotFormatError(f"{os.fspath(path)}: empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
+        position = {name: index for index, name in enumerate(header)}
+        missing = [c for c in columns[:required] if c not in position]
         if missing:
             raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
+        positions = [position.get(c) for c in columns]
+        width = 1 + max(p for p in positions if p is not None)
         number = 2
         for row in reader:
+            if not row:
+                continue
             try:
-                parsed = parse(cell)
+                if len(row) < width:
+                    short = next(
+                        c for c, p in zip(columns, positions) if p is not None and p >= len(row)
+                    )
+                    raise ValueError(f"missing {short!r} cell")
+                parsed = parse(*[row[p].strip() if p is not None else "" for p in positions])
             except ValueError as exc:
                 raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
             yield number, parsed

@@ -8,7 +8,7 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .baselines import BaselineBand, BaselineRecord, summarize
@@ -362,13 +362,15 @@ _PHYSICAL_CELLS = ("false", "true")  # indexed by a band's physical flag
 
 
 def _band_csv(band: ConsumptionBand) -> str:
-    """The CSV lines of one band's rows in :func:`chart_rows`, one f-string per row."""
-    network = band.network
+    """The CSV lines of one band's rows in :func:`chart_rows`, one ``%`` per row.
+
+    The network is a cell, never part of the format, so a ``%`` in its name stays text.
+    """
     physical = map(_PHYSICAL_CELLS.__getitem__, band.physical)
-    return "".join([
-        f"{network},{t:.10g},{lo:.10g},{up:.10g},{ok}\n"
-        for t, lo, up, ok in zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical)
-    ])
+    rows = zip(
+        repeat(band.network), band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical
+    )
+    return "".join(["%s,%.10g,%.10g,%.10g,%s\n" % row for row in rows])
 
 
 def chart_csv_document(

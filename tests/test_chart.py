@@ -4,6 +4,8 @@ import math
 import re
 from itertools import compress
 
+from xml.etree import ElementTree
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -152,6 +154,20 @@ class TestRenderChart:
         assert "energy per transaction (kWh/tx)" in svg
         assert ">bands</text>" in svg
         assert isinstance(geom, ChartGeometry)
+
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            ({"title": "R&D <draft>"}, "R&D <draft>"),
+            ({"markers": [PointMarker("a<b", 1.0, 1e-5)]}, "a<b"),
+            ({"reference_bands": [ReferenceBand("x&y", 1e-5, 1e-4)]}, "x&y"),
+        ],
+        ids=["title", "marker", "reference-band"],
+    )
+    def test_text_is_escaped(self, kwargs, text):
+        svg, _ = render_chart([band()], **kwargs)
+        root = ElementTree.fromstring(svg)
+        assert text in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_polygon_vertices_match_geometry(self):
         b = band()

@@ -20,9 +20,18 @@ from hypothesis import strategies as st
 
 from posenergy.baselines import load_baselines
 from posenergy.cli import main
-from posenergy.core import NetworkObservation
+from posenergy.core import (
+    NetworkObservation,
+    NetworkProfile,
+    ValidatorPowerBounds,
+    parse_date,
+    validate_network_id,
+)
+from posenergy.estimator import ReportedEstimate
 from posenergy.ingestion import (
     OBSERVATION_HEADER,
+    DuplicateObservationError,
+    Snapshot,
     SnapshotFormatError,
     bundled,
     load_bounds,
@@ -63,13 +72,13 @@ PLAUSIBLE = {
 }
 
 
-def csv_files(header):
+def csv_files(header, values=PLAUSIBLE):
     """A header row, then rows that are well typed, partly typed, or any cells at all.
 
     Rows of any cells may be short or long; a partly typed row draws each
-    cell from its column's plausible values or from any cell.
+    cell from its column's plausible ``values`` or from any cell.
     """
-    plausible = [PLAUSIBLE.get(column, AMOUNTS) for column in header]
+    plausible = [values.get(column, AMOUNTS) for column in header]
     row = st.one_of(
         st.tuples(*plausible),
         st.tuples(*(st.one_of(cells, CELLS) for cells in plausible)),
@@ -132,6 +141,248 @@ class TestLoaders:
     @given(data=st.data())
     def test_rows_parse_or_name_path_and_row(self, load, header, data):
         loaded_or_named(load, data.draw(csv_files(header)))
+
+
+# Reference loaders: a csv.DictReader and a ``cell(name)`` accessor that reads each
+# field by name, in the order each parser asks for it. The positional reader must
+# load every file to an equal result, or fail naming the same path and row. The one
+# exception: it rejects a vote-only row that lacks its provenance cell, which these
+# loaders never read.
+
+
+def reference_read_csv(path, required, parse):
+    def cell(name):
+        value = row.get(name, "")
+        if value is None:
+            raise ValueError(f"missing {name!r} cell")
+        return value.strip()
+
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    number = 1
+    try:
+        if reader.fieldnames is None:
+            raise SnapshotFormatError(f"{path}: empty file, expected a header row")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise SnapshotFormatError(f"{path}: missing columns {missing}")
+        number = 2
+        for row in reader:
+            try:
+                parsed = parse(cell)
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{path} row {number}: {exc}") from exc
+            yield number, parsed
+            number += 1
+    except csv.Error as exc:
+        raise SnapshotFormatError(f"{path} row {number}: {exc}") from exc
+
+
+def reference_parse_row(cell):
+    network = validate_network_id(cell("network"))
+    date = parse_date(cell("date"))
+    tps = float(cell("tps"))
+    validators_cell = cell("validators")
+    nonvote_cell = cell("nonvote_per_day")
+    total_cell = cell("total_per_day")
+    if bool(nonvote_cell) != bool(total_cell):
+        raise ValueError("nonvote_per_day and total_per_day must appear together")
+    observation = None
+    if validators_cell:
+        observation = NetworkObservation(
+            network, date, int(validators_cell), tps, provenance=cell("provenance")
+        )
+    elif not nonvote_cell:
+        raise ValueError("validators cell is empty and no vote counts are present")
+    vote = None
+    if nonvote_cell:
+        vote = VoteRatioRecord(date, int(nonvote_cell), int(total_cell), tps)
+    return observation, vote
+
+
+def reference_load_snapshots(path):
+    observations, votes, seen = [], [], set()
+    for number, (observation, vote) in reference_read_csv(
+        path, OBSERVATION_HEADER[:4], reference_parse_row
+    ):
+        if observation is not None:
+            key = (observation.network, observation.date)
+            if key in seen:
+                raise DuplicateObservationError(
+                    f"{path} row {number}: duplicate observation for "
+                    f"({key[0]}, {key[1].isoformat()})"
+                )
+            seen.add(key)
+            observations.append(observation)
+        if vote is not None:
+            votes.append(vote)
+    return Snapshot(tuple(observations), tuple(votes))
+
+
+def reference_read_table(path, required, parse, what):
+    out = {}
+    keyed = reference_read_csv(path, required, lambda cell: (cell(required[0]), parse(cell)))
+    for row, (key, parsed) in keyed:
+        if key in out:
+            raise SnapshotFormatError(f"{path} row {row}: duplicate {what} for {key!r}")
+        out[key] = parsed
+    return out
+
+
+def reference_load_bounds(path):
+    def parse(cell):
+        return ValidatorPowerBounds(
+            network=cell("network"),
+            lower_w=float(cell("lower_w")),
+            upper_w=float(cell("upper_w")),
+            source_note=cell("source"),
+        )
+
+    return reference_read_table(path, ("network", "lower_w", "upper_w"), parse, "bounds")
+
+
+def reference_load_profiles(path, bounds):
+    def parse(cell):
+        network = cell("network")
+        if network not in bounds:
+            raise ValueError(f"no power bounds for {network!r}")
+        return NetworkProfile(network, bounds[network], float(cell("max_tps")))
+
+    return reference_read_table(path, ("network", "max_tps"), parse, "profile")
+
+
+def reference_load_reported(path):
+    def parse(cell):
+        tps_cell, validators_cell = cell("tps"), cell("validators")
+        return ReportedEstimate(
+            name=cell("name"),
+            global_kw=float(cell("global_kw")),
+            kwh_per_tx=float(cell("kwh_per_tx")),
+            tps=float(tps_cell) if tps_cell else None,
+            validators=int(validators_cell) if validators_cell else None,
+        )
+
+    return reference_read_table(path, ("name", "global_kw", "kwh_per_tx"), parse, "estimate")
+
+
+# An empty validators cell makes a snapshot row vote-only.
+READER_VALUES = {**PLAUSIBLE, "validators": st.one_of(COUNTS, st.just(""))}
+
+
+@st.composite
+def reader_files(draw, header):
+    """``csv_files`` text, at times with a header name repeated; blank lines follow the header."""
+    names = list(header)
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(header)))
+    lines = draw(csv_files(names, READER_VALUES)).split("\n")[:-1]
+    for index in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=3)), reverse=True):
+        lines.insert(index, "")
+    return "".join(line + "\n" for line in lines)
+
+
+def load_outcome(load, path):
+    """``("loaded", repr of the result)``, or the error type and where it is named.
+
+    A repr compares NaN cells as equal. An error that names a row is placed
+    by ``<path> row N``; any other error by its whole message.
+    """
+    try:
+        return "loaded", repr(load(path)), ""
+    except SnapshotFormatError as exc:
+        message = str(exc)
+        row = re.match(rf"{re.escape(str(path))} row \d+", message)
+        return type(exc).__name__, row.group(0) if row else message, message
+
+
+def row_number(where):
+    return int(where.rsplit(" ", 1)[1])
+
+
+REFERENCE_LOADERS = [
+    (load_snapshots, reference_load_snapshots, OBSERVATION_HEADER),
+    (load_snapshots, reference_load_snapshots, OBSERVATION_HEADER[:4]),
+    (load_bounds, reference_load_bounds, BOUNDS_HEADER),
+    (
+        lambda path: load_profiles(path, BUNDLED_BOUNDS),
+        lambda path: reference_load_profiles(path, BUNDLED_BOUNDS),
+        PROFILES_HEADER,
+    ),
+    (load_reported, reference_load_reported, REPORTED_HEADER),
+]
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize(
+        "load, reference, header",
+        REFERENCE_LOADERS,
+        ids=["snapshots", "snapshots-required", "bounds", "profiles", "reported"],
+    )
+    @SETTINGS
+    @given(data=st.data())
+    def test_same_result_or_same_row(self, load, reference, header, data):
+        text = data.draw(reader_files(header))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, encoding="utf-8")
+            kind, where, message = load_outcome(load, path)
+            expected = load_outcome(reference, path)
+        if (kind, where) != expected[:2]:
+            # the one intended change: a vote-only row that lacks its provenance cell
+            assert message.endswith("missing 'provenance' cell"), (message, expected)
+            assert expected[0] == "loaded" or row_number(expected[1]) > row_number(where)
+
+    def load_both(self, tmp_path, load, reference, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        outcome = load_outcome(load, path)
+        assert outcome == load_outcome(reference, path)
+        return outcome
+
+    def test_blank_first_line_misses_columns(self, tmp_path):
+        text = "\nnetwork,date,validators,tps\nnear,2023-01-31,158,6.33\n"
+        _, where, _ = self.load_both(tmp_path, load_snapshots, reference_load_snapshots, text)
+        assert where.endswith(": missing columns ['network', 'date', 'validators', 'tps']")
+
+    def test_blank_lines_are_not_rows(self, tmp_path):
+        text = (
+            "network,date,validators,tps\n\n"
+            "near,2023-01-31,158,6.33\n\n\n"
+            "near,2023-02-01,many,6.33\n"
+        )
+        _, where, _ = self.load_both(tmp_path, load_snapshots, reference_load_snapshots, text)
+        assert where.endswith("data.csv row 3")
+
+    def test_repeated_header_name_reads_last_column(self, tmp_path):
+        text = "network,lower_w,upper_w,lower_w\nnear,1,5,2\n"
+        self.load_both(tmp_path, load_bounds, reference_load_bounds, text)
+        assert load_bounds(tmp_path / "data.csv")["near"].lower_w == 2.0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("Solana,2022-12-11,,4123,1,2,", "invalid network id 'Solana'"),
+            ("solana,2022-02-30,,4123,1,2,", "invalid date '2022-02-30'"),
+        ],
+        ids=["network", "date"],
+    )
+    def test_vote_only_row_checks_network_and_date(self, tmp_path, row, message):
+        text = ",".join(OBSERVATION_HEADER) + "\n" + row + "\n"
+        *_, error = self.load_both(tmp_path, load_snapshots, reference_load_snapshots, text)
+        assert error.startswith(f"{tmp_path / 'data.csv'} row 2: {message}")
+
+    def test_vote_only_row_needs_provenance_cell(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(",".join(OBSERVATION_HEADER) + "\nsolana,2022-12-11,,4123,1,2\n")
+        assert len(reference_load_snapshots(path).vote_records) == 1
+        with pytest.raises(SnapshotFormatError) as raised:
+            load_snapshots(path)
+        assert str(raised.value) == f"{path} row 2: missing 'provenance' cell"
 
 
 def run_main(argv):

@@ -200,6 +200,16 @@ class TestWriteSnapshot:
         assert len(reloaded.observations) == 1
         assert reloaded.vote_records == (vote,)
 
+    def test_refused_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [obs("near", f"2023-01-0{day}", 158, 6.33) for day in (1, 2, 3)]
+        write_snapshot(path, rows)
+        before = path.read_bytes()
+        # the refused row sorts first, so it is the first row the writer would reach
+        with pytest.raises(ValueError, match=r"provenance of \(algorand, 2023-01-31\)"):
+            write_snapshot(path, [*rows, obs("algorand", provenance=" padded")])
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("provenance", [" padded", "nul\0byte"])
     def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance):
         with pytest.raises(ValueError, match=r"provenance of \(tezos, 2023-01-31\)"):

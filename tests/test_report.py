@@ -16,6 +16,7 @@ from posenergy.report import (
     TABLE_HEADER,
     baseline_chart_elements,
     chart_csv,
+    chart_csv_document,
     chart_rows,
     comparison_estimates,
     comparison_rows,
@@ -216,6 +217,12 @@ class TestChartSeries:
         rows = chart_rows(bands, baseline_markers=[PointMarker("visa", 1736.0, 0.0033)])
         assert rows[-1][0] == "visa"
         assert rows[-1][2] == rows[-1][3]
+
+    def test_band_name_is_a_cell_not_a_format(self):
+        bands = [ConsumptionBand("a%sb%%", (1.0, 2.0), (1e-5, 0.0), (1e-4, 0.0), (True, False))]
+        text = "".join(chart_csv_document(bands).chunks())
+        assert text == chart_csv(chart_rows(bands))
+        assert text.splitlines()[1] == "a%sb%%,1,1e-05,0.0001,true"
 
     def test_csv_header(self):
         text = chart_csv([])
