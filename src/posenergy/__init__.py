@@ -55,7 +55,6 @@ from .regression import (
     RegressionFit,
     fit_affine,
     predict_validators,
-    r_squared,
 )
 from .solana import (
     VoteRatioRecord,
@@ -65,13 +64,6 @@ from .solana import (
     mean_nonvote_ratio,
     nonvote_ratio,
     nonvote_tps,
-)
-from .units import (
-    EnergyQuantity,
-    IncompatibleUnitsError,
-    Unit,
-    as_kwh,
-    convert,
 )
 
 __version__ = "0.1.0"
@@ -83,10 +75,8 @@ __all__ = [
     "ContemporaryEstimate",
     "DegenerateVarianceError",
     "DuplicateObservationError",
-    "EnergyQuantity",
     "Erratum",
     "GridDomainError",
-    "IncompatibleUnitsError",
     "InsufficientDataError",
     "MergeConflictError",
     "NetworkObservation",
@@ -95,18 +85,15 @@ __all__ = [
     "ReportedEstimate",
     "Snapshot",
     "SnapshotFormatError",
-    "Unit",
     "ValidatorPowerBounds",
     "VoteRatioRecord",
     "adjust_tps",
     "adjusted_max_tps",
-    "as_kwh",
     "average_tps",
     "baseline_per_tx",
     "bundled",
     "consumption_band",
     "contemporary_estimate",
-    "convert",
     "default_grid",
     "energy_per_tx",
     "find_errata",
@@ -125,7 +112,6 @@ __all__ = [
     "parse_date",
     "per_second_energy",
     "predict_validators",
-    "r_squared",
     "summarize",
     "validate_network_id",
     "write_snapshot",

@@ -8,8 +8,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import validate_network_id
-from .units import EnergyQuantity, SECONDS_PER_HOUR, SECONDS_PER_YEAR, Unit, as_kwh
+from .core import JOULES_PER_KWH, SECONDS_PER_HOUR, SECONDS_PER_YEAR, validate_network_id
+
+# The energy units a baselines cfg may give an amount in, each with its size in joules.
+_JOULES_PER_UNIT = {"J": 1.0, "kWh": JOULES_PER_KWH, "GJ": 1e9, "TWh": 1e9 * JOULES_PER_KWH}
 
 
 @dataclass(frozen=True)
@@ -18,23 +20,24 @@ class BaselineRecord:
 
     name: str
     period_year: int
-    annual_energy: EnergyQuantity
+    annual_kwh: float
     tps: float
 
     def __post_init__(self) -> None:
         # the name is printed where network ids are: CSV cells, SVG legend text
         validate_network_id(self.name)
-        if self.annual_energy.value <= 0:
-            raise ValueError(f"annual energy must be positive for {self.name!r}")
-        tps = float(self.tps)
-        if not math.isfinite(tps) or tps <= 0:
-            raise ValueError(f"tps must be positive for {self.name!r}, got {self.tps!r}")
-        object.__setattr__(self, "tps", tps)
+        for field in ("annual_kwh", "tps"):
+            value = float(getattr(self, field))
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(
+                    f"{field} must be finite and positive for {self.name!r}, got {value!r}"
+                )
+            object.__setattr__(self, field, value)
 
 
 def per_second_energy(record: BaselineRecord) -> float:
     """kWh drawn per second, over a 365-day year."""
-    return as_kwh(record.annual_energy) / SECONDS_PER_YEAR
+    return record.annual_kwh / SECONDS_PER_YEAR
 
 
 def baseline_per_tx(record: BaselineRecord) -> float:
@@ -46,9 +49,10 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
     """Read baseline records from a key-value config file.
 
     Each section is one record with keys ``year``, ``amount``, ``unit`` and
-    ``tps``; extra keys (such as a free-text note) are ignored. The section
-    name is the record's name, which must be a network id. An error in a
-    section names the path and the section.
+    ``tps``; extra keys (such as a free-text note) are ignored. The unit is
+    one of J, kWh, GJ and TWh. The section name is the record's name, which
+    must be a network id. An error in a section names the path and the
+    section; records that :func:`summarize` cannot pair name the path.
     """
     where = os.fspath(path)
     parser = configparser.ConfigParser()
@@ -59,14 +63,13 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
             raise FileNotFoundError(f"no baseline config at {where!r}")
         for section in parser.sections():
             sec = parser[section]
-            records.append(
-                BaselineRecord(
-                    name=section,
-                    period_year=int(sec["year"]),
-                    annual_energy=EnergyQuantity(float(sec["amount"]), Unit(sec["unit"])),
-                    tps=float(sec["tps"]),
-                )
-            )
+            year, amount, unit = int(sec["year"]), float(sec["amount"]), sec["unit"]
+            if unit not in _JOULES_PER_UNIT:
+                raise ValueError(f"unit {unit!r} is not one of {', '.join(_JOULES_PER_UNIT)}")
+            kwh = amount * (_JOULES_PER_UNIT[unit] / JOULES_PER_KWH)
+            records.append(BaselineRecord(section, year, kwh, float(sec["tps"])))
+        section = None
+        summarize(records)
     except KeyError as exc:
         raise ValueError(f"{where} [{section}]: missing key {exc.args[0]!r}") from exc
     except (configparser.Error, ValueError) as exc:

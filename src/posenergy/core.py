@@ -12,7 +12,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .units import JOULES_PER_KWH, WATTS_PER_KW
+JOULES_PER_KWH = 3.6e6
+WATTS_PER_KW = 1_000.0
+SECONDS_PER_HOUR = 3_600
+SECONDS_PER_DAY = 86_400
+SECONDS_PER_YEAR = 31_536_000  # 365-day year
 
 _NETWORK_ID_RE = re.compile(r"[a-z0-9][a-z0-9_-]*")
 

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .baselines import BaselineBand
 from .core import (
+    JOULES_PER_KWH,
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
@@ -25,7 +26,6 @@ from .core import (
     global_power,
 )
 from .regression import RegressionFit
-from .units import JOULES_PER_KWH
 
 DEFAULT_GRID_POINTS = 200
 # Per-transaction energy diverges as throughput approaches zero; the default
@@ -232,6 +232,14 @@ class ReportedEstimate:
     kwh_per_tx: float
     tps: float | None = None
     validators: int | None = None
+
+    def __post_init__(self) -> None:
+        for field in ("global_kw", "kwh_per_tx", "tps"):
+            value = getattr(self, field)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{field} must be finite and non-negative for {self.name!r}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import io
 import os
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -155,24 +156,24 @@ def write_snapshot(
 
     Rows come out in canonical order: observations sorted by (network, date),
     then any vote records that did not fold into an observation row, sorted
-    by date. A vote record folds into an observation row when the two share
-    a date and the reported throughput.
+    by (date, reported throughput) with ties in input order. A vote record
+    folds into an observation row when the two share a date and the reported
+    throughput; of several such records, the first in that order folds.
     """
     rows = sorted(observations, key=lambda o: (o.network, o.date))
     for obs in rows:
         # loading strips cells, and the csv reader of Python 3.10 refuses NUL
         if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
             raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
-    pending = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
-
-    def take_match(obs: NetworkObservation) -> VoteRatioRecord | None:
-        for index, record in enumerate(pending):
-            if record.date == obs.date and record.reported_tps == obs.tps:
-                return pending.pop(index)
-        return None
+    # (date, reported_tps) -> its records in input order; the keys are finite, so
+    # building from the sorted records keeps the keys in sorted order too
+    pending: dict[tuple[dt.date, float], deque[VoteRatioRecord]] = {}
+    for record in sorted(vote_records, key=lambda v: (v.date, v.reported_tps)):
+        pending.setdefault((record.date, record.reported_tps), deque()).append(record)
 
     def observation_row(obs: NetworkObservation) -> tuple:
-        vote = take_match(obs) if pending else None
+        queue = pending.get((obs.date, obs.tps))
+        vote = queue.popleft() if queue else None
         return (
             obs.network,
             obs.date.isoformat(),
@@ -198,7 +199,8 @@ def write_snapshot(
                 vote.total_tx_per_day,
                 "",
             )
-            for vote in pending
+            for queue in pending.values()
+            for vote in queue
         )
 
 

@@ -115,20 +115,6 @@ def predict_validators(fit: RegressionFit, tps: float) -> float:
     return fit.intercept + fit.slope * rate
 
 
-def r_squared(fit: RegressionFit, observations: Iterable[NetworkObservation]) -> float:
-    """Coefficient of determination of ``fit`` over a point set.
-
-    Pass the observations a fit was produced from to recover its own ``r2``,
-    adding one with zero validators at zero tps for an origin fit.
-    """
-    points = list(observations)
-    if not points:
-        raise InsufficientDataError("no observations to score")
-    x = [p.tps for p in points]
-    y = [float(p.validators) for p in points]
-    return _coefficient_of_determination(fit.intercept, fit.slope, x, y)
-
-
 def _coefficient_of_determination(
     intercept: float, slope: float, x: Sequence[float], y: Sequence[float]
 ) -> float:

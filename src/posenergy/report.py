@@ -13,7 +13,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .baselines import BaselineBand, BaselineRecord, summarize
 from .chart import BandDocument, PointMarker, ReferenceBand
-from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
+from .core import (
+    SECONDS_PER_YEAR,
+    NetworkObservation,
+    NetworkProfile,
+    ValidatorPowerBounds,
+    energy_per_tx,
+)
 from .estimator import (
     ConsumptionBand,
     ContemporaryEstimate,
@@ -33,7 +39,6 @@ from .solana import (
     nonvote_ratio,
     nonvote_tps,
 )
-from .units import SECONDS_PER_YEAR
 
 Row = tuple[str, ...]
 

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import parse_date
-from .units import SECONDS_PER_DAY
+from .core import SECONDS_PER_DAY, parse_date
 
 # The network operator's postulated peak throughput, votes included.
 DEFAULT_POSTULATED_MAX_TPS = 50_000.0

@@ -10,12 +10,12 @@ from posenergy.baselines import (
     summarize,
 )
 from posenergy.ingestion import bundled
-from posenergy.units import EnergyQuantity
 
 
-VISA = BaselineRecord("visa", 2021, EnergyQuantity(646_000, "GJ"), 1736.0)
-BTC_LOWER = BaselineRecord("bitcoin-lower", 2022, EnergyQuantity(50.41, "TWh"), 2.56)
-BTC_UPPER = BaselineRecord("bitcoin-upper", 2022, EnergyQuantity(134.24, "TWh"), 2.56)
+# 646,000 GJ and 50.41 / 134.24 TWh, in kWh (1 GJ = 1e9 J, 1 kWh = 3.6e6 J, 1 TWh = 1e9 kWh)
+VISA = BaselineRecord("visa", 2021, 646_000 * (1e9 / 3.6e6), 1736.0)
+BTC_LOWER = BaselineRecord("bitcoin-lower", 2022, 50.41 * 1e9, 2.56)
+BTC_UPPER = BaselineRecord("bitcoin-upper", 2022, 134.24 * 1e9, 2.56)
 
 
 class TestPerSecondEnergy:
@@ -55,11 +55,11 @@ class TestBaselinePerTx:
 class TestBaselineRecord:
     def test_rejects_zero_tps(self):
         with pytest.raises(ValueError):
-            BaselineRecord("x", 2022, EnergyQuantity(1.0, "TWh"), 0.0)
+            BaselineRecord("x", 2022, 1e9, 0.0)
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
-            BaselineRecord("", 2022, EnergyQuantity(1.0, "TWh"), 1.0)
+            BaselineRecord("", 2022, 1e9, 1.0)
 
 
 class TestLoadBaselines:
@@ -68,10 +68,9 @@ class TestLoadBaselines:
         assert set(records) == {"visa", "bitcoin-lower", "bitcoin-upper"}
         visa = records["visa"]
         assert visa.period_year == 2021
-        assert visa.annual_energy.value == 646_000
-        assert visa.annual_energy.unit.value == "GJ"
+        assert visa.annual_kwh == VISA.annual_kwh
         assert visa.tps == 1736.0
-        assert records["bitcoin-upper"].annual_energy.value == 134.24
+        assert records["bitcoin-upper"].annual_kwh == BTC_UPPER.annual_kwh
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -124,7 +123,7 @@ class TestSummarize:
             summarize([BTC_LOWER])
 
     def test_disagreeing_pair_rejected(self):
-        other = BaselineRecord("bitcoin-upper", 2022, EnergyQuantity(134.24, "TWh"), 3.0)
+        other = BaselineRecord("bitcoin-upper", 2022, 134.24 * 1e9, 3.0)
         with pytest.raises(ValueError, match="disagrees"):
             summarize([BTC_LOWER, other])
 

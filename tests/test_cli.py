@@ -426,6 +426,16 @@ class TestBaseline:
         assert (code, out) == (1, "")
         assert err == f"error: {path} row 3: duplicate estimate for 'visa'\n"
 
+    @pytest.mark.parametrize("command", ["baseline", "table"])
+    def test_non_finite_reported_named(self, capsys, tmp_path, command):
+        path = tmp_path / "rep.csv"
+        path.write_text("name,global_kw,kwh_per_tx\nbitcoin,1,2\nvisa,nan,nan\n")
+        code, out, err = run(capsys, command, "--verify", "--reported", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path} row 3: global_kw must be finite and non-negative for 'visa', got nan\n"
+        )
+
 
 class TestAdjustSolana:
     def test_bundled_history(self, capsys):
@@ -512,16 +522,27 @@ class TestErrorPaths:
             ("[a]\nyear=1\n[a]\n", "section 'a' already exists"),
             ("[a]\nyear=%x\namount=1\nunit=TWh\ntps=1\n", "'%' must be followed"),
             ("[a]\nyear=x\namount=1\nunit=TWh\ntps=1\n", "invalid literal for int()"),
+            ("[a]\nyear=1\namount=1\nunit=kW\ntps=1\n", "[a]: unit 'kW' is not one of"),
+            ("[a]\nyear=1\namount=1\nunit=W\ntps=1\n", "[a]: unit 'W' is not one of"),
+            ("[a]\nyear=1\namount=1\nunit=MWh\ntps=1\n", "[a]: unit 'MWh' is not one of"),
+            ("[a]\nyear=1\namount=nan\nunit=TWh\ntps=1\n", "[a]: annual_kwh must be finite"),
+            ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n",
+             "bad.cfg: baseline 'b' has an incomplete lower/upper pair"),
+            ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n"
+             "[b-upper]\nyear=2\namount=2\nunit=TWh\ntps=1\n",
+             "bad.cfg: baseline pair 'b' disagrees on tps or year"),
         ],
-        ids=["no-section", "duplicate-section", "interpolation", "bad-year"],
+        ids=["no-section", "duplicate-section", "interpolation", "bad-year", "power-unit-kw",
+             "power-unit-w", "unknown-unit", "nan-amount", "lone-lower", "pair-years-differ"],
     )
     def test_bad_baseline_config_named(self, capsys, tmp_path, text, detail):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        code, out, err = run(capsys, "baseline", "--baselines", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {path}")
-        assert detail in err
+        for command in ("baseline", "table", "chart"):
+            code, out, err = run(capsys, command, "--baselines", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+            assert detail in err
 
     def test_oversized_cell_named(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"

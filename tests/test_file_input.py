@@ -53,7 +53,7 @@ TOO_LARGE = [str(2**53 + 1), "1" + "0" * 309]  # counts a float cannot hold exac
 CELLS = st.one_of(
     st.sampled_from(
         ["", "near", "solana", "visa", "Near", "2023-01-31", "2023-02-30", "0", "1", "-1",
-         "6.33", "1e999", "nan", "GJ", "TWh", *TOO_LARGE]
+         "6.33", "1e999", "nan", "GJ", "TWh", "kW", "W", "MWh", *TOO_LARGE]
     ),
     st.integers().map(str),
     st.floats().map(repr),
@@ -429,6 +429,8 @@ class TestDataFlags:
         if code == 1:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            if flag == "--baselines":
+                assert err.startswith(f"error: {path}"), err
         else:
             assert_well_formed(argv, out)
 
@@ -451,15 +453,21 @@ class TestBaselineNames:
             path = Path(tmp) / "baselines.cfg"
             path.write_text(text, encoding="utf-8")
             valid = re.fullmatch(r"[a-z0-9][a-z0-9_-]*", name)
+            stem, _, suffix = name.rpartition("-")
+            # a lone half of a lower/upper pair has a valid name but no partner
+            unpaired = valid and suffix in ("lower", "upper")
             try:
                 records = load_baselines(path)
             except ValueError as exc:
-                assert not valid
-                # "[]" is no section header, so that file has none to name
-                named = f"{path} [{name}]: invalid network id" if name else f"{path}: "
+                if unpaired:
+                    named = f"{path}: baseline {stem!r} has an incomplete lower/upper pair"
+                else:
+                    assert not valid
+                    # "[]" is no section header, so that file has none to name
+                    named = f"{path} [{name}]: invalid network id" if name else f"{path}: "
                 assert str(exc).startswith(named), str(exc)
             else:
-                assert valid and [record.name for record in records] == [name]
+                assert valid and not unpaired and [record.name for record in records] == [name]
 
 
 NETWORK_IDS = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,11}", fullmatch=True)

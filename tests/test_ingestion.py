@@ -200,6 +200,21 @@ class TestWriteSnapshot:
         assert len(reloaded.observations) == 1
         assert reloaded.vote_records == (vote,)
 
+    def test_records_sharing_a_key_fold_and_follow_in_sorted_input_order(self, tmp_path):
+        observation = obs("solana", "2022-12-11", 2402, 4123.0)
+        first = VoteRatioRecord("2022-12-11", 1, 10, 4123.0)
+        second = VoteRatioRecord("2022-12-11", 2, 10, 4123.0)
+        earlier = VoteRatioRecord("2022-12-10", 3, 10, 4123.0)
+        faster = VoteRatioRecord("2022-12-11", 4, 10, 5000.0)
+        path = tmp_path / "out.csv"
+        write_snapshot(path, [observation], [faster, first, earlier, second])
+        assert path.read_text().splitlines()[1:] == [
+            "solana,2022-12-11,2402,4123.0,1,10,",
+            "solana,2022-12-10,,4123.0,3,10,",
+            "solana,2022-12-11,,4123.0,2,10,",
+            "solana,2022-12-11,,5000.0,4,10,",
+        ]
+
     def test_refused_write_keeps_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"
         rows = [obs("near", f"2023-01-0{day}", 158, 6.33) for day in (1, 2, 3)]
