@@ -14,7 +14,7 @@ from posenergy.report import (
     TABLE_HEADER,
     comparison_estimates,
     comparison_rows,
-    format_kw,
+    erratum_note,
     render_grid_text,
 )
 
@@ -32,7 +32,4 @@ print(render_grid_text(TABLE_HEADER, comparison_rows(estimates, baselines)))
 # two of its rows cannot be reproduced from their own inputs
 reported = load_reported(bundled("reported_estimates.csv"))
 for erratum in find_errata(estimates, reported):
-    print(
-        f"published figure for {erratum.network} ({format_kw(erratum.reported_kw)} kW) "
-        f"disagrees with its own inputs (computed {format_kw(erratum.computed_kw)} kW)"
-    )
+    print(f"note: {erratum_note(erratum)}")

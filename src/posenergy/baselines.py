@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import datetime as dt
 import math
 import os
 from dataclasses import dataclass
@@ -26,6 +27,11 @@ class BaselineRecord:
     def __post_init__(self) -> None:
         # the name is printed where network ids are: CSV cells, SVG legend text
         validate_network_id(self.name)
+        if not dt.MINYEAR <= self.period_year <= dt.MAXYEAR:
+            raise ValueError(
+                f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {self.name!r}, "
+                f"got {self.period_year!r}"
+            )
         for field in ("annual_kwh", "tps"):
             value = float(getattr(self, field))
             if not math.isfinite(value) or value <= 0:

@@ -20,7 +20,13 @@ from typing import Iterable, NoReturn, TextIO
 from . import report
 from .baselines import load_baselines, summarize
 from .chart import BandDocument, chart_geometry, svg_document
-from .estimator import DEFAULT_GRID_POINTS, DEFAULT_MIN_TPS, find_baseline_errata, find_errata
+from .estimator import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_MIN_TPS,
+    Erratum,
+    find_baseline_errata,
+    find_errata,
+)
 from .ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 from .solana import DEFAULT_POSTULATED_MAX_TPS
 
@@ -48,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check computed global power against the published reference table",
+        help="note reference global power figures that disagree with the computed ones",
     )
     _output_flags(table)
 
@@ -85,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument(
         "--verify",
         action="store_true",
-        help="note published per-transaction figures that disagree with the computed ones",
+        help="note reference per-transaction figures that disagree with the computed ones",
     )
     _output_flags(baseline)
 
@@ -112,7 +118,7 @@ _DATA_FILES = {
     "bounds": "per-validator power bounds CSV",
     "profiles": "max-throughput profiles CSV",
     "baselines": "baseline config file",
-    "reported": "published reference estimates CSV",
+    "reported": "reference estimates CSV",
 }
 
 
@@ -240,6 +246,11 @@ def _emit_rows(
     _write([render(header, rows) + footer], args.out)
 
 
+def _print_notes(errata: Iterable[Erratum]) -> None:
+    for erratum in errata:
+        print(f"note: {report.erratum_note(erratum)}", file=sys.stderr)
+
+
 def _cmd_fit(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     fits = report.fit_networks(
@@ -258,14 +269,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_errata(estimates, reported)
     _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baseline_records))
-    for erratum in errata:
-        print(
-            f"note: published global power for {erratum.network} "
-            f"({report.format_kw(erratum.reported_kw)} kW) is not reproducible from "
-            f"its own validator count and power bounds "
-            f"(computed {report.format_kw(erratum.computed_kw)} kW)",
-            file=sys.stderr,
-        )
+    _print_notes(errata)
 
 
 def _cmd_chart(args: argparse.Namespace) -> None:
@@ -298,13 +302,7 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_baseline_errata(bands, reported)
     _emit_rows(args, *report.baseline_rows(bands))
-    for band in errata:
-        print(
-            f"note: published energy per transaction for {band.name} "
-            f"({reported[band.name].kwh_per_tx} kWh/tx) does not match the midpoint of the "
-            f"computed bounds ({report.format_kwh_per_tx(band.kwh_per_tx_mid)} kWh/tx)",
-            file=sys.stderr,
-        )
+    _print_notes(errata)
 
 
 def _cmd_adjust_solana(args: argparse.Namespace) -> None:

@@ -49,6 +49,14 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_count(name: str, value: int) -> int:
+    count = int(value)
+    # the model computes in floats, which hold every count up to 2**53 exactly
+    if count != value or not 0 <= count <= 2**53:
+        raise ValueError(f"{name} must be a count in [0, 2**53], got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class NetworkObservation:
     """One dated measurement of validator count and throughput for a network."""
@@ -62,11 +70,7 @@ class NetworkObservation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "network", validate_network_id(self.network))
         object.__setattr__(self, "date", parse_date(self.date))
-        validators = int(self.validators)
-        # the model computes in floats, which hold every count up to 2**53 exactly
-        if validators != self.validators or not 0 <= validators <= 2**53:
-            raise ValueError(f"validators must be a count in [0, 2**53], got {self.validators!r}")
-        object.__setattr__(self, "validators", validators)
+        object.__setattr__(self, "validators", _check_count("validators", self.validators))
         tps = _check_finite("tps", self.tps)
         if tps < 0:
             raise ValueError(f"tps must be non-negative, got {tps!r}")

@@ -21,6 +21,7 @@ from .core import (
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
+    _check_count,
     _check_finite,
     energy_per_tx,
     global_power,
@@ -240,15 +241,28 @@ class ReportedEstimate:
                 raise ValueError(
                     f"{field} must be finite and non-negative for {self.name!r}, got {value!r}"
                 )
+        if self.validators is not None:
+            object.__setattr__(self, "validators", _check_count("validators", self.validators))
+
+
+# The published quantities the errata checks compare, each with the decimals
+# ``reported_estimates.csv`` prints it with.
+_PRINTED_DECIMALS = {"global_kw": 2, "kwh_per_tx": 6}
 
 
 @dataclass(frozen=True)
 class Erratum:
-    """A published row whose global power disagrees with its own inputs."""
+    """A published figure that its own inputs do not reproduce.
+
+    ``quantity`` is the :class:`ReportedEstimate` field that was compared:
+    ``global_kw`` (mid-bound global power) or ``kwh_per_tx`` (the midpoint of
+    a baseline's per-transaction bounds).
+    """
 
     network: str
-    reported_kw: float
-    computed_kw: float
+    quantity: str
+    reported: float
+    computed: float
 
 
 def printed_tolerance(reported: float, decimals: int) -> float:
@@ -260,34 +274,37 @@ def printed_tolerance(reported: float, decimals: int) -> float:
     return max(_PRINTED_REL_TOL * abs(reported), 0.5 * 10.0 ** -decimals)
 
 
-def _disagrees(computed: float, published: float) -> bool:
-    """Whether a computed value misses a figure published with two decimals."""
-    return abs(computed - published) > printed_tolerance(published, decimals=2)
+def _errata(
+    quantity: str, computed: Iterable[tuple[str, float]], reported: Mapping[str, ReportedEstimate]
+) -> list[Erratum]:
+    """An erratum for each ``(network, value)`` whose published ``quantity`` it misses.
+
+    A value misses when it lies outside :func:`printed_tolerance` of the
+    published figure at that quantity's printed decimals; networks without a
+    published row are skipped.
+    """
+    decimals = _PRINTED_DECIMALS[quantity]
+    errata = []
+    for network, value in computed:
+        row = reported.get(network)
+        if row is None:
+            continue
+        published = getattr(row, quantity)
+        if abs(value - published) > printed_tolerance(published, decimals):
+            errata.append(Erratum(network, quantity, published, value))
+    return errata
 
 
 def find_errata(
     estimates: Iterable[ContemporaryEstimate], reported: Mapping[str, ReportedEstimate]
 ) -> list[Erratum]:
-    """Flag published rows whose global power cannot be reproduced.
-
-    Each estimate's mid-bound global power (validator count times mid power
-    draw) is compared against the published figure for the same network;
-    rows outside :func:`printed_tolerance` are returned.
-    """
-    errata = []
-    for est in sorted(estimates, key=lambda e: e.network):
-        row = reported.get(est.network)
-        if row is not None and _disagrees(est.global_kw_mid, row.global_kw):
-            errata.append(Erratum(est.network, row.global_kw, est.global_kw_mid))
-    return errata
+    """Published global power that each estimate's mid bound does not reproduce, by network."""
+    ordered = sorted(estimates, key=lambda e: e.network)
+    return _errata("global_kw", [(e.network, e.global_kw_mid) for e in ordered], reported)
 
 
 def find_baseline_errata(
     bands: Iterable[BaselineBand], reported: Mapping[str, ReportedEstimate]
-) -> list[BaselineBand]:
-    """Baselines whose published kWh/tx misses the midpoint of their computed bounds."""
-    return [
-        band
-        for band in bands
-        if band.name in reported and _disagrees(band.kwh_per_tx_mid, reported[band.name].kwh_per_tx)
-    ]
+) -> list[Erratum]:
+    """Published kWh/tx that the midpoint of each baseline's computed bounds does not reproduce."""
+    return _errata("kwh_per_tx", [(b.name, b.kwh_per_tx_mid) for b in bands], reported)

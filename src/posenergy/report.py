@@ -25,6 +25,7 @@ from .estimator import (
     ContemporaryEstimate,
     DEFAULT_GRID_POINTS,
     DEFAULT_MIN_TPS,
+    Erratum,
     consumption_band,
     contemporary_estimate,
     default_grid,
@@ -53,6 +54,25 @@ def format_kwh_per_tx(value: float) -> str:
 
 def format_series(value: float) -> str:
     return format(value, ".10g")
+
+
+def erratum_note(erratum: Erratum) -> str:
+    """The one wording of an erratum, as printed after ``note: ``.
+
+    A published kWh/tx figure is printed as a plain float (``2927.0``), a
+    published global power at kW precision.
+    """
+    network, reported, computed = erratum.network, erratum.reported, erratum.computed
+    if erratum.quantity == "global_kw":
+        return (
+            f"published global power for {network} ({format_kw(reported)} kW) is not "
+            f"reproducible from its own validator count and power bounds "
+            f"(computed {format_kw(computed)} kW)"
+        )
+    return (
+        f"published energy per transaction for {network} ({reported} kWh/tx) does not match "
+        f"the midpoint of the computed bounds ({format_kwh_per_tx(computed)} kWh/tx)"
+    )
 
 
 def select_networks(

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 
 import posenergy
 from posenergy import cli, report
-from posenergy.baselines import load_baselines
+from posenergy.baselines import load_baselines, summarize
 from posenergy.chart import render_chart
 from posenergy.cli import build_parser, main
-from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
+from posenergy.estimator import find_baseline_errata, find_errata
+from posenergy.ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -426,6 +428,28 @@ class TestBaseline:
         assert (code, out) == (1, "")
         assert err == f"error: {path} row 3: duplicate estimate for 'visa'\n"
 
+    def test_verify_compares_kwh_per_tx_at_six_decimals(self, capsys, tmp_path):
+        # 0.008 is 2.4x the computed 0.00327773 but within 0.005 of it
+        path = tmp_path / "rep.csv"
+        path.write_text(
+            "name,global_kw,kwh_per_tx,tps,validators\n"
+            "visa,1736.00,0.008,1736,\nbitcoin,1,2927,2.56,\n"
+        )
+        code, _, err = run(capsys, "baseline", "--verify", "--reported", str(path))
+        assert code == 0
+        assert err == (
+            (ROOT / "tests" / "golden" / "baseline.txt.stderr").read_text()
+            + "note: published energy per transaction for visa (0.008 kWh/tx) does not match "
+            "the midpoint of the computed bounds (0.00327773 kWh/tx)\n"
+        )
+
+    def test_negative_reported_validators_named(self, capsys, tmp_path):
+        path = tmp_path / "rep.csv"
+        path.write_text("name,global_kw,kwh_per_tx,tps,validators\nvisa,1736,0.00328,1736,-5\n")
+        code, out, err = run(capsys, "baseline", "--verify", "--reported", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} row 2: validators must be a count in [0, 2**53], got -5\n"
+
     @pytest.mark.parametrize("command", ["baseline", "table"])
     def test_non_finite_reported_named(self, capsys, tmp_path, command):
         path = tmp_path / "rep.csv"
@@ -435,6 +459,48 @@ class TestBaseline:
         assert err == (
             f"error: {path} row 3: global_kw must be finite and non-negative for 'visa', got nan\n"
         )
+
+
+BUNDLED_ESTIMATES = report.comparison_estimates(BUNDLED_OBSERVATIONS, BUNDLED_BOUNDS)
+BUNDLED_BASELINE_BANDS = summarize(load_baselines(bundled("baselines.cfg")))
+# published figures at, near and far from each computed value
+FACTORS = st.one_of(
+    st.sampled_from([1.0, 0.999, 1.004, 0.996, 1.006, 0.994, 2.0, 0.5, 0.0]),
+    st.floats(0.0, 4.0),
+)
+
+
+@st.composite
+def reported_files(draw):
+    """A ``--reported`` CSV whose figures are the computed ones times drawn factors."""
+    kw = {e.network: e.global_kw_mid for e in BUNDLED_ESTIMATES}
+    kwh = {e.network: e.kwh_per_tx_mid for e in BUNDLED_ESTIMATES}
+    kwh.update((b.name, b.kwh_per_tx_mid) for b in BUNDLED_BASELINE_BANDS)
+    names = draw(st.lists(st.sampled_from(sorted(kwh)), unique=True))
+    lines = ["name,global_kw,kwh_per_tx,tps,validators"]
+    for name in names:
+        published_kw = kw.get(name, 1.0) * draw(FACTORS)
+        published_kwh = kwh[name] * draw(FACTORS)
+        lines.append(f"{name},{published_kw!r},{published_kwh!r},,")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestErrataNotes:
+    @settings(deadline=None, max_examples=40)
+    @given(text=reported_files())
+    def test_each_note_words_one_returned_erratum(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rep.csv"
+            path.write_text(text, encoding="utf-8")
+            reported = load_reported(path)
+            checks = [
+                ("table", find_errata(BUNDLED_ESTIMATES, reported)),
+                ("baseline", find_baseline_errata(BUNDLED_BASELINE_BANDS, reported)),
+            ]
+            for command, errata in checks:
+                code, _, err = run_main([command, "--verify", "--reported", str(path)])
+                assert code == 0
+                assert err.splitlines() == [f"note: {report.erratum_note(e)}" for e in errata]
 
 
 class TestAdjustSolana:
@@ -526,6 +592,10 @@ class TestErrorPaths:
             ("[a]\nyear=1\namount=1\nunit=W\ntps=1\n", "[a]: unit 'W' is not one of"),
             ("[a]\nyear=1\namount=1\nunit=MWh\ntps=1\n", "[a]: unit 'MWh' is not one of"),
             ("[a]\nyear=1\namount=nan\nunit=TWh\ntps=1\n", "[a]: annual_kwh must be finite"),
+            ("[a]\nyear=-40\namount=1\nunit=TWh\ntps=1\n",
+             "[a]: year must be in [1, 9999] for 'a', got -40"),
+            ("[a]\nyear=10000\namount=1\nunit=TWh\ntps=1\n",
+             "[a]: year must be in [1, 9999] for 'a', got 10000"),
             ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n",
              "bad.cfg: baseline 'b' has an incomplete lower/upper pair"),
             ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n"
@@ -533,7 +603,8 @@ class TestErrorPaths:
              "bad.cfg: baseline pair 'b' disagrees on tps or year"),
         ],
         ids=["no-section", "duplicate-section", "interpolation", "bad-year", "power-unit-kw",
-             "power-unit-w", "unknown-unit", "nan-amount", "lone-lower", "pair-years-differ"],
+             "power-unit-w", "unknown-unit", "nan-amount", "year-before-1", "year-after-9999",
+             "lone-lower", "pair-years-differ"],
     )
     def test_bad_baseline_config_named(self, capsys, tmp_path, text, detail):
         path = tmp_path / "bad.cfg"

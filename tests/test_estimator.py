@@ -12,6 +12,7 @@ from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBou
 from posenergy.estimator import (
     ConsumptionBand,
     ContemporaryEstimate,
+    Erratum,
     GridDomainError,
     ReportedEstimate,
     consumption_band,
@@ -331,9 +332,12 @@ class TestErrata:
         }
         errata = find_errata(estimates, reported)
         assert [e.network for e in errata] == ["cardano", "tron"]
-        cardano = errata[0]
-        assert cardano.reported_kw == 142.63
-        assert cardano.computed_kw == pytest.approx(53.42, abs=0.01)
+        assert [e.quantity for e in errata] == ["global_kw", "global_kw"]
+        cardano, tron = errata
+        assert cardano.reported == 142.63
+        assert cardano.computed == pytest.approx(53.42, abs=0.01)
+        assert cardano.computed == estimates[0].global_kw_mid
+        assert (tron.reported, tron.computed) == (391.92, estimates[1].global_kw_mid)
 
     def test_unreported_networks_skipped(self):
         estimates = [self.make_estimate("hedera", 26, 568.45, 168.10, 328.00)]
@@ -344,13 +348,76 @@ class TestErrata:
         visa = BaselineBand("visa", 2021, 1736.0, 5.69, 5.69, 0.00327773, 0.00327773)
         reported = {
             "bitcoin": ReportedEstimate("bitcoin", 0.0, 2927.0),
-            "visa": ReportedEstimate("visa", 0.0, 0.0033),
+            "visa": ReportedEstimate("visa", 0.0, 0.00328),
         }
-        assert find_baseline_errata([bitcoin, visa], reported) == [bitcoin]
+        assert find_baseline_errata([bitcoin, visa], reported) == [
+            Erratum("bitcoin", "kwh_per_tx", 2927.0, bitcoin.kwh_per_tx_mid)
+        ]
         assert find_baseline_errata([bitcoin, visa], {}) == []
+
+    def test_baseline_kwh_per_tx_compared_at_six_decimals(self):
+        # 0.0033 is 2.2e-5 from the computed 0.00327773, beyond the 1.65e-5
+        # allowance at six decimals but well inside a two-decimal one
+        visa = BaselineBand("visa", 2021, 1736.0, 5.69, 5.69, 0.00327773, 0.00327773)
+        reported = {"visa": ReportedEstimate("visa", 0.0, 0.0033)}
+        assert find_baseline_errata([visa], reported) == [
+            Erratum("visa", "kwh_per_tx", 0.0033, 0.00327773)
+        ]
+
+    @pytest.mark.parametrize("validators", [-5, 2**53 + 1])
+    def test_reported_validators_must_be_a_count(self, validators):
+        with pytest.raises(ValueError, match=r"^validators must be a count in \[0, 2\*\*53\]"):
+            ReportedEstimate("visa", 1736.0, 0.00328, 1736.0, validators)
+        assert ReportedEstimate("visa", 1736.0, 0.00328, 1736.0, 2**53).validators == 2**53
 
     def test_printed_tolerance_floor(self):
         # half a unit in the last printed place dominates for tiny values
         assert printed_tolerance(0.000003, decimals=6) == pytest.approx(5e-7)
         # the relative term dominates for large values
         assert printed_tolerance(917.29, decimals=2) == pytest.approx(917.29 * 0.005)
+
+
+# The decimals reported_estimates.csv prints each compared quantity with.
+GLOBAL_KW_DECIMALS = 2
+KWH_PER_TX_DECIMALS = 6
+PUBLISHED = st.one_of(
+    st.floats(0.0, 1e12), st.floats(0.0, 1e-3), st.sampled_from([0.0, 0.000003, 2927.0])
+)
+
+
+@st.composite
+def published_computed(draw):
+    """A published figure and a computed one near, at or far from it."""
+    published = draw(PUBLISHED)
+    scale = max(0.005 * published, 5e-7)
+    computed = draw(
+        st.one_of(
+            st.floats(-3.0, 3.0).map(lambda k: abs(published + k * scale)),
+            st.floats(0.0, 1e12),
+            st.just(published),
+        )
+    )
+    return published, computed
+
+
+class TestErrataProperty:
+    @settings(deadline=None)
+    @given(pair=published_computed())
+    def test_global_kw_erratum_exactly_outside_tolerance(self, pair):
+        published, computed = pair
+        estimate = ContemporaryEstimate(
+            "near", "2023-01-31", 158, 6.33, 0.0, computed, computed, 0.0, 0.0, 0.0
+        )
+        errata = find_errata([estimate], {"near": ReportedEstimate("near", published, 0.0)})
+        outside = abs(computed - published) > printed_tolerance(published, GLOBAL_KW_DECIMALS)
+        assert errata == ([Erratum("near", "global_kw", published, computed)] if outside else [])
+
+    @settings(deadline=None)
+    @given(pair=published_computed())
+    def test_kwh_per_tx_erratum_exactly_outside_tolerance(self, pair):
+        published, computed = pair
+        band = BaselineBand("visa", 2021, 1736.0, 1.0, 1.0, computed, computed)
+        assert band.kwh_per_tx_mid == computed
+        errata = find_baseline_errata([band], {"visa": ReportedEstimate("visa", 0.0, published)})
+        outside = abs(computed - published) > printed_tolerance(published, KWH_PER_TX_DECIMALS)
+        assert errata == ([Erratum("visa", "kwh_per_tx", published, computed)] if outside else [])
