@@ -6,17 +6,21 @@ import configparser
 import datetime as dt
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import JOULES_PER_KWH, SECONDS_PER_HOUR, SECONDS_PER_YEAR, validate_network_id
+from .core import (
+    JOULES_PER_KWH,
+    SECONDS_PER_HOUR,
+    SECONDS_PER_YEAR,
+    Record,
+    validate_network_id,
+)
 
 # The energy units a baselines cfg may give an amount in, each with its size in joules.
 _JOULES_PER_UNIT = {"J": 1.0, "kWh": JOULES_PER_KWH, "GJ": 1e9, "TWh": 1e9 * JOULES_PER_KWH}
 
 
-@dataclass(frozen=True)
-class BaselineRecord:
+class BaselineRecord(Record):
     """Annual energy and sustained throughput for a non-PoS reference system."""
 
     name: str
@@ -24,20 +28,18 @@ class BaselineRecord:
     annual_kwh: float
     tps: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, period_year: int, annual_kwh: float, tps: float) -> None:
         # the name is printed where network ids are: CSV cells, SVG legend text
-        validate_network_id(self.name)
-        if not dt.MINYEAR <= self.period_year <= dt.MAXYEAR:
+        object.__setattr__(self, "name", validate_network_id(name))
+        if not dt.MINYEAR <= period_year <= dt.MAXYEAR:
             raise ValueError(
-                f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {self.name!r}, "
-                f"got {self.period_year!r}"
+                f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {name!r}, got {period_year!r}"
             )
-        for field in ("annual_kwh", "tps"):
-            value = float(getattr(self, field))
+        object.__setattr__(self, "period_year", period_year)
+        for field, value in (("annual_kwh", annual_kwh), ("tps", tps)):
+            value = float(value)
             if not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"{field} must be finite and positive for {self.name!r}, got {value!r}"
-                )
+                raise ValueError(f"{field} must be finite and positive for {name!r}, got {value!r}")
             object.__setattr__(self, field, value)
 
 
@@ -84,8 +86,7 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class BaselineBand:
+class BaselineBand(Record):
     """A baseline, or a lower/upper pair of them, reduced to comparable figures."""
 
     name: str

@@ -9,11 +9,11 @@ exposed through :class:`ChartGeometry` so callers can verify coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from math import log10
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .core import Record
 from .estimator import ConsumptionBand
 
 DEFAULT_WIDTH = 1200
@@ -31,8 +31,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class PointMarker:
+class PointMarker(Record):
     """A single labelled point, e.g. a latest observation or the Visa figure."""
 
     label: str
@@ -40,8 +39,7 @@ class PointMarker:
     kwh_per_tx: float
 
 
-@dataclass(frozen=True)
-class ReferenceBand:
+class ReferenceBand(Record):
     """A horizontal band spanning the whole throughput axis (Bitcoin bounds)."""
 
     label: str
@@ -49,8 +47,7 @@ class ReferenceBand:
     kwh_per_tx_upper: float
 
 
-@dataclass(frozen=True)
-class ChartGeometry:
+class ChartGeometry(Record):
     """Log-log mapping from data coordinates to SVG pixel coordinates."""
 
     width: int

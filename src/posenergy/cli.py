@@ -246,9 +246,11 @@ def _emit_rows(
     _write([render(header, rows) + footer], args.out)
 
 
-def _print_notes(errata: Iterable[Erratum]) -> None:
+def _print_notes(errata: Iterable[Erratum], unmatched: Iterable[str] = ()) -> None:
     for erratum in errata:
         print(f"note: {report.erratum_note(erratum)}", file=sys.stderr)
+    for name in unmatched:
+        print(f"note: {report.unmatched_note(name)}", file=sys.stderr)
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
@@ -268,8 +270,11 @@ def _cmd_table(args: argparse.Namespace) -> None:
     )
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_errata(estimates, reported)
+    # every observed network, not only the --network selection
+    known = {o.network for o in snapshot.observations}
+    known.update(band.name for band in summarize(baseline_records))
     _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baseline_records))
-    _print_notes(errata)
+    _print_notes(errata, [name for name in reported if name not in known])
 
 
 def _cmd_chart(args: argparse.Namespace) -> None:

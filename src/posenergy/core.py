@@ -2,7 +2,8 @@
 
 The model prices a network's consensus layer as validator count times
 per-validator power draw; dividing that by throughput gives the energy
-attributable to a single transaction.
+attributable to a single transaction. Every domain type is a frozen
+:class:`Record`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any
 
 JOULES_PER_KWH = 3.6e6
 WATTS_PER_KW = 1_000.0
@@ -57,45 +59,117 @@ def _check_count(name: str, value: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class NetworkObservation:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of a :class:`Record`."""
+
+
+class Record:
+    """Frozen value base whose fields are the class annotations, in order.
+
+    The default ``__init__`` takes each field by position, by keyword or from
+    a class-level default. Equality, hashing and ``repr`` go by the tuple of
+    fields, and the ``repr`` is the one a frozen dataclass prints. A subclass
+    that validates its arguments defines its own ``__init__`` and sets each
+    field once with ``object.__setattr__`` (writing ``self.__dict__`` instead
+    would slow every later attribute read). Unlike ``dataclasses``, nothing is
+    compiled per class, so defining a record costs no ``exec`` at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+    _astuple: Any = staticmethod(lambda record: ())
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._fields]
+        fields = cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        if len(fields) > 1:
+            cls._astuple = staticmethod(attrgetter(*fields))
+        else:  # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._astuple = staticmethod(lambda record: tuple(getattr(record, n) for n in fields))
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls = type(self)
+        name = cls.__name__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} fields, got {len(args)} positional")
+        for field, value in zip(cls._fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+            kwargs[field] = value
+        unknown = kwargs.keys() - cls._fields
+        if unknown:
+            raise TypeError(f"{name}() got unknown fields {sorted(unknown)}")
+        for field in cls._fields:
+            if field in kwargs:
+                value = kwargs[field]
+            elif field in cls._defaults:
+                value = cls._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        cells = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({cells})"
+
+
+class NetworkObservation(Record):
     """One dated measurement of validator count and throughput for a network."""
 
     network: str
     date: dt.date
     validators: int
     tps: float
-    provenance: str = ""
+    provenance: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "network", validate_network_id(self.network))
-        object.__setattr__(self, "date", parse_date(self.date))
-        object.__setattr__(self, "validators", _check_count("validators", self.validators))
-        tps = _check_finite("tps", self.tps)
+    def __init__(
+        self, network: str, date: dt.date | str, validators: int, tps: float, provenance: str = ""
+    ) -> None:
+        object.__setattr__(self, "network", validate_network_id(network))
+        object.__setattr__(self, "date", parse_date(date))
+        object.__setattr__(self, "validators", _check_count("validators", validators))
+        tps = _check_finite("tps", tps)
         if tps < 0:
             raise ValueError(f"tps must be non-negative, got {tps!r}")
         object.__setattr__(self, "tps", tps)
+        object.__setattr__(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class ValidatorPowerBounds:
+class ValidatorPowerBounds(Record):
     """Optimistic and pessimistic per-validator power draw, in watts."""
 
     network: str
     lower_w: float
     upper_w: float
-    source_note: str = ""
+    source_note: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "network", validate_network_id(self.network))
-        lower = _check_finite("lower_w", self.lower_w)
-        upper = _check_finite("upper_w", self.upper_w)
+    def __init__(self, network: str, lower_w: float, upper_w: float, source_note: str = "") -> None:
+        object.__setattr__(self, "network", validate_network_id(network))
+        lower = _check_finite("lower_w", lower_w)
+        upper = _check_finite("upper_w", upper_w)
         if not 0 < lower <= upper:
             raise ValueError(
                 f"power bounds must satisfy 0 < lower <= upper, got ({lower!r}, {upper!r})"
             )
         object.__setattr__(self, "lower_w", lower)
         object.__setattr__(self, "upper_w", upper)
+        object.__setattr__(self, "source_note", source_note)
 
     @property
     def mid_w(self) -> float:
@@ -103,21 +177,19 @@ class ValidatorPowerBounds:
         return (self.lower_w + self.upper_w) / 2.0
 
 
-@dataclass(frozen=True)
-class NetworkProfile:
+class NetworkProfile(Record):
     """Power bounds plus the throughput domain a network can be extrapolated over."""
 
     network: str
     bounds: ValidatorPowerBounds
     max_tps: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "network", validate_network_id(self.network))
-        if self.bounds.network != self.network:
-            raise ValueError(
-                f"profile for {self.network!r} carries bounds for {self.bounds.network!r}"
-            )
-        max_tps = _check_finite("max_tps", self.max_tps)
+    def __init__(self, network: str, bounds: ValidatorPowerBounds, max_tps: float) -> None:
+        object.__setattr__(self, "network", validate_network_id(network))
+        if bounds.network != network:
+            raise ValueError(f"profile for {network!r} carries bounds for {bounds.network!r}")
+        object.__setattr__(self, "bounds", bounds)
+        max_tps = _check_finite("max_tps", max_tps)
         if max_tps <= 0:
             raise ValueError(f"max_tps must be positive, got {max_tps!r}")
         object.__setattr__(self, "max_tps", max_tps)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -20,11 +19,13 @@ from .core import (
     JOULES_PER_KWH,
     NetworkObservation,
     NetworkProfile,
+    Record,
     ValidatorPowerBounds,
     _check_count,
     _check_finite,
     energy_per_tx,
     global_power,
+    validate_network_id,
 )
 from .regression import RegressionFit
 
@@ -44,8 +45,7 @@ class GridDomainError(ValueError):
     """Throughput grid empty, unsorted, or outside (0, max_tps]."""
 
 
-@dataclass(frozen=True)
-class ContemporaryEstimate:
+class ContemporaryEstimate(Record):
     """Energy figures at a network's latest observation, lower/mid/upper."""
 
     network: str
@@ -60,8 +60,7 @@ class ContemporaryEstimate:
     kwh_per_tx_upper: float
 
 
-@dataclass(frozen=True)
-class ConsumptionBand:
+class ConsumptionBand(Record):
     """Sampled lower/upper per-transaction energy over a throughput grid.
 
     The band is held as four equal-length columns indexed by grid position.
@@ -75,22 +74,31 @@ class ConsumptionBand:
     kwh_per_tx_upper: tuple[float, ...]
     physical: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        rates, lower, upper, physical = (
-            self.tps, self.kwh_per_tx_lower, self.kwh_per_tx_upper, self.physical
-        )
+    def __init__(
+        self,
+        network: str,
+        tps: Iterable[float],
+        kwh_per_tx_lower: Iterable[float],
+        kwh_per_tx_upper: Iterable[float],
+        physical: Iterable[bool],
+    ) -> None:
+        rates, lower, upper = tuple(tps), tuple(kwh_per_tx_lower), tuple(kwh_per_tx_upper)
+        physical = tuple(physical)
         if not len(rates) == len(lower) == len(upper) == len(physical):
             raise ValueError(
-                f"{self.network}: band columns differ in length "
+                f"{network}: band columns differ in length "
                 f"({len(rates)}, {len(lower)}, {len(upper)}, {len(physical)})"
             )
         if not all(map(operator.lt, rates, rates[1:])):
-            raise GridDomainError(f"{self.network}: band grid must be strictly increasing")
+            raise GridDomainError(f"{network}: band grid must be strictly increasing")
         if any(map(operator.gt, compress(lower, physical), compress(upper, physical))):
             tps = next(t for t, lo, up, p in zip(rates, lower, upper, physical) if p and lo > up)
-            raise ValueError(f"{self.network}: band inverted at tps={tps!r}")
+            raise ValueError(f"{network}: band inverted at tps={tps!r}")
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "tps", rates)
+        object.__setattr__(self, "kwh_per_tx_lower", lower)
+        object.__setattr__(self, "kwh_per_tx_upper", upper)
+        object.__setattr__(self, "physical", physical)
 
 
 def contemporary_estimate(
@@ -224,25 +232,36 @@ def consumption_band(
     return ConsumptionBand(network, rates, lower, upper, physical)
 
 
-@dataclass(frozen=True)
-class ReportedEstimate:
-    """A published mid-bound figure, kept for cross-checking our arithmetic."""
+class ReportedEstimate(Record):
+    """A published mid-bound figure, kept for cross-checking our arithmetic.
+
+    ``name`` is the network or baseline the figure is published for.
+    """
 
     name: str
     global_kw: float
     kwh_per_tx: float
-    tps: float | None = None
-    validators: int | None = None
+    tps: float | None
+    validators: int | None
 
-    def __post_init__(self) -> None:
-        for field in ("global_kw", "kwh_per_tx", "tps"):
-            value = getattr(self, field)
+    def __init__(
+        self,
+        name: str,
+        global_kw: float,
+        kwh_per_tx: float,
+        tps: float | None = None,
+        validators: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", validate_network_id(name))
+        for field, value in (("global_kw", global_kw), ("kwh_per_tx", kwh_per_tx), ("tps", tps)):
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"{field} must be finite and non-negative for {self.name!r}, got {value!r}"
+                    f"{field} must be finite and non-negative for {name!r}, got {value!r}"
                 )
-        if self.validators is not None:
-            object.__setattr__(self, "validators", _check_count("validators", self.validators))
+            object.__setattr__(self, field, value)
+        if validators is not None:
+            validators = _check_count("validators", validators)
+        object.__setattr__(self, "validators", validators)
 
 
 # The published quantities the errata checks compare, each with the decimals
@@ -250,8 +269,7 @@ class ReportedEstimate:
 _PRINTED_DECIMALS = {"global_kw": 2, "kwh_per_tx": 6}
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(Record):
     """A published figure that its own inputs do not reproduce.
 
     ``quantity`` is the :class:`ReportedEstimate` field that was compared:

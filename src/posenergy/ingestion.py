@@ -14,14 +14,13 @@ import datetime as dt
 import io
 import os
 from collections import deque
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .core import (
     NetworkObservation,
     NetworkProfile,
+    Record,
     ValidatorPowerBounds,
     parse_date,
     validate_network_id,
@@ -52,8 +51,7 @@ class MergeConflictError(ValueError):
     """Observation sets disagree about a (network, date) pair."""
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Record):
     """Observations plus any vote-ratio records found in the same file."""
 
     observations: tuple[NetworkObservation, ...]
@@ -62,7 +60,7 @@ class Snapshot:
 
 def bundled(name: str) -> Path:
     """Path of a data file shipped with the package."""
-    return Path(str(resources.files("posenergy").joinpath("data", name)))
+    return Path(__file__).with_name("data") / name
 
 
 def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:

@@ -12,10 +12,9 @@ of the same weight as the others, not as a hard constraint on the intercept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import NetworkObservation, _check_finite
+from .core import NetworkObservation, Record, _check_finite
 
 # Relative variance (against the squared largest tps) below which the slope
 # is considered unidentifiable.
@@ -30,8 +29,7 @@ class DegenerateVarianceError(ValueError):
     """All throughput values coincide; the slope is unidentifiable."""
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(Record):
     """Fitted affine parameters for one network.
 
     ``intercept`` is the modelled validator count at zero throughput and

@@ -75,6 +75,15 @@ def erratum_note(erratum: Erratum) -> str:
     )
 
 
+def unmatched_note(name: str) -> str:
+    """The wording for a published row whose name is no observed network or baseline.
+
+    Such a row is compared with nothing, so a misspelt name would otherwise
+    hide its erratum.
+    """
+    return f"published figures for {name} match no observed network or baseline and are not checked"
+
+
 def select_networks(
     observations: Iterable[NetworkObservation], networks: Sequence[str] | None = None
 ) -> dict[str, list[NetworkObservation]]:

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import SECONDS_PER_DAY, parse_date
+from .core import SECONDS_PER_DAY, Record, parse_date
 
 # The network operator's postulated peak throughput, votes included.
 DEFAULT_POSTULATED_MAX_TPS = 50_000.0
 
 
-@dataclass(frozen=True)
-class VoteRatioRecord:
+class VoteRatioRecord(Record):
     """One day of transaction counts split into vote and nonvote traffic."""
 
     date: dt.date
@@ -30,10 +28,16 @@ class VoteRatioRecord:
     total_tx_per_day: int
     reported_tps: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "date", parse_date(self.date))
-        nonvote = int(self.nonvote_tx_per_day)
-        total = int(self.total_tx_per_day)
+    def __init__(
+        self,
+        date: dt.date | str,
+        nonvote_tx_per_day: int,
+        total_tx_per_day: int,
+        reported_tps: float,
+    ) -> None:
+        object.__setattr__(self, "date", parse_date(date))
+        nonvote = int(nonvote_tx_per_day)
+        total = int(total_tx_per_day)
         if not 0 < total <= 2**53:  # the largest count a float holds exactly
             raise ValueError(f"total_tx_per_day must lie in [1, 2**53], got {total!r}")
         if not 0 <= nonvote <= total:
@@ -42,7 +46,7 @@ class VoteRatioRecord:
             )
         object.__setattr__(self, "nonvote_tx_per_day", nonvote)
         object.__setattr__(self, "total_tx_per_day", total)
-        reported = float(self.reported_tps)
+        reported = float(reported_tps)
         if not math.isfinite(reported) or reported < 0:
             raise ValueError(f"reported_tps must be finite and non-negative, got {reported!r}")
         object.__setattr__(self, "reported_tps", reported)

@@ -119,6 +119,33 @@ class TestTable:
         assert "tron" in notes[1]
         assert "391.92" in notes[1]
 
+    def test_verify_notes_reported_name_matching_nothing(self, capsys, tmp_path):
+        # --network narrows the table, not the names a reported row may match
+        path = tmp_path / "rep.csv"
+        path.write_text(
+            "name,global_kw,kwh_per_tx,tps,validators\n"
+            "cardan0,142.63,0.041270,0.96,1209\ncardano,142.63,0.041270,0.96,1209\n"
+            "visa,1736.00,0.003280,1736,\n"
+        )
+        argv = ["table", "--verify", "--reported", str(path), "--network", "near"]
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == f"note: {report.unmatched_note('cardan0')}\n"
+        assert report.unmatched_note("cardan0") == (
+            "published figures for cardan0 match no observed network or baseline "
+            "and are not checked"
+        )
+
+    def test_reported_name_must_be_network_id(self, capsys, tmp_path):
+        path = tmp_path / "rep.csv"
+        path.write_text("name,global_kw,kwh_per_tx,tps,validators\nCardano,142.63,0.04,0.96,1209\n")
+        code, out, err = run(capsys, "table", "--verify", "--reported", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path} row 2: invalid network id 'Cardano' "
+            "(want lowercase ASCII, e.g. 'hedera')\n"
+        )
+
     def test_network_filter(self, capsys):
         _, out, _ = run(capsys, "table", "--network", "near", "--format", "csv")
         names = [line.split(",")[0] for line in out.splitlines()[1:]]

@@ -4,13 +4,20 @@ Known-value cases recompute the published comparison table from its inputs:
 validator count times per-validator draw, divided by throughput.
 """
 
+import copy
 import datetime as dt
+import pickle
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posenergy.core import (
+    FrozenInstanceError,
     NetworkObservation,
     NetworkProfile,
+    Record,
     ValidatorPowerBounds,
     energy_per_tx,
     global_power,
@@ -161,3 +168,102 @@ class TestHelpers:
         today = dt.date(2022, 12, 11)
         assert parse_date(today) is today
         assert parse_date("2022-12-11") == today
+
+
+class Sample(Record):
+    name: str
+    count: int
+    ratio: float = 0.5
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class SampleTwin:
+    """The reference for :class:`Sample`: a frozen dataclass with the same fields."""
+
+    name: str
+    count: int
+    ratio: float = 0.5
+    note: str = ""
+
+
+FIELDS = ("name", "count", "ratio", "note")
+DEFAULTS = (0.5, "")
+SAMPLE_VALUES = st.tuples(
+    st.text(max_size=5), st.integers(), st.floats(allow_nan=False), st.text(max_size=5)
+)
+
+
+@st.composite
+def sample_calls(draw):
+    """``(args, kwargs, values)``: a split of some leading fields, the rest defaulted."""
+    values = draw(SAMPLE_VALUES)
+    given_count = draw(st.integers(2, len(FIELDS)))
+    positional = draw(st.integers(0, given_count))
+    values = values[:given_count] + DEFAULTS[given_count - 2:]
+    kwargs = dict(zip(FIELDS[positional:given_count], values[positional:given_count]))
+    return values[:positional], kwargs, values
+
+
+class TestRecord:
+    @given(call=sample_calls(), other=SAMPLE_VALUES)
+    def test_matches_frozen_dataclass(self, call, other):
+        args, kwargs, values = call
+        record, twin = Sample(*args, **kwargs), SampleTwin(*args, **kwargs)
+        assert record == Sample(*values) == Sample(**dict(zip(FIELDS, values)))
+        assert twin == SampleTwin(*values)
+        assert hash(record) == hash(twin) == hash(Sample(*values))
+        assert repr(record) == repr(twin).replace("SampleTwin(", "Sample(", 1)
+        assert [getattr(record, name) for name in FIELDS] == list(values)
+        assert (record == Sample(*other)) == (twin == SampleTwin(*other))
+        assert (record != Sample(*other)) == (twin != SampleTwin(*other))
+        assert record != twin
+
+    @given(values=SAMPLE_VALUES)
+    def test_pickle_and_copy_round_trip(self, values):
+        record = Sample(*values)
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is Sample
+            assert other == record and hash(other) == hash(record)
+
+    def test_fields_are_frozen(self):
+        record = Sample("a", 1)
+        for name in (*FIELDS, "extra"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+                setattr(record, name, 2)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+                delattr(record, name)
+        assert issubclass(FrozenInstanceError, AttributeError)
+        assert record == Sample("a", 1, 0.5, "")
+
+    def test_validated_records_are_frozen(self):
+        obs = NetworkObservation("hedera", "2023-01-15", 26, 568.45)
+        with pytest.raises(AttributeError):
+            obs.tps = 1.0
+        assert obs == copy.deepcopy(obs) == pickle.loads(pickle.dumps(obs))
+        assert repr(obs) == (
+            "NetworkObservation(network='hedera', date=datetime.date(2023, 1, 15), "
+            "validators=26, tps=568.45, provenance='')"
+        )
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("a",), {}, "missing field 'count'"),
+            ((), {"count": 1}, "missing field 'name'"),
+            (("a", 1), {"bogus": 2}, r"unknown fields \['bogus'\]"),
+            (("a", 1), {"name": "b"}, "multiple values for field 'name'"),
+            (("a", 1, 0.5, "", "x"), {}, "takes 4 fields, got 5 positional"),
+        ],
+        ids=["missing", "missing-first", "unknown", "repeated", "too-many"],
+    )
+    def test_bad_fields_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Sample(*args, **kwargs)
+        with pytest.raises(TypeError):
+            SampleTwin(*args, **kwargs)
