@@ -7,14 +7,7 @@ throughput range, and benchmarks the result against Bitcoin and VisaNet
 reference figures.
 """
 
-from .baselines import (
-    BaselineBand,
-    BaselineRecord,
-    baseline_per_tx,
-    load_baselines,
-    per_second_energy,
-    summarize,
-)
+from .baselines import BaselineBand, load_baselines
 from .core import (
     NetworkObservation,
     NetworkProfile,
@@ -70,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineBand",
-    "BaselineRecord",
     "ConsumptionBand",
     "ContemporaryEstimate",
     "DegenerateVarianceError",
@@ -90,7 +82,6 @@ __all__ = [
     "adjust_tps",
     "adjusted_max_tps",
     "average_tps",
-    "baseline_per_tx",
     "bundled",
     "consumption_band",
     "contemporary_estimate",
@@ -110,9 +101,7 @@ __all__ = [
     "nonvote_ratio",
     "nonvote_tps",
     "parse_date",
-    "per_second_energy",
     "predict_validators",
-    "summarize",
     "validate_network_id",
     "write_snapshot",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, NoReturn, TextIO
 
 from . import report
-from .baselines import load_baselines, summarize
+from .baselines import load_baselines
 from .chart import BandDocument, chart_geometry, svg_document
 from .estimator import (
     DEFAULT_GRID_POINTS,
@@ -162,25 +162,19 @@ _SPOOL_READ = 1 << 20  # characters per read when copying the child's text
 def _split_index(doc: BandDocument) -> int:
     """Index of the first band a forked child formats; ``len(doc.bands)`` formats all here.
 
-    This process keeps the bands before the halfway point count. A split
-    needs ``os.fork``, at least two CPUs available to this process and no
-    other thread, since forking a threaded process is unsafe.
+    Every band of a chart has the same number of points, so this process
+    keeps the first half of the bands; one band is not split. A split needs
+    ``os.fork``, at least two CPUs available to this process and no other
+    thread, since forking a threaded process is unsafe.
     """
-    sizes = [len(band.tps) for band in doc.bands]
-    total = sum(sizes)
     if (
-        total < _SPLIT_MIN_POINTS
+        sum(len(band.tps) for band in doc.bands) < _SPLIT_MIN_POINTS
         or not hasattr(os, "fork")
         or _cpu_count() < 2
         or threading.active_count() > 1
     ):
-        return len(sizes)
-    before = 0
-    for index, size in enumerate(sizes):
-        if 2 * before + size >= total:  # this band's midpoint is past halfway
-            return index or len(sizes)
-        before += size
-    return len(sizes)
+        return len(doc.bands)
+    return len(doc.bands) // 2 or len(doc.bands)
 
 
 def _cpu_count() -> int:
@@ -264,7 +258,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 def _cmd_table(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     bounds = load_bounds(_path(args.bounds, "bounds.csv"))
-    baseline_records = load_baselines(_path(args.baselines, "baselines.cfg"))
+    baselines = load_baselines(_path(args.baselines, "baselines.cfg"))
     estimates = report.comparison_estimates(
         snapshot.observations, bounds, networks=args.network
     )
@@ -272,8 +266,8 @@ def _cmd_table(args: argparse.Namespace) -> None:
     errata = find_errata(estimates, reported)
     # every observed network, not only the --network selection
     known = {o.network for o in snapshot.observations}
-    known.update(band.name for band in summarize(baseline_records))
-    _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baseline_records))
+    known.update(band.name for band in baselines)
+    _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baselines))
     _print_notes(errata, [name for name in reported if name not in known])
 
 
@@ -289,8 +283,8 @@ def _cmd_chart(args: argparse.Namespace) -> None:
         min_tps=args.lmin,
         n_points=args.points,
     )
-    records = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
-    baseline_markers, reference_bands = report.baseline_chart_elements(records)
+    baselines = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
+    baseline_markers, reference_bands = report.baseline_chart_elements(baselines)
     if args.format == "csv":
         doc = report.chart_csv_document(bands, baseline_markers, reference_bands)
     else:
@@ -303,7 +297,7 @@ def _cmd_chart(args: argparse.Namespace) -> None:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
-    bands = summarize(load_baselines(_path(args.baselines, "baselines.cfg")))
+    bands = load_baselines(_path(args.baselines, "baselines.cfg"))
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_baseline_errata(bands, reported)
     _emit_rows(args, *report.baseline_rows(bands))

@@ -11,10 +11,9 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .baselines import BaselineBand, BaselineRecord, summarize
+from .baselines import BaselineBand
 from .chart import BandDocument, PointMarker, ReferenceBand
 from .core import (
-    SECONDS_PER_YEAR,
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
@@ -153,8 +152,8 @@ def baseline_rows(bands: Sequence[BaselineBand]) -> tuple[Row, list[Row]]:
             band.name,
             str(band.period_year),
             format_series(band.tps),
-            format_series(band.kwh_per_second_lower * SECONDS_PER_YEAR),
-            format_series(band.kwh_per_second_upper * SECONDS_PER_YEAR),
+            format_series(band.annual_kwh_lower),
+            format_series(band.annual_kwh_upper),
             format_series(band.kwh_per_second_lower),
             format_series(band.kwh_per_second_upper),
             format_kwh_per_tx(band.kwh_per_tx_lower),
@@ -234,7 +233,7 @@ TABLE_HEADER = (
 
 def comparison_rows(
     estimates: Sequence[ContemporaryEstimate],
-    baseline_records: Sequence[BaselineRecord] = (),
+    baselines: Sequence[BaselineBand] = (),
 ) -> list[Row]:
     """Network rows followed by baseline rows, each priced lower/mid/upper.
 
@@ -251,18 +250,16 @@ def comparison_rows(
         )
         for e in estimates
     ]
-    for band in summarize(baseline_records):
-        kw_mid = (band.kw_lower + band.kw_upper) / 2.0
-        kwh = (band.kwh_per_tx_lower, band.kwh_per_tx_mid, band.kwh_per_tx_upper)
-        rows.append(
-            (
-                band.name,
-                "",
-                format_series(band.tps),
-                *map(format_kw, (band.kw_lower, kw_mid, band.kw_upper)),
-                *map(format_kwh_per_tx, kwh),
-            )
+    rows += [
+        (
+            b.name,
+            "",
+            format_series(b.tps),
+            *map(format_kw, (b.kw_lower, b.kw_mid, b.kw_upper)),
+            *map(format_kwh_per_tx, (b.kwh_per_tx_lower, b.kwh_per_tx_mid, b.kwh_per_tx_upper)),
         )
+        for b in baselines
+    ]
     return rows
 
 
@@ -332,12 +329,12 @@ def observation_markers(
 
 
 def baseline_chart_elements(
-    baseline_records: Sequence[BaselineRecord],
+    baselines: Sequence[BaselineBand],
 ) -> tuple[list[PointMarker], list[ReferenceBand]]:
-    """Degenerate baselines become markers, lower/upper pairs become bands."""
+    """A baseline with equal bounds becomes a marker, one with distinct bounds a band."""
     markers = []
     refs = []
-    for band in summarize(baseline_records):
+    for band in baselines:
         if band.kwh_per_tx_lower == band.kwh_per_tx_upper:
             markers.append(PointMarker(band.name, band.tps, band.kwh_per_tx_lower))
         else:
@@ -346,65 +343,61 @@ def baseline_chart_elements(
 
 
 _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical")
+# One chart CSV line. The network is a cell, never part of the format, so a
+# ``%`` in its name stays text; ``%.10g`` formats as format_series does.
+_CHART_LINE = "%s,%.10g,%.10g,%.10g,%s\n"
+_PHYSICAL_CELLS = ("false", "true")  # indexed by a point's physical flag
 
 
-def _chart_anchor_rows(
+def _chart_anchor_lines(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> list[Row]:
-    """The baseline rows that follow the bands in a chart CSV.
+) -> list[str]:
+    """The baseline lines that follow the bands in a chart CSV.
 
-    Reference bands contribute two rows, pinned to the extremes of the plotted
-    grids; markers one row each.
+    Reference bands contribute two lines, pinned to the extremes of the
+    plotted grids; markers one line each.
     """
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     anchors = [
-        (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper)
+        (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper, "true")
         for ref in sorted(reference_bands, key=lambda r: r.label)
         for tps in (min(grid_extremes), max(grid_extremes))
     ]
     anchors += [
-        (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx)
+        (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx, "true")
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    return [(label, *map(format_series, values), "true") for label, *values in anchors]
+    return [_CHART_LINE % anchor for anchor in anchors]
+
+
+def _band_lines(band: ConsumptionBand) -> list[str]:
+    physical = map(_PHYSICAL_CELLS.__getitem__, band.physical)
+    rows = zip(
+        repeat(band.network), band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical
+    )
+    return [_CHART_LINE % row for row in rows]
+
+
+def _band_csv(band: ConsumptionBand) -> str:
+    return "".join(_band_lines(band))
 
 
 def chart_rows(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> list[Row]:
-    """Flatten band series, sorted by network, plus the baseline anchors into CSV cells."""
-    # f"{v:.10g}" is format_series, inlined for the per-point hot path.
-    rows = [
-        (band.network, f"{t:.10g}", f"{lo:.10g}", f"{up:.10g}", "true" if ok else "false")
-        for band in sorted(bands, key=lambda b: b.network)
-        for t, lo, up, ok in zip(
-            band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
-        )
-    ]
-    return rows + _chart_anchor_rows(bands, baseline_markers, reference_bands)
+) -> list[str]:
+    """The chart CSV lines, one per row: band points sorted by network, then the anchors."""
+    lines = []
+    for band in sorted(bands, key=lambda b: b.network):
+        lines += _band_lines(band)
+    return lines + _chart_anchor_lines(bands, baseline_markers, reference_bands)
 
 
-def chart_csv(rows: Sequence[Row]) -> str:
-    return render_grid_csv(_CHART_HEADER, rows)
-
-
-_PHYSICAL_CELLS = ("false", "true")  # indexed by a band's physical flag
-
-
-def _band_csv(band: ConsumptionBand) -> str:
-    """The CSV lines of one band's rows in :func:`chart_rows`, one ``%`` per row.
-
-    The network is a cell, never part of the format, so a ``%`` in its name stays text.
-    """
-    physical = map(_PHYSICAL_CELLS.__getitem__, band.physical)
-    rows = zip(
-        repeat(band.network), band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical
-    )
-    return "".join(["%s,%.10g,%.10g,%.10g,%s\n" % row for row in rows])
+def chart_csv(rows: Sequence[str]) -> str:
+    return _csv_lines([_CHART_HEADER]) + "".join(rows)
 
 
 def chart_csv_document(
@@ -416,6 +409,6 @@ def chart_csv_document(
 
     The anchors, which can raise, are built before this returns.
     """
-    anchors = _chart_anchor_rows(bands, baseline_markers, reference_bands)
+    anchors = _chart_anchor_lines(bands, baseline_markers, reference_bands)
     ordered = sorted(bands, key=lambda b: b.network)
-    return BandDocument(_csv_lines([_CHART_HEADER]), ordered, _band_csv, _csv_lines(anchors))
+    return BandDocument(_csv_lines([_CHART_HEADER]), ordered, _band_csv, "".join(anchors))

@@ -17,7 +17,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from posenergy.baselines import baseline_per_tx, load_baselines, per_second_energy
+from posenergy.baselines import load_baselines
 from posenergy.cli import main
 from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
 from posenergy.estimator import (
@@ -88,14 +88,15 @@ def test_criterion_1_contemporary_table(capsys):
 
 
 def test_criterion_2_baseline_reduction(capsys):
-    records = {r.name: r for r in load_baselines(bundled("baselines.cfg"))}
+    bands = {b.name: b for b in load_baselines(bundled("baselines.cfg"))}
+    visa, bitcoin = bands["visa"], bands["bitcoin"]
     checks = [
-        (per_second_energy(records["visa"]), 5.69, 0.001, "visa kWh/s"),
-        (baseline_per_tx(records["visa"]), 0.00328, 0.01, "visa kWh/tx"),
-        (per_second_energy(records["bitcoin-lower"]), 1598.49, 0.005, "bitcoin lower kWh/s"),
-        (baseline_per_tx(records["bitcoin-lower"]), 624.0, 0.005, "bitcoin lower kWh/tx"),
-        (per_second_energy(records["bitcoin-upper"]), 4256.72, 0.005, "bitcoin upper kWh/s"),
-        (baseline_per_tx(records["bitcoin-upper"]), 1662.8, 0.005, "bitcoin upper kWh/tx"),
+        (visa.kwh_per_second_lower, 5.69, 0.001, "visa kWh/s"),
+        (visa.kwh_per_tx_lower, 0.00328, 0.01, "visa kWh/tx"),
+        (bitcoin.kwh_per_second_lower, 1598.49, 0.005, "bitcoin lower kWh/s"),
+        (bitcoin.kwh_per_tx_lower, 624.0, 0.005, "bitcoin lower kWh/tx"),
+        (bitcoin.kwh_per_second_upper, 4256.72, 0.005, "bitcoin upper kWh/s"),
+        (bitcoin.kwh_per_tx_upper, 1662.8, 0.005, "bitcoin upper kWh/tx"),
     ]
     problems = [
         f"{label}: {computed:.6f} vs {expected} (±{rel:.1%})"

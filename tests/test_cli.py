@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import posenergy
 from posenergy import cli, report
-from posenergy.baselines import load_baselines, summarize
+from posenergy.baselines import load_baselines
 from posenergy.chart import render_chart
 from posenergy.cli import build_parser, main
 from posenergy.estimator import find_baseline_errata, find_errata
@@ -489,7 +489,7 @@ class TestBaseline:
 
 
 BUNDLED_ESTIMATES = report.comparison_estimates(BUNDLED_OBSERVATIONS, BUNDLED_BOUNDS)
-BUNDLED_BASELINE_BANDS = summarize(load_baselines(bundled("baselines.cfg")))
+BUNDLED_BASELINE_BANDS = load_baselines(bundled("baselines.cfg"))
 # published figures at, near and far from each computed value
 FACTORS = st.one_of(
     st.sampled_from([1.0, 0.999, 1.004, 0.996, 1.006, 0.994, 2.0, 0.5, 0.0]),
@@ -628,10 +628,18 @@ class TestErrorPaths:
             ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n"
              "[b-upper]\nyear=2\namount=2\nunit=TWh\ntps=1\n",
              "bad.cfg: baseline pair 'b' disagrees on tps or year"),
+            ("[bitcoin-lower]\nyear=2022\namount=134.24\nunit=TWh\ntps=2.56\n"
+             "[bitcoin-upper]\nyear=2022\namount=50.41\nunit=TWh\ntps=2.56\n",
+             "bad.cfg: baseline 'bitcoin' has annual_kwh_lower 134240000000.00002 above "
+             "annual_kwh_upper 50410000000.0\n"),
+            ("[visa]\nyear=1\namount=1\nunit=TWh\ntps=1\n"
+             "[visa-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n"
+             "[visa-upper]\nyear=1\namount=2\nunit=TWh\ntps=1\n",
+             "bad.cfg: baseline 'visa' is given both alone and as a lower/upper pair"),
         ],
         ids=["no-section", "duplicate-section", "interpolation", "bad-year", "power-unit-kw",
              "power-unit-w", "unknown-unit", "nan-amount", "year-before-1", "year-after-9999",
-             "lone-lower", "pair-years-differ"],
+             "lone-lower", "pair-years-differ", "pair-inverted", "alone-and-pair"],
     )
     def test_bad_baseline_config_named(self, capsys, tmp_path, text, detail):
         path = tmp_path / "bad.cfg"

@@ -4,11 +4,17 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import BaselineBand
-from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
+from posenergy.core import (
+    SECONDS_PER_YEAR,
+    NetworkObservation,
+    NetworkProfile,
+    ValidatorPowerBounds,
+    energy_per_tx,
+)
 from posenergy.estimator import (
     ConsumptionBand,
     ContemporaryEstimate,
@@ -343,9 +349,12 @@ class TestErrata:
         estimates = [self.make_estimate("hedera", 26, 568.45, 168.10, 328.00)]
         assert find_errata(estimates, {}) == []
 
+    # the bundled amounts: 50.41 / 134.24 TWh and 646,000 GJ, in kWh
+    BITCOIN = BaselineBand("bitcoin", 2022, 2.56, 50.41e9, 134.24e9)
+    VISA = BaselineBand("visa", 2021, 1736.0, 646_000 * (1e9 / 3.6e6), 646_000 * (1e9 / 3.6e6))
+
     def test_baseline_midpoint_checked_against_published_kwh_per_tx(self):
-        bitcoin = BaselineBand("bitcoin", 2022, 2.56, 1598.49, 4256.72, 624.41, 1662.78)
-        visa = BaselineBand("visa", 2021, 1736.0, 5.69, 5.69, 0.00327773, 0.00327773)
+        bitcoin, visa = self.BITCOIN, self.VISA
         reported = {
             "bitcoin": ReportedEstimate("bitcoin", 0.0, 2927.0),
             "visa": ReportedEstimate("visa", 0.0, 0.00328),
@@ -358,10 +367,11 @@ class TestErrata:
     def test_baseline_kwh_per_tx_compared_at_six_decimals(self):
         # 0.0033 is 2.2e-5 from the computed 0.00327773, beyond the 1.65e-5
         # allowance at six decimals but well inside a two-decimal one
-        visa = BaselineBand("visa", 2021, 1736.0, 5.69, 5.69, 0.00327773, 0.00327773)
+        visa = self.VISA
+        assert visa.kwh_per_tx_mid == pytest.approx(0.00327773, abs=5e-9)
         reported = {"visa": ReportedEstimate("visa", 0.0, 0.0033)}
         assert find_baseline_errata([visa], reported) == [
-            Erratum("visa", "kwh_per_tx", 0.0033, 0.00327773)
+            Erratum("visa", "kwh_per_tx", 0.0033, visa.kwh_per_tx_mid)
         ]
 
     @pytest.mark.parametrize("validators", [-5, 2**53 + 1])
@@ -416,7 +426,12 @@ class TestErrataProperty:
     @given(pair=published_computed())
     def test_kwh_per_tx_erratum_exactly_outside_tolerance(self, pair):
         published, computed = pair
-        band = BaselineBand("visa", 2021, 1736.0, 1.0, 1.0, computed, computed)
+        # a band's kWh/tx is derived from its annual kWh: at 1 tx/s, the drawn
+        # value to within an ulp, and the erratum is decided on the derived one
+        assume(computed > 0)
+        annual = computed * SECONDS_PER_YEAR
+        band = BaselineBand("visa", 2021, 1.0, annual, annual)
+        computed = (annual / SECONDS_PER_YEAR) / 1.0
         assert band.kwh_per_tx_mid == computed
         errata = find_baseline_errata([band], {"visa": ReportedEstimate("visa", 0.0, published)})
         outside = abs(computed - published) > printed_tolerance(published, KWH_PER_TX_DECIMALS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posenergy.baselines import load_baselines, summarize
+from posenergy.baselines import load_baselines
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
 from posenergy.estimator import ConsumptionBand
@@ -155,7 +155,7 @@ class TestComparisonTable:
         assert all(r[1] == "" for r in rows)
         bitcoin = dict(zip(TABLE_HEADER, rows[0]))
         assert bitcoin["kwh_per_tx_lower"] == "624.41"
-        band = summarize(baselines)[0]
+        band = baselines[0]
         assert bitcoin["kw_lower"] == format_kw(band.kw_lower)
         assert bitcoin["kw_upper"] == format_kw(band.kw_upper)
         assert bitcoin["kw_mid"] == format_kw((band.kw_lower + band.kw_upper) / 2)
@@ -192,13 +192,18 @@ class TestComparisonTable:
         assert text.splitlines()[0].rstrip() == "a   b"
 
 
+def chart_cells(*args, **kwargs):
+    """The cells of each line :func:`chart_rows` returns."""
+    return [line.rstrip("\n").split(",") for line in chart_rows(*args, **kwargs)]
+
+
 class TestChartSeries:
     def test_rows_sorted_and_flagged(self):
         bands = [
             ConsumptionBand("tezos", (1.0, 20.0), (1e-5, 0.0), (1e-4, 0.0), (True, False)),
             ConsumptionBand("near", (1.0,), (2e-6,), (5e-5,), (True,)),
         ]
-        rows = chart_rows(bands)
+        rows = chart_cells(bands)
         assert [r[0] for r in rows] == ["near", "tezos", "tezos"]
         assert rows[1][4] == "true"
         assert rows[2][4] == "false"
@@ -206,7 +211,7 @@ class TestChartSeries:
     def test_reference_band_pinned_to_grid_extremes(self):
         bands = [ConsumptionBand("near", (0.01, 100.0), (1e-5, 1e-6), (1e-4, 1e-5), (True, True))]
         ref = ReferenceBand("bitcoin", 624.41, 1662.78)
-        rows = chart_rows(bands, reference_bands=[ref])
+        rows = chart_cells(bands, reference_bands=[ref])
         ref_rows = [r for r in rows if r[0] == "bitcoin"]
         assert len(ref_rows) == 2
         assert [r[1] for r in ref_rows] == ["0.01", "100"]
@@ -214,7 +219,7 @@ class TestChartSeries:
 
     def test_markers_appended(self):
         bands = [ConsumptionBand("near", (1.0,), (1e-5,), (1e-4,), (True,))]
-        rows = chart_rows(bands, baseline_markers=[PointMarker("visa", 1736.0, 0.0033)])
+        rows = chart_cells(bands, baseline_markers=[PointMarker("visa", 1736.0, 0.0033)])
         assert rows[-1][0] == "visa"
         assert rows[-1][2] == rows[-1][3]
 
