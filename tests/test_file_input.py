@@ -15,7 +15,7 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import load_baselines
@@ -447,6 +447,8 @@ def assert_well_formed(argv, out):
 class TestBaselineNames:
     @SETTINGS
     @given(name=SECTION_NAMES)
+    @example(name="upper")
+    @example(name="a-lower")
     def test_network_id_or_path_and_section_named(self, name):
         text = RECORD.format(name) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
@@ -454,8 +456,9 @@ class TestBaselineNames:
             path.write_text(text, encoding="utf-8")
             valid = re.fullmatch(r"[a-z0-9][a-z0-9_-]*", name)
             stem, _, suffix = name.rpartition("-")
-            # a lone half of a lower/upper pair has a valid name but no partner
-            unpaired = valid and suffix in ("lower", "upper")
+            # a lone half of a lower/upper pair has a valid name but no partner;
+            # a bare "lower" or "upper" has no stem, so it is a plain name
+            unpaired = valid and stem and suffix in ("lower", "upper")
             try:
                 records = load_baselines(path)
             except ValueError as exc:
