@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import datetime as dt
-import math
 import os
 
 from .core import (
@@ -12,18 +11,13 @@ from .core import (
     SECONDS_PER_HOUR,
     SECONDS_PER_YEAR,
     Record,
+    _check_count,
+    _check_finite,
     validate_network_id,
 )
 
 # The energy units a baselines cfg may give an amount in, each with its size in joules.
 _JOULES_PER_UNIT = {"J": 1.0, "kWh": JOULES_PER_KWH, "GJ": 1e9, "TWh": 1e9 * JOULES_PER_KWH}
-
-
-def _positive(field: str, value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{field} must be finite and positive for {name!r}, got {value!r}")
-    return value
 
 
 class BaselineBand(Record):
@@ -54,16 +48,16 @@ class BaselineBand(Record):
             raise ValueError(
                 f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {name!r}, got {period_year!r}"
             )
-        object.__setattr__(self, "period_year", period_year)
-        lower = _positive("annual_kwh", annual_kwh_lower, name)
-        upper = _positive("annual_kwh", annual_kwh_upper, name)
+        object.__setattr__(self, "period_year", _check_count("year", period_year))
+        lower = _check_finite("annual_kwh", annual_kwh_lower, "positive", name)
+        upper = _check_finite("annual_kwh", annual_kwh_upper, "positive", name)
         if lower > upper:
             raise ValueError(
                 f"baseline {name!r} has annual_kwh_lower {lower!r} above annual_kwh_upper {upper!r}"
             )
         object.__setattr__(self, "annual_kwh_lower", lower)
         object.__setattr__(self, "annual_kwh_upper", upper)
-        object.__setattr__(self, "tps", _positive("tps", tps, name))
+        object.__setattr__(self, "tps", _check_finite("tps", tps, "positive", name))
 
     @property
     def kwh_per_second_lower(self) -> float:

@@ -12,7 +12,7 @@ import os
 import sys
 import tempfile
 import threading
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from pathlib import Path
 from typing import Iterable, NoReturn, TextIO
@@ -149,6 +149,7 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     with _sink(out) as stream:
         for chunk in chunks:
             _emit(chunk, stream)
+        stream.flush()  # a closed stdout fails here, inside main, not at exit
 
 
 # Band points from which a chart formats its second half of bands in a forked
@@ -213,6 +214,7 @@ def _write_bands(doc: BandDocument, out: str | None) -> None:
         for chunk in iter(partial(spool.read, _SPOOL_READ), ""):
             _emit(chunk, stream)
         _emit(doc.tail, stream)
+        stream.flush()
 
 
 def _spool_bands(doc: BandDocument, start: int, spool: TextIO) -> NoReturn:
@@ -322,6 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # The reader left early (`| head -1`), the normal end of a pipeline. Stdout
+        # goes to os.devnull, so the flush at exit cannot fail again; a stdout
+        # without a descriptor (an in-process caller's buffer) needs no redirect.
+        with suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,19 +44,29 @@ def parse_date(value: dt.date | str) -> dt.date:
     raise ValueError(f"invalid date {value!r} (want ISO-8601)")
 
 
-def _check_finite(name: str, value: float) -> float:
+def _check_finite(name: str, value: float, sign: str = "", owner: str = "") -> float:
+    """``value`` as a float, if finite and of ``sign``: "positive", "non-negative" or "" (any).
+
+    The one check of a real-valued field. A refusal reads ``<name> must be finite
+    and <sign> for '<owner>', got <value>``, with no ``for`` clause without an owner.
+    """
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(value) or (sign and (value <= 0 if sign == "positive" else value < 0)):
+        rule = f"finite and {sign}" if sign else "finite"
+        where = f" for {owner!r}" if owner else ""
+        raise ValueError(f"{name} must be {rule}{where}, got {value!r}")
     return value
 
 
 def _check_count(name: str, value: int) -> int:
-    count = int(value)
-    # the model computes in floats, which hold every count up to 2**53 exactly
-    if count != value or not 0 <= count <= 2**53:
-        raise ValueError(f"{name} must be a count in [0, 2**53], got {value!r}")
-    return count
+    """``value`` as an int, refused unless it is a whole number in [0, 2**53]."""
+    # the model computes in floats, which hold every count up to 2**53 exactly;
+    # comparing first keeps NaN and infinities away from int()
+    if 0 <= value <= 2**53:
+        count = int(value)
+        if count == value:
+            return count
+    raise ValueError(f"{name} must be a count in [0, 2**53], got {value!r}")
 
 
 class FrozenInstanceError(AttributeError):
@@ -144,10 +154,7 @@ class NetworkObservation(Record):
         object.__setattr__(self, "network", validate_network_id(network))
         object.__setattr__(self, "date", parse_date(date))
         object.__setattr__(self, "validators", _check_count("validators", validators))
-        tps = _check_finite("tps", tps)
-        if tps < 0:
-            raise ValueError(f"tps must be non-negative, got {tps!r}")
-        object.__setattr__(self, "tps", tps)
+        object.__setattr__(self, "tps", _check_finite("tps", tps, "non-negative", network))
         object.__setattr__(self, "provenance", provenance)
 
 
@@ -161,12 +168,10 @@ class ValidatorPowerBounds(Record):
 
     def __init__(self, network: str, lower_w: float, upper_w: float, source_note: str = "") -> None:
         object.__setattr__(self, "network", validate_network_id(network))
-        lower = _check_finite("lower_w", lower_w)
-        upper = _check_finite("upper_w", upper_w)
-        if not 0 < lower <= upper:
-            raise ValueError(
-                f"power bounds must satisfy 0 < lower <= upper, got ({lower!r}, {upper!r})"
-            )
+        lower = _check_finite("lower_w", lower_w, "positive", network)
+        upper = _check_finite("upper_w", upper_w, "positive", network)
+        if lower > upper:
+            raise ValueError(f"lower_w {lower!r} is above upper_w {upper!r} for {network!r}")
         object.__setattr__(self, "lower_w", lower)
         object.__setattr__(self, "upper_w", upper)
         object.__setattr__(self, "source_note", source_note)
@@ -189,10 +194,7 @@ class NetworkProfile(Record):
         if bounds.network != network:
             raise ValueError(f"profile for {network!r} carries bounds for {bounds.network!r}")
         object.__setattr__(self, "bounds", bounds)
-        max_tps = _check_finite("max_tps", max_tps)
-        if max_tps <= 0:
-            raise ValueError(f"max_tps must be positive, got {max_tps!r}")
-        object.__setattr__(self, "max_tps", max_tps)
+        object.__setattr__(self, "max_tps", _check_finite("max_tps", max_tps, "positive", network))
 
 
 def global_power(n_validators: float, watts_per_validator: float) -> float:
@@ -200,12 +202,8 @@ def global_power(n_validators: float, watts_per_validator: float) -> float:
 
     ``n_validators`` may be fractional (predictions from a fitted model are).
     """
-    n = _check_finite("n_validators", n_validators)
-    watts = _check_finite("watts_per_validator", watts_per_validator)
-    if n < 0:
-        raise ValueError(f"n_validators must be non-negative, got {n!r}")
-    if watts <= 0:
-        raise ValueError(f"watts_per_validator must be positive, got {watts!r}")
+    n = _check_finite("n_validators", n_validators, "non-negative")
+    watts = _check_finite("watts_per_validator", watts_per_validator, "positive")
     return n * watts / WATTS_PER_KW
 
 
@@ -216,13 +214,10 @@ def energy_per_tx(n_validators: float, watts_per_validator: float, tps: float) -
     transaction; the result is expressed in kWh. Undefined at zero
     throughput, where the quotient diverges.
     """
-    n = _check_finite("n_validators", n_validators)
-    watts = _check_finite("watts_per_validator", watts_per_validator)
-    rate = _check_finite("tps", tps)
-    if n < 0:
-        raise ValueError(f"n_validators must be non-negative, got {n!r}")
-    if watts <= 0:
-        raise ValueError(f"watts_per_validator must be positive, got {watts!r}")
-    if rate <= 0:
-        raise ValueError("per-transaction energy is undefined at zero throughput")
+    n = _check_finite("n_validators", n_validators, "non-negative")
+    watts = _check_finite("watts_per_validator", watts_per_validator, "positive")
+    rate = _check_finite("tps", tps, "non-negative")
+    if rate == 0:
+        raise ValueError("tps must be positive: per-transaction energy is undefined at zero "
+                         "throughput")
     return (n * watts) / (rate * JOULES_PER_KWH)

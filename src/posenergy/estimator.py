@@ -65,7 +65,9 @@ class ConsumptionBand(Record):
 
     The band is held as four equal-length columns indexed by grid position.
     ``physical`` is false where the model predicts less than one validator;
-    both energy values are 0.0 there.
+    both energy values are 0.0 there. This is the one place that checks a
+    band's grid order, its column lengths and that no physical point is
+    inverted.
     """
 
     network: str
@@ -158,10 +160,10 @@ def default_grid(
     evenly spaced in log10.
     """
     if n_points < 2:
-        raise GridDomainError(f"grid needs at least 2 points, got {n_points}")
+        raise GridDomainError(f"{profile.network}: grid needs at least 2 points, got {n_points}")
     if not 0 < min_tps < profile.max_tps:
         raise GridDomainError(
-            f"min_tps must lie in (0, {profile.max_tps!r}), got {min_tps!r}"
+            f"{profile.network}: min_tps must lie in (0, {profile.max_tps!r}), got {min_tps!r}"
         )
     start = math.log10(min_tps)
     step = (math.log10(profile.max_tps) - start) / (n_points - 1)
@@ -180,8 +182,9 @@ def consumption_band(
     non-physical and both band values are reported with the prediction
     clamped to zero. Each value is computed with the arithmetic of
     :func:`~posenergy.regression.predict_validators` and
-    :func:`~posenergy.core.energy_per_tx`; the inputs are validated once,
-    before the loop, and the results once, after it.
+    :func:`~posenergy.core.energy_per_tx`. The fit and the grid's domain
+    are checked before the loop; the grid's order is checked by
+    :class:`ConsumptionBand`, and overflow on the built band.
 
     Raises:
         GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
@@ -199,11 +202,10 @@ def consumption_band(
     rates = list(map(float, grid))
     if not rates:
         raise GridDomainError("empty throughput grid")
-    # NaN fails every comparison, so it is caught by the order or an endpoint check.
-    if not all(map(operator.lt, rates, rates[1:])):
-        raise GridDomainError(f"{network}: band grid must be strictly increasing")
+    # NaN compares false, so min and max either return it (refused here) or pass
+    # over it to ConsumptionBand's order check; no rate <= 0 reaches the division.
     max_tps = profile.max_tps
-    if not 0 < rates[0] or not rates[-1] <= max_tps:  # in order, so these bound the rest
+    if not 0 < min(rates) or not max(rates) <= max_tps:
         raise GridDomainError(
             f"grid values must lie in (0, {max_tps!r}] for {network!r}"
         )
@@ -222,6 +224,7 @@ def consumption_band(
             lower.append((predicted * w_lower) / joules)
             upper.append((predicted * w_upper) / joules)
             physical.append(True)
+    band = ConsumptionBand(network, rates, lower, upper, physical)  # checks the grid's order
     # lower <= upper pointwise, so a finite upper column bounds the lower one.
     if not all(map(math.isfinite, upper)):
         where = next(i for i, v in enumerate(upper) if not math.isfinite(v))
@@ -229,7 +232,7 @@ def consumption_band(
             f"{network}: band value overflows at tps={rates[where]!r} "
             f"(fit intercept {intercept!r}, slope {slope!r})"
         )
-    return ConsumptionBand(network, rates, lower, upper, physical)
+    return band
 
 
 class ReportedEstimate(Record):
@@ -254,10 +257,8 @@ class ReportedEstimate(Record):
     ) -> None:
         object.__setattr__(self, "name", validate_network_id(name))
         for field, value in (("global_kw", global_kw), ("kwh_per_tx", kwh_per_tx), ("tps", tps)):
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{field} must be finite and non-negative for {name!r}, got {value!r}"
-                )
+            if value is not None:
+                value = _check_finite(field, value, "non-negative", name)
             object.__setattr__(self, field, value)
         if validators is not None:
             validators = _check_count("validators", validators)

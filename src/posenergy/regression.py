@@ -107,10 +107,7 @@ def predict_validators(fit: RegressionFit, tps: float) -> float:
     May be fractional, and negative for downward-sloping fits; consumers
     decide what to do with non-physical predictions.
     """
-    rate = _check_finite("tps", tps)
-    if rate < 0:
-        raise ValueError(f"tps must be non-negative, got {rate!r}")
-    return fit.intercept + fit.slope * rate
+    return fit.intercept + fit.slope * _check_finite("tps", tps, "non-negative", fit.network)
 
 
 def _coefficient_of_determination(

@@ -11,10 +11,9 @@ average fraction across records.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from typing import Iterable
 
-from .core import SECONDS_PER_DAY, Record, parse_date
+from .core import SECONDS_PER_DAY, Record, _check_count, _check_finite, parse_date
 
 # The network operator's postulated peak throughput, votes included.
 DEFAULT_POSTULATED_MAX_TPS = 50_000.0
@@ -36,20 +35,19 @@ class VoteRatioRecord(Record):
         reported_tps: float,
     ) -> None:
         object.__setattr__(self, "date", parse_date(date))
-        nonvote = int(nonvote_tx_per_day)
-        total = int(total_tx_per_day)
-        if not 0 < total <= 2**53:  # the largest count a float holds exactly
-            raise ValueError(f"total_tx_per_day must lie in [1, 2**53], got {total!r}")
-        if not 0 <= nonvote <= total:
+        nonvote = _check_count("nonvote_tx_per_day", nonvote_tx_per_day)
+        total = _check_count("total_tx_per_day", total_tx_per_day)
+        if total < 1:
+            raise ValueError(f"total_tx_per_day must be at least 1, got {total!r}")
+        if nonvote > total:
             raise ValueError(
                 f"nonvote_tx_per_day must lie in [0, total], got {nonvote!r} of {total!r}"
             )
         object.__setattr__(self, "nonvote_tx_per_day", nonvote)
         object.__setattr__(self, "total_tx_per_day", total)
-        reported = float(reported_tps)
-        if not math.isfinite(reported) or reported < 0:
-            raise ValueError(f"reported_tps must be finite and non-negative, got {reported!r}")
-        object.__setattr__(self, "reported_tps", reported)
+        object.__setattr__(
+            self, "reported_tps", _check_finite("reported_tps", reported_tps, "non-negative")
+        )
 
 
 def nonvote_ratio(record: VoteRatioRecord) -> float:
@@ -64,8 +62,7 @@ def average_tps(record: VoteRatioRecord) -> float:
 
 def adjust_tps(reported_tps: float, ratio: float) -> float:
     """Scale a vote-inclusive throughput figure down to nonvote traffic."""
-    if not math.isfinite(reported_tps) or reported_tps < 0:
-        raise ValueError(f"reported_tps must be finite and non-negative, got {reported_tps!r}")
+    reported_tps = _check_finite("reported_tps", reported_tps, "non-negative")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio!r}")
     return reported_tps * ratio
@@ -88,6 +85,4 @@ def adjusted_max_tps(
     postulated_max: float, records: Iterable[VoteRatioRecord]
 ) -> float:
     """Scale a postulated maximum throughput by the mean nonvote share."""
-    if not math.isfinite(postulated_max) or postulated_max <= 0:
-        raise ValueError(f"postulated_max must be positive, got {postulated_max!r}")
-    return postulated_max * mean_nonvote_ratio(records)
+    return _check_finite("postulated_max", postulated_max, "positive") * mean_nonvote_ratio(records)

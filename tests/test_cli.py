@@ -361,9 +361,29 @@ class TestSplitFormatting:
         with forced_split() as forks:
             code, out, err = run_main(["chart", "--format", fmt, "--points", "50"],
                                       stdout=ClosedAfterFirstWrite())
-        assert (code, err) == (1, "error: [Errno 32] Broken pipe\n")
+        assert (code, err) == (0, "")
         assert len(forks) == 1 and out.count("\n") >= 1
         assert_no_child_left()
+
+
+class TestClosedStdout:
+    """A reader that stops early, as ``| head -1`` does, ends the pipeline normally."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit"], ["chart", "--points", "2000"], ["chart", "--points", "20000"]],
+        ids=["fit", "chart", "chart-forked"],
+    )
+    def test_reader_leaving_after_one_line(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with subprocess.Popen([sys.executable, "-m", "posenergy.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith(b"network")
+        assert (code, err) == (0, b"")
 
 
 class TestBenchTracerContract:
@@ -649,6 +669,17 @@ class TestErrorPaths:
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
             assert detail in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lmin", "200"], "bnb: min_tps must lie in (0, 188.0), got 200.0"),
+            (["--points", "1"], "algorand: grid needs at least 2 points, got 1"),
+        ],
+        ids=["lmin-above-max", "one-point"],
+    )
+    def test_grid_refusal_names_network(self, capsys, argv, message):
+        assert run(capsys, "chart", *argv) == (1, "", f"error: {message}\n")
 
     def test_oversized_cell_named(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"
