@@ -9,9 +9,9 @@ exposed through :class:`ChartGeometry` so callers can verify coordinates.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, groupby
-from math import log10
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import compress, groupby
+from math import floor, log10
+from typing import Iterable, Iterator, Sequence
 
 from .core import Record
 from .estimator import ConsumptionBand
@@ -154,23 +154,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class BandDocument(NamedTuple):
-    """A chart output as a head, one text per band, then a tail.
-
-    ``body`` is a plain function of one band, so the band texts can be made
-    in any order, or in another process, and still be joined in band order.
-    """
-
-    head: str
-    bands: Sequence[ConsumptionBand]
-    body: Callable[[ConsumptionBand], str]
-    tail: str
-
-    def chunks(self) -> Iterator[str]:
-        """The document in order: the head, each band's text, the tail."""
-        return chain([self.head], map(self.body, self.bands), [self.tail])
-
-
 def render_chart(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
@@ -179,67 +162,71 @@ def render_chart(
     height: int = DEFAULT_HEIGHT,
     title: str = "",
 ) -> tuple[str, ChartGeometry]:
-    """Render an SVG document; returns the markup and the geometry used."""
-    geom = chart_geometry(bands, markers, reference_bands, width, height)
-    return "".join(svg_document(geom, bands, markers, reference_bands, title).chunks()), geom
-
-
-def svg_document(
-    geom: ChartGeometry,
-    bands: Sequence[ConsumptionBand],
-    markers: Sequence[PointMarker] = (),
-    reference_bands: Sequence[ReferenceBand] = (),
-    title: str = "",
-) -> BandDocument:
-    """The SVG document on ``geom``: a head, each band's polygons, then a tail.
+    """Render an SVG document; returns the markup and the geometry used.
 
     Band polygons walk the lower edge left to right, then the upper edge
     back, per contiguous physical run. Non-physical points are not drawn.
-    Head and tail are built before this returns, so they cannot raise midway.
+    Each edge is drawn at canvas resolution (see :func:`_column_ends`), so
+    the markup's size is bounded by the canvas, not by the grid.
     """
-    width, height = geom.width, geom.height
+    geom = chart_geometry(bands, markers, reference_bands, width, height)
     colors = _color_map(bands, markers, reference_bands)
-    head = [
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    head.extend(_grid_lines(geom))
+    parts.extend(_grid_lines(geom))
     for ref in reference_bands:
         top = geom.y_px(ref.kwh_per_tx_upper)
         bottom = geom.y_px(ref.kwh_per_tx_lower)
-        head.append(
+        parts.append(
             f'<rect x="{_fmt(geom.plot_left)}" y="{_fmt(top)}" '
             f'width="{_fmt(geom.plot_right - geom.plot_left)}" '
             f'height="{_fmt(bottom - top)}" fill="{colors[ref.label]}" '
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
-
-    def polygons(band: ConsumptionBand) -> str:
+    for band in bands:
         color = colors[band.network]
-        out = []
         for start, stop in _physical_runs(band.physical):
+            run_xs = geom.xs_px(band.tps[start:stop])
+            drawn = _column_ends(run_xs)
             # Each x is formatted once, with the comma that both of its vertices use.
-            xs = [f"{v:.2f}," for v in geom.xs_px(band.tps[start:stop])]
-            lower = geom.ys_px(band.kwh_per_tx_lower[start:stop])
-            upper = geom.ys_px(band.kwh_per_tx_upper[start:stop])
+            xs = [f"{run_xs[i]:.2f}," for i in drawn]
+            lower = geom.ys_px([band.kwh_per_tx_lower[start + i] for i in drawn])
+            upper = geom.ys_px([band.kwh_per_tx_upper[start + i] for i in drawn])
             vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower)]
             vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper))]
-            out.append(
+            parts.append(
                 f'<polygon points="{" ".join(vertices)}" fill="{color}" fill-opacity="0.35" '
-                f'stroke="{color}" stroke-width="1"/>\n'
+                f'stroke="{color}" stroke-width="1"/>'
             )
-        return "".join(out)
-
-    tail = [
+    parts.extend(
         f'<circle cx="{_fmt(geom.x_px(marker.tps))}" cy="{_fmt(geom.y_px(marker.kwh_per_tx))}" '
         f'r="4" fill="{colors[marker.label]}" stroke="#333333"/>'
         for marker in markers
+    )
+    parts.extend(_frame_and_labels(geom, title))
+    parts.extend(_legend(geom, colors))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n", geom
+
+
+def _column_ends(xs: Sequence[float]) -> list[int]:
+    """Indices of the first and the last of ``xs`` in each whole pixel column.
+
+    These are the vertices an edge draws. A point left out lies in the same
+    column as two drawn points, and a band edge is monotone between them, so
+    it is within one pixel of the drawn edge. The first and last index are
+    always kept, and where consecutive points are a pixel or more apart every
+    index is kept.
+    """
+    columns = [floor(x) for x in xs]
+    neighbours = [None, *columns, None]  # neighbours[i] and [i + 2] flank columns[i]
+    return [
+        i for i, column in enumerate(columns)
+        if neighbours[i] != column or column != neighbours[i + 2]
     ]
-    tail.extend(_frame_and_labels(geom, title))
-    tail.extend(_legend(geom, colors))
-    tail.append("</svg>")
-    return BandDocument("\n".join(head) + "\n", bands, polygons, "\n".join(tail) + "\n")
 
 
 def _color_map(

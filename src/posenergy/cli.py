@@ -10,16 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-import threading
 from contextlib import nullcontext, suppress
-from functools import partial
 from pathlib import Path
-from typing import Iterable, NoReturn, TextIO
+from typing import Iterable, TextIO
 
 from . import report
 from .baselines import load_baselines
-from .chart import BandDocument, chart_geometry, svg_document
+from .chart import render_chart
 from .estimator import (
     DEFAULT_GRID_POINTS,
     DEFAULT_MIN_TPS,
@@ -140,99 +137,12 @@ def _emit(text: str, stream: TextIO) -> None:
     stream.write(text)
 
 
-def _sink(out: str | None):
-    return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
-
-
 def _write(chunks: Iterable[str], out: str | None) -> None:
     """Emit each chunk to ``--out`` or stdout; callers run everything that can raise first."""
-    with _sink(out) as stream:
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
         for chunk in chunks:
             _emit(chunk, stream)
         stream.flush()  # a closed stdout fails here, inside main, not at exit
-
-
-# Band points from which a chart formats its second half of bands in a forked
-# child. Measured on 2 cores (Python 3.11), the split breaks even near 5,000
-# points: it costs about 3 ms more at the default 14 x 200 = 2,800 and saves
-# about 2 ms at 7,000, 8 ms at 14,000 and 40 ms at 56,000.
-_SPLIT_MIN_POINTS = 10_000
-_SPOOL_READ = 1 << 20  # characters per read when copying the child's text
-
-
-def _split_index(doc: BandDocument) -> int:
-    """Index of the first band a forked child formats; ``len(doc.bands)`` formats all here.
-
-    Every band of a chart has the same number of points, so this process
-    keeps the first half of the bands; one band is not split. A split needs
-    ``os.fork``, at least two CPUs available to this process and no other
-    thread, since forking a threaded process is unsafe.
-    """
-    if (
-        sum(len(band.tps) for band in doc.bands) < _SPLIT_MIN_POINTS
-        or not hasattr(os, "fork")
-        or _cpu_count() < 2
-        or threading.active_count() > 1
-    ):
-        return len(doc.bands)
-    return len(doc.bands) // 2 or len(doc.bands)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _write_bands(doc: BandDocument, out: str | None) -> None:
-    """``_write(doc.chunks(), out)``, with a large document split over two processes.
-
-    A forked child spools the text of the bands from :func:`_split_index` on
-    to an anonymous temporary file while this process emits the head and the
-    bands before them. The child is reaped whatever happens here; its text
-    is copied out only if it exited 0, and the tail follows.
-    """
-    split = _split_index(doc)
-    if split == len(doc.bands):
-        _write(doc.chunks(), out)
-        return
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool, _sink(out) as stream:
-        pid = os.fork()
-        if pid == 0:
-            _spool_bands(doc, split, spool)
-        try:
-            _emit(doc.head, stream)
-            for band in doc.bands[:split]:
-                _emit(doc.body(band), stream)
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise RuntimeError(f"chart worker (pid {pid}) exited with status {code}")
-        spool.seek(0)
-        for chunk in iter(partial(spool.read, _SPOOL_READ), ""):
-            _emit(chunk, stream)
-        _emit(doc.tail, stream)
-        stream.flush()
-
-
-def _spool_bands(doc: BandDocument, start: int, spool: TextIO) -> NoReturn:
-    """In the forked child: write the text of each band from ``start`` on to ``spool``, then exit.
-
-    ``os._exit`` skips the parent's cleanup and its unflushed buffers, which
-    the child holds copies of; the exit status tells the parent the outcome.
-    """
-    code = 1
-    try:
-        for band in doc.bands[start:]:
-            spool.write(doc.body(band))
-        spool.flush()
-        code = 0
-    except Exception as exc:  # reported here; the parent sees only the status
-        print(f"error: chart worker: {exc}", file=sys.stderr, flush=True)
-    finally:
-        os._exit(code)
 
 
 def _emit_rows(
@@ -288,14 +198,13 @@ def _cmd_chart(args: argparse.Namespace) -> None:
     baselines = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
     baseline_markers, reference_bands = report.baseline_chart_elements(baselines)
     if args.format == "csv":
-        doc = report.chart_csv_document(bands, baseline_markers, reference_bands)
+        chunks = report.chart_csv_document(bands, baseline_markers, reference_bands)
     else:
         markers = report.observation_markers(
             snapshot.observations, bounds, [b.network for b in bands]
         ) + baseline_markers
-        geom = chart_geometry(bands, markers, reference_bands)
-        doc = svg_document(geom, bands, markers, reference_bands)
-    _write_bands(doc, args.out)
+        chunks = [render_chart(bands, markers, reference_bands)[0]]
+    _write(chunks, args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
@@ -330,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         # without a descriptor (an in-process caller's buffer) needs no redirect.
         with suppress(OSError), open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

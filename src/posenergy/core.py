@@ -49,13 +49,18 @@ def _check_finite(name: str, value: float, sign: str = "", owner: str = "") -> f
 
     The one check of a real-valued field. A refusal reads ``<name> must be finite
     and <sign> for '<owner>', got <value>``, with no ``for`` clause without an owner.
+    An int too large for a float is not finite as one; it is not printed, since
+    Python refuses to print an int of more than 4,300 digits.
     """
-    value = float(value)
-    if not math.isfinite(value) or (sign and (value <= 0 if sign == "positive" else value < 0)):
+    try:
+        number = shown = float(value)
+    except OverflowError:
+        number, shown = math.inf, "a number beyond float range"
+    if not math.isfinite(number) or (sign and (number <= 0 if sign == "positive" else number < 0)):
         rule = f"finite and {sign}" if sign else "finite"
         where = f" for {owner!r}" if owner else ""
-        raise ValueError(f"{name} must be {rule}{where}, got {value!r}")
-    return value
+        raise ValueError(f"{name} must be {rule}{where}, got {shown}")
+    return number
 
 
 def _check_count(name: str, value: int) -> int:

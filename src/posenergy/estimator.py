@@ -199,16 +199,18 @@ def consumption_band(
     intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
     slope = _check_finite(f"{network}: fit slope", fit.slope)
     w_lower, w_upper = profile.bounds.lower_w, profile.bounds.upper_w
-    rates = list(map(float, grid))
+    max_tps = profile.max_tps
+    outside = f"grid values must lie in (0, {max_tps!r}] for {network!r}"
+    try:
+        rates = list(map(float, grid))
+    except OverflowError:  # an int too large for a float
+        raise GridDomainError(outside) from None
     if not rates:
         raise GridDomainError("empty throughput grid")
     # NaN compares false, so min and max either return it (refused here) or pass
     # over it to ConsumptionBand's order check; no rate <= 0 reaches the division.
-    max_tps = profile.max_tps
     if not 0 < min(rates) or not max(rates) <= max_tps:
-        raise GridDomainError(
-            f"grid values must lie in (0, {max_tps!r}] for {network!r}"
-        )
+        raise GridDomainError(outside)
 
     lower: list[float] = []
     upper: list[float] = []

@@ -9,10 +9,10 @@ environment details leak into the output.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import BaselineBand
-from .chart import BandDocument, PointMarker, ReferenceBand
+from .chart import PointMarker, ReferenceBand
 from .core import (
     NetworkObservation,
     NetworkProfile,
@@ -404,11 +404,12 @@ def chart_csv_document(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> BandDocument:
-    """``chart_csv(chart_rows(...))`` as the header, one text per band, then the anchors.
+) -> Iterator[str]:
+    """``chart_csv(chart_rows(...))`` in chunks: the header, one text per band, then the anchors.
 
-    The anchors, which can raise, are built before this returns.
+    The bands come in network order. The anchors, which can raise, are built
+    before this returns.
     """
-    anchors = _chart_anchor_lines(bands, baseline_markers, reference_bands)
+    anchors = "".join(_chart_anchor_lines(bands, baseline_markers, reference_bands))
     ordered = sorted(bands, key=lambda b: b.network)
-    return BandDocument(_csv_lines([_CHART_HEADER]), ordered, _band_csv, "".join(anchors))
+    return chain([_csv_lines([_CHART_HEADER])], map(_band_csv, ordered), [anchors])

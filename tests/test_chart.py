@@ -2,12 +2,12 @@
 
 import math
 import re
-from itertools import compress
+from itertools import compress, groupby
 
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posenergy.chart import (
@@ -17,7 +17,9 @@ from posenergy.chart import (
     chart_geometry,
     render_chart,
 )
-from posenergy.estimator import ConsumptionBand
+from posenergy.core import NetworkProfile, ValidatorPowerBounds
+from posenergy.estimator import ConsumptionBand, consumption_band, default_grid
+from posenergy.regression import RegressionFit
 
 
 def band(network="polkadot", points=None):
@@ -136,15 +138,16 @@ class TestChartGeometryProperty:
             assert chart_geometry(bands, markers, refs) == expected
 
 
-class TestRenderChart:
-    def parse_polygons(self, svg):
-        out = []
-        for match in re.finditer(r'<polygon points="([^"]+)"', svg):
-            out.append(
-                [tuple(map(float, pair.split(","))) for pair in match.group(1).split()]
-            )
-        return out
+def parse_polygons(svg):
+    out = []
+    for match in re.finditer(r'<polygon points="([^"]+)"', svg):
+        out.append(
+            [tuple(map(float, pair.split(","))) for pair in match.group(1).split()]
+        )
+    return out
 
+
+class TestRenderChart:
     def test_returns_wellformed_svg(self):
         svg, geom = render_chart([band()], title="bands")
         assert svg.startswith("<svg ")
@@ -172,7 +175,7 @@ class TestRenderChart:
     def test_polygon_vertices_match_geometry(self):
         b = band()
         svg, geom = render_chart([b])
-        polygons = self.parse_polygons(svg)
+        polygons = parse_polygons(svg)
         assert len(polygons) == 1
         vertices = polygons[0]
         tps = list(compress(b.tps, b.physical))
@@ -193,7 +196,7 @@ class TestRenderChart:
             (1000.0, 1e-7, 1e-6, True),
         ]
         svg, _ = render_chart([band(points=points)])
-        assert len(self.parse_polygons(svg)) == 2
+        assert len(parse_polygons(svg)) == 2
 
     def test_single_point_run_not_drawn(self):
         points = [
@@ -201,7 +204,7 @@ class TestRenderChart:
             (10.0, 0.0, 0.0, False),
         ]
         svg, _ = render_chart([band(points=points)])
-        assert self.parse_polygons(svg) == []
+        assert parse_polygons(svg) == []
 
     def test_marker_circle_position(self):
         marker = PointMarker("visa", 1736.0, 0.00327773)
@@ -250,3 +253,105 @@ class TestRenderChart:
         fills = re.findall(r'<polygon points="[^"]+" fill="(#[0-9a-f]{6})"', svg)
         assert len(fills) == 2
         assert fills[0] != fills[1]
+
+
+@st.composite
+def affine_band(draw, network):
+    """The band of a generated affine fit: through the origin, flat, or with a negative intercept.
+
+    A negative intercept puts the first physical point mid-grid, at a drawn
+    crossing throughput, so runs start anywhere.
+    """
+    max_tps = draw(st.floats(min_value=1.0, max_value=1e5))
+    kind = draw(st.sampled_from(["origin", "flat", "negative-intercept"]))
+    if kind == "origin":
+        intercept, slope = 0.0, draw(st.floats(min_value=1.0, max_value=1e4))
+    elif kind == "flat":
+        intercept, slope = draw(st.floats(min_value=1.0, max_value=1e5)), 0.0
+    else:
+        intercept = draw(st.floats(min_value=-500.0, max_value=-1.0))
+        crossing = draw(st.floats(min_value=0.01, max_value=max_tps))
+        slope = (1.0 - intercept) / crossing
+    lower_w = draw(st.floats(min_value=0.1, max_value=1e3))
+    upper_w = lower_w * draw(st.floats(min_value=1.0, max_value=100.0))
+    profile = NetworkProfile(network, ValidatorPowerBounds(network, lower_w, upper_w), max_tps)
+    fit = RegressionFit(network, intercept, slope, 1.0, 2, kind == "origin")
+    grid = default_grid(profile, draw(st.integers(min_value=2, max_value=5000)), 0.01)
+    return consumption_band(fit, profile, grid)
+
+
+def printed(x, y):
+    return f"{x:.2f}", f"{y:.2f}"
+
+
+def segment_distance(point, a, b):
+    """Distance from ``point`` to the segment from ``a`` to ``b``."""
+    (px, py), (ax, ay), (bx, by) = point, a, b
+    dx, dy = bx - ax, by - ay
+    length2 = dx * dx + dy * dy
+    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2)) if length2 else 0.0
+    return math.hypot(px - ax - t * dx, py - ay - t * dy)
+
+
+def subsequence_indices(drawn, full):
+    """Index in ``full`` of each item of ``drawn``, matched in order, or None if one is missing."""
+    indices, position = [], 0
+    for item in drawn:
+        while position < len(full) and full[position] != item:
+            position += 1
+        if position == len(full):
+            return None
+        indices.append(position)
+        position += 1
+    return indices
+
+
+class TestCanvasResolution:
+    """Each edge draws the first and last grid point of each whole pixel column."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(bands=st.lists(
+        st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
+    ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))))
+    def test_edges_drawn_at_canvas_resolution(self, bands):
+        assume(any(map(any, (b.physical for b in bands))))
+        svg, geom = render_chart(bands)
+        polygons = parse_polygons(svg)
+        runs = [
+            (b, [i for i, _ in group])
+            for b in bands
+            for flag, group in groupby(enumerate(b.physical), key=lambda item: item[1])
+            if flag
+        ]
+        runs = [(b, run) for b, run in runs if len(run) >= 2]
+        assert len(polygons) == len(runs)
+        for (b, run), vertices in zip(runs, polygons):
+            xs = [geom.x_px(b.tps[i]) for i in run]
+            edges = [
+                [(x, geom.y_px(column[i])) for x, i in zip(xs, run)]
+                for column in (b.kwh_per_tx_lower, b.kwh_per_tx_upper)
+            ]
+            vertices = [printed(x, y) for x, y in vertices]
+            half = len(vertices) // 2
+            drawn_edges = vertices[:half], vertices[half:][::-1]
+            kept = subsequence_indices(drawn_edges[0], [printed(*p) for p in edges[0]])
+            # every drawn vertex is the printed pair of a physical grid point of this run
+            assert kept is not None
+            assert drawn_edges[1] == [printed(*edges[1][i]) for i in kept]
+            # the run's first and last points are drawn
+            assert (kept[0], kept[-1]) == (0, len(run) - 1)
+            # exactly the first and the last point of each whole pixel column are drawn
+            first, last = {}, {}
+            for i, x in enumerate(xs):
+                first.setdefault(math.floor(x), i)
+                last[math.floor(x)] = i
+            assert kept == sorted({*first.values(), *last.values()})
+            # every grid point lies within a pixel of its edge (printing moves a vertex 0.005)
+            for edge, drawn in zip(edges, drawn_edges):
+                segments = [tuple(map(float, v)) for v in drawn]
+                for k, (i, j) in enumerate(zip(kept, kept[1:])):
+                    for point in edge[i:j + 1]:
+                        assert segment_distance(point, segments[k], segments[k + 1]) <= 1.01
+            # points a pixel or more apart are all drawn
+            if all(right - left >= 1.0 for left, right in zip(xs, xs[1:])):
+                assert kept == list(range(len(run)))

@@ -1,5 +1,6 @@
 """Contemporary estimates, throughput grids and consumption bands."""
 
+import operator
 from itertools import compress
 
 import numpy as np
@@ -34,6 +35,8 @@ from posenergy.regression import RegressionFit, predict_validators
 
 HEDERA_BOUNDS = ValidatorPowerBounds("hedera", 168.10, 328.00)
 POLKADOT_BOUNDS = ValidatorPowerBounds("polkadot", 4.31, 107.86)
+# Ints too large for a float, up to more digits (6,021) than Python prints.
+BEYOND_FLOAT = st.integers(min_value=2**1024, max_value=2**20000)
 
 
 def polkadot_profile(max_tps=1000.0):
@@ -249,6 +252,8 @@ class TestConsumptionBand:
             st.one_of(
                 st.sampled_from([0.0, -0.0, -1.0, 100.0, float("nan"), float("inf")]),
                 st.floats(min_value=1e-3, max_value=150.0),
+                BEYOND_FLOAT,
+                BEYOND_FLOAT.map(operator.neg),
             ),
             max_size=6,
         )

@@ -1,8 +1,9 @@
 """Every validating constructor and public model function refuses a bad field the same way.
 
-A real-valued field is refused when NaN, infinite, negative, or zero where it
-must be positive, with ``<field> must be finite and <sign> for '<owner>', got
-<value>`` (no ``for`` clause without an owner). A count is refused when
+A real-valued field is refused when NaN, infinite, an int too large for a float,
+negative, or zero where it must be positive, with ``<field> must be finite and
+<sign> for '<owner>', got <value>`` (no ``for`` clause without an owner; an int
+too large for a float is shown as ``a number beyond float range``). A count is refused when
 fractional, non-finite or out of range. A valid value is stored unchanged.
 """
 
@@ -96,12 +97,14 @@ COUNT_FIELDS = {
 ZERO_REFUSED = {"energy-tps"}
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Ints too large for a float, either sign, up to more digits (6,021) than Python prints.
+BEYOND_FLOAT = st.integers(2**1024, 2**20000).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
 def bad_reals(sign, zero_refused):
     if not sign:
-        return NON_FINITE
-    negative = NON_FINITE | st.floats(max_value=-TINY)
+        return NON_FINITE | BEYOND_FLOAT
+    negative = NON_FINITE | BEYOND_FLOAT | st.floats(max_value=-TINY)
     return negative | st.sampled_from([0.0, -0.0]) if zero_refused else negative
 
 
@@ -124,7 +127,8 @@ def test_real_field_refused_with_one_wording(case, data):
     else:
         rule = f"finite and {sign}" if sign else "finite"
         where = f" for {owner!r}" if owner else ""
-        assert message == f"{field} must be {rule}{where}, got {value!r}"
+        shown = "a number beyond float range" if isinstance(value, int) else repr(value)
+        assert message == f"{field} must be {rule}{where}, got {shown}"
 
 
 @pytest.mark.parametrize("case", REAL_FIELDS)

@@ -2,9 +2,10 @@
 
 No module of the package imports a network or thread-pool module, nor
 ``dataclasses``, whose import pulls in ``inspect`` and whose classes compile
-their methods with ``exec`` at import. The checks read the source with
-``ast``, so an import inside a function, which an import-time check never
-sees, fails them as well.
+their methods with ``exec`` at import, nor ``tempfile`` or ``threading``:
+the CLI runs in one process and writes no temporary file. The checks read
+the source with ``ast``, so an import inside a function, which an
+import-time check never sees, fails them as well.
 """
 
 import ast
@@ -46,10 +47,18 @@ def test_no_module_imports_dataclasses():
     assert imports_of({"dataclasses"}) == []
 
 
+def test_no_module_imports_tempfile_or_threading():
+    assert imports_of({"tempfile", "threading"}) == []
+
+
+# Code generation, and the temporary-file chain (tempfile pulls in the rest)
+NOT_LOADED = {"dataclasses", "inspect", "tempfile", "threading", "shutil", "random", "bz2", "lzma"}
+
+
 def test_cli_import_loads_no_code_generation_modules():
     # -S keeps the host's site imports out of the loaded set
     env = {**os.environ, "PYTHONPATH": str(Path(posenergy.__file__).parents[1])}
-    probe = "import sys, posenergy.cli; print(*sorted({'dataclasses', 'inspect'} & {*sys.modules}))"
+    probe = f"import sys, posenergy.cli; print(*sorted({NOT_LOADED!r} & {{*sys.modules}}))"
     command = [sys.executable, "-S", "-c", probe]
     result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")

@@ -225,7 +225,7 @@ class TestChartSeries:
 
     def test_band_name_is_a_cell_not_a_format(self):
         bands = [ConsumptionBand("a%sb%%", (1.0, 2.0), (1e-5, 0.0), (1e-4, 0.0), (True, False))]
-        text = "".join(chart_csv_document(bands).chunks())
+        text = "".join(chart_csv_document(bands))
         assert text == chart_csv(chart_rows(bands))
         assert text.splitlines()[1] == "a%sb%%,1,1e-05,0.0001,true"
 
