@@ -51,7 +51,7 @@ def test_output_matches_golden(name):
 # per-point hot paths of band evaluation, CSV rows and SVG polygons.
 STRESS_SHA256 = {
     "csv": "e129074cc23b8ad0e800153b62016d7091c32d3ca703a15e1db7d8d8e3a15588",
-    "svg": "e6f06eae2d93951bdea542cbdbe6fb8ecb3d4af0a51c0b6da85eb61ecf3231a0",
+    "svg": "5cbe1266b40d22fc47afc68ea885658a7fc37c77a22ac1f4565421960c9d11c7",
 }
 
 
