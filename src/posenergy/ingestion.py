@@ -3,8 +3,9 @@
 Snapshots are small CSV files with a fixed header. Rows normally carry a
 validator count; rows that instead carry vote/nonvote day counts with an
 empty validators cell contribute vote-ratio records only (historical rows
-for which no validator count was recorded). A row may carry both, in which
-case it yields an observation and a vote-ratio record.
+for which no validator count was recorded). The writer puts each record on
+a row of its own; the reader also accepts a row that carries both, which
+yields an observation and a vote-ratio record.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import datetime as dt
 import io
 import os
-from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -152,53 +152,35 @@ def write_snapshot(
 ) -> None:
     """Write the unified CSV schema; inverse of :func:`load_snapshots`.
 
-    Rows come out in canonical order: observations sorted by (network, date),
-    then any vote records that did not fold into an observation row, sorted
-    by (date, reported throughput) with ties in input order. A vote record
-    folds into an observation row when the two share a date and the reported
-    throughput; of several such records, the first in that order folds.
+    Every record has a row of its own, in canonical order: observations
+    sorted by (network, date), then vote records, with an empty validators
+    cell, sorted by (date, reported throughput) with ties in input order.
     """
     rows = sorted(observations, key=lambda o: (o.network, o.date))
     for obs in rows:
         # loading strips cells, and the csv reader of Python 3.10 refuses NUL
         if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
             raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
-    # (date, reported_tps) -> its records in input order; the keys are finite, so
-    # building from the sorted records keeps the keys in sorted order too
-    pending: dict[tuple[dt.date, float], deque[VoteRatioRecord]] = {}
-    for record in sorted(vote_records, key=lambda v: (v.date, v.reported_tps)):
-        pending.setdefault((record.date, record.reported_tps), deque()).append(record)
-
-    def observation_row(obs: NetworkObservation) -> tuple:
-        queue = pending.get((obs.date, obs.tps))
-        vote = queue.popleft() if queue else None
-        return (
-            obs.network,
-            obs.date.isoformat(),
-            obs.validators,
-            repr(obs.tps),
-            vote.nonvote_tx_per_day if vote else "",
-            vote.total_tx_per_day if vote else "",
-            obs.provenance,
-        )
-
+    votes = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
     # every row is checked above, so a refused write leaves an existing file as it was
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_HEADER)
-        writer.writerows(map(observation_row, rows))
+        writer.writerows(
+            (o.network, o.date.isoformat(), o.validators, repr(o.tps), "", "", o.provenance)
+            for o in rows
+        )
         writer.writerows(
             (
                 "solana",
-                vote.date.isoformat(),
+                v.date.isoformat(),
                 "",
-                repr(vote.reported_tps),
-                vote.nonvote_tx_per_day,
-                vote.total_tx_per_day,
+                repr(v.reported_tps),
+                v.nonvote_tx_per_day,
+                v.total_tx_per_day,
                 "",
             )
-            for queue in pending.values()
-            for vote in queue
+            for v in votes
         )
 
 

@@ -508,7 +508,7 @@ class TestSnapshotRoundTrip:
     @SETTINGS
     @given(observations=OBSERVATIONS, votes=VOTES, data=st.data())
     def test_write_then_load_is_exact(self, observations, votes, data):
-        # some vote records share a date and throughput with an observation, so they fold
+        # some vote records share a date and throughput with an observation
         if observations:
             for obs in data.draw(st.lists(st.sampled_from(observations), max_size=2)):
                 votes.append(VoteRatioRecord(obs.date, 1, 2, obs.tps))
@@ -516,12 +516,21 @@ class TestSnapshotRoundTrip:
             o for o in observations if o.provenance != o.provenance.strip() or "\0" in o.provenance
         ]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "snapshot.csv"
+            path, again = Path(tmp) / "snapshot.csv", Path(tmp) / "again.csv"
             if unwritable:
                 with pytest.raises(ValueError, match="provenance of"):
                     write_snapshot(path, observations, votes)
                 return
             write_snapshot(path, observations, votes)
             loaded = load_snapshots(path)
+            write_snapshot(again, loaded.observations, loaded.vote_records)
+            assert again.read_bytes() == path.read_bytes()
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
         assert loaded.observations == tuple(sorted(observations, key=lambda o: (o.network, o.date)))
         assert sorted(loaded.vote_records, key=vote_key) == sorted(votes, key=vote_key)
+        # each record has a row of its own: an observation row carries no vote
+        # counts, and a vote row no validator count
+        assert len(rows) == len(observations) + len(votes)
+        assert all(not r["nonvote_per_day"] for r in rows[: len(observations)])
+        assert all(not r["validators"] for r in rows[len(observations):])

@@ -179,16 +179,17 @@ class TestWriteSnapshot:
         assert reloaded.observations == ()
         assert set(reloaded.vote_records) == set(original.vote_records)
 
-    def test_vote_record_folds_into_matching_observation(self, tmp_path):
+    def test_vote_record_sharing_a_key_has_its_own_row(self, tmp_path):
         observation = obs("solana", "2022-12-11", 2402, 4123.0)
         vote = VoteRatioRecord("2022-12-11", 17_263_338, 309_222_640, 4123.0)
         path = tmp_path / "out.csv"
         write_snapshot(path, [observation], [vote])
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2  # header + one combined row
-        assert "17263338" in lines[1]
+        assert path.read_text().splitlines()[1:] == [
+            "solana,2022-12-11,2402,4123.0,,,",
+            "solana,2022-12-11,,4123.0,17263338,309222640,",
+        ]
         reloaded = load_snapshots(path)
-        assert len(reloaded.observations) == 1
+        assert reloaded.observations == (observation,)
         assert reloaded.vote_records == (vote,)
 
     def test_unmatched_vote_record_appended(self, tmp_path):
@@ -200,7 +201,7 @@ class TestWriteSnapshot:
         assert len(reloaded.observations) == 1
         assert reloaded.vote_records == (vote,)
 
-    def test_records_sharing_a_key_fold_and_follow_in_sorted_input_order(self, tmp_path):
+    def test_vote_records_follow_observations_in_sorted_input_order(self, tmp_path):
         observation = obs("solana", "2022-12-11", 2402, 4123.0)
         first = VoteRatioRecord("2022-12-11", 1, 10, 4123.0)
         second = VoteRatioRecord("2022-12-11", 2, 10, 4123.0)
@@ -209,8 +210,9 @@ class TestWriteSnapshot:
         path = tmp_path / "out.csv"
         write_snapshot(path, [observation], [faster, first, earlier, second])
         assert path.read_text().splitlines()[1:] == [
-            "solana,2022-12-11,2402,4123.0,1,10,",
+            "solana,2022-12-11,2402,4123.0,,,",
             "solana,2022-12-10,,4123.0,3,10,",
+            "solana,2022-12-11,,4123.0,1,10,",
             "solana,2022-12-11,,4123.0,2,10,",
             "solana,2022-12-11,,5000.0,4,10,",
         ]
