@@ -81,28 +81,23 @@ class FrozenInstanceError(AttributeError):
 class Record:
     """Frozen value base whose fields are the class annotations, in order.
 
-    The default ``__init__`` takes each field by position, by keyword or from
-    a class-level default. Equality, hashing and ``repr`` go by the tuple of
-    fields, and the ``repr`` is the one a frozen dataclass prints. A subclass
-    that validates its arguments defines its own ``__init__`` and sets each
-    field once with ``object.__setattr__`` (writing ``self.__dict__`` instead
-    would slow every later attribute read). Unlike ``dataclasses``, nothing is
-    compiled per class, so defining a record costs no ``exec`` at import.
+    The default ``__init__`` takes each field by position or by keyword; a
+    field has no class-level default. Equality, hashing and ``repr`` go by the
+    tuple of fields, and the ``repr`` is the one a frozen dataclass prints. A
+    subclass that validates its arguments defines its own ``__init__`` and
+    sets each field once with ``object.__setattr__`` (writing ``self.__dict__``
+    instead would slow every later attribute read). Unlike ``dataclasses``,
+    nothing is compiled per class, so defining a record costs no ``exec`` at
+    import.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, Any] = {}
-    _astuple: Any = staticmethod(lambda record: ())
+    _astuple: Any
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        own = [name for name in cls.__annotations__ if name not in cls._fields]
-        fields = cls._fields = cls._fields + tuple(own)
-        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
-        if len(fields) > 1:
-            cls._astuple = staticmethod(attrgetter(*fields))
-        else:  # attrgetter of one name returns the bare value, not a 1-tuple
-            cls._astuple = staticmethod(lambda record: tuple(getattr(record, n) for n in fields))
+        cls._fields = tuple(cls.__annotations__)
+        cls._astuple = staticmethod(attrgetter(*cls._fields))
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         cls = type(self)
@@ -117,13 +112,9 @@ class Record:
         if unknown:
             raise TypeError(f"{name}() got unknown fields {sorted(unknown)}")
         for field in cls._fields:
-            if field in kwargs:
-                value = kwargs[field]
-            elif field in cls._defaults:
-                value = cls._defaults[field]
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name}() missing field {field!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, kwargs[field])
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -173,8 +173,8 @@ class TestHelpers:
 class Sample(Record):
     name: str
     count: int
-    ratio: float = 0.5
-    note: str = ""
+    ratio: float
+    note: str
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,11 @@ class SampleTwin:
 
     name: str
     count: int
-    ratio: float = 0.5
-    note: str = ""
+    ratio: float
+    note: str
 
 
 FIELDS = ("name", "count", "ratio", "note")
-DEFAULTS = (0.5, "")
 SAMPLE_VALUES = st.tuples(
     st.text(max_size=5), st.integers(), st.floats(allow_nan=False), st.text(max_size=5)
 )
@@ -196,12 +195,10 @@ SAMPLE_VALUES = st.tuples(
 
 @st.composite
 def sample_calls(draw):
-    """``(args, kwargs, values)``: a split of some leading fields, the rest defaulted."""
+    """``(args, kwargs, values)``: the leading fields by position, the rest by keyword."""
     values = draw(SAMPLE_VALUES)
-    given_count = draw(st.integers(2, len(FIELDS)))
-    positional = draw(st.integers(0, given_count))
-    values = values[:given_count] + DEFAULTS[given_count - 2:]
-    kwargs = dict(zip(FIELDS[positional:given_count], values[positional:given_count]))
+    positional = draw(st.integers(0, len(FIELDS)))
+    kwargs = dict(zip(FIELDS[positional:], values[positional:]))
     return values[:positional], kwargs, values
 
 
@@ -232,7 +229,7 @@ class TestRecord:
             assert other == record and hash(other) == hash(record)
 
     def test_fields_are_frozen(self):
-        record = Sample("a", 1)
+        record = Sample("a", 1, 0.5, "")
         for name in (*FIELDS, "extra"):
             with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
                 setattr(record, name, 2)
