@@ -96,10 +96,8 @@ def chart_geometry(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-    width: int = DEFAULT_WIDTH,
-    height: int = DEFAULT_HEIGHT,
 ) -> ChartGeometry:
-    """Decade-rounded axis ranges covering every plottable value."""
+    """Decade-rounded axis ranges covering every plottable value, on the fixed canvas."""
     xs = [m.tps for m in markers if m.tps > 0]
     ys = [m.kwh_per_tx for m in markers if m.kwh_per_tx > 0]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper) if v > 0]
@@ -118,7 +116,7 @@ def chart_geometry(
         x_log_max += 1
     if y_log_min == y_log_max:
         y_log_max += 1
-    return ChartGeometry(width, height, float(x_log_min), float(x_log_max),
+    return ChartGeometry(DEFAULT_WIDTH, DEFAULT_HEIGHT, float(x_log_min), float(x_log_max),
                          float(y_log_min), float(y_log_max))
 
 
@@ -158,19 +156,18 @@ def render_chart(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-    width: int = DEFAULT_WIDTH,
-    height: int = DEFAULT_HEIGHT,
     title: str = "",
 ) -> tuple[str, ChartGeometry]:
-    """Render an SVG document; returns the markup and the geometry used.
+    """Render an SVG document on the fixed canvas; returns the markup and the geometry used.
 
     Band polygons walk the lower edge left to right, then the upper edge
     back, per contiguous physical run. Non-physical points are not drawn.
     Each edge is drawn at canvas resolution (see :func:`_column_ends`), so
     the markup's size is bounded by the canvas, not by the grid.
     """
-    geom = chart_geometry(bands, markers, reference_bands, width, height)
+    geom = chart_geometry(bands, markers, reference_bands)
     colors = _color_map(bands, markers, reference_bands)
+    width, height = geom.width, geom.height
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
