@@ -13,12 +13,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import BaselineBand
 from .chart import PointMarker, ReferenceBand
-from .core import (
-    NetworkObservation,
-    NetworkProfile,
-    ValidatorPowerBounds,
-    energy_per_tx,
-)
+from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
 from .estimator import (
     ConsumptionBand,
     ContemporaryEstimate,
@@ -204,18 +199,26 @@ def vote_rows(
     return header, rows, summary
 
 
+def _latest_observations(
+    observations: Iterable[NetworkObservation],
+    bounds: Mapping[str, ValidatorPowerBounds],
+    networks: Sequence[str] | None,
+) -> Iterator[tuple[NetworkObservation, ValidatorPowerBounds]]:
+    """Each selected network's latest observation and its power bounds, in name order."""
+    for network, group in select_networks(observations, networks).items():
+        if network not in bounds:
+            raise ValueError(f"no power bounds for network {network!r}")
+        yield latest_observation(group, network), bounds[network]
+
+
 def comparison_estimates(
     observations: Iterable[NetworkObservation],
     bounds: Mapping[str, ValidatorPowerBounds],
     networks: Sequence[str] | None = None,
 ) -> list[ContemporaryEstimate]:
     """Contemporary estimate at each network's latest observation."""
-    estimates = []
-    for network, group in select_networks(observations, networks).items():
-        if network not in bounds:
-            raise ValueError(f"no power bounds for network {network!r}")
-        estimates.append(contemporary_estimate(latest_observation(group, network), bounds[network]))
-    return estimates
+    pairs = _latest_observations(observations, bounds, networks)
+    return [contemporary_estimate(obs, b) for obs, b in pairs]
 
 
 TABLE_HEADER = (
@@ -314,18 +317,14 @@ def observation_markers(
     bounds: Mapping[str, ValidatorPowerBounds],
     networks: Sequence[str],
 ) -> list[PointMarker]:
-    """Two markers per network: the latest observation priced at each bound."""
-    markers = []
-    for network, group in select_networks(observations, networks).items():
-        obs = latest_observation(group, network)
-        if obs.tps <= 0:
-            continue
-        b = bounds[network]
-        for draw in (b.lower_w, b.upper_w):
-            markers.append(
-                PointMarker(network, obs.tps, energy_per_tx(obs.validators, draw, obs.tps))
-            )
-    return markers
+    """Two markers per network: its contemporary estimate's lower and upper kWh/tx.
+
+    A network whose latest observation has zero throughput has no markers.
+    """
+    pairs = _latest_observations(observations, bounds, networks)
+    estimates = [contemporary_estimate(obs, b) for obs, b in pairs if obs.tps > 0]
+    return [PointMarker(e.network, e.tps, kwh)
+            for e in estimates for kwh in (e.kwh_per_tx_lower, e.kwh_per_tx_upper)]
 
 
 def baseline_chart_elements(

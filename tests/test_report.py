@@ -252,3 +252,25 @@ class TestChartElements:
         energies = sorted(m.kwh_per_tx for m in hedera)
         assert energies[0] == pytest.approx(26 * 168.10 / (568.45 * 3.6e6), rel=1e-12)
         assert energies[1] == pytest.approx(26 * 328.00 / (568.45 * 3.6e6), rel=1e-12)
+
+    def test_observation_markers_are_the_estimates_bounds(self):
+        # the table and the chart price a latest observation through one path
+        snapshot, bounds, _ = bundle()
+        estimates = comparison_estimates(snapshot.observations, bounds)
+        markers = observation_markers(snapshot.observations, bounds, list(bounds))
+        assert markers == [
+            PointMarker(e.network, e.tps, kwh)
+            for e in estimates
+            for kwh in (e.kwh_per_tx_lower, e.kwh_per_tx_upper)
+        ]
+
+    def test_observation_markers_without_bounds_refused(self):
+        snapshot, _, _ = bundle()
+        with pytest.raises(ValueError, match=r"^no power bounds for network 'near'$"):
+            observation_markers(snapshot.observations, {}, ["near"])
+
+    def test_observation_markers_skip_zero_throughput(self):
+        snapshot, bounds, _ = bundle()
+        idle = NetworkObservation("near", "2023-02-01", 158, 0.0)
+        markers = observation_markers([*snapshot.observations, idle], bounds, ["hedera", "near"])
+        assert [m.label for m in markers] == ["hedera", "hedera"]
