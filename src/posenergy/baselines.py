@@ -108,7 +108,7 @@ def load_baselines(path: str | os.PathLike[str]) -> list[BaselineBand]:
     halves: dict[str, dict[str, BaselineBand]] = {}
     section = None
     try:
-        if not parser.read(where, encoding="utf-8"):
+        if not parser.read(where, encoding="utf-8-sig"):
             raise FileNotFoundError(f"no baseline config at {where!r}")
         for section in parser.sections():
             sec = parser[section]

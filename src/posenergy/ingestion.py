@@ -247,8 +247,9 @@ def _read_csv(
     ``missing '<column>' cell``. Blank lines are skipped and not counted.
     """
     try:
-        # decoded whole, so an error offset counts from the start of the file
-        text = Path(path).read_bytes().decode("utf-8")
+        # decoded whole, so an error offset counts from the start of the file; a
+        # byte-order mark (Excel's "CSV UTF-8" writes one) is not part of the header
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(
             f"{os.fspath(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -563,15 +563,17 @@ class TestErrorPaths:
             # far past the first read-ahead chunk, the offset still counts from the file start
             (["table"], "--bounds",
              "network,lower_w,upper_w\n" + "".join(f"n{i},1,2\n" for i in range(2000))),
+            # a byte-order mark is stripped after decoding, so it still counts
+            (["table"], "--bounds", "\ufeffnetwork,lower_w,upper_w\n"),
         ],
-        ids=["snapshot", "bounds", "profiles", "reported", "bounds-long"],
+        ids=["snapshot", "bounds", "profiles", "reported", "bounds-long", "bounds-bom"],
     )
     def test_non_utf8_named(self, capsys, tmp_path, argv, flag, head):
         path = tmp_path / "bin.csv"
         path.write_bytes(head.encode() + b"near,\xff\n")
         code, out, err = run(capsys, *argv, flag, str(path))
         assert (code, out) == (1, "")
-        offset = len(head) + len("near,")
+        offset = len(head.encode()) + len("near,")
         assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte {offset})\n"
 
     @pytest.mark.parametrize(

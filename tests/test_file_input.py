@@ -435,6 +435,50 @@ class TestDataFlags:
             assert_well_formed(argv, out)
 
 
+# bundled file -> the flag that names it
+FLAG_OF = {
+    "observations.csv": "--observations",
+    "solana_votes.csv": "--observations",
+    "bounds.csv": "--bounds",
+    "profiles.csv": "--profiles",
+    "baselines.cfg": "--baselines",
+    "reported_estimates.csv": "--reported",
+}
+CHART_FILES = ["observations.csv", "bounds.csv", "profiles.csv", "baselines.cfg"]
+# command -> (argv, the bundled files it reads)
+BOM_COMMANDS = {
+    "fit": (["fit", "--format", "csv"], ["observations.csv"]),
+    "table": (["table", "--format", "csv", "--verify"],
+              ["observations.csv", "bounds.csv", "baselines.cfg", "reported_estimates.csv"]),
+    "chart-csv": (["chart", "--format", "csv"], CHART_FILES),
+    "chart-svg": (["chart", "--format", "svg"], CHART_FILES),
+    "baseline": (["baseline", "--verify"], ["baselines.cfg", "reported_estimates.csv"]),
+    "adjust-solana": (["adjust-solana", "--format", "csv"], ["solana_votes.csv"]),
+}
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is not part of the file."""
+
+    @pytest.mark.parametrize("command", sorted(BOM_COMMANDS))
+    def test_bom_copies_give_identical_output(self, tmp_path, command):
+        argv, names = BOM_COMMANDS[command]
+        marked = []
+        for name in names:
+            copy = tmp_path / name
+            copy.write_bytes(b"\xef\xbb\xbf" + bundled(name).read_bytes())
+            marked += [FLAG_OF[name], str(copy)]
+        expected = run_main(argv)
+        assert expected[0] == 0
+        assert run_main([*argv, *marked]) == expected
+
+    def test_only_one_mark_is_stripped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + bundled("observations.csv").read_bytes())
+        with pytest.raises(SnapshotFormatError, match=r"missing columns \['network'\]"):
+            load_snapshots(path)
+
+
 def assert_well_formed(argv, out):
     """An SVG parses as XML, and every CSV row has as many cells as the header."""
     if "svg" in argv:
