@@ -2,7 +2,8 @@
 
 Subcommands: ``fit``, ``table``, ``chart``, ``baseline`` and
 ``adjust-solana``. Every input flag defaults to the data files bundled with
-the package, so each command runs standalone.
+the package, so each command runs standalone. Each command imports the
+modules it runs inside its function, so a run loads no other command's code.
 """
 
 from __future__ import annotations
@@ -12,23 +13,17 @@ import os
 import sys
 from contextlib import nullcontext, suppress
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
-from . import report
-from .baselines import load_baselines
-from .chart import render_chart
-from .estimator import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_MIN_TPS,
-    Erratum,
-    find_baseline_errata,
-    find_errata,
-)
-from .ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
-from .solana import DEFAULT_POSTULATED_MAX_TPS
+if TYPE_CHECKING:
+    from .estimator import ContemporaryEstimate, Erratum, ReportedEstimate
+    from .report import Row
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .estimator import DEFAULT_GRID_POINTS, DEFAULT_MIN_TPS
+    from .solana import DEFAULT_POSTULATED_MAX_TPS
+
     parser = argparse.ArgumentParser(
         prog="posenergy",
         description="Throughput-controlled energy estimates for proof-of-stake networks.",
@@ -130,6 +125,8 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _path(value: str | None, default_name: str) -> Path:
+    from .ingestion import bundled
+
     return Path(value) if value else bundled(default_name)
 
 
@@ -146,20 +143,33 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _emit_rows(
-    args: argparse.Namespace, header: report.Row, rows: list[report.Row], footer: str = ""
+    args: argparse.Namespace, header: Row, rows: list[Row], footer: str = ""
 ) -> None:
+    from . import report
+
     render = report.render_grid_csv if args.format == "csv" else report.render_grid_text
     _write([render(header, rows) + footer], args.out)
 
 
-def _print_notes(errata: Iterable[Erratum], unmatched: Iterable[str] = ()) -> None:
+def _print_notes(
+    errata: Iterable[Erratum],
+    mismatched: Iterable[tuple[ReportedEstimate, ContemporaryEstimate]] = (),
+    unmatched: Iterable[str] = (),
+) -> None:
+    from . import report
+
     for erratum in errata:
         print(f"note: {report.erratum_note(erratum)}", file=sys.stderr)
+    for row, estimate in mismatched:
+        print(f"note: {report.input_mismatch_note(row, estimate)}", file=sys.stderr)
     for name in unmatched:
         print(f"note: {report.unmatched_note(name)}", file=sys.stderr)
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
+    from . import report
+    from .ingestion import load_snapshots
+
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     fits = report.fit_networks(
         snapshot.observations, networks=args.network, include_origin=not args.no_origin
@@ -168,6 +178,11 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
+    from . import report
+    from .baselines import load_baselines
+    from .estimator import find_errata, find_input_mismatches
+    from .ingestion import load_bounds, load_reported, load_snapshots
+
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     bounds = load_bounds(_path(args.bounds, "bounds.csv"))
     baselines = load_baselines(_path(args.baselines, "baselines.cfg"))
@@ -176,14 +191,20 @@ def _cmd_table(args: argparse.Namespace) -> None:
     )
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_errata(estimates, reported)
+    mismatched = find_input_mismatches(estimates, reported)
     # every observed network, not only the --network selection
     known = {o.network for o in snapshot.observations}
     known.update(band.name for band in baselines)
     _emit_rows(args, report.TABLE_HEADER, report.comparison_rows(estimates, baselines))
-    _print_notes(errata, [name for name in reported if name not in known])
+    _print_notes(errata, mismatched, [name for name in reported if name not in known])
 
 
 def _cmd_chart(args: argparse.Namespace) -> None:
+    from . import report
+    from .baselines import load_baselines
+    from .chart import render_chart
+    from .ingestion import load_bounds, load_profiles, load_snapshots
+
     snapshot = load_snapshots(_path(args.observations, "observations.csv"))
     bounds = load_bounds(_path(args.bounds, "bounds.csv"))
     profiles = load_profiles(_path(args.profiles, "profiles.csv"), bounds)
@@ -208,6 +229,11 @@ def _cmd_chart(args: argparse.Namespace) -> None:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
+    from . import report
+    from .baselines import load_baselines
+    from .estimator import find_baseline_errata
+    from .ingestion import load_reported
+
     bands = load_baselines(_path(args.baselines, "baselines.cfg"))
     reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
     errata = find_baseline_errata(bands, reported)
@@ -216,6 +242,9 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
 
 
 def _cmd_adjust_solana(args: argparse.Namespace) -> None:
+    from . import report
+    from .ingestion import load_snapshots
+
     snapshot = load_snapshots(_path(args.observations, "solana_votes.csv"))
     _emit_rows(args, *report.vote_rows(snapshot.vote_records, args.postulated_max))
 

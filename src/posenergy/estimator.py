@@ -12,9 +12,8 @@ import datetime as dt
 import math
 import operator
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .baselines import BaselineBand
 from .core import (
     JOULES_PER_KWH,
     NetworkObservation,
@@ -28,6 +27,9 @@ from .core import (
     validate_network_id,
 )
 from .regression import RegressionFit
+
+if TYPE_CHECKING:  # importing baselines would load configparser for every command
+    from .baselines import BaselineBand
 
 DEFAULT_GRID_POINTS = 200
 # Per-transaction energy diverges as throughput approaches zero; the default
@@ -322,6 +324,26 @@ def find_errata(
     """Published global power that each estimate's mid bound does not reproduce, by network."""
     ordered = sorted(estimates, key=lambda e: e.network)
     return _errata("global_kw", [(e.network, e.global_kw_mid) for e in ordered], reported)
+
+
+def find_input_mismatches(
+    estimates: Iterable[ContemporaryEstimate], reported: Mapping[str, ReportedEstimate]
+) -> list[tuple[ReportedEstimate, ContemporaryEstimate]]:
+    """Each published row stating another validator count or throughput than its estimate's.
+
+    :func:`find_errata` prices a published row at its network's observation,
+    so a row stated for other inputs is checked against figures it does not
+    describe. A field the row leaves empty is not compared. In network order.
+    """
+    pairs = []
+    for estimate in sorted(estimates, key=lambda e: e.network):
+        row = reported.get(estimate.network)
+        if row is not None and any(
+            stated is not None and stated != observed
+            for stated, observed in ((row.validators, estimate.validators), (row.tps, estimate.tps))
+        ):
+            pairs.append((row, estimate))
+    return pairs
 
 
 def find_baseline_errata(

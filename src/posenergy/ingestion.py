@@ -3,9 +3,10 @@
 Snapshots are small CSV files with a fixed header. Rows normally carry a
 validator count; rows that instead carry vote/nonvote day counts with an
 empty validators cell contribute vote-ratio records only (historical rows
-for which no validator count was recorded). The writer puts each record on
-a row of its own; the reader also accepts a row that carries both, which
-yields an observation and a vote-ratio record.
+for which no validator count was recorded). Only solana rows may carry vote
+counts. The writer puts each record on a row of its own; the reader also
+accepts a row that carries both, which yields an observation and a
+vote-ratio record.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ OBSERVATION_HEADER = (
     "total_per_day",
     "provenance",
 )
+# The one network whose rows may carry vote counts. A VoteRatioRecord holds no
+# network, so the reader refuses counts on any other and the writer puts this
+# one on every vote row.
+_VOTE_NETWORK = "solana"
 
 
 class SnapshotFormatError(ValueError):
@@ -110,6 +115,8 @@ def _parse_row(
 
     vote = None
     if nonvote:
+        if network != _VOTE_NETWORK:
+            raise ValueError(f"vote counts are recorded for {_VOTE_NETWORK} only, got {network!r}")
         vote = VoteRatioRecord(
             date=day,
             nonvote_tx_per_day=int(nonvote),
@@ -172,7 +179,7 @@ def write_snapshot(
         )
         writer.writerows(
             (
-                "solana",
+                _VOTE_NETWORK,
                 v.date.isoformat(),
                 "",
                 repr(v.reported_tps),

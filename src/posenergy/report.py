@@ -9,10 +9,8 @@ environment details leak into the output.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .baselines import BaselineBand
-from .chart import PointMarker, ReferenceBand
 from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
 from .estimator import (
     ConsumptionBand,
@@ -20,6 +18,7 @@ from .estimator import (
     DEFAULT_GRID_POINTS,
     DEFAULT_MIN_TPS,
     Erratum,
+    ReportedEstimate,
     consumption_band,
     contemporary_estimate,
     default_grid,
@@ -34,6 +33,10 @@ from .solana import (
     nonvote_ratio,
     nonvote_tps,
 )
+
+if TYPE_CHECKING:  # chart and baselines load only in the commands that draw or read them
+    from .baselines import BaselineBand
+    from .chart import PointMarker, ReferenceBand
 
 Row = tuple[str, ...]
 
@@ -66,6 +69,20 @@ def erratum_note(erratum: Erratum) -> str:
     return (
         f"published energy per transaction for {network} ({reported} kWh/tx) does not match "
         f"the midpoint of the computed bounds ({format_kwh_per_tx(computed)} kWh/tx)"
+    )
+
+
+def input_mismatch_note(row: ReportedEstimate, estimate: ContemporaryEstimate) -> str:
+    """The wording for a published row stated at other inputs than the observation it is checked at.
+
+    Only the inputs the row states are named.
+    """
+    stated = [f"{row.validators} validators"] if row.validators is not None else []
+    stated += [f"{format_series(row.tps)} tps"] if row.tps is not None else []
+    return (
+        f"published figures for {row.name} are stated at {' and '.join(stated)}, but are "
+        f"checked at its observation's {estimate.validators} validators and "
+        f"{format_series(estimate.tps)} tps"
     )
 
 
@@ -321,6 +338,8 @@ def observation_markers(
 
     A network whose latest observation has zero throughput has no markers.
     """
+    from .chart import PointMarker
+
     pairs = _latest_observations(observations, bounds, networks)
     estimates = [contemporary_estimate(obs, b) for obs, b in pairs if obs.tps > 0]
     return [PointMarker(e.network, e.tps, kwh)
@@ -331,6 +350,8 @@ def baseline_chart_elements(
     baselines: Sequence[BaselineBand],
 ) -> tuple[list[PointMarker], list[ReferenceBand]]:
     """A baseline with equal bounds becomes a marker, one with distinct bounds a band."""
+    from .chart import PointMarker, ReferenceBand
+
     markers = []
     refs = []
     for band in baselines:

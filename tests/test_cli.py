@@ -119,6 +119,21 @@ class TestTable:
         assert "tron" in notes[1]
         assert "391.92" in notes[1]
 
+    def test_verify_notes_reported_validators_other_than_observed(self, capsys, tmp_path):
+        # the published power is priced at the observation's count, not the row's
+        text = bundled("reported_estimates.csv").read_text(encoding="utf-8")
+        row = "\nnear,13.71,0.000602,6.33,158\n"
+        assert row in text
+        path = tmp_path / "rep.csv"
+        path.write_text(text.replace(row, "\nnear,13.71,0.000602,6.33,160\n"), encoding="utf-8")
+        _, _, bundled_notes = run(capsys, "table", "--verify")
+        code, _, err = run(capsys, "table", "--verify", "--reported", str(path))
+        assert code == 0
+        assert err == bundled_notes + (
+            "note: published figures for near are stated at 160 validators and 6.33 tps, "
+            "but are checked at its observation's 158 validators and 6.33 tps\n"
+        )
+
     def test_verify_notes_reported_name_matching_nothing(self, capsys, tmp_path):
         # --network narrows the table, not the names a reported row may match
         path = tmp_path / "rep.csv"

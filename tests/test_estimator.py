@@ -27,6 +27,7 @@ from posenergy.estimator import (
     default_grid,
     find_baseline_errata,
     find_errata,
+    find_input_mismatches,
     latest_observation,
     printed_tolerance,
 )
@@ -353,6 +354,22 @@ class TestErrata:
     def test_unreported_networks_skipped(self):
         estimates = [self.make_estimate("hedera", 26, 568.45, 168.10, 328.00)]
         assert find_errata(estimates, {}) == []
+
+    def test_input_mismatches_compare_only_stated_inputs(self):
+        estimates = [
+            self.make_estimate(network, 158, 6.33, 80.0, 100.0)
+            for network in ("tezos", "near", "hedera", "flow", "cardano")
+        ]
+        reported = {
+            "tezos": ReportedEstimate("tezos", 13.71, 0.0006, tps=6.4),
+            "near": ReportedEstimate("near", 13.71, 0.0006, 6.33, 160),
+            "hedera": ReportedEstimate("hedera", 13.71, 0.0006, 6.33, 158),
+            "flow": ReportedEstimate("flow", 13.71, 0.0006),  # states neither input
+        }
+        mismatched = find_input_mismatches(estimates, reported)
+        assert [(row.name, estimate.network) for row, estimate in mismatched] == [
+            ("near", "near"), ("tezos", "tezos")
+        ]
 
     # the bundled amounts: 50.41 / 134.24 TWh and 646,000 GJ, in kWh
     BITCOIN = BaselineBand("bitcoin", 2022, 2.56, 50.41e9, 134.24e9)

@@ -192,6 +192,10 @@ def reference_parse_row(cell):
     total_cell = cell("total_per_day")
     if bool(nonvote_cell) != bool(total_cell):
         raise ValueError("nonvote_per_day and total_per_day must appear together")
+    # the second intended change, taken here too: a vote record has no network,
+    # so counts on another network's row used to be read as solana's
+    if nonvote_cell and network != "solana":
+        raise ValueError(f"vote counts are recorded for solana only, got {network!r}")
     observation = None
     if validators_cell:
         observation = NetworkObservation(
@@ -333,7 +337,7 @@ class TestReaderMatchesReference:
             kind, where, message = load_outcome(load, path)
             expected = load_outcome(reference, path)
         if (kind, where) != expected[:2]:
-            # the one intended change: a vote-only row that lacks its provenance cell
+            # the first intended change: a vote-only row that lacks its provenance cell
             assert message.endswith("missing 'provenance' cell"), (message, expected)
             assert expected[0] == "loaded" or row_number(expected[1]) > row_number(where)
 
@@ -368,8 +372,13 @@ class TestReaderMatchesReference:
         [
             ("Solana,2022-12-11,,4123,1,2,", "invalid network id 'Solana'"),
             ("solana,2022-02-30,,4123,1,2,", "invalid date '2022-02-30'"),
+            (
+                "near,2022-12-11,,6.3,10,100,",
+                "vote counts are recorded for solana only, got 'near'",
+            ),
+            ("near,2022-12-11,158,6.3,10,100,", "vote counts are recorded for solana only"),
         ],
-        ids=["network", "date"],
+        ids=["network", "date", "not-solana", "not-solana-observation"],
     )
     def test_vote_only_row_checks_network_and_date(self, tmp_path, row, message):
         text = ",".join(OBSERVATION_HEADER) + "\n" + row + "\n"
