@@ -208,7 +208,7 @@ def consumption_band(
     except OverflowError:  # an int too large for a float
         raise GridDomainError(outside) from None
     if not rates:
-        raise GridDomainError("empty throughput grid")
+        raise GridDomainError(f"{network}: empty throughput grid")
     # NaN compares false, so min and max either return it (refused here) or pass
     # over it to ConsumptionBand's order check; no rate <= 0 reaches the division.
     if not 0 < min(rates) or not max(rates) <= max_tps:

@@ -223,7 +223,7 @@ class TestConsumptionBand:
             consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [10.0, 5.0])
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(GridDomainError):
+        with pytest.raises(GridDomainError, match=r"^polkadot: empty throughput grid$"):
             consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [])
 
     def test_network_mismatch_rejected(self):
