@@ -334,12 +334,14 @@ class TestReaderMatchesReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             path.write_text(text, encoding="utf-8")
-            kind, where, message = load_outcome(load, path)
+            # the second load takes every good row from the memo of parsed rows
+            outcomes = [load_outcome(load, path) for _ in range(2)]
             expected = load_outcome(reference, path)
-        if (kind, where) != expected[:2]:
-            # the first intended change: a vote-only row that lacks its provenance cell
-            assert message.endswith("missing 'provenance' cell"), (message, expected)
-            assert expected[0] == "loaded" or row_number(expected[1]) > row_number(where)
+        for kind, where, message in outcomes:
+            if (kind, where) != expected[:2]:
+                # the first intended change: a vote-only row that lacks its provenance cell
+                assert message.endswith("missing 'provenance' cell"), (message, expected)
+                assert expected[0] == "loaded" or row_number(expected[1]) > row_number(where)
 
     def load_both(self, tmp_path, load, reference, text):
         path = tmp_path / "data.csv"

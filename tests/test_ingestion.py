@@ -1,14 +1,18 @@
 """Snapshot CSV round-trips and merge rules."""
 
 import datetime as dt
+import re
 
 import pytest
+from test_file_input import reference_load_snapshots
 
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
+    OBSERVATION_HEADER,
     DuplicateObservationError,
     MergeConflictError,
     SnapshotFormatError,
+    _parse_row,
     bundled,
     load_bounds,
     load_profiles,
@@ -119,6 +123,53 @@ class TestLoadSnapshots:
         )
         with pytest.raises(SnapshotFormatError, match="empty"):
             load_snapshots(path)
+
+
+def snapshot_file(path, *rows):
+    path.write_text("\n".join((",".join(OBSERVATION_HEADER), *rows)) + "\n", encoding="utf-8")
+    return path
+
+
+class TestParsedRowMemo:
+    NEAR = "near,2023-01-31,158,6.33,,,explorer"
+    TEZOS = "tezos,2023-01-31,407,0.9,,,explorer"
+    VOTES = "solana,2022-12-11,,4123.0,17263338,309222640,"
+
+    def test_shared_rows_are_the_same_records(self, tmp_path):
+        first = load_snapshots(snapshot_file(tmp_path / "a.csv", self.NEAR, self.TEZOS, self.VOTES))
+        changed = self.NEAR.replace(",158,", ",159,")
+        second = load_snapshots(snapshot_file(tmp_path / "b.csv", self.VOTES, self.TEZOS, changed))
+        assert second.observations[0] is first.observations[1]
+        assert second.vote_records[0] is first.vote_records[0]
+        assert second.observations[1] != first.observations[0]
+        assert second.observations[1].validators == 159
+
+    def test_bad_row_fails_in_each_file_at_its_row(self, tmp_path):
+        bad = self.NEAR.replace("2023-01-31", "2023-02-30")
+        alone = snapshot_file(tmp_path / "a.csv", bad)
+        after = snapshot_file(tmp_path / "b.csv", self.NEAR, self.TEZOS, bad)
+        for path, row in [(alone, 2), (after, 4), (alone, 2)]:
+            with pytest.raises(
+                SnapshotFormatError,
+                match=rf"^{re.escape(str(path))} row {row}: invalid date '2023-02-30'",
+            ):
+                load_snapshots(path)
+
+    def test_more_distinct_rows_than_the_bound(self, tmp_path):
+        _parse_row.cache_clear()
+        bound = _parse_row.cache_info().maxsize
+        first = dt.date(2000, 1, 1)
+        rows = [
+            obs(f"n{i % 14}", first + dt.timedelta(days=i // 14), 1 + i, 0.5 + i, provenance="")
+            for i in range(bound + 100)
+        ]
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, rows)
+        assert load_snapshots(path) == reference_load_snapshots(path)
+        assert _parse_row.cache_info().currsize == bound
+        # least recently used: a second pass in the same order finds none of its rows
+        assert load_snapshots(path) == reference_load_snapshots(path)
+        assert _parse_row.cache_info().hits == 0
 
 
 class TestMerge:
