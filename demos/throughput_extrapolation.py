@@ -12,7 +12,7 @@ bounds, rendered as a log-log SVG chart.
 import sys
 
 from posenergy.baselines import load_baselines
-from posenergy.chart import render_chart
+from posenergy.chart import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_chart
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.report import (
     baseline_chart_elements,
@@ -41,15 +41,10 @@ baseline_markers, reference_bands = baseline_chart_elements(
     load_baselines(bundled("baselines.cfg"))
 )
 
-svg, geometry = render_chart(
-    bands,
-    markers + baseline_markers,
-    reference_bands,
-    title="energy per transaction vs throughput",
-)
+svg, geometry = render_chart(bands, markers + baseline_markers, reference_bands)
 
 out = sys.argv[1] if len(sys.argv) > 1 else "throughput_bands.svg"
 with open(out, "w", encoding="utf-8") as handle:
     handle.write(svg)
-print(f"wrote {out} ({geometry.width}x{geometry.height}, "
+print(f"wrote {out} ({DEFAULT_WIDTH}x{DEFAULT_HEIGHT}, "
       f"x decades {geometry.x_log_min:g}..{geometry.x_log_max:g})")

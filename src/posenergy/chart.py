@@ -2,8 +2,11 @@
 
 The chart is hand-rolled SVG rather than a plotting-library figure: shaded
 polygons for bands (one per contiguous physical run), horizontal reference
-bands, point markers, decade gridlines and a legend. The pixel mapping is
-exposed through :class:`ChartGeometry` so callers can verify coordinates.
+bands, point markers, decade gridlines and a legend, on a fixed canvas and
+plot box. :class:`ChartGeometry` holds the axis ranges and the pixel mapping,
+so callers can verify coordinates. A marker is placed only if its throughput
+and kWh/tx are both positive, a reference band only if both of its edges are.
+The legend labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .estimator import ConsumptionBand
 DEFAULT_WIDTH = 1200
 DEFAULT_HEIGHT = 800
 
-_MARGIN_LEFT = 80.0
-_MARGIN_RIGHT = 40.0
-_MARGIN_TOP = 40.0
-_MARGIN_BOTTOM = 70.0
+# The plot box: the rectangle of the canvas where data is drawn.
+PLOT_LEFT = 80.0
+PLOT_RIGHT = DEFAULT_WIDTH - 40.0
+PLOT_TOP = 40.0
+PLOT_BOTTOM = DEFAULT_HEIGHT - 70.0
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -48,30 +52,12 @@ class ReferenceBand(Record):
 
 
 class ChartGeometry(Record):
-    """Log-log mapping from data coordinates to SVG pixel coordinates."""
+    """The axis ranges, in decades, and their log-log mapping onto the plot box."""
 
-    width: int
-    height: int
     x_log_min: float
     x_log_max: float
     y_log_min: float
     y_log_max: float
-
-    @property
-    def plot_left(self) -> float:
-        return _MARGIN_LEFT
-
-    @property
-    def plot_right(self) -> float:
-        return self.width - _MARGIN_RIGHT
-
-    @property
-    def plot_top(self) -> float:
-        return _MARGIN_TOP
-
-    @property
-    def plot_bottom(self) -> float:
-        return self.height - _MARGIN_BOTTOM
 
     def x_px(self, tps: float) -> float:
         return self.xs_px((tps,))[0]
@@ -82,14 +68,14 @@ class ChartGeometry(Record):
     def xs_px(self, tps: Iterable[float]) -> list[float]:
         """Pixel x of each throughput value, with the axis constants hoisted."""
         x_min, span = self.x_log_min, self.x_log_max - self.x_log_min
-        left, extent = self.plot_left, self.plot_right - self.plot_left
-        return [left + ((log10(t) - x_min) / span) * extent for t in tps]
+        extent = PLOT_RIGHT - PLOT_LEFT
+        return [PLOT_LEFT + ((log10(t) - x_min) / span) * extent for t in tps]
 
     def ys_px(self, kwh_per_tx: Iterable[float]) -> list[float]:
         """Pixel y of each per-transaction energy value, with the axis constants hoisted."""
         y_max, span = self.y_log_max, self.y_log_max - self.y_log_min
-        top, extent = self.plot_top, self.plot_bottom - self.plot_top
-        return [top + ((y_max - log10(v)) / span) * extent for v in kwh_per_tx]
+        extent = PLOT_BOTTOM - PLOT_TOP
+        return [PLOT_TOP + ((y_max - log10(v)) / span) * extent for v in kwh_per_tx]
 
 
 def chart_geometry(
@@ -97,10 +83,11 @@ def chart_geometry(
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> ChartGeometry:
-    """Decade-rounded axis ranges covering every plottable value, on the fixed canvas."""
-    xs = [m.tps for m in markers if m.tps > 0]
-    ys = [m.kwh_per_tx for m in markers if m.kwh_per_tx > 0]
-    ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper) if v > 0]
+    """Decade-rounded axis ranges covering every placeable value."""
+    markers, reference_bands = _placeable(markers, reference_bands)
+    xs = [m.tps for m in markers]
+    ys = [m.kwh_per_tx for m in markers]
+    ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
         # Each band adds only the extremes of its physical, positive values.
         columns = ((xs, band.tps), (ys, band.kwh_per_tx_lower), (ys, band.kwh_per_tx_upper))
@@ -116,8 +103,17 @@ def chart_geometry(
         x_log_max += 1
     if y_log_min == y_log_max:
         y_log_max += 1
-    return ChartGeometry(DEFAULT_WIDTH, DEFAULT_HEIGHT, float(x_log_min), float(x_log_max),
-                         float(y_log_min), float(y_log_max))
+    return ChartGeometry(float(x_log_min), float(x_log_max), float(y_log_min), float(y_log_max))
+
+
+def _placeable(
+    markers: Sequence[PointMarker], reference_bands: Sequence[ReferenceBand]
+) -> tuple[list[PointMarker], list[ReferenceBand]]:
+    """The markers and reference bands a log-log chart can place: all coordinates positive."""
+    return (
+        [m for m in markers if m.tps > 0 and m.kwh_per_tx > 0],
+        [r for r in reference_bands if r.kwh_per_tx_lower > 0 and r.kwh_per_tx_upper > 0],
+    )
 
 
 def _positive_extremes(column: Sequence[float], flags: Sequence[bool]) -> tuple[float, ...]:
@@ -152,34 +148,50 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+# The markup that does not depend on the data: the canvas, and the plot box's
+# frame with the axis labels.
+_CANVAS = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{DEFAULT_WIDTH}" height="{DEFAULT_HEIGHT}" '
+    f'viewBox="0 0 {DEFAULT_WIDTH} {DEFAULT_HEIGHT}">\n'
+    f'<rect x="0" y="0" width="{DEFAULT_WIDTH}" height="{DEFAULT_HEIGHT}" fill="#ffffff"/>'
+)
+_MID_X, _MID_Y = (PLOT_LEFT + PLOT_RIGHT) / 2, (PLOT_TOP + PLOT_BOTTOM) / 2
+_FRAME_AND_LABELS = (
+    f'<rect x="{_fmt(PLOT_LEFT)}" y="{_fmt(PLOT_TOP)}" '
+    f'width="{_fmt(PLOT_RIGHT - PLOT_LEFT)}" height="{_fmt(PLOT_BOTTOM - PLOT_TOP)}" '
+    f'fill="none" stroke="#333333"/>\n'
+    f'<text x="{_fmt(_MID_X)}" y="{_fmt(PLOT_BOTTOM + 45)}" font-size="14" '
+    f'text-anchor="middle" fill="#111111">throughput (tx/s)</text>\n'
+    f'<text x="20" y="{_fmt(_MID_Y)}" font-size="14" text-anchor="middle" '
+    f'fill="#111111" transform="rotate(-90 20 {_fmt(_MID_Y)})">'
+    f'energy per transaction (kWh/tx)</text>'
+)
+
+
 def render_chart(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-    title: str = "",
 ) -> tuple[str, ChartGeometry]:
     """Render an SVG document on the fixed canvas; returns the markup and the geometry used.
 
     Band polygons walk the lower edge left to right, then the upper edge
-    back, per contiguous physical run. Non-physical points are not drawn.
-    Each edge is drawn at canvas resolution (see :func:`_column_ends`), so
-    the markup's size is bounded by the canvas, not by the grid.
+    back, per contiguous physical run. Non-physical points are not drawn,
+    nor is a marker or reference band that a log axis cannot place (see
+    :func:`_placeable`). Each edge is drawn at canvas resolution (see
+    :func:`_column_ends`), so the markup's size is bounded by the canvas,
+    not by the grid.
     """
+    markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)
     colors = _color_map(bands, markers, reference_bands)
-    width, height = geom.width, geom.height
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    parts.extend(_grid_lines(geom))
+    parts = [_CANVAS, *_grid_lines(geom)]
     for ref in reference_bands:
         top = geom.y_px(ref.kwh_per_tx_upper)
         bottom = geom.y_px(ref.kwh_per_tx_lower)
         parts.append(
-            f'<rect x="{_fmt(geom.plot_left)}" y="{_fmt(top)}" '
-            f'width="{_fmt(geom.plot_right - geom.plot_left)}" '
+            f'<rect x="{_fmt(PLOT_LEFT)}" y="{_fmt(top)}" '
+            f'width="{_fmt(PLOT_RIGHT - PLOT_LEFT)}" '
             f'height="{_fmt(bottom - top)}" fill="{colors[ref.label]}" '
             f'fill-opacity="0.25" stroke="{colors[ref.label]}"/>'
         )
@@ -203,8 +215,8 @@ def render_chart(
         f'r="4" fill="{colors[marker.label]}" stroke="#333333"/>'
         for marker in markers
     )
-    parts.extend(_frame_and_labels(geom, title))
-    parts.extend(_legend(geom, colors))
+    parts.append(_FRAME_AND_LABELS)
+    parts.extend(_legend(colors))
     parts.append("</svg>")
     return "\n".join(parts) + "\n", geom
 
@@ -241,50 +253,28 @@ def _grid_lines(geom: ChartGeometry) -> Iterator[str]:
     for exponent in range(int(geom.x_log_min), int(geom.x_log_max) + 1):
         x = geom.x_px(10.0 ** exponent)
         yield (
-            f'<line x1="{_fmt(x)}" y1="{_fmt(geom.plot_top)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(geom.plot_bottom)}" stroke="#dddddd"/>'
+            f'<line x1="{_fmt(x)}" y1="{_fmt(PLOT_TOP)}" x2="{_fmt(x)}" '
+            f'y2="{_fmt(PLOT_BOTTOM)}" stroke="#dddddd"/>'
         )
         yield (
-            f'<text x="{_fmt(x)}" y="{_fmt(geom.plot_bottom + 20)}" '
+            f'<text x="{_fmt(x)}" y="{_fmt(PLOT_BOTTOM + 20)}" '
             f'font-size="12" text-anchor="middle" fill="#333333">1e{exponent}</text>'
         )
     for exponent in range(int(geom.y_log_min), int(geom.y_log_max) + 1):
         y = geom.y_px(10.0 ** exponent)
         yield (
-            f'<line x1="{_fmt(geom.plot_left)}" y1="{_fmt(y)}" x2="{_fmt(geom.plot_right)}" '
+            f'<line x1="{_fmt(PLOT_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(PLOT_RIGHT)}" '
             f'y2="{_fmt(y)}" stroke="#dddddd"/>'
         )
         yield (
-            f'<text x="{_fmt(geom.plot_left - 8)}" y="{_fmt(y + 4)}" '
+            f'<text x="{_fmt(PLOT_LEFT - 8)}" y="{_fmt(y + 4)}" '
             f'font-size="12" text-anchor="end" fill="#333333">1e{exponent}</text>'
         )
 
 
-def _frame_and_labels(geom: ChartGeometry, title: str) -> list[str]:
-    mid_x = (geom.plot_left + geom.plot_right) / 2
-    mid_y = (geom.plot_top + geom.plot_bottom) / 2
-    parts = [
-        f'<rect x="{_fmt(geom.plot_left)}" y="{_fmt(geom.plot_top)}" '
-        f'width="{_fmt(geom.plot_right - geom.plot_left)}" '
-        f'height="{_fmt(geom.plot_bottom - geom.plot_top)}" '
-        f'fill="none" stroke="#333333"/>',
-        f'<text x="{_fmt(mid_x)}" y="{_fmt(geom.plot_bottom + 45)}" font-size="14" '
-        f'text-anchor="middle" fill="#111111">throughput (tx/s)</text>',
-        f'<text x="20" y="{_fmt(mid_y)}" font-size="14" text-anchor="middle" '
-        f'fill="#111111" transform="rotate(-90 20 {_fmt(mid_y)})">'
-        f'energy per transaction (kWh/tx)</text>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(mid_x)}" y="24" font-size="16" text-anchor="middle" '
-            f'fill="#111111">{_escape(title)}</text>'
-        )
-    return parts
-
-
-def _legend(geom: ChartGeometry, colors: dict[str, str]) -> Iterator[str]:
-    x = geom.plot_right - 170
-    y = geom.plot_top + 10
+def _legend(colors: dict[str, str]) -> Iterator[str]:
+    x = PLOT_RIGHT - 170
+    y = PLOT_TOP + 10
     for label in colors:
         yield (
             f'<rect x="{_fmt(x)}" y="{_fmt(y - 9)}" width="12" height="12" '

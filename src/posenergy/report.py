@@ -315,16 +315,15 @@ def chart_bands(
     min_tps: float = DEFAULT_MIN_TPS,
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> list[ConsumptionBand]:
-    """Fit each network and evaluate its band over the default grid."""
-    groups = select_networks(observations, networks)
-    if not groups:
+    """Each network's band from its :func:`fit_networks` fit, over the default grid."""
+    fits = fit_networks(observations, networks, include_origin)
+    if not fits:
         raise ValueError("no observations to chart")
     bands = []
-    for network, group in groups.items():
-        if network not in profiles:
-            raise ValueError(f"no throughput profile for network {network!r}")
-        profile = profiles[network]
-        fit = fit_affine(group, include_origin=include_origin)
+    for fit in fits:
+        if fit.network not in profiles:
+            raise ValueError(f"no throughput profile for network {fit.network!r}")
+        profile = profiles[fit.network]
         bands.append(consumption_band(fit, profile, default_grid(profile, n_points, min_tps)))
     return bands
 

@@ -11,6 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posenergy.chart import (
+    PLOT_BOTTOM,
+    PLOT_LEFT,
+    PLOT_RIGHT,
+    PLOT_TOP,
     ChartGeometry,
     PointMarker,
     ReferenceBand,
@@ -72,17 +76,25 @@ class TestChartGeometry:
             chart_geometry([band(points=points)])
 
     def test_axis_mapping_corners(self):
-        geom = ChartGeometry(1200, 800, 0.0, 2.0, -6.0, -2.0)
-        assert geom.x_px(1.0) == pytest.approx(geom.plot_left)
-        assert geom.x_px(100.0) == pytest.approx(geom.plot_right)
-        assert geom.y_px(1e-2) == pytest.approx(geom.plot_top)
-        assert geom.y_px(1e-6) == pytest.approx(geom.plot_bottom)
+        geom = ChartGeometry(0.0, 2.0, -6.0, -2.0)
+        assert geom.x_px(1.0) == pytest.approx(PLOT_LEFT)
+        assert geom.x_px(100.0) == pytest.approx(PLOT_RIGHT)
+        assert geom.y_px(1e-2) == pytest.approx(PLOT_TOP)
+        assert geom.y_px(1e-6) == pytest.approx(PLOT_BOTTOM)
         # halfway in log space is halfway in pixels
-        assert geom.x_px(10.0) == pytest.approx((geom.plot_left + geom.plot_right) / 2)
+        assert geom.x_px(10.0) == pytest.approx((PLOT_LEFT + PLOT_RIGHT) / 2)
 
 
-def list_geometry(bands, markers=(), reference_bands=(), width=1200, height=800):
-    """The list-based chart_geometry that kept every plottable value: the reference."""
+def list_geometry(bands, markers=(), reference_bands=()):
+    """The list-based chart_geometry that kept every plottable value: the reference.
+
+    A marker or reference band counts only when all of its coordinates are
+    positive; a band counts each positive physical value.
+    """
+    markers = [m for m in markers if m.tps > 0 and m.kwh_per_tx > 0]
+    reference_bands = [
+        r for r in reference_bands if r.kwh_per_tx_lower > 0 and r.kwh_per_tx_upper > 0
+    ]
     xs = [m.tps for m in markers]
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
@@ -102,8 +114,7 @@ def list_geometry(bands, markers=(), reference_bands=(), width=1200, height=800)
         x_log_max += 1
     if y_log_min == y_log_max:
         y_log_max += 1
-    return ChartGeometry(width, height, float(x_log_min), float(x_log_max),
-                         float(y_log_min), float(y_log_max))
+    return ChartGeometry(float(x_log_min), float(x_log_max), float(y_log_min), float(y_log_max))
 
 
 # 0.0 is drawn often: it is the value of every non-physical point and must be skipped.
@@ -149,23 +160,21 @@ def parse_polygons(svg):
 
 class TestRenderChart:
     def test_returns_wellformed_svg(self):
-        svg, geom = render_chart([band()], title="bands")
+        svg, geom = render_chart([band()])
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         assert 'width="1200" height="800"' in svg
         assert "throughput (tx/s)" in svg
         assert "energy per transaction (kWh/tx)" in svg
-        assert ">bands</text>" in svg
         assert isinstance(geom, ChartGeometry)
 
     @pytest.mark.parametrize(
         "kwargs, text",
         [
-            ({"title": "R&D <draft>"}, "R&D <draft>"),
             ({"markers": [PointMarker("a<b", 1.0, 1e-5)]}, "a<b"),
             ({"reference_bands": [ReferenceBand("x&y", 1e-5, 1e-4)]}, "x&y"),
         ],
-        ids=["title", "marker", "reference-band"],
+        ids=["marker", "reference-band"],
     )
     def test_text_is_escaped(self, kwargs, text):
         svg, _ = render_chart([band()], **kwargs)
@@ -223,10 +232,8 @@ class TestRenderChart:
         )
         match = re.search(pattern, svg)
         assert match
-        assert float(match.group(1)) == pytest.approx(geom.plot_left, abs=0.5)
-        assert float(match.group(3)) == pytest.approx(
-            geom.plot_right - geom.plot_left, abs=0.5
-        )
+        assert float(match.group(1)) == pytest.approx(PLOT_LEFT, abs=0.5)
+        assert float(match.group(3)) == pytest.approx(PLOT_RIGHT - PLOT_LEFT, abs=0.5)
         assert float(match.group(2)) == pytest.approx(geom.y_px(1662.78), abs=0.5)
 
     def test_legend_lists_every_label(self):
@@ -253,6 +260,29 @@ class TestRenderChart:
         fills = re.findall(r'<polygon points="[^"]+" fill="(#[0-9a-f]{6})"', svg)
         assert len(fills) == 2
         assert fills[0] != fills[1]
+
+
+class TestPlacement:
+    """A marker or reference band is ranged and drawn only if all its coordinates are positive."""
+
+    @pytest.mark.parametrize(
+        "markers, refs",
+        [
+            ([PointMarker("visa", 1736.0, 0.0)], []),
+            ([PointMarker("visa", 0.0, 1662.78)], []),
+            ([], [ReferenceBand("bitcoin", 0.0, 1662.78)]),
+        ],
+        ids=["marker-kwh-zero", "marker-tps-zero", "reference-band-lower-zero"],
+    )
+    def test_unplaceable_neither_ranged_nor_drawn(self, markers, refs):
+        assert chart_geometry([band()], markers, refs) == chart_geometry([band()])
+        assert render_chart([band()], markers, refs) == render_chart([band()])
+
+    def test_placeable_beside_unplaceable_is_drawn(self):
+        markers = [PointMarker("visa", 1736.0, 0.0033), PointMarker("near", 1.0, 0.0)]
+        svg, geom = render_chart([band()], markers)
+        assert svg.count("<circle ") == 1
+        assert geom == chart_geometry([band()], markers[:1])
 
 
 @st.composite

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from posenergy.estimator import find_baseline_errata, find_errata
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 
 ROOT = Path(__file__).resolve().parents[1]
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def run(capsys, *argv):
@@ -204,6 +206,21 @@ class TestChart:
         text = target.read_text()
         assert text.startswith("<svg ")
         assert text.rstrip().endswith("</svg>")
+
+    def test_svg_skips_markers_a_log_axis_cannot_place(self, capsys, tmp_path):
+        # At 0 validators hedera's latest observation prices at 0 kWh/tx, which
+        # a log axis cannot place: its two markers are left out, the rest drawn.
+        text = bundled("observations.csv").read_text(encoding="utf-8")
+        zeroed = text.replace("\nhedera,2023-01-31,26,", "\nhedera,2023-01-31,0,")
+        assert zeroed != text
+        path = tmp_path / "observations.csv"
+        path.write_text(zeroed, encoding="utf-8")
+        circles = {}
+        for name, argv in (("bundled", []), ("zeroed", ["--observations", str(path)])):
+            code, out, err = run(capsys, "chart", "--format", "svg", *argv)
+            assert (code, err) == (0, "")
+            circles[name] = len(ElementTree.fromstring(out).findall(f"{SVG}circle"))
+        assert circles == {"bundled": 29, "zeroed": 27}
 
     def test_lmin_controls_grid_start(self, capsys):
         _, out, _ = run(capsys, "chart", "--network", "polkadot", "--format", "csv",

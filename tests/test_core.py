@@ -169,6 +169,14 @@ class TestHelpers:
         assert parse_date(today) is today
         assert parse_date("2022-12-11") == today
 
+    def test_parse_date_datetime_gives_its_date(self):
+        assert parse_date(dt.datetime(2022, 12, 11, 23, 59)) == dt.date(2022, 12, 11)
+        assert type(parse_date(dt.datetime(2022, 12, 11))) is dt.date
+
+    def test_parse_date_refuses_other_types(self):
+        with pytest.raises(ValueError, match=r"^invalid date 20230131 \(want ISO-8601\)$"):
+            parse_date(20230131)
+
 
 class Sample(Record):
     name: str

@@ -26,11 +26,12 @@ def readme_library_block():
     ids=SCRIPTS + ["README-library"],
 )
 def test_demo_runs(argv, tmp_path):
-    # throughput_extrapolation.py writes its SVG to the working directory
+    # throughput_extrapolation.py writes its SVG to the working directory;
+    # -W error makes any warning fail the run, as pytest's filterwarnings does
     src = str(Path(posenergy.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, *argv],
+        [sys.executable, "-W", "error", *argv],
         cwd=tmp_path,
         capture_output=True,
         text=True,
