@@ -68,14 +68,14 @@ class ChartGeometry(Record):
     def xs_px(self, tps: Iterable[float]) -> list[float]:
         """Pixel x of each throughput value, with the axis constants hoisted."""
         x_min, span = self.x_log_min, self.x_log_max - self.x_log_min
-        extent = PLOT_RIGHT - PLOT_LEFT
-        return [PLOT_LEFT + ((log10(t) - x_min) / span) * extent for t in tps]
+        left, extent = PLOT_LEFT, PLOT_RIGHT - PLOT_LEFT
+        return [left + ((log10(t) - x_min) / span) * extent for t in tps]
 
     def ys_px(self, kwh_per_tx: Iterable[float]) -> list[float]:
         """Pixel y of each per-transaction energy value, with the axis constants hoisted."""
         y_max, span = self.y_log_max, self.y_log_max - self.y_log_min
-        extent = PLOT_BOTTOM - PLOT_TOP
-        return [PLOT_TOP + ((y_max - log10(v)) / span) * extent for v in kwh_per_tx]
+        top, extent = PLOT_TOP, PLOT_BOTTOM - PLOT_TOP
+        return [top + ((y_max - log10(v)) / span) * extent for v in kwh_per_tx]
 
 
 def chart_geometry(
