@@ -228,6 +228,28 @@ def reference_load_snapshots(path):
     return Snapshot(tuple(observations), tuple(votes))
 
 
+# The reference writer: every row through one csv.writer on the open file, as
+# write_snapshot did before it kept each observation's line.
+def reference_write_snapshot(path, observations, vote_records=()):
+    rows = sorted(observations, key=lambda o: (o.network, o.date))
+    for obs in rows:
+        if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
+            raise ValueError(f"provenance of ({obs.network}, {obs.date}) would not read back")
+    votes = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(OBSERVATION_HEADER)
+        writer.writerows(
+            (o.network, o.date.isoformat(), o.validators, repr(o.tps), "", "", o.provenance)
+            for o in rows
+        )
+        writer.writerows(
+            ("solana", v.date.isoformat(), "", repr(v.reported_tps), v.nonvote_tx_per_day,
+             v.total_tx_per_day, "")
+            for v in votes
+        )
+
+
 def reference_read_table(path, required, parse, what):
     out = {}
     keyed = reference_read_csv(path, required, lambda cell: (cell(required[0]), parse(cell)))
@@ -535,8 +557,13 @@ OBSERVATIONS = st.lists(
         network=NETWORK_IDS,
         date=st.dates(),
         validators=st.integers(0, 2**53),
-        tps=st.floats(min_value=0.0, allow_infinity=False),
-        provenance=st.text(st.characters(codec="utf-8"), max_size=12),
+        tps=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, allow_infinity=False)
+        ),
+        # the characters csv quotes or that need more than one UTF-8 byte, among any others
+        provenance=st.text(
+            st.one_of(st.sampled_from(',"\r\n\té€𝄞'), st.characters(codec="utf-8")), max_size=12
+        ),
     ),
     max_size=6,
     unique_by=lambda o: (o.network, o.date),
@@ -572,11 +599,19 @@ class TestSnapshotRoundTrip:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "snapshot.csv", Path(tmp) / "again.csv"
+            reference = Path(tmp) / "reference.csv"
             if unwritable:
-                with pytest.raises(ValueError, match="provenance of"):
-                    write_snapshot(path, observations, votes)
+                # the second attempt fails too: a refused line is not kept
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="provenance of"):
+                        write_snapshot(path, observations, votes)
+                assert not path.exists()
                 return
-            write_snapshot(path, observations, votes)
+            reference_write_snapshot(reference, observations, votes)
+            # the second write takes every observation line from the memo
+            for _ in range(2):
+                write_snapshot(path, observations, votes)
+                assert path.read_bytes() == reference.read_bytes()
             loaded = load_snapshots(path)
             write_snapshot(again, loaded.observations, loaded.vote_records)
             assert again.read_bytes() == path.read_bytes()

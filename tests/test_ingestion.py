@@ -4,7 +4,9 @@ import datetime as dt
 import re
 
 import pytest
-from test_file_input import reference_load_snapshots
+from hypothesis import given
+from hypothesis import strategies as st
+from test_file_input import SETTINGS, reference_load_snapshots, reference_write_snapshot
 
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
@@ -12,6 +14,7 @@ from posenergy.ingestion import (
     DuplicateObservationError,
     MergeConflictError,
     SnapshotFormatError,
+    _observation_line,
     _parse_row,
     bundled,
     load_bounds,
@@ -26,6 +29,13 @@ from posenergy.solana import VoteRatioRecord
 
 def obs(network="tezos", date="2023-01-31", validators=407, tps=0.9, **kw):
     return NetworkObservation(network, date, validators, tps, **kw)
+
+
+@pytest.fixture
+def empty_memos():
+    """Both per-process memos start empty, so ``cache_info()`` counts this test alone."""
+    _parse_row.cache_clear()
+    _observation_line.cache_clear()
 
 
 class TestLoadSnapshots:
@@ -155,8 +165,7 @@ class TestParsedRowMemo:
             ):
                 load_snapshots(path)
 
-    def test_more_distinct_rows_than_the_bound(self, tmp_path):
-        _parse_row.cache_clear()
+    def test_more_distinct_rows_than_the_bound(self, tmp_path, empty_memos):
         bound = _parse_row.cache_info().maxsize
         first = dt.date(2000, 1, 1)
         rows = [
@@ -209,6 +218,58 @@ class TestMerge:
     def test_empty_input(self):
         assert merge() == []
         assert merge([], []) == []
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_matches_list_based_merge(self, data):
+        # few keys and few values per field, so sets share keys, repeat records
+        # exactly (the same object or an equal copy) and conflict
+        pool = data.draw(st.lists(st.builds(
+            obs,
+            network=st.sampled_from(["near", "tezos"]),
+            date=st.sampled_from(["2023-01-30", "2023-01-31"]),
+            validators=st.integers(1, 2),
+            tps=st.sampled_from([0.0, -0.0, 6.33]),
+            provenance=st.sampled_from(["", "paper"]),
+        ), min_size=1, max_size=6))
+        record = st.sampled_from(pool).flatmap(
+            lambda o: st.sampled_from([o, obs(o.network, o.date, o.validators, o.tps,
+                                              provenance=o.provenance)])
+        )
+        sets = data.draw(st.lists(st.lists(record, max_size=5), max_size=4))
+        try:
+            expected = reference_merge(*sets)
+        except MergeConflictError as exc:
+            with pytest.raises(MergeConflictError) as raised:
+                merge(*sets)
+            assert str(raised.value) == str(exc)
+        else:
+            merged = merge(*sets)
+            assert merged == expected
+            # the first of equal records is kept, so the sign of a zero tps is too
+            assert all(a is b for a, b in zip(merged, expected))
+
+
+def reference_merge(*observation_sets):
+    """``merge`` as it was: one list per (network, date) key."""
+    buckets = {}
+    for group in observation_sets:
+        for o in group:
+            bucket = buckets.setdefault((o.network, o.date), [])
+            if o not in bucket:
+                bucket.append(o)
+    ordered = sorted(buckets.items())
+    conflicts = [
+        f"({network}, {date.isoformat()}): "
+        + " vs ".join(
+            f"validators={o.validators} tps={o.tps!r} provenance={o.provenance!r}" for o in rows
+        )
+        for (network, date), rows in ordered
+        if len(rows) > 1
+    ]
+    if conflicts:
+        raise MergeConflictError("conflicting observations: " + "; ".join(conflicts))
+    return [rows[0] for _, rows in ordered]
 
 
 class TestWriteSnapshot:
@@ -278,10 +339,81 @@ class TestWriteSnapshot:
             write_snapshot(path, [*rows, obs("algorand", provenance=" padded")])
         assert path.read_bytes() == before
 
+    def test_unencodable_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_snapshot(path, [obs()])
+        before = path.read_bytes()
+        # a lone surrogate has no UTF-8 form; the text is encoded before the file is opened
+        with pytest.raises(UnicodeEncodeError):
+            write_snapshot(path, [obs(provenance="\ud800")])
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("provenance", [" padded", "nul\0byte"])
     def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance):
         with pytest.raises(ValueError, match=r"provenance of \(tezos, 2023-01-31\)"):
             write_snapshot(tmp_path / "out.csv", [obs(provenance=provenance)])
+
+
+def window(days, networks=14, first=dt.date(2022, 1, 1)):
+    """``days`` days of one generated observation per network, as a refresh keeps them."""
+    return [
+        obs(f"net{n:02d}", first + dt.timedelta(days=d), 10 + (d * 7 + n) % 90,
+            0.5 + ((d * 31 + n * 17) % 1000) / 8, provenance=f"generated day {d}")
+        for d in range(days)
+        for n in range(networks)
+    ]
+
+
+class TestObservationLineMemo:
+    def test_zero_throughput_keeps_its_sign(self, tmp_path):
+        positive, negative = tmp_path / "positive.csv", tmp_path / "negative.csv"
+        write_snapshot(positive, [obs(tps=0.0)])
+        # equal to the record above, so only the key's sign tells them apart
+        write_snapshot(negative, [obs(tps=-0.0)])
+        assert positive.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.0,,,"
+        assert negative.read_text().splitlines()[1] == "tezos,2023-01-31,407,-0.0,,,"
+
+    def test_refresh_formats_only_the_new_day(self, tmp_path, empty_memos):
+        path = tmp_path / "snapshot.csv"
+        history = window(251)
+        kept = history[:-14]
+        write_snapshot(path, kept)
+        before = _observation_line.cache_info()
+        assert before.misses == len(kept) == 3500
+        merged = merge(kept, history[-14:])
+        oldest = min(o.date for o in merged)
+        kept = [o for o in merged if o.date != oldest]
+        write_snapshot(path, kept)
+        after = _observation_line.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (14, 3486)
+        reference = tmp_path / "reference.csv"
+        reference_write_snapshot(reference, kept)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_refused_row_is_never_kept(self, tmp_path, empty_memos):
+        path = tmp_path / "snapshot.csv"
+        rows = window(3, networks=2)
+        write_snapshot(path, rows)
+        before = path.read_bytes()
+        kept = _observation_line.cache_info().currsize
+        # sorts first, so each attempt looks it up before any other row
+        refused = obs("algorand", provenance="trailing ")
+        for attempt in range(1, 4):
+            with pytest.raises(ValueError, match=r"provenance of \(algorand, 2023-01-31\)"):
+                write_snapshot(path, [*rows, refused])
+            info = _observation_line.cache_info()
+            assert (info.misses, info.currsize) == (len(rows) + attempt, kept)
+            assert path.read_bytes() == before
+
+    def test_more_distinct_records_than_the_bound(self, tmp_path, empty_memos):
+        bound = _observation_line.cache_info().maxsize
+        rows = window(bound // 14 + 10)
+        assert len(rows) > bound
+        path, reference = tmp_path / "snapshot.csv", tmp_path / "reference.csv"
+        write_snapshot(path, rows)
+        assert _observation_line.cache_info().currsize == bound
+        reference_write_snapshot(reference, rows)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestReferenceTables:
