@@ -83,16 +83,19 @@ def chart_geometry(
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> ChartGeometry:
-    """Decade-rounded axis ranges covering every placeable value."""
+    """Decade-rounded axis ranges covering every placeable value and band point."""
     markers, reference_bands = _placeable(markers, reference_bands)
     xs = [m.tps for m in markers]
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
-        # Each band adds only the extremes of its physical, positive values.
-        columns = ((xs, band.tps), (ys, band.kwh_per_tx_lower), (ys, band.kwh_per_tx_upper))
-        for out, column in columns:
-            out += _positive_extremes(column, band.physical)
+        # Physical values are positive with lower <= upper on an increasing grid.
+        physical = band.physical
+        if True in physical:
+            last = len(physical) - 1 - physical[::-1].index(True)
+            xs += (band.tps[physical.index(True)], band.tps[last])
+            ys.append(min(compress(band.kwh_per_tx_lower, physical)))
+            ys.append(max(compress(band.kwh_per_tx_upper, physical)))
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -114,17 +117,6 @@ def _placeable(
         [m for m in markers if m.tps > 0 and m.kwh_per_tx > 0],
         [r for r in reference_bands if r.kwh_per_tx_lower > 0 and r.kwh_per_tx_upper > 0],
     )
-
-
-def _positive_extremes(column: Sequence[float], flags: Sequence[bool]) -> tuple[float, ...]:
-    """The least and greatest positive value of ``column`` where ``flags`` is true, if any."""
-    least = min(compress(column, flags), default=0.0)
-    if least > 0:
-        # Every flagged value is positive or NaN. min and max pass over a NaN
-        # that is not the first value, and a NaN first makes ``least`` NaN.
-        return least, max(compress(column, flags))
-    values = [v for v in compress(column, flags) if v > 0]
-    return (min(values), max(values)) if values else ()
 
 
 def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
@@ -250,8 +242,10 @@ def _color_map(
 
 
 def _grid_lines(geom: ChartGeometry) -> Iterator[str]:
+    # Placed from the decade, not 10.0 ** decade: that overflows past 1e308, is 0.0 below 1e-323.
+    x_span, y_span = geom.x_log_max - geom.x_log_min, geom.y_log_max - geom.y_log_min
     for exponent in range(int(geom.x_log_min), int(geom.x_log_max) + 1):
-        x = geom.x_px(10.0 ** exponent)
+        x = PLOT_LEFT + ((exponent - geom.x_log_min) / x_span) * (PLOT_RIGHT - PLOT_LEFT)
         yield (
             f'<line x1="{_fmt(x)}" y1="{_fmt(PLOT_TOP)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(PLOT_BOTTOM)}" stroke="#dddddd"/>'
@@ -261,7 +255,7 @@ def _grid_lines(geom: ChartGeometry) -> Iterator[str]:
             f'font-size="12" text-anchor="middle" fill="#333333">1e{exponent}</text>'
         )
     for exponent in range(int(geom.y_log_min), int(geom.y_log_max) + 1):
-        y = geom.y_px(10.0 ** exponent)
+        y = PLOT_TOP + ((geom.y_log_max - exponent) / y_span) * (PLOT_BOTTOM - PLOT_TOP)
         yield (
             f'<line x1="{_fmt(PLOT_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(PLOT_RIGHT)}" '
             f'y2="{_fmt(y)}" stroke="#dddddd"/>'

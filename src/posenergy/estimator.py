@@ -66,10 +66,11 @@ class ConsumptionBand(Record):
     """Sampled lower/upper per-transaction energy over a throughput grid.
 
     The band is held as four equal-length columns indexed by grid position.
-    ``physical`` is false where the model predicts less than one validator;
-    both energy values are 0.0 there. This is the one place that checks a
-    band's grid order, its column lengths and that no physical point is
-    inverted.
+    ``physical`` is false where the model predicts less than one validator
+    (:func:`consumption_band` puts 0.0 in both energy columns there). This
+    is the one place that checks a band, so no consumer does: the grid is
+    non-empty, strictly increasing, positive and finite; every energy value
+    is finite; and at each physical point ``0 < lower <= upper``.
     """
 
     network: str
@@ -93,11 +94,25 @@ class ConsumptionBand(Record):
                 f"{network}: band columns differ in length "
                 f"({len(rates)}, {len(lower)}, {len(upper)}, {len(physical)})"
             )
+        if not rates:
+            raise GridDomainError(f"{network}: empty throughput grid")
         if not all(map(operator.lt, rates, rates[1:])):
             raise GridDomainError(f"{network}: band grid must be strictly increasing")
-        if any(map(operator.gt, compress(lower, physical), compress(upper, physical))):
-            tps = next(t for t, lo, up, p in zip(rates, lower, upper, physical) if p and lo > up)
-            raise ValueError(f"{network}: band inverted at tps={tps!r}")
+        if not (0 < rates[0] and rates[-1] < math.inf):  # the ends bound an increasing grid
+            bad = rates[-1] if 0 < rates[0] else rates[0]
+            raise GridDomainError(f"{network}: band tps must be finite and positive, got {bad!r}")
+        # A sum is finite only if every value is. One that overflows sends
+        # finite values to the walk below, which then refuses none of them.
+        finite = math.isfinite(sum(lower) + sum(upper))
+        if not finite or min(compress(lower, physical), default=1.0) <= 0 or any(
+            map(operator.gt, compress(lower, physical), compress(upper, physical))
+        ):  # some point is refused: name the first
+            for rate, lo, up, flag in zip(rates, lower, upper, physical):
+                name = f"{network}: band value at tps={rate!r}"
+                for value in (lo, up):
+                    _check_finite(name, value, "positive" if flag else "")
+                if flag and lo > up:
+                    raise ValueError(f"{network}: band inverted at tps={rate!r}")
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "tps", rates)
         object.__setattr__(self, "kwh_per_tx_lower", lower)
@@ -184,14 +199,14 @@ def consumption_band(
     non-physical and both band values are reported with the prediction
     clamped to zero. Each value is computed with the arithmetic of
     :func:`~posenergy.regression.predict_validators` and
-    :func:`~posenergy.core.energy_per_tx`. The fit and the grid's domain
-    are checked before the loop; the grid's order is checked by
-    :class:`ConsumptionBand`, and overflow on the built band.
+    :func:`~posenergy.core.energy_per_tx`. Before the loop only the fit's
+    coefficients and the grid's (0, max_tps] domain, which guards the
+    division, are checked; :class:`ConsumptionBand` checks the rest.
 
     Raises:
         GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
         ValueError: fit and profile disagree on the network, the fit's
-            coefficients are not finite, or a band value overflows.
+            coefficients are not finite, or a band value overflows or underflows.
     """
     network = profile.network
     if fit.network != network:
@@ -207,11 +222,7 @@ def consumption_band(
         rates = list(map(float, grid))
     except OverflowError:  # an int too large for a float
         raise GridDomainError(outside) from None
-    if not rates:
-        raise GridDomainError(f"{network}: empty throughput grid")
-    # NaN compares false, so min and max either return it (refused here) or pass
-    # over it to ConsumptionBand's order check; no rate <= 0 reaches the division.
-    if not 0 < min(rates) or not max(rates) <= max_tps:
+    if rates and not (0 < min(rates) and max(rates) <= max_tps):  # the band refuses []
         raise GridDomainError(outside)
 
     lower: list[float] = []
@@ -228,15 +239,7 @@ def consumption_band(
             lower.append((predicted * w_lower) / joules)
             upper.append((predicted * w_upper) / joules)
             physical.append(True)
-    band = ConsumptionBand(network, rates, lower, upper, physical)  # checks the grid's order
-    # lower <= upper pointwise, so a finite upper column bounds the lower one.
-    if not all(map(math.isfinite, upper)):
-        where = next(i for i, v in enumerate(upper) if not math.isfinite(v))
-        raise ValueError(
-            f"{network}: band value overflows at tps={rates[where]!r} "
-            f"(fit intercept {intercept!r}, slope {slope!r})"
-        )
-    return band
+    return ConsumptionBand(network, rates, lower, upper, physical)
 
 
 class ReportedEstimate(Record):

@@ -378,6 +378,8 @@ def _chart_anchor_lines(
     Reference bands contribute two lines, pinned to the extremes of the
     plotted grids; markers one line each.
     """
+    if reference_bands and not bands:
+        raise ValueError("reference bands need a band to span")
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     anchors = [
         (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper, "true")

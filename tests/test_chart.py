@@ -70,6 +70,21 @@ class TestChartGeometry:
         geom = chart_geometry([band(points=points)])
         assert geom.x_log_max == 1.0
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param([(1.0, 1e-3, 1e-2, True), (1.7e308, 1e-3, 1e-2, True)], id="tps-1.7e308"),
+            pytest.param([(5e-324, 1e-3, 1e-2, True), (1.0, 1e-3, 1e-2, True)], id="tps-5e-324"),
+            pytest.param([(1.0, 5e-324, 1.7e308, True), (2.0, 1e-3, 1e-2, True)], id="kwh-ends"),
+        ],
+    )
+    def test_decades_beyond_float_range_render(self, points):
+        # the outer gridlines sit at 1e309 or 1e-324, which no float holds
+        svg, geom = render_chart([band(points=points)])
+        assert geom == chart_geometry([band(points=points)])
+        assert "nan" not in svg and "inf" not in svg
+        ElementTree.fromstring(svg)
+
     def test_nothing_to_plot(self):
         points = [(1.0, 0.0, 0.0, False)]
         with pytest.raises(ValueError, match="nothing to plot"):
@@ -117,18 +132,26 @@ def list_geometry(bands, markers=(), reference_bands=()):
     return ChartGeometry(float(x_log_min), float(x_log_max), float(y_log_min), float(y_log_max))
 
 
-# 0.0 is drawn often: it is the value of every non-physical point and must be skipped.
+# 0.0 is drawn often: markers and reference bands at 0.0 must be skipped.
 VALUES = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9))
+# Every physical coordinate of a band is positive; the extremes of float range included.
+POSITIVE = st.one_of(
+    st.floats(min_value=1e-9, max_value=1e9),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
 
 
 @st.composite
 def generated_band(draw):
-    """A valid band whose physical flags come in runs, some bands all non-physical."""
-    tps = sorted(draw(st.sets(st.floats(min_value=0.0, max_value=1e7), min_size=1, max_size=12)))
+    """A valid band whose physical flags come in runs, some bands all non-physical.
+
+    Non-physical points are at 0.0, as :func:`consumption_band` puts them.
+    """
+    tps = sorted(draw(st.sets(POSITIVE, min_size=1, max_size=12)))
     physical = draw(st.lists(st.booleans(), min_size=len(tps), max_size=len(tps)))
     rows = []
     for t, ok in zip(tps, physical):
-        lo, up = sorted((draw(VALUES), draw(VALUES))) if ok else (0.0, 0.0)
+        lo, up = sorted((draw(POSITIVE), draw(POSITIVE))) if ok else (0.0, 0.0)
         rows.append((t, lo, up, ok))
     return band(draw(st.sampled_from(["near", "tezos", "tron"])), rows)
 
@@ -147,6 +170,11 @@ class TestChartGeometryProperty:
                 chart_geometry(bands, markers, refs)
         else:
             assert chart_geometry(bands, markers, refs) == expected
+            # every band that can be built renders, with finite coordinates only
+            svg, geometry = render_chart(bands, markers, refs)
+            assert geometry == expected
+            assert "nan" not in svg and "inf" not in svg
+            ElementTree.fromstring(svg)
 
 
 def parse_polygons(svg):

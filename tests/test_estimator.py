@@ -1,5 +1,6 @@
 """Contemporary estimates, throughput grids and consumption bands."""
 
+import math
 import operator
 from itertools import compress
 
@@ -36,6 +37,32 @@ from posenergy.regression import RegressionFit, predict_validators
 
 HEDERA_BOUNDS = ValidatorPowerBounds("hedera", 168.10, 328.00)
 POLKADOT_BOUNDS = ValidatorPowerBounds("polkadot", 4.31, 107.86)
+NAN, INF = float("nan"), float("inf")
+# Band coordinates: each edge of the rule, small and huge magnitudes of both signs.
+ORDINARY = st.floats(min_value=1e-6, max_value=1e3)
+BAND_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, NAN, INF, -INF]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    ORDINARY,
+)
+EDGE_PAIRS = st.tuples(BAND_NUMBERS, BAND_NUMBERS)
+
+
+@st.composite
+def band_rows(draw):
+    """Rows of (tps, lower, upper, physical) for a band of up to five points.
+
+    Half the grids are increasing ordinary rates, so those draws reach the
+    value checks; the rest are any numbers in any order. Half the edge pairs
+    are sorted.
+    """
+    grid = draw(st.one_of(
+        st.lists(ORDINARY, max_size=5, unique=True).map(sorted), st.lists(BAND_NUMBERS, max_size=5)
+    ))
+    pairs = [draw(st.one_of(EDGE_PAIRS, EDGE_PAIRS.map(sorted))) for _ in grid]
+    return [(t, lo, up, draw(st.booleans())) for t, (lo, up) in zip(grid, pairs)]
+
+
 # Ints too large for a float, up to more digits (6,021) than Python prints.
 BEYOND_FLOAT = st.integers(min_value=2**1024, max_value=2**20000)
 
@@ -235,8 +262,16 @@ class TestConsumptionBand:
         # 1e308 validators per tx/s overflow the prediction above 1 tx/s; 1e307
         # validators overflow only once multiplied by the power draw
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
-        with pytest.raises(ValueError, match=r"^polkadot: band value overflows at tps=2\.0"):
+        message = r"^polkadot: band value at tps=2\.0 must be finite and positive, got inf$"
+        with pytest.raises(ValueError, match=message):
             consumption_band(fit, polkadot_profile(), [2.0, 3.0])
+
+    def test_underflow_names_network_and_tps(self):
+        # a 5e-324 W draw makes every physical kWh/tx underflow to 0.0
+        profile = NetworkProfile("near", ValidatorPowerBounds("near", 5e-324, 1.0), 100.0)
+        message = r"^near: band value at tps=1\.0 must be finite and positive, got 0\.0$"
+        with pytest.raises(ValueError, match=message):
+            consumption_band(flat_fit("near", 10), profile, [1.0, 2.0])
 
     @pytest.mark.parametrize("intercept, slope", [(float("nan"), 1.0), (1.0, float("inf"))])
     def test_non_finite_fit_rejected(self, intercept, slope):
@@ -324,6 +359,74 @@ class TestConsumptionBandColumns:
     def test_inverted_non_physical_point_allowed(self):
         band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 3e-5), (1e-5, 2e-5), (True, False))
         assert band.physical == (True, False)
+
+    @pytest.mark.parametrize(
+        "columns, error, message",
+        [
+            pytest.param(
+                ((0.0, 1.0, 10.0), (1e-4, 1e-5, 1e-6), (1e-3, 1e-4, 1e-5), (True,) * 3),
+                GridDomainError,
+                r"^near: band tps must be finite and positive, got 0\.0$",
+                id="physical-at-tps-zero",
+            ),
+            pytest.param(
+                ((0.1, 1.0, 10.0), (0.0, 1e-5, 1e-6), (1e-3, 1e-4, 1e-5), (True,) * 3),
+                ValueError,
+                r"^near: band value at tps=0\.1 must be finite and positive, got 0\.0$",
+                id="physical-kwh-zero",
+            ),
+            pytest.param(
+                ((0.1, 1.0), (1e-4, NAN), (1e-3, 1e-4), (True, True)),
+                ValueError,
+                r"^near: band value at tps=1\.0 must be finite and positive, got nan$",
+                id="nan-polygon-vertex",
+            ),
+            pytest.param(
+                ((0.1, 1.0), (1e-4, 0.0), (1e-3, NAN), (True, False)),
+                ValueError,
+                r"^near: band value at tps=1\.0 must be finite, got nan$",
+                id="nan-non-physical",
+            ),
+            pytest.param(
+                ((0.1, INF), (1e-4, 1e-5), (1e-3, 1e-4), (True, True)),
+                GridDomainError,
+                r"^near: band tps must be finite and positive, got inf$",
+                id="inf-tps",
+            ),
+            pytest.param(
+                ((), (), (), ()), GridDomainError, r"^near: empty throughput grid$", id="empty"
+            ),
+        ],
+    )
+    def test_band_a_chart_cannot_show_refused(self, columns, error, message):
+        with pytest.raises(error, match=message):
+            ConsumptionBand("near", *columns)
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        huge = (1e308, 1.5e308, 1.7e308)
+        band = ConsumptionBand("near", (1.0, 2.0, 3.0), huge, huge, (True, True, True))
+        assert band.kwh_per_tx_upper == huge
+
+    @given(rows=band_rows())
+    def test_accepts_exactly_the_pointwise_rule(self, rows):
+        def point_ok(tps, lower, upper, physical):
+            finite = math.isfinite(tps) and math.isfinite(lower) and math.isfinite(upper)
+            return finite and tps > 0 and (not physical or 0 < lower <= upper)
+
+        valid = (
+            bool(rows)
+            and all(point_ok(*row) for row in rows)
+            and all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
+        )
+        columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+        if valid:
+            band = ConsumptionBand("near", *columns)
+            assert [band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical] == [
+                tuple(column) for column in columns
+            ]
+        else:
+            with pytest.raises(ValueError, match=r"^near: "):
+                ConsumptionBand("near", *columns)
 
 
 class TestErrata:

@@ -229,6 +229,16 @@ class TestChartSeries:
         assert text == chart_csv(chart_rows(bands))
         assert text.splitlines()[1] == "a%sb%%,1,1e-05,0.0001,true"
 
+    def test_reference_band_without_band_refused(self):
+        # reference bands are pinned to the grid's extremes, so they need a band
+        ref = ReferenceBand("bitcoin", 624.41, 1662.78)
+        with pytest.raises(ValueError, match=r"^reference bands need a band to span$"):
+            chart_rows([], [], [ref])
+        with pytest.raises(ValueError, match=r"^reference bands need a band to span$"):
+            chart_csv_document([], [], [ref])
+        # a marker carries its own throughput, so it needs none
+        assert chart_cells([], [PointMarker("visa", 1736.0, 0.0033)])[0][0] == "visa"
+
     def test_csv_header(self):
         text = chart_csv([])
         assert text == "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
