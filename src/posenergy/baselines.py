@@ -44,11 +44,8 @@ class BaselineBand(Record):
     ) -> None:
         # the name is printed where network ids are: CSV cells, SVG legend text
         object.__setattr__(self, "name", validate_network_id(name))
-        if not dt.MINYEAR <= period_year <= dt.MAXYEAR:
-            raise ValueError(
-                f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {name!r}, got {period_year!r}"
-            )
-        object.__setattr__(self, "period_year", _check_count("year", period_year))
+        year = _check_count("year", period_year, dt.MINYEAR, dt.MAXYEAR, name)
+        object.__setattr__(self, "period_year", year)
         lower = _check_finite("annual_kwh", annual_kwh_lower, "positive", name)
         upper = _check_finite("annual_kwh", annual_kwh_upper, "positive", name)
         if lower > upper:

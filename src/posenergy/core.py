@@ -47,10 +47,11 @@ def parse_date(value: dt.date | str) -> dt.date:
 def _check_finite(name: str, value: float, sign: str = "", owner: str = "") -> float:
     """``value`` as a float, if finite and of ``sign``: "positive", "non-negative" or "" (any).
 
-    The one check of a real-valued field. A refusal reads ``<name> must be finite
-    and <sign> for '<owner>', got <value>``, with no ``for`` clause without an owner.
-    An int too large for a float is not finite as one; it is not printed, since
-    Python refuses to print an int of more than 4,300 digits.
+    With :func:`_check_count`, the one check of a field. A refusal reads ``<name>
+    must be finite and <sign> for '<owner>', got <value>``, with no ``for`` clause
+    without an owner. An int too large for a float is not finite as one; it is not
+    printed, since Python refuses to print an int of more than 4,300 digits. A
+    zero of either sign is returned as ``0.0``, so equal values print alike.
     """
     try:
         number = shown = float(value)
@@ -60,18 +61,24 @@ def _check_finite(name: str, value: float, sign: str = "", owner: str = "") -> f
         rule = f"finite and {sign}" if sign else "finite"
         where = f" for {owner!r}" if owner else ""
         raise ValueError(f"{name} must be {rule}{where}, got {shown}")
-    return number
+    return number or 0.0
 
 
-def _check_count(name: str, value: int) -> int:
-    """``value`` as an int, refused unless it is a whole number in [0, 2**53]."""
+def _check_count(name: str, value: int, low: int = 0, high: int = 2**53, owner: str = "") -> int:
+    """``value`` as an int, if a whole number in [``low``, ``high``].
+
+    A refusal reads ``<name> must be a count in [<low>, <high>] for '<owner>',
+    got <value>``, worded as by :func:`_check_finite`.
+    """
     # the model computes in floats, which hold every count up to 2**53 exactly;
     # comparing first keeps NaN and infinities away from int()
-    if 0 <= value <= 2**53:
+    if low <= value <= high:
         count = int(value)
         if count == value:
             return count
-    raise ValueError(f"{name} must be a count in [0, 2**53], got {value!r}")
+    where = f" for {owner!r}" if owner else ""
+    top = "2**53" if high == 2**53 else high
+    raise ValueError(f"{name} must be a count in [{low}, {top}]{where}, got {value!r}")
 
 
 class FrozenInstanceError(AttributeError):
@@ -151,6 +158,8 @@ class NetworkObservation(Record):
         object.__setattr__(self, "date", parse_date(date))
         object.__setattr__(self, "validators", _check_count("validators", validators))
         object.__setattr__(self, "tps", _check_finite("tps", tps, "non-negative", network))
+        if not isinstance(provenance, str):
+            raise ValueError(f"provenance must be text for {network!r}, got {provenance!r}")
         object.__setattr__(self, "provenance", provenance)
 
 
@@ -207,13 +216,10 @@ def energy_per_tx(n_validators: float, watts_per_validator: float, tps: float) -
     """Energy per transaction, in kWh, at a given throughput.
 
     Network watts divided by transactions per second is joules per
-    transaction; the result is expressed in kWh. Undefined at zero
-    throughput, where the quotient diverges.
+    transaction; the result is expressed in kWh. ``tps`` must be positive:
+    at zero throughput the quotient diverges.
     """
     n = _check_finite("n_validators", n_validators, "non-negative")
     watts = _check_finite("watts_per_validator", watts_per_validator, "positive")
-    rate = _check_finite("tps", tps, "non-negative")
-    if rate == 0:
-        raise ValueError("tps must be positive: per-transaction energy is undefined at zero "
-                         "throughput")
+    rate = _check_finite("tps", tps, "positive")
     return (n * watts) / (rate * JOULES_PER_KWH)

@@ -98,12 +98,17 @@ class ConsumptionBand(Record):
             raise GridDomainError(f"{network}: empty throughput grid")
         if not all(map(operator.lt, rates, rates[1:])):
             raise GridDomainError(f"{network}: band grid must be strictly increasing")
-        if not (0 < rates[0] and rates[-1] < math.inf):  # the ends bound an increasing grid
-            bad = rates[-1] if 0 < rates[0] else rates[0]
-            raise GridDomainError(f"{network}: band tps must be finite and positive, got {bad!r}")
-        # A sum is finite only if every value is. One that overflows sends
-        # finite values to the walk below, which then refuses none of them.
-        finite = math.isfinite(sum(lower) + sum(upper))
+        try:  # the ends bound an increasing grid
+            for end in (rates[0], rates[-1]):
+                _check_finite(f"{network}: band tps", end, "positive")
+        except ValueError as exc:
+            raise GridDomainError(str(exc)) from None
+        # A sum is finite only if every value is. One that overflows, or holds an
+        # int beyond float range, sends the values to the walk below to be named.
+        try:
+            finite = math.isfinite(sum(lower) + sum(upper))
+        except OverflowError:
+            finite = False
         if not finite or min(compress(lower, physical), default=1.0) <= 0 or any(
             map(operator.gt, compress(lower, physical), compress(upper, physical))
         ):  # some point is refused: name the first
@@ -127,21 +132,17 @@ def contemporary_estimate(
 
     Raises:
         ValueError: observation and bounds disagree on the network, or the
-            observation has zero throughput (no per-transaction figure exists).
+            observation's tps is zero, where no per-transaction figure exists.
     """
     if observation.network != bounds.network:
         raise ValueError(
             f"observation for {observation.network!r} priced with bounds for {bounds.network!r}"
         )
-    if observation.tps <= 0:
-        raise ValueError(
-            f"{observation.network!r} observation has zero throughput; "
-            "per-transaction energy is undefined"
-        )
+    tps = _check_finite("tps", observation.tps, "positive", observation.network)
     n = float(observation.validators)
     draws = (bounds.lower_w, bounds.mid_w, bounds.upper_w)
     kw = [global_power(n, w) for w in draws]
-    kwh = [energy_per_tx(n, w, observation.tps) for w in draws]
+    kwh = [energy_per_tx(n, w, tps) for w in draws]
     return ContemporaryEstimate(
         network=observation.network,
         date=observation.date,

@@ -15,7 +15,6 @@ import csv
 import datetime as dt
 import functools
 import io
-import math
 import os
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -189,20 +188,18 @@ def write_snapshot(
     Each observation's line is formatted once per process, for up to 8,192
     distinct observations, so a refresh that rewrites a window formats only
     its new rows. For a line of about 70 characters the memo holds about 270 B
-    per entry beyond the records it keeps alive, 2.2 MB at the bound. An observation whose throughput is ``0.0``
-    equals one whose throughput is ``-0.0`` but prints differently, so the
-    sign of a zero throughput is part of the key. A row refused for its
-    provenance is never kept: it fails every time it is written. Every line
-    is built, and the text encoded, before the file is opened, so a refused
-    write, or one whose text has no UTF-8 form, leaves an existing file as it
-    was.
+    per entry beyond the records it keeps alive, 2.2 MB at the bound. A row
+    refused for its provenance is never kept: it fails every time it is
+    written. Every line is built, and the text encoded, before the file is
+    opened, so a refused write, or one whose text has no UTF-8 form, leaves an
+    existing file as it was.
     """
     rows = sorted(observations, key=lambda o: (o.network, o.date))
     votes = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(OBSERVATION_HEADER)
-    text.writelines(_observation_line(o, math.copysign(1.0, o.tps)) for o in rows)
+    text.writelines(map(_observation_line, rows))
     writer.writerows(
         (
             _VOTE_NETWORK,
@@ -221,12 +218,11 @@ def write_snapshot(
 
 
 @functools.lru_cache(maxsize=_MEMO_ROWS)
-def _observation_line(obs: NetworkObservation, sign: float) -> str:
+def _observation_line(obs: NetworkObservation) -> str:
     """One observation's snapshot line, as :mod:`csv` quotes it.
 
-    ``sign`` is ``copysign(1.0, obs.tps)``: it only keys the memo, which
-    would otherwise return the line of ``0.0`` for ``-0.0``. A record that
-    raises is not memoised.
+    Memoised on the record: equal records print alike, since a record stores a
+    zero throughput as ``0.0``. A record that raises is not memoised.
     """
     # loading strips cells, and the csv reader of Python 3.10 refuses NUL
     if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:

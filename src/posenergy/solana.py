@@ -36,9 +36,7 @@ class VoteRatioRecord(Record):
     ) -> None:
         object.__setattr__(self, "date", parse_date(date))
         nonvote = _check_count("nonvote_tx_per_day", nonvote_tx_per_day)
-        total = _check_count("total_tx_per_day", total_tx_per_day)
-        if total < 1:
-            raise ValueError(f"total_tx_per_day must be at least 1, got {total!r}")
+        total = _check_count("total_tx_per_day", total_tx_per_day, 1)
         if nonvote > total:
             raise ValueError(
                 f"nonvote_tx_per_day must lie in [0, total], got {nonvote!r} of {total!r}"

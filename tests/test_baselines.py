@@ -93,7 +93,7 @@ class TestBaselineRecord:
 
     @pytest.mark.parametrize("year", [-40, 0, 10_000])
     def test_rejects_year_outside_calendar(self, year):
-        message = rf"^year must be in \[1, 9999\] for 'visa', got {year}$"
+        message = rf"^year must be a count in \[1, 9999\] for 'visa', got {year}$"
         with pytest.raises(ValueError, match=message):
             BaselineBand("visa", year, 1.0, 1e9, 1e9)
 
@@ -311,7 +311,8 @@ class ReferenceRecord(Record):
         object.__setattr__(self, "name", validate_network_id(name))
         if not dt.MINYEAR <= period_year <= dt.MAXYEAR:
             raise ValueError(
-                f"year must be in [{dt.MINYEAR}, {dt.MAXYEAR}] for {name!r}, got {period_year!r}"
+                f"year must be a count in [{dt.MINYEAR}, {dt.MAXYEAR}] for {name!r}, "
+                f"got {period_year!r}"
             )
         object.__setattr__(self, "period_year", period_year)
         for field, value in (("annual_kwh", annual_kwh), ("tps", tps)):

@@ -620,9 +620,9 @@ class TestErrorPaths:
             ("[a]\nyear=1\namount=1\nunit=MWh\ntps=1\n", "[a]: unit 'MWh' is not one of"),
             ("[a]\nyear=1\namount=nan\nunit=TWh\ntps=1\n", "[a]: annual_kwh must be finite"),
             ("[a]\nyear=-40\namount=1\nunit=TWh\ntps=1\n",
-             "[a]: year must be in [1, 9999] for 'a', got -40"),
+             "[a]: year must be a count in [1, 9999] for 'a', got -40"),
             ("[a]\nyear=10000\namount=1\nunit=TWh\ntps=1\n",
-             "[a]: year must be in [1, 9999] for 'a', got 10000"),
+             "[a]: year must be a count in [1, 9999] for 'a', got 10000"),
             ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n",
              "bad.cfg: baseline 'b' has an incomplete lower/upper pair"),
             ("[b-lower]\nyear=1\namount=1\nunit=TWh\ntps=1\n"

@@ -84,7 +84,7 @@ class TestEnergyPerTx:
         assert energy_per_tx(0, 248.05, 568.45) == 0.0
 
     def test_zero_throughput_rejected(self):
-        with pytest.raises(ValueError, match="zero throughput"):
+        with pytest.raises(ValueError, match=r"^tps must be finite and positive, got 0\.0$"):
             energy_per_tx(26, 248.05, 0.0)
 
     def test_negative_throughput_rejected(self):
@@ -113,6 +113,10 @@ class TestNetworkObservation:
     def test_rejects_negative_tps(self):
         with pytest.raises(ValueError):
             NetworkObservation("hedera", "2023-01-15", 26, -0.1)
+
+    def test_rejects_provenance_not_text(self):
+        with pytest.raises(ValueError, match=r"^provenance must be text for 'hedera', got 5$"):
+            NetworkObservation("hedera", "2023-01-15", 26, 568.45, provenance=5)
 
     def test_rejects_count_no_float_holds_exactly(self):
         assert NetworkObservation("hedera", "2023-01-15", 2**53, 1.0).validators == 2**53

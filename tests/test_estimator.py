@@ -108,7 +108,8 @@ class TestContemporaryEstimate:
 
     def test_zero_throughput_rejected(self):
         obs = NetworkObservation("hedera", "2023-01-31", 26, 0.0)
-        with pytest.raises(ValueError, match="zero throughput"):
+        message = r"^tps must be finite and positive for 'hedera', got 0\.0$"
+        with pytest.raises(ValueError, match=message):
             contemporary_estimate(obs, HEDERA_BOUNDS)
 
     def test_network_mismatch_rejected(self):
@@ -406,6 +407,18 @@ class TestConsumptionBandColumns:
         huge = (1e308, 1.5e308, 1.7e308)
         band = ConsumptionBand("near", (1.0, 2.0, 3.0), huge, huge, (True, True, True))
         assert band.kwh_per_tx_upper == huge
+
+    def test_value_beyond_float_range_named(self):
+        # an int too large for a float overflows the sum pass, and the walk names it
+        message = (r"^near: band value at tps=1\.0 must be finite and positive, "
+                   r"got a number beyond float range$")
+        with pytest.raises(ValueError, match=message):
+            ConsumptionBand("near", (1.0,), (10**400,), (10**400,), (True,))
+
+    def test_tps_beyond_float_range_named(self):
+        message = r"^near: band tps must be finite and positive, got a number beyond float range$"
+        with pytest.raises(GridDomainError, match=message):
+            ConsumptionBand("near", (1.0, 10**400), (1e-3, 1e-3), (1e-2, 1e-2), (True, True))
 
     @given(rows=band_rows())
     def test_accepts_exactly_the_pointwise_rule(self, rows):

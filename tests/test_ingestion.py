@@ -1,7 +1,10 @@
 """Snapshot CSV round-trips and merge rules."""
 
 import datetime as dt
+import itertools
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -246,8 +249,32 @@ class TestMerge:
         else:
             merged = merge(*sets)
             assert merged == expected
-            # the first of equal records is kept, so the sign of a zero tps is too
+            # the first of equal records is kept
             assert all(a is b for a, b in zip(merged, expected))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_zero_throughput_written_alike_in_any_order(self, data):
+        # each key has one validator count and one throughput, but a zero
+        # throughput is drawn with either sign, so the sets never conflict
+        keys = data.draw(st.lists(st.tuples(
+            st.sampled_from(["near", "tezos"]),
+            st.sampled_from(["2023-01-30", "2023-01-31"]),
+            st.integers(1, 2),
+            st.sampled_from([(0.0, -0.0), (6.33,)]),
+        ), min_size=1, max_size=4, unique_by=lambda k: k[:2]))
+        record = st.sampled_from(keys).flatmap(
+            lambda k: st.sampled_from(k[3]).map(lambda tps: obs(k[0], k[1], k[2], tps))
+        )
+        sets = data.draw(st.lists(st.lists(record, max_size=4), min_size=2, max_size=3))
+        written = set()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "snapshot.csv"
+            for order in itertools.permutations(sets):
+                write_snapshot(path, merge(*order))
+                written.add(path.read_bytes())
+        assert len(written) == 1
+        assert b"-0.0" not in written.pop()
 
 
 def reference_merge(*observation_sets):
@@ -365,13 +392,13 @@ def window(days, networks=14, first=dt.date(2022, 1, 1)):
 
 
 class TestObservationLineMemo:
-    def test_zero_throughput_keeps_its_sign(self, tmp_path):
+    def test_zero_throughput_written_as_positive_zero(self, tmp_path):
         positive, negative = tmp_path / "positive.csv", tmp_path / "negative.csv"
         write_snapshot(positive, [obs(tps=0.0)])
-        # equal to the record above, so only the key's sign tells them apart
+        # an equal record, written in the same way whichever is formatted first
         write_snapshot(negative, [obs(tps=-0.0)])
         assert positive.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.0,,,"
-        assert negative.read_text().splitlines()[1] == "tezos,2023-01-31,407,-0.0,,,"
+        assert negative.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.0,,,"
 
     def test_refresh_formats_only_the_new_day(self, tmp_path, empty_memos):
         path = tmp_path / "snapshot.csv"

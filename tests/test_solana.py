@@ -57,7 +57,7 @@ class TestVoteRatioRecord:
 
     def test_rejects_total_no_float_holds_exactly(self):
         assert VoteRatioRecord("2022-01-01", 1, 2**53, 10.0).total_tx_per_day == 2**53
-        with pytest.raises(ValueError, match=r"total_tx_per_day must be a count in \[0, 2\*\*53\]"):
+        with pytest.raises(ValueError, match=r"total_tx_per_day must be a count in \[1, 2\*\*53\]"):
             VoteRatioRecord("2022-01-01", 1, 2**53 + 1, 10.0)
 
 
