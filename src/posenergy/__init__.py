@@ -33,7 +33,6 @@ _EXPORTS = {
         "contemporary_estimate",
         "default_grid",
         "find_errata",
-        "latest_observation",
     ),
     "ingestion": (
         "DuplicateObservationError",

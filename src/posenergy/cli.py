@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import nullcontext, suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, TextIO
 
 if TYPE_CHECKING:
     from .estimator import ContemporaryEstimate, Erratum, ReportedEstimate
@@ -31,33 +31,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit validator count against throughput per network")
-    _data_flags(fit, "observations")
-    fit.add_argument("--network", action="append", help="restrict to a network (repeatable)")
-    fit.add_argument(
-        "--no-origin",
-        action="store_true",
-        help="do not inject the zero-throughput origin point",
-    )
-    _output_flags(fit)
+    _add_flags(fit, "observations", "network", "no-origin", "format", "out")
 
     table = sub.add_parser("table", help="contemporary energy estimates plus baselines")
-    _data_flags(table, "observations", "bounds", "baselines", "reported")
-    table.add_argument("--network", action="append", help="restrict to a network (repeatable)")
+    _add_flags(table, "observations", "bounds", "baselines", "reported", "network")
     table.add_argument(
         "--verify",
         action="store_true",
         help="note reference global power figures that disagree with the computed ones",
     )
-    _output_flags(table)
+    _add_flags(table, "format", "out")
 
     chart = sub.add_parser("chart", help="extrapolated consumption bands as CSV or SVG")
-    _data_flags(chart, "observations", "bounds", "profiles", "baselines")
-    chart.add_argument("--network", action="append", help="restrict to a network (repeatable)")
-    chart.add_argument(
-        "--no-origin",
-        action="store_true",
-        help="do not inject the zero-throughput origin point",
-    )
+    _add_flags(chart, "observations", "bounds", "profiles", "baselines", "network", "no-origin")
     chart.add_argument(
         "--no-baselines", action="store_true", help="omit Bitcoin/Visa reference series"
     )
@@ -76,58 +62,70 @@ def build_parser() -> argparse.ArgumentParser:
     chart.add_argument(
         "--format", choices=("csv", "svg"), default="csv", help="output format"
     )
-    chart.add_argument("--out", help="write to this path instead of stdout")
+    _add_flags(chart, "out")
 
     baseline = sub.add_parser("baseline", help="reference-system energy figures")
-    _data_flags(baseline, "baselines", "reported")
+    _add_flags(baseline, "baselines", "reported")
     baseline.add_argument(
         "--verify",
         action="store_true",
         help="note reference per-transaction figures that disagree with the computed ones",
     )
-    _output_flags(baseline)
+    _add_flags(baseline, "format", "out")
 
     adjust = sub.add_parser(
         "adjust-solana", help="vote/nonvote correction for reported Solana throughput"
     )
-    adjust.add_argument(
-        "--observations",
-        help="snapshot CSV carrying nonvote/total day counts (default: bundled)",
-    )
+    _add_flags(adjust, "votes")
     adjust.add_argument(
         "--postulated-max",
         type=float,
         default=DEFAULT_POSTULATED_MAX_TPS,
         help="vote-inclusive postulated maximum tps (default %(default)s)",
     )
-    _output_flags(adjust)
+    _add_flags(adjust, "format", "out")
 
     return parser
 
 
-_DATA_FILES = {
-    "observations": "snapshot CSV",
-    "bounds": "per-validator power bounds CSV",
-    "profiles": "max-throughput profiles CSV",
-    "baselines": "baseline config file",
-    "reported": "reference estimates CSV",
+def _data_flag(flag: str, name: str, what: str) -> tuple[str, dict[str, Any]]:
+    """A data flag's entry: its value as a path, or the bundled file ``name`` for ""."""
+
+    def path(value: str) -> Path:
+        from .ingestion import bundled
+
+        return Path(value) if value else bundled(name)
+
+    # argparse passes a str default through ``type``: an omitted flag reads ``name``
+    return flag, dict(default="", type=path, help=f"{what} (default: bundled)")
+
+
+# Each flag that more than one subcommand takes, once: the flag and its
+# ``add_argument`` keywords. A data flag reads the bundled file it names when
+# omitted or given as "".
+_FLAGS = {
+    "observations": _data_flag("--observations", "observations.csv", "snapshot CSV"),
+    "votes": _data_flag(
+        "--observations", "solana_votes.csv", "snapshot CSV carrying nonvote/total day counts"
+    ),
+    "bounds": _data_flag("--bounds", "bounds.csv", "per-validator power bounds CSV"),
+    "profiles": _data_flag("--profiles", "profiles.csv", "max-throughput profiles CSV"),
+    "baselines": _data_flag("--baselines", "baselines.cfg", "baseline config file"),
+    "reported": _data_flag("--reported", "reported_estimates.csv", "reference estimates CSV"),
+    "network": ("--network", dict(action="append", help="restrict to a network (repeatable)")),
+    "no-origin": (
+        "--no-origin",
+        dict(action="store_true", help="do not inject the zero-throughput origin point"),
+    ),
+    "format": ("--format", dict(choices=("text", "csv"), default="text", help="output format")),
+    "out": ("--out", dict(help="write to this path instead of stdout")),
 }
 
 
-def _data_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", help=f"{_DATA_FILES[name]} (default: bundled)")
-
-
-def _output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv"), default="text", help="output format")
-    parser.add_argument("--out", help="write to this path instead of stdout")
-
-
-def _path(value: str | None, default_name: str) -> Path:
-    from .ingestion import bundled
-
-    return Path(value) if value else bundled(default_name)
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        flag, options = _FLAGS[key]
+        parser.add_argument(flag, **options)
 
 
 def _emit(text: str, stream: TextIO) -> None:
@@ -170,7 +168,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     from . import report
     from .ingestion import load_snapshots
 
-    snapshot = load_snapshots(_path(args.observations, "observations.csv"))
+    snapshot = load_snapshots(args.observations)
     fits = report.fit_networks(
         snapshot.observations, networks=args.network, include_origin=not args.no_origin
     )
@@ -183,13 +181,13 @@ def _cmd_table(args: argparse.Namespace) -> None:
     from .estimator import find_errata, find_input_mismatches
     from .ingestion import load_bounds, load_reported, load_snapshots
 
-    snapshot = load_snapshots(_path(args.observations, "observations.csv"))
-    bounds = load_bounds(_path(args.bounds, "bounds.csv"))
-    baselines = load_baselines(_path(args.baselines, "baselines.cfg"))
+    snapshot = load_snapshots(args.observations)
+    bounds = load_bounds(args.bounds)
+    baselines = load_baselines(args.baselines)
     estimates = report.comparison_estimates(
         snapshot.observations, bounds, networks=args.network
     )
-    reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
+    reported = load_reported(args.reported) if args.verify else {}
     errata = find_errata(estimates, reported)
     mismatched = find_input_mismatches(estimates, reported)
     # every observed network, not only the --network selection
@@ -205,9 +203,9 @@ def _cmd_chart(args: argparse.Namespace) -> None:
     from .chart import render_chart
     from .ingestion import load_bounds, load_profiles, load_snapshots
 
-    snapshot = load_snapshots(_path(args.observations, "observations.csv"))
-    bounds = load_bounds(_path(args.bounds, "bounds.csv"))
-    profiles = load_profiles(_path(args.profiles, "profiles.csv"), bounds)
+    snapshot = load_snapshots(args.observations)
+    bounds = load_bounds(args.bounds)
+    profiles = load_profiles(args.profiles, bounds)
     bands = report.chart_bands(
         snapshot.observations,
         profiles,
@@ -216,7 +214,7 @@ def _cmd_chart(args: argparse.Namespace) -> None:
         min_tps=args.lmin,
         n_points=args.points,
     )
-    baselines = [] if args.no_baselines else load_baselines(_path(args.baselines, "baselines.cfg"))
+    baselines = [] if args.no_baselines else load_baselines(args.baselines)
     baseline_markers, reference_bands = report.baseline_chart_elements(baselines)
     if args.format == "csv":
         chunks = report.chart_csv_document(bands, baseline_markers, reference_bands)
@@ -234,8 +232,8 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
     from .estimator import find_baseline_errata
     from .ingestion import load_reported
 
-    bands = load_baselines(_path(args.baselines, "baselines.cfg"))
-    reported = load_reported(_path(args.reported, "reported_estimates.csv")) if args.verify else {}
+    bands = load_baselines(args.baselines)
+    reported = load_reported(args.reported) if args.verify else {}
     errata = find_baseline_errata(bands, reported)
     _emit_rows(args, *report.baseline_rows(bands))
     _print_notes(errata)
@@ -245,7 +243,7 @@ def _cmd_adjust_solana(args: argparse.Namespace) -> None:
     from . import report
     from .ingestion import load_snapshots
 
-    snapshot = load_snapshots(_path(args.observations, "solana_votes.csv"))
+    snapshot = load_snapshots(args.observations)
     _emit_rows(args, *report.vote_rows(snapshot.vote_records, args.postulated_max))
 
 

@@ -68,7 +68,8 @@ def _check_count(name: str, value: int, low: int = 0, high: int = 2**53, owner: 
     """``value`` as an int, if a whole number in [``low``, ``high``].
 
     A refusal reads ``<name> must be a count in [<low>, <high>] for '<owner>',
-    got <value>``, worded as by :func:`_check_finite`.
+    got <value>``, worded as by :func:`_check_finite`. Like it, this shows an
+    int too long for Python to print as ``a number beyond float range``.
     """
     # the model computes in floats, which hold every count up to 2**53 exactly;
     # comparing first keeps NaN and infinities away from int()
@@ -78,7 +79,11 @@ def _check_count(name: str, value: int, low: int = 0, high: int = 2**53, owner: 
             return count
     where = f" for {owner!r}" if owner else ""
     top = "2**53" if high == 2**53 else high
-    raise ValueError(f"{name} must be a count in [{low}, {top}]{where}, got {value!r}")
+    try:
+        shown = repr(value)
+    except ValueError:  # an int of more than 4,300 digits
+        shown = "a number beyond float range"
+    raise ValueError(f"{name} must be a count in [{low}, {top}]{where}, got {shown}")
 
 
 class FrozenInstanceError(AttributeError):
@@ -156,7 +161,8 @@ class NetworkObservation(Record):
     ) -> None:
         object.__setattr__(self, "network", validate_network_id(network))
         object.__setattr__(self, "date", parse_date(date))
-        object.__setattr__(self, "validators", _check_count("validators", validators))
+        count = _check_count("validators", validators, owner=network)
+        object.__setattr__(self, "validators", count)
         object.__setattr__(self, "tps", _check_finite("tps", tps, "non-negative", network))
         if not isinstance(provenance, str):
             raise ValueError(f"provenance must be text for {network!r}, got {provenance!r}")

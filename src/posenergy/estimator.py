@@ -157,16 +157,6 @@ def contemporary_estimate(
     )
 
 
-def latest_observation(
-    observations: Iterable[NetworkObservation], network: str
-) -> NetworkObservation:
-    """Most recent observation for a network."""
-    candidates = [o for o in observations if o.network == network]
-    if not candidates:
-        raise ValueError(f"no observations for network {network!r}")
-    return max(candidates, key=lambda o: o.date)
-
-
 def default_grid(
     profile: NetworkProfile,
     n_points: int = DEFAULT_GRID_POINTS,
@@ -247,10 +237,11 @@ class ReportedEstimate(Record):
     """A published mid-bound figure, kept for cross-checking our arithmetic.
 
     ``name`` is the network or baseline the figure is published for.
+    ``global_kw``, ``tps`` and ``validators`` are None where none is published.
     """
 
     name: str
-    global_kw: float
+    global_kw: float | None
     kwh_per_tx: float
     tps: float | None
     validators: int | None
@@ -258,7 +249,7 @@ class ReportedEstimate(Record):
     def __init__(
         self,
         name: str,
-        global_kw: float,
+        global_kw: float | None,
         kwh_per_tx: float,
         tps: float | None = None,
         validators: int | None = None,
@@ -269,7 +260,7 @@ class ReportedEstimate(Record):
                 value = _check_finite(field, value, "non-negative", name)
             object.__setattr__(self, field, value)
         if validators is not None:
-            validators = _check_count("validators", validators)
+            validators = _check_count("validators", validators, owner=name)
         object.__setattr__(self, "validators", validators)
 
 
@@ -308,17 +299,14 @@ def _errata(
 
     A value misses when it lies outside :func:`printed_tolerance` of the
     published figure at that quantity's printed decimals; networks without a
-    published row are skipped.
+    published row, or whose row lacks the figure, are skipped.
     """
     decimals = _PRINTED_DECIMALS[quantity]
     errata = []
     for network, value in computed:
-        row = reported.get(network)
-        if row is None:
-            continue
-        published = getattr(row, quantity)
-        if abs(value - published) > printed_tolerance(published, decimals):
-            errata.append(Erratum(network, quantity, published, value))
+        figure = getattr(reported.get(network), quantity, None)
+        if figure is not None and abs(value - figure) > printed_tolerance(figure, decimals):
+            errata.append(Erratum(network, quantity, figure, value))
     return errata
 
 

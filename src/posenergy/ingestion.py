@@ -248,7 +248,7 @@ def load_profiles(
     """Read throughput profiles and attach each network's power bounds."""
     def parse(network: str, max_tps: str) -> NetworkProfile:
         if network not in bounds:
-            raise ValueError(f"no power bounds for {network!r}")
+            raise ValueError(f"no power bounds for network {network!r}")
         return NetworkProfile(network, bounds[network], float(max_tps))
 
     return _read_table(path, ("network", "max_tps"), 2, parse, "profile")
@@ -261,7 +261,7 @@ def load_reported(path: str | os.PathLike[str]) -> dict[str, ReportedEstimate]:
     ) -> ReportedEstimate:
         return ReportedEstimate(
             name=name,
-            global_kw=float(global_kw),
+            global_kw=float(global_kw) if global_kw else None,
             kwh_per_tx=float(kwh_per_tx),
             tps=float(tps) if tps else None,
             validators=int(validators) if validators else None,

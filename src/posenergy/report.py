@@ -22,7 +22,6 @@ from .estimator import (
     consumption_band,
     contemporary_estimate,
     default_grid,
-    latest_observation,
 )
 from .regression import RegressionFit, fit_affine
 from .solana import (
@@ -225,7 +224,7 @@ def _latest_observations(
     for network, group in select_networks(observations, networks).items():
         if network not in bounds:
             raise ValueError(f"no power bounds for network {network!r}")
-        yield latest_observation(group, network), bounds[network]
+        yield max(group, key=lambda o: o.date), bounds[network]
 
 
 def comparison_estimates(

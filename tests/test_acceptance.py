@@ -19,17 +19,16 @@ import pytest
 
 from posenergy.baselines import load_baselines
 from posenergy.cli import main
-from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds, energy_per_tx
+from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
 from posenergy.estimator import (
     consumption_band,
     default_grid,
     find_errata,
-    latest_observation,
     printed_tolerance,
 )
 from posenergy.ingestion import bundled, load_bounds, load_reported, load_snapshots, merge, write_snapshot
 from posenergy.regression import RegressionFit, fit_affine, predict_validators
-from posenergy.report import comparison_estimates, select_networks
+from posenergy.report import comparison_estimates
 from posenergy.solana import VoteRatioRecord, adjusted_max_tps, average_tps, nonvote_ratio
 
 
@@ -294,10 +293,8 @@ def test_criterion_8_orders_of_magnitude(capsys):
     bounds = load_bounds(bundled("bounds.csv"))
     bitcoin_lower_kwh_per_tx = 624.0
     shortfalls = []
-    for network in select_networks(snapshot.observations):
-        latest = latest_observation(snapshot.observations, network)
-        upper = energy_per_tx(latest.validators, bounds[network].upper_w, latest.tps)
-        ratio = bitcoin_lower_kwh_per_tx / upper
+    for estimate in comparison_estimates(snapshot.observations, bounds):
+        ratio = bitcoin_lower_kwh_per_tx / estimate.kwh_per_tx_upper
         if ratio < 1e4:
-            shortfalls.append(f"{network}: only {ratio:,.0f}x below bitcoin")
+            shortfalls.append(f"{estimate.network}: only {ratio:,.0f}x below bitcoin")
     verdict(capsys, 8, "orders-of-magnitude separation", not shortfalls, "; ".join(shortfalls))

@@ -473,7 +473,9 @@ class TestBaseline:
         path.write_text("name,global_kw,kwh_per_tx,tps,validators\nvisa,1736,0.00328,1736,-5\n")
         code, out, err = run(capsys, "baseline", "--verify", "--reported", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: {path} row 2: validators must be a count in [0, 2**53], got -5\n"
+        assert err == (
+            f"error: {path} row 2: validators must be a count in [0, 2**53] for 'visa', got -5\n"
+        )
 
     @pytest.mark.parametrize("command", ["baseline", "table"])
     def test_non_finite_reported_named(self, capsys, tmp_path, command):

@@ -29,7 +29,6 @@ from posenergy.estimator import (
     find_baseline_errata,
     find_errata,
     find_input_mismatches,
-    latest_observation,
     printed_tolerance,
 )
 from posenergy.regression import RegressionFit, predict_validators
@@ -116,23 +115,6 @@ class TestContemporaryEstimate:
         obs = NetworkObservation("hedera", "2023-01-31", 26, 568.45)
         with pytest.raises(ValueError):
             contemporary_estimate(obs, POLKADOT_BOUNDS)
-
-
-class TestLatestObservation:
-    def test_picks_most_recent_non_synthetic(self):
-        rows = [
-            NetworkObservation("tezos", "2022-06-01", 410, 1.1),
-            NetworkObservation("tezos", "2023-01-31", 407, 0.9),
-            NetworkObservation("tezos", "2021-01-01", 0, 0.0),
-            NetworkObservation("near", "2023-02-10", 158, 6.33),
-        ]
-        picked = latest_observation(rows, "tezos")
-        assert picked.date.isoformat() == "2023-01-31"
-        assert picked.validators == 407
-
-    def test_unknown_network(self):
-        with pytest.raises(ValueError, match="no observations"):
-            latest_observation([], "tezos")
 
 
 class TestDefaultGrid:
@@ -470,6 +452,11 @@ class TestErrata:
     def test_unreported_networks_skipped(self):
         estimates = [self.make_estimate("hedera", 26, 568.45, 168.10, 328.00)]
         assert find_errata(estimates, {}) == []
+
+    def test_row_without_global_kw_skipped(self):
+        # cardano's published 142.63 kW is an erratum; without the figure there is none
+        estimates = [self.make_estimate("cardano", 1209, 0.96, 3.90, 84.47)]
+        assert find_errata(estimates, {"cardano": ReportedEstimate("cardano", None, 0.04127)}) == []
 
     def test_input_mismatches_compare_only_stated_inputs(self):
         estimates = [

@@ -5,8 +5,9 @@ negative, or zero where it must be positive, with ``<field> must be finite and
 <sign> for '<owner>', got <value>`` (no ``for`` clause without an owner; an int
 too large for a float is shown as ``a number beyond float range``). A count is refused when
 fractional, non-finite or out of its range, with ``<field> must be a count in [<low>, <high>]
-for '<owner>', got <value>``. A valid value is stored unchanged, and a zero of either sign
-as ``0.0``.
+for '<owner>', got <value>`` (an int of more digits than Python prints is shown as ``a number
+beyond float range`` too). A valid value is stored unchanged, and a zero of either sign as
+``0.0``.
 """
 
 import math
@@ -82,9 +83,9 @@ REAL_FIELDS = {
 # (field as the message names it, attribute it is stored in, least and greatest valid
 #  count, the range as the message prints it, owner, call with the field set to a value)
 COUNT_FIELDS = {
-    "observation-validators": ("validators", "validators", 0, 2**53, "[0, 2**53]", None,
+    "observation-validators": ("validators", "validators", 0, 2**53, "[0, 2**53]", "near",
                                lambda v: NetworkObservation("near", "2023-01-31", v, 1.0)),
-    "reported-validators": ("validators", "validators", 0, 2**53, "[0, 2**53]", None,
+    "reported-validators": ("validators", "validators", 0, 2**53, "[0, 2**53]", "visa",
                             lambda v: ReportedEstimate("visa", 1.0, 1.0, None, v)),
     "vote-nonvote": ("nonvote_tx_per_day", "nonvote_tx_per_day", 0, 2**53, "[0, 2**53]", None,
                      lambda v: VoteRatioRecord("2022-01-01", v, 2**53, 1.0)),
@@ -153,6 +154,18 @@ def test_bad_count_refused(case, data):
         build(value)
     where = f" for {owner!r}" if owner else ""
     assert str(raised.value) == f"{field} must be a count in {shown}{where}, got {value!r}"
+
+
+@pytest.mark.parametrize("case", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [10**5000, -10**5000], ids=["above", "below"])
+def test_count_too_long_to_print_refused(case, value):
+    field, _, _, _, shown, owner, build = COUNT_FIELDS[case]
+    with pytest.raises(ValueError) as raised:
+        build(value)
+    where = f" for {owner!r}" if owner else ""
+    assert str(raised.value) == (
+        f"{field} must be a count in {shown}{where}, got a number beyond float range"
+    )
 
 
 @pytest.mark.parametrize("case", COUNT_FIELDS)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import load_baselines
-from posenergy.cli import main
+from posenergy.cli import build_parser, main
 from posenergy.core import (
     NetworkObservation,
     NetworkProfile,
@@ -276,7 +276,7 @@ def reference_load_profiles(path, bounds):
     def parse(cell):
         network = cell("network")
         if network not in bounds:
-            raise ValueError(f"no power bounds for {network!r}")
+            raise ValueError(f"no power bounds for network {network!r}")
         return NetworkProfile(network, bounds[network], float(cell("max_tps")))
 
     return reference_read_table(path, ("network", "max_tps"), parse, "profile")
@@ -284,10 +284,10 @@ def reference_load_profiles(path, bounds):
 
 def reference_load_reported(path):
     def parse(cell):
-        tps_cell, validators_cell = cell("tps"), cell("validators")
+        kw_cell, tps_cell, validators_cell = cell("global_kw"), cell("tps"), cell("validators")
         return ReportedEstimate(
             name=cell("name"),
-            global_kw=float(cell("global_kw")),
+            global_kw=float(kw_cell) if kw_cell else None,
             kwh_per_tx=float(cell("kwh_per_tx")),
             tps=float(tps_cell) if tps_cell else None,
             validators=int(validators_cell) if validators_cell else None,
@@ -510,6 +510,36 @@ class TestByteOrderMark:
         path.write_bytes(b"\xef\xbb\xbf" * 2 + bundled("observations.csv").read_bytes())
         with pytest.raises(SnapshotFormatError, match=r"missing columns \['network'\]"):
             load_snapshots(path)
+
+
+class TestBundledDefaults:
+    """A data flag omitted or given as "" reads the file bundled for it."""
+
+    @pytest.mark.parametrize(
+        "command, name", [(c, name) for c, (_, names) in BOM_COMMANDS.items() for name in names]
+    )
+    def test_omitted_or_empty_flag_reads_bundled_file(self, command, name):
+        argv, _ = BOM_COMMANDS[command]
+        given = run_main([*argv, FLAG_OF[name], str(bundled(name))])
+        assert given[0] == 0
+        assert run_main(argv) == given
+        assert run_main([*argv, FLAG_OF[name], ""]) == given
+
+    def test_every_data_flag_is_covered(self):
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        data_flags = {
+            command: {
+                flag
+                for action in parser._actions
+                if "(default: bundled)" in action.help
+                for flag in action.option_strings
+            }
+            for command, parser in commands.choices.items()
+        }
+        covered = {command: set() for command in commands.choices}
+        for argv, names in BOM_COMMANDS.values():
+            covered[argv[0]].update(FLAG_OF[name] for name in names)
+        assert covered == data_flags
 
 
 def assert_well_formed(argv, out):

@@ -468,6 +468,12 @@ class TestReferenceTables:
         assert reported["cardano"].global_kw == 142.63
         assert reported["visa"].kwh_per_tx == 0.003280
 
+    def test_bundled_reference_systems_publish_no_kw(self):
+        # their sources give annual kWh and tps, so a kW cell would hold neither
+        reported = load_reported(bundled("reported_estimates.csv"))
+        assert reported["bitcoin"].global_kw is None
+        assert reported["visa"].global_kw is None
+
     def test_duplicate_bounds_rejected(self, tmp_path):
         path = tmp_path / "bounds.csv"
         path.write_text("network,lower_w,upper_w\nnear,1,2\nnear,1,2\n")

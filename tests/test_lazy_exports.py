@@ -41,7 +41,6 @@ EXPORTS = [
     "find_errata",
     "fit_affine",
     "global_power",
-    "latest_observation",
     "load_baselines",
     "load_bounds",
     "load_profiles",

@@ -160,6 +160,17 @@ class TestComparisonTable:
         assert bitcoin["kw_upper"] == format_kw(band.kw_upper)
         assert bitcoin["kw_mid"] == format_kw((band.kw_lower + band.kw_upper) / 2)
 
+    def test_prices_latest_observation(self):
+        rows = [
+            NetworkObservation("tezos", "2022-06-01", 410, 1.1),
+            NetworkObservation("tezos", "2023-01-31", 407, 0.9),
+            NetworkObservation("tezos", "2021-01-01", 0, 0.0),
+            NetworkObservation("near", "2023-02-10", 158, 6.33),
+        ]
+        _, bounds, _ = bundle()
+        (tezos,) = comparison_estimates(rows, bounds, networks=["tezos"])
+        assert (tezos.date, tezos.validators, tezos.tps) == (dt.date(2023, 1, 31), 407, 0.9)
+
     def test_missing_bounds(self):
         snapshot, _, _ = bundle()
         with pytest.raises(ValueError, match="no power bounds"):
