@@ -12,7 +12,7 @@ The legend labels are XML-escaped.
 from __future__ import annotations
 
 import math
-from itertools import compress, groupby
+from itertools import groupby
 from math import floor, log10
 from typing import Iterable, Iterator, Sequence
 
@@ -83,19 +83,22 @@ def chart_geometry(
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> ChartGeometry:
-    """Decade-rounded axis ranges covering every placeable value and band point."""
+    """Decade-rounded axis ranges covering every placeable value and drawn band point.
+
+    A band point is drawn, and so ranged, only in a physical run of two or
+    more points (:func:`_physical_runs`), since one point makes no polygon.
+    """
     markers, reference_bands = _placeable(markers, reference_bands)
     xs = [m.tps for m in markers]
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
         # Physical values are positive with lower <= upper on an increasing grid.
-        physical = band.physical
-        if True in physical:
-            last = len(physical) - 1 - physical[::-1].index(True)
-            xs += (band.tps[physical.index(True)], band.tps[last])
-            ys.append(min(compress(band.kwh_per_tx_lower, physical)))
-            ys.append(max(compress(band.kwh_per_tx_upper, physical)))
+        runs = _physical_runs(band.physical)
+        if runs:
+            xs += (band.tps[runs[0][0]], band.tps[runs[-1][1] - 1])
+            ys.append(min(min(band.kwh_per_tx_lower[start:stop]) for start, stop in runs))
+            ys.append(max(max(band.kwh_per_tx_upper[start:stop]) for start, stop in runs))
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -120,7 +123,7 @@ def _placeable(
 
 
 def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
-    """Half-open index ranges of a band's contiguous physical runs of two or more points."""
+    """Half-open index ranges of a band's physical runs of two or more points, as drawn."""
     runs = []
     start = 0
     for flag, group in groupby(physical):

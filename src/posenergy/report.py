@@ -8,7 +8,7 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
@@ -361,10 +361,19 @@ def baseline_chart_elements(
 
 
 _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical")
-# One chart CSV line. The network is a cell, never part of the format, so a
-# ``%`` in its name stays text; ``%.10g`` formats as format_series does.
-_CHART_LINE = "%s,%.10g,%.10g,%.10g,%s\n"
 _PHYSICAL_CELLS = ("false", "true")  # indexed by a point's physical flag
+
+
+def _chart_lines(network: str, physical: bool, values: tuple[float, ...]) -> str:
+    """The chart CSV lines of one network's rows that share a physical flag, by one ``%``.
+
+    ``values`` holds the rows' (tps, lower, upper) triples, flattened. The
+    name and the flag are text in the template, the name with every ``%``
+    doubled, so only the numbers are arguments; ``%.10g`` formats as
+    format_series does.
+    """
+    line = f"{network.replace('%', '%%')},%.10g,%.10g,%.10g,{_PHYSICAL_CELLS[physical]}\n"
+    return (line * (len(values) // 3)) % values
 
 
 def _chart_anchor_lines(
@@ -381,27 +390,34 @@ def _chart_anchor_lines(
         raise ValueError("reference bands need a band to span")
     grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
     anchors = [
-        (ref.label, tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper, "true")
+        (ref.label, (tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper))
         for ref in sorted(reference_bands, key=lambda r: r.label)
         for tps in (min(grid_extremes), max(grid_extremes))
     ]
     anchors += [
-        (marker.label, marker.tps, marker.kwh_per_tx, marker.kwh_per_tx, "true")
+        (marker.label, (marker.tps, marker.kwh_per_tx, marker.kwh_per_tx))
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    return [_CHART_LINE % anchor for anchor in anchors]
-
-
-def _band_lines(band: ConsumptionBand) -> list[str]:
-    physical = map(_PHYSICAL_CELLS.__getitem__, band.physical)
-    rows = zip(
-        repeat(band.network), band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, physical
-    )
-    return [_CHART_LINE % row for row in rows]
+    return [_chart_lines(label, True, values) for label, values in anchors]
 
 
 def _band_csv(band: ConsumptionBand) -> str:
-    return "".join(_band_lines(band))
+    """The band's chart CSV lines, formatted one run of equal physical flags at a time."""
+    values = tuple(chain.from_iterable(
+        zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
+    ))
+    texts = []
+    start = 0
+    for flag, group in groupby(band.physical):
+        stop = start + len(list(group))
+        texts.append(_chart_lines(band.network, flag, values[3 * start:3 * stop]))
+        start = stop
+    return "".join(texts)
+
+
+def _band_lines(band: ConsumptionBand) -> list[str]:
+    # Split at "\n" only: str.splitlines would also split a name at "\r", "\x85" or "\u2028".
+    return [line + "\n" for line in _band_csv(band).split("\n")[:-1]]
 
 
 def chart_rows(

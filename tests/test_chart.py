@@ -18,6 +18,7 @@ from posenergy.chart import (
     ChartGeometry,
     PointMarker,
     ReferenceBand,
+    _physical_runs,
     chart_geometry,
     render_chart,
 )
@@ -104,7 +105,7 @@ def list_geometry(bands, markers=(), reference_bands=()):
     """The list-based chart_geometry that kept every plottable value: the reference.
 
     A marker or reference band counts only when all of its coordinates are
-    positive; a band counts each positive physical value.
+    positive; a band counts each positive value of its drawn physical runs.
     """
     markers = [m for m in markers if m.tps > 0 and m.kwh_per_tx > 0]
     reference_bands = [
@@ -114,9 +115,10 @@ def list_geometry(bands, markers=(), reference_bands=()):
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for b in bands:
-        xs += compress(b.tps, b.physical)
-        ys += compress(b.kwh_per_tx_lower, b.physical)
-        ys += compress(b.kwh_per_tx_upper, b.physical)
+        for start, stop in _physical_runs(b.physical):
+            xs += b.tps[start:stop]
+            ys += b.kwh_per_tx_lower[start:stop]
+            ys += b.kwh_per_tx_upper[start:stop]
     xs = [x for x in xs if x > 0]
     ys = [y for y in ys if y > 0]
     if not xs or not ys:
@@ -240,8 +242,13 @@ class TestRenderChart:
             (1.0, 1e-5, 1e-4, True),
             (10.0, 0.0, 0.0, False),
         ]
-        svg, _ = render_chart([band(points=points)])
+        # a lone physical point is neither drawn nor ranged, so alone it leaves nothing to plot
+        with pytest.raises(ValueError, match="nothing to plot"):
+            render_chart([band(points=points)])
+        marker = PointMarker("visa", 1736.0, 0.0033)
+        svg, geom = render_chart([band(points=points)], [marker])
         assert parse_polygons(svg) == []
+        assert geom == chart_geometry([], [marker])
 
     def test_marker_circle_position(self):
         marker = PointMarker("visa", 1736.0, 0.00327773)
@@ -372,7 +379,7 @@ class TestCanvasResolution:
         st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
     ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))))
     def test_edges_drawn_at_canvas_resolution(self, bands):
-        assume(any(map(any, (b.physical for b in bands))))
+        assume(any(_physical_runs(b.physical) for b in bands))  # else nothing to plot
         svg, geom = render_chart(bands)
         polygons = parse_polygons(svg)
         runs = [

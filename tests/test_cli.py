@@ -222,6 +222,21 @@ class TestChart:
             circles[name] = len(ElementTree.fromstring(out).findall(f"{SVG}circle"))
         assert circles == {"bundled": 29, "zeroed": 27}
 
+    def test_lone_physical_point_neither_drawn_nor_ranged(self, capsys):
+        # at 3 points hedera is physical only at 10,000 tps, the grid's top
+        argv = ["chart", "--network", "hedera", "--points", "3", "--no-baselines"]
+        _, csv_out, _ = run(capsys, *argv)
+        assert [line.split(",")[4] for line in csv_out.splitlines()[1:]] == [
+            "false", "false", "true"
+        ]
+        code, out, err = run(capsys, *argv, "--format", "svg")
+        assert (code, err) == (0, "")
+        root = ElementTree.fromstring(out)
+        assert root.findall(f"{SVG}polygon") == []
+        # the x axis spans only hedera's markers, at 568.45 tps
+        labels = [t.text for t in root.iter(f"{SVG}text") if t.get("text-anchor") == "middle"]
+        assert [label for label in labels if label.startswith("1e")] == ["1e2", "1e3"]
+
     def test_lmin_controls_grid_start(self, capsys):
         _, out, _ = run(capsys, "chart", "--network", "polkadot", "--format", "csv",
                         "--points", "5", "--lmin", "1")

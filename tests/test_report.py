@@ -4,7 +4,7 @@ import datetime as dt
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import load_baselines
@@ -253,6 +253,69 @@ class TestChartSeries:
     def test_csv_header(self):
         text = chart_csv([])
         assert text == "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
+
+
+# Names as a library caller may give them: format directives and every line
+# break str.splitlines knows, but never "\n", which ends a CSV line.
+CHART_NAMES = st.one_of(
+    st.lists(
+        st.sampled_from(["%", "%s", "%%", "%.10g", ",", "\r", "\x85", "\u2028", "{}", "near"]),
+        max_size=4,
+    ).map("".join),
+    st.text(st.characters(blacklist_characters="\n"), max_size=8),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def chart_band(draw):
+    """A valid band of 1-50 points in any physical pattern, any finite value where non-physical."""
+    tps = sorted(draw(st.sets(POSITIVE, min_size=1, max_size=50)))
+    physical = draw(st.lists(st.booleans(), min_size=len(tps), max_size=len(tps)))
+    pairs = [
+        sorted(draw(st.tuples(POSITIVE, POSITIVE))) if flag else draw(st.tuples(FINITE, FINITE))
+        for flag in physical
+    ]
+    return ConsumptionBand(draw(CHART_NAMES), tps, *zip(*pairs), physical)
+
+
+def per_row_chart_lines(bands, markers, refs):
+    """Each chart CSV line formatted by itself: the reference for the per-run formatter."""
+    rows = [
+        (b.network, t, lo, up, "true" if flag else "false")
+        for b in sorted(bands, key=lambda b: b.network)
+        for t, lo, up, flag in zip(b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper, b.physical)
+    ]
+    extremes = [t for b in bands for t in (b.tps[0], b.tps[-1])]
+    rows += [
+        (r.label, t, r.kwh_per_tx_lower, r.kwh_per_tx_upper, "true")
+        for r in sorted(refs, key=lambda r: r.label)
+        for t in (min(extremes), max(extremes))
+    ]
+    rows += [
+        (m.label, m.tps, m.kwh_per_tx, m.kwh_per_tx, "true")
+        for m in sorted(markers, key=lambda m: (m.label, m.tps))
+    ]
+    return ["%s,%.10g,%.10g,%.10g,%s\n" % row for row in rows]
+
+
+class TestChartRunFormatting:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        bands=st.lists(chart_band(), min_size=1, max_size=4),
+        markers=st.lists(st.builds(PointMarker, CHART_NAMES, FINITE, FINITE), max_size=3),
+        refs=st.lists(st.builds(ReferenceBand, CHART_NAMES, FINITE, FINITE), max_size=2),
+    )
+    def test_matches_per_row_formatter(self, bands, markers, refs):
+        expected = per_row_chart_lines(bands, markers, refs)
+        header = "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
+        assert "".join(chart_csv_document(bands, markers, refs)) == header + "".join(expected)
+        # one item per point and per anchor, each ending in its one "\n"
+        rows = chart_rows(bands, markers, refs)
+        assert len(rows) == sum(len(b.tps) for b in bands) + 2 * len(refs) + len(markers)
+        assert all(row.count("\n") == 1 and row.endswith("\n") for row in rows)
+        assert rows == expected
 
 
 class TestChartElements:
