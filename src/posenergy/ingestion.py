@@ -16,6 +16,7 @@ import datetime as dt
 import functools
 import io
 import os
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -43,10 +44,14 @@ OBSERVATION_HEADER = (
 # network, so the reader refuses counts on any other and the writer puts this
 # one on every vote row.
 _VOTE_NETWORK = "solana"
-# Distinct snapshot rows whose parse is kept, and distinct observations whose
-# line is: well above the 3,514 rows a 250-day window of the 14 bundled
+# Distinct snapshot lines whose parse is kept, and distinct observations whose
+# line is: well above the 3,514 lines a 250-day window of the 14 bundled
 # networks plus one new day reads.
 _MEMO_ROWS = 8192
+# Each kept snapshot line's (observation, vote), keyed by the header's column
+# positions and the line as csv reads it, terminator included; least recently
+# used first.
+_parsed_lines: OrderedDict[tuple[tuple[int | None, ...], str], tuple] = OrderedDict()
 
 
 class SnapshotFormatError(ValueError):
@@ -76,15 +81,18 @@ def bundled(name: str) -> Path:
 def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     """Load one snapshot CSV.
 
-    Each row is parsed once per process, for up to 8,192 distinct rows: a row
-    whose stripped cells were parsed before returns the same records without
-    validating them again. So two loads may return the same record objects,
-    which is safe because records are frozen. For rows like the bundled ones
-    the memo holds about 400 B per row beyond the records a caller keeps, and
-    about 700 B where it alone keeps them: 5.8 MB at most. It keeps the rows
-    used last, so re-reading, in order, a file of more distinct rows than the
-    bound reuses none. A bad row is never kept: it fails, naming its file and
-    row, every time it is read.
+    Each line is parsed once per process, for up to 8,192 distinct lines: a
+    line read before, under a header with its columns in the same places,
+    returns the same records without csv reading or validating it again. So
+    two loads may return the same record objects, which is safe because
+    records are frozen. Only a line that holds a whole row, and whose row
+    parsed, is kept; a row whose quoted cell runs onto further lines is read
+    by csv every time. For a line of about 65 characters the memo holds about
+    320 B beyond the records a caller keeps, and about 630 B where it alone
+    keeps them: 5.2 MB at the bound. It keeps the lines used last, so
+    re-reading, in order, a file of more distinct lines than the bound reuses
+    none. A bad row is never kept: it fails, naming its file and row, every
+    time it is read. Repeated (network, date) rows are refused on every load.
 
     Raises:
         SnapshotFormatError: missing header, missing columns, or a cell that
@@ -94,7 +102,9 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     observations: list[NetworkObservation] = []
     votes: list[VoteRatioRecord] = []
     seen: set[tuple[str, dt.date]] = set()
-    for number, (observation, vote) in _read_csv(path, OBSERVATION_HEADER, 4, _parse_row):
+    for number, (observation, vote) in _read_csv(
+        path, OBSERVATION_HEADER, 4, _parse_row, _parsed_lines
+    ):
         if observation is not None:
             key = (observation.network, observation.date)
             if key in seen:
@@ -109,15 +119,10 @@ def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     return Snapshot(tuple(observations), tuple(votes))
 
 
-@functools.lru_cache(maxsize=_MEMO_ROWS)
 def _parse_row(
     network: str, date: str, validators: str, tps: str, nonvote: str, total: str, provenance: str
 ) -> tuple[NetworkObservation | None, VoteRatioRecord | None]:
-    """One row's observation and vote record, each field validated once.
-
-    Memoised on the cell strings, so ``1`` and ``1.0`` are different rows;
-    a row that raises is not memoised.
-    """
+    """One row's observation and vote record, each field validated once."""
     reported_tps = float(tps)
     if bool(nonvote) != bool(total):
         raise ValueError("nonvote_per_day and total_per_day must appear together")
@@ -286,7 +291,8 @@ def _read_table(
 
 
 def _read_csv(
-    path: str | os.PathLike[str], columns: tuple[str, ...], required: int, parse: Callable
+    path: str | os.PathLike[str], columns: tuple[str, ...], required: int, parse: Callable,
+    memo: OrderedDict | None = None,
 ):
     """Yield ``(row number, parse(*cells))``; a parse ValueError or a csv.Error names the row.
 
@@ -295,6 +301,12 @@ def _read_csv(
     row's stripped cells in ``columns`` order, "" for a column the header
     lacks. A row too short for a column the header has fails as
     ``missing '<column>' cell``. Blank lines are skipped and not counted.
+
+    With a ``memo``, a line found in it under the same positions yields the
+    parse kept there, without csv reading it. A line csv reads is kept only
+    when it alone held a whole row: a line that opens a quoted cell running on
+    is not, and the lines it runs onto are never looked up. At most
+    ``_MEMO_ROWS`` lines are kept, the least recently used dropped first.
     """
     try:
         # decoded whole, so an error offset counts from the start of the file; a
@@ -304,7 +316,25 @@ def _read_csv(
         raise SnapshotFormatError(
             f"{os.fspath(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # split as csv splits a file opened with newline=""
+    lines = iter(io.StringIO(text, newline=""))
+    missed: list[str] = []  # the line the loop hands the reader next
+    ended = False
+
+    def fed():
+        """The loop's missed line, then the lines its row runs onto, if any."""
+        nonlocal ended
+        while True:
+            if missed:
+                yield missed.pop()
+            elif (line := next(lines, None)) is not None:
+                yield line
+            else:
+                ended = True
+                return
+
+    # one reader for every missed line, so each row starts at a record boundary
+    reader = csv.reader(fed())
     number = 1  # the row the reader is on, for errors the reader itself raises
     try:
         header = next(reader, None)
@@ -314,10 +344,24 @@ def _read_csv(
         missing = [c for c in columns[:required] if c not in position]
         if missing:
             raise SnapshotFormatError(f"{os.fspath(path)}: missing columns {missing}")
-        positions = [position.get(c) for c in columns]
+        positions = tuple(position.get(c) for c in columns)
         width = 1 + max(p for p in positions if p is not None)
         number = 2
-        for row in reader:
+        for line in lines:
+            if memo is not None:
+                key = (positions, line)
+                parsed = memo.get(key)
+                if parsed is not None:
+                    try:
+                        memo.move_to_end(key)
+                    except KeyError:  # another thread dropped it since the lookup
+                        pass
+                    yield number, parsed
+                    number += 1
+                    continue
+            missed.append(line)
+            start = reader.line_num
+            row = next(reader)
             if not row:
                 continue
             try:
@@ -329,6 +373,12 @@ def _read_csv(
                 parsed = parse(*[row[p].strip() if p is not None else "" for p in positions])
             except ValueError as exc:
                 raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
+            # a row that ran onto the next line, or to the end of the file inside
+            # quotes, could read differently where more lines follow it
+            if memo is not None and reader.line_num == start + 1 and not ended:
+                memo[key] = parsed
+                if len(memo) > _MEMO_ROWS:
+                    memo.popitem(last=False)
             yield number, parsed
             number += 1
     except csv.Error as exc:

@@ -296,20 +296,46 @@ def reference_load_reported(path):
     return reference_read_table(path, ("name", "global_kw", "kwh_per_tx"), parse, "estimate")
 
 
-# An empty validators cell makes a snapshot row vote-only.
-READER_VALUES = {**PLAUSIBLE, "validators": st.one_of(COUNTS, st.just(""))}
+# An empty validators cell makes a snapshot row vote-only, and empty vote
+# counts make it an observation only.
+OR_EMPTY = st.one_of(COUNTS, st.just(""))
+READER_VALUES = {
+    **PLAUSIBLE, "validators": OR_EMPTY, "nonvote_per_day": OR_EMPTY, "total_per_day": OR_EMPTY
+}
+# Free text: separators, quotes and line breaks of each kind.
+QUOTABLE = st.lists(st.sampled_from(["a", " ", ",", '"', "\n", "\r", "\r\n"]), max_size=6)
+
+
+def quoted(cells):
+    """``cells`` quoted, at times ending in a space or a line break, which loading strips."""
+    ends = st.sampled_from(["", " ", "\n", "\r\n", "\r"])
+    return st.tuples(cells, ends).map(lambda pair: '"' + "".join(pair).replace('"', '""') + '"')
 
 
 @st.composite
 def reader_files(draw, header):
-    """``csv_files`` text, at times with a header name repeated; blank lines follow the header."""
+    """``csv_files`` text with quoted cells, at times with a header name repeated.
+
+    Every line ends in one terminator drawn for the file, ``\\n``, ``\\r\\n``
+    or ``\\r``, and the last may end in none. Blank lines follow the header,
+    and a data line may be repeated.
+    """
     names = list(header)
     if draw(st.booleans()):
         names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(header)))
-    lines = draw(csv_files(names, READER_VALUES)).split("\n")[:-1]
+    values = {}
+    for name in names:
+        cells = READER_VALUES.get(name, AMOUNTS)
+        if name in ("provenance", "source"):
+            cells = st.one_of(cells, QUOTABLE.map("".join))
+        values[name] = st.one_of(cells, quoted(cells))
+    lines = draw(csv_files(names, values)).split("\n")[:-1]
+    if len(lines) > 1 and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines[1:])))
     for index in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=3)), reverse=True):
         lines.insert(index, "")
-    return "".join(line + "\n" for line in lines)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def load_outcome(load, path):
@@ -355,8 +381,8 @@ class TestReaderMatchesReference:
         text = data.draw(reader_files(header))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
-            path.write_text(text, encoding="utf-8")
-            # the second load takes every good row from the memo of parsed rows
+            path.write_bytes(text.encode("utf-8"))
+            # the second load takes every line that held a whole good row from the memo
             outcomes = [load_outcome(load, path) for _ in range(2)]
             expected = load_outcome(reference, path)
         for kind, where, message in outcomes:

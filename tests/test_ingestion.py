@@ -2,8 +2,10 @@
 
 import datetime as dt
 import itertools
+import operator
 import re
 import tempfile
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -11,14 +13,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_file_input import SETTINGS, reference_load_snapshots, reference_write_snapshot
 
+from posenergy import ingestion
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import (
     OBSERVATION_HEADER,
     DuplicateObservationError,
     MergeConflictError,
     SnapshotFormatError,
+    _MEMO_ROWS,
     _observation_line,
-    _parse_row,
+    _parsed_lines,
     bundled,
     load_bounds,
     load_profiles,
@@ -36,8 +40,8 @@ def obs(network="tezos", date="2023-01-31", validators=407, tps=0.9, **kw):
 
 @pytest.fixture
 def empty_memos():
-    """Both per-process memos start empty, so ``cache_info()`` counts this test alone."""
-    _parse_row.cache_clear()
+    """Both per-process memos start empty, so what they hold comes from this test alone."""
+    _parsed_lines.clear()
     _observation_line.cache_clear()
 
 
@@ -169,19 +173,68 @@ class TestParsedRowMemo:
                 load_snapshots(path)
 
     def test_more_distinct_rows_than_the_bound(self, tmp_path, empty_memos):
-        bound = _parse_row.cache_info().maxsize
         first = dt.date(2000, 1, 1)
         rows = [
             obs(f"n{i % 14}", first + dt.timedelta(days=i // 14), 1 + i, 0.5 + i, provenance="")
-            for i in range(bound + 100)
+            for i in range(_MEMO_ROWS + 100)
         ]
         path = tmp_path / "snap.csv"
         write_snapshot(path, rows)
-        assert load_snapshots(path) == reference_load_snapshots(path)
-        assert _parse_row.cache_info().currsize == bound
-        # least recently used: a second pass in the same order finds none of its rows
-        assert load_snapshots(path) == reference_load_snapshots(path)
-        assert _parse_row.cache_info().hits == 0
+        loaded = load_snapshots(path)
+        assert loaded == reference_load_snapshots(path)
+        assert len(_parsed_lines) == _MEMO_ROWS
+        # least recently used: a second pass in the same order finds none of its lines
+        again = load_snapshots(path)
+        assert again == loaded
+        assert not any(map(operator.is_, again.observations, loaded.observations))
+
+    def test_row_over_two_lines_is_read_by_csv_each_time(self, tmp_path, empty_memos):
+        opening = 'near,2023-01-31,158,6.33,,,"explorer\r\n'
+        row = opening + 'page 2"\r\n'
+        header = ",".join(OBSERVATION_HEADER) + "\r\n"
+        alone, after = tmp_path / "a.csv", tmp_path / "b.csv"
+        alone.write_bytes((header + row).encode())
+        after.write_bytes((header + self.TEZOS + "\r\n" + row).encode())
+        first = load_snapshots(alone)
+        assert first.observations[0].provenance == "explorer\r\npage 2"
+        assert not any(line == opening for _, line in _parsed_lines)
+        assert load_snapshots(after).observations[1] == first.observations[0]
+        # its opening line alone, as the end of a file, reads to the end inside quotes
+        cut = tmp_path / "c.csv"
+        cut.write_bytes((header + opening).encode())
+        assert load_snapshots(cut).observations[0].provenance == "explorer"
+        assert load_snapshots(alone) == first
+        assert not any(line == opening for _, line in _parsed_lines)
+
+    def test_line_is_read_by_its_header(self, tmp_path, empty_memos):
+        line = "near,2023-01-31,158,6,,,explorer\n"
+        swapped = ("network", "date", "tps", "validators", *OBSERVATION_HEADER[4:])
+        for header, (validators, tps) in [
+            (OBSERVATION_HEADER, (158, 6.0)),
+            (swapped, (6, 158.0)),
+            (OBSERVATION_HEADER, (158, 6.0)),
+        ]:
+            path = tmp_path / "snap.csv"
+            path.write_text(",".join(header) + "\n" + line, encoding="utf-8")
+            (observation,) = load_snapshots(path).observations
+            assert (observation.validators, observation.tps) == (validators, tps)
+            assert load_snapshots(path) == reference_load_snapshots(path)
+        assert len(_parsed_lines) == 2
+
+    def test_line_dropped_after_its_lookup_still_loads(self, tmp_path, monkeypatch):
+        class Racing(OrderedDict):
+            """A memo that another thread empties between each lookup and the next step."""
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                self.clear()
+                return found
+
+        monkeypatch.setattr(ingestion, "_parsed_lines", Racing())
+        path = snapshot_file(tmp_path / "a.csv", self.NEAR)
+        first = load_snapshots(path)
+        # the second load finds the line, which is gone before it is marked as used
+        assert load_snapshots(path).observations[0] is first.observations[0]
 
 
 class TestMerge:
