@@ -49,15 +49,18 @@ def fit_affine(
 ) -> RegressionFit:
     """Fit validators on tps by least squares, optionally adding the origin.
 
-    Points are sorted internally, so the result does not depend on input
-    order. Duplicate rows are kept; they legitimately raise the weight of
-    that point. With exactly two points the line through both is solved
-    directly, so an origin fit has an intercept of exactly zero.
+    The points are read in input order and never sorted: every sum is a
+    ``math.fsum``, the correctly rounded sum of its exact terms, so the
+    result does not depend on input order. Only the two-point solve reads
+    positions, and it orders its two points, so an origin fit has an
+    intercept of exactly zero. Duplicate rows are kept; they legitimately
+    raise the weight of that point.
 
     Raises:
         InsufficientDataError: fewer than two points after origin injection.
         DegenerateVarianceError: all throughput values coincide.
-        ValueError: observations span more than one network.
+        ValueError: observations span more than one network, or the
+            throughput sums leave float range.
     """
     obs = list(observations)
     if not obs:
@@ -66,29 +69,38 @@ def fit_affine(
     if len(networks) != 1:
         raise ValueError(f"observations span multiple networks: {sorted(networks)}")
     network = obs[0].network
-    points = sorted((o.tps, float(o.validators)) for o in obs)
+    x = [o.tps for o in obs]
+    y = [float(o.validators) for o in obs]
     if include_origin:
-        points.insert(0, (0.0, 0.0))  # no pair sorts below it: counts and tps are >= 0
-    if len(points) < 2:
-        raise InsufficientDataError(f"{network}: need at least 2 points, got {len(points)}")
+        x.append(0.0)
+        y.append(0.0)
+    n = len(x)
+    if n < 2:
+        raise InsufficientDataError(f"{network}: need at least 2 points, got {n}")
 
-    x, y = zip(*points)
     x_scale = max(abs(v) for v in x)
-    x_mean = math.fsum(x) / len(x)
-    dx = [v - x_mean for v in x]
-    s_xx = math.fsum(d * d for d in dx)
-    if s_xx / len(points) <= _VARIANCE_FLOOR * x_scale * x_scale:
+    # fsum raises where a sum of finite terms leaves float range, and a squared
+    # deviation that leaves it is inf: both depend on the points, not their order.
+    try:
+        x_mean = math.fsum(x) / n
+        dx = [v - x_mean for v in x]
+        s_xx = math.fsum(d * d for d in dx)
+    except OverflowError:
+        s_xx = math.inf
+    if not math.isfinite(s_xx):
+        raise ValueError(f"{network}: throughput sums leave float range ({n} points)")
+    if s_xx / n <= _VARIANCE_FLOOR * x_scale * x_scale:
         raise DegenerateVarianceError(
-            f"{network}: throughput values have no usable variance ({len(points)} points)"
+            f"{network}: throughput values have no usable variance ({n} points)"
         )
-    if len(points) == 2:
+    if n == 2:
         # The line through both points, solved directly: the centred sums
         # would leave rounding noise in the intercept of an origin fit.
-        (x0, x1), (y0, y1) = x, y
+        (x0, y0), (x1, y1) = sorted(zip(x, y))
         slope = (y1 - y0) / (x1 - x0)
         intercept = y0 - slope * x0
     else:
-        y_mean = math.fsum(y) / len(y)
+        y_mean = math.fsum(y) / n
         slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
         intercept = y_mean - slope * x_mean
     return RegressionFit(
@@ -96,7 +108,7 @@ def fit_affine(
         intercept=intercept,
         slope=slope,
         r2=_coefficient_of_determination(intercept, slope, x, y),
-        n_points=len(points),
+        n_points=n,
         origin_included=include_origin,
     )
 

@@ -1,9 +1,12 @@
 """End-to-end command line behaviour, driven through main()."""
 
 import contextlib
+import datetime
+import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -86,6 +89,54 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--network", "dogecoin")
         assert code == 1
         assert "dogecoin" in err
+
+
+def write_ols_history(path, seed=2801, days=250):
+    """A seeded daily history of the 14 bundled networks: validators = a + b*tps + noise.
+
+    Every value is written as its ``repr``, so the file holds the exact
+    floats the generator drew.
+    """
+    rng = random.Random(seed)
+    names = sorted(o.network for o in load_snapshots(bundled("observations.csv")).observations)
+    params = [
+        (name, rng.uniform(0.5, 500.0), rng.uniform(-5.0, 5.0), rng.uniform(1.0, 50.0))
+        for name in names
+    ]
+    lines = ["network,date,validators,tps\n"]
+    first = datetime.date(2022, 1, 1)
+    for day in range(days):
+        date = first + datetime.timedelta(days=day)
+        for name, centre, slope, noise in params:
+            tps = centre * rng.uniform(0.5, 1.5)
+            validators = max(0, round(4000.0 + slope * tps + rng.gauss(0.0, noise)))
+            lines.append(f"{name},{date.isoformat()},{validators},{tps!r}\n")
+    path.write_text("".join(lines))
+
+
+class TestGeneralFitPins:
+    """The fit of a 250-day, 14-network history, pinned by the sha256 of its CSV.
+
+    Every golden fit has two points, so these pins are the byte-level check
+    of the general least-squares path, at the size the library sweep fits.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ((), "acb4fe5cf59dddff41ca6e912bf1be247f8e86f48fa33654dc0e1d88e66bd0b4"),
+            (("--no-origin",), "1665339558c394ae197ad27f1124fd64a9b12dc9b4e5511748e4c58cce7bb10f"),
+        ],
+        ids=["origin", "no-origin"],
+    )
+    def test_csv_digest(self, capsys, tmp_path, flags, digest):
+        path = tmp_path / "history.csv"
+        write_ols_history(path)
+        code, out, err = run(capsys, "fit", "--format", "csv", "--observations", str(path), *flags)
+        assert (code, err) == (0, "")
+        n_points = [line.split(",")[4] for line in out.splitlines()[1:]]
+        assert n_points == ["250" if flags else "251"] * 14
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTable:
@@ -692,6 +743,21 @@ class TestErrorPaths:
         code, out, err = run(capsys, command, "--observations", str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path} row 2: validators must be a count in [0, 2**53]")
+
+    @pytest.mark.parametrize(
+        "tps, count",
+        [(("1e308", "1.5e308"), 3), (("1e200", "2e200", "3e200"), 4)],
+        ids=["sum-overflows", "squares-overflow"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "chart"])
+    def test_sums_beyond_float_range_named(self, capsys, tmp_path, command, tps, count):
+        path = tmp_path / "huge.csv"
+        path.write_text("network,date,validators,tps\n" + "".join(
+            f"near,2023-01-0{day},{10 * day},{value}\n" for day, value in enumerate(tps, 1)
+        ))
+        code, out, err = run(capsys, command, "--observations", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: near: throughput sums leave float range ({count} points)\n"
 
     def test_malformed_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

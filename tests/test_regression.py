@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posenergy.core import NetworkObservation
@@ -19,6 +19,7 @@ from posenergy.ingestion import bundled, load_snapshots
 from posenergy.regression import (
     DegenerateVarianceError,
     InsufficientDataError,
+    RegressionFit,
     fit_affine,
     predict_validators,
 )
@@ -145,6 +146,26 @@ class TestFitAffine:
             with pytest.raises(DegenerateVarianceError, match=message):
                 fit_affine(points, include_origin=False)
 
+    @pytest.mark.parametrize(
+        "tps, include_origin, count",
+        [
+            # the sum of the throughputs overflows inside fsum
+            ((1e308, 1.5e308), True, 3),
+            ((1e308, 1.5e308), False, 2),
+            # the sum is finite, but the squared deviations are not
+            ((1e200, 2e200, 3e200), True, 4),
+            ((1e200, 2e200, 3e200), False, 3),
+        ],
+        ids=["sum-origin", "sum", "s_xx-origin", "s_xx"],
+    )
+    def test_sums_beyond_float_range_rejected(self, tps, include_origin, count):
+        points = [obs("near", i + 1, 10 * (i + 1), t) for i, t in enumerate(tps)]
+        message = rf"^near: throughput sums leave float range \({count} points\)$"
+        for rows in (points, points[::-1]):
+            with pytest.raises(ValueError, match=message) as caught:
+                fit_affine(rows, include_origin=include_origin)
+            assert type(caught.value) is ValueError
+
     def test_mixed_networks_rejected(self):
         points = [obs("tron", 1, 50, 33.4), obs("bnb", 2, 56, 40.0)]
         with pytest.raises(ValueError, match="multiple networks"):
@@ -184,13 +205,90 @@ FIT_ROWS = st.lists(
 )
 
 
-def fit_outcome(rows, include_origin):
-    """The fitted values, or the type and message of the error the fit raises."""
+def fit_outcome(rows, include_origin, fit=fit_affine):
+    """The fitted values, or the type and message of the error the fit raises.
+
+    Floats are given as ``float.hex``, so two outcomes are equal only when
+    they are the same bits: ``-0.0`` differs from ``0.0``.
+    """
     try:
-        fit = fit_affine(rows, include_origin=include_origin)
+        result = fit(rows, include_origin=include_origin)
     except ValueError as exc:
         return type(exc), str(exc)
-    return fit.intercept, fit.slope, fit.r2, fit.n_points
+    return result.intercept.hex(), result.slope.hex(), result.r2.hex(), result.n_points
+
+
+def sorted_fit(observations, include_origin=True):
+    """The least-squares kernel that sorts its points first, kept as the reference.
+
+    Its sums run over the points in ``(tps, validators)`` order. Beside that
+    kernel it has only the refusal of sums beyond float range.
+    """
+    obs_list = list(observations)
+    if not obs_list:
+        raise InsufficientDataError("no observations to fit")
+    networks = {o.network for o in obs_list}
+    if len(networks) != 1:
+        raise ValueError(f"observations span multiple networks: {sorted(networks)}")
+    network = obs_list[0].network
+    points = sorted((o.tps, float(o.validators)) for o in obs_list)
+    if include_origin:
+        points.insert(0, (0.0, 0.0))
+    if len(points) < 2:
+        raise InsufficientDataError(f"{network}: need at least 2 points, got {len(points)}")
+    x, y = zip(*points)
+    x_scale = max(abs(v) for v in x)
+    try:
+        x_mean = math.fsum(x) / len(x)
+        dx = [v - x_mean for v in x]
+        s_xx = math.fsum(d * d for d in dx)
+    except OverflowError:
+        s_xx = math.inf
+    if not math.isfinite(s_xx):
+        raise ValueError(f"{network}: throughput sums leave float range ({len(points)} points)")
+    if s_xx / len(points) <= 1e-12 * x_scale * x_scale:
+        raise DegenerateVarianceError(
+            f"{network}: throughput values have no usable variance ({len(points)} points)"
+        )
+    if len(points) == 2:
+        (x0, x1), (y0, y1) = x, y
+        slope = (y1 - y0) / (x1 - x0)
+        intercept = y0 - slope * x0
+    else:
+        y_mean = math.fsum(y) / len(y)
+        slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
+        intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((v - (intercept + slope * u)) ** 2 for u, v in zip(x, y))
+    y_mean = math.fsum(y) / len(y)
+    ss_tot = math.fsum((v - y_mean) ** 2 for v in y)
+    if ss_tot == 0.0:
+        r2 = 1.0 if ss_res == 0.0 else 0.0
+    else:
+        r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    return RegressionFit(
+        network=network,
+        intercept=intercept,
+        slope=slope,
+        r2=r2,
+        n_points=len(points),
+        origin_included=include_origin,
+    )
+
+
+def wide_rows(size, tps_limit):
+    """``size`` rows over the whole count range, with ties and zero throughput.
+
+    Throughputs up to 1e150 keep the squared deviations in float range; up to
+    1e300 most fits leave it and are refused.
+    """
+    row = st.builds(
+        NetworkObservation,
+        network=st.just("tezos"),
+        date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
+        validators=st.integers(0, 2**53),
+        tps=st.one_of(st.sampled_from([0.0, 0.9, 1.2]), st.floats(1e-3, tps_limit)),
+    )
+    return st.lists(row, min_size=size, max_size=size)
 
 
 class TestFitAffineProperties:
@@ -199,10 +297,59 @@ class TestFitAffineProperties:
         shuffled = data.draw(st.permutations(rows))
         assert fit_outcome(shuffled, include_origin) == fit_outcome(rows, include_origin)
 
+    # up to 300 rows, beyond the library sweep's 250 points a network; one to
+    # three rows often, so that the two-point solve is reached
+    @settings(deadline=None)
+    @given(
+        size=st.one_of(st.integers(1, 3), st.integers(1, 300)),
+        tps_limit=st.sampled_from([1e4, 1e150, 1e300]),
+        include_origin=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_bits_as_sorted_kernel(self, size, tps_limit, include_origin, data):
+        rows = data.draw(wide_rows(size, tps_limit))
+        assert fit_outcome(rows, include_origin) == fit_outcome(
+            rows, include_origin, fit=sorted_fit
+        )
+
     @given(rows=FIT_ROWS, day=st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)))
     def test_origin_is_one_ordinary_zero_point(self, rows, day):
         origin_row = NetworkObservation("tezos", day, 0, 0.0)
         assert fit_outcome(rows, True) == fit_outcome(rows + [origin_row], False)
+
+
+class TestOlsRecovery:
+    """The ``ols`` model (no origin) recovers the line a history was drawn from."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 300),
+        slope=st.floats(-50.0, 50.0),
+        # at least one count of noise, so that rounding errors are independent
+        sigma=st.floats(1.0, 100.0),
+    )
+    def test_within_six_standard_errors(self, seed, n, slope, sigma):
+        # validators = round(a + b*tps + noise), with a high enough that no
+        # count reaches 0 short of a 12-sigma draw
+        rng = random.Random(seed)
+        low = rng.uniform(0.0, 100.0)
+        high = low + rng.uniform(1.0, 1000.0)
+        intercept = abs(slope) * high + 12.0 * sigma + rng.uniform(1.0, 1000.0)
+        tps = [rng.uniform(low, high) for _ in range(n)]
+        rows = [
+            NetworkObservation("tezos", dt.date(2022, 1, 1) + dt.timedelta(days=i),
+                               round(intercept + slope * t + rng.gauss(0.0, sigma)), t)
+            for i, t in enumerate(tps)
+        ]
+        fit = fit_affine(rows, include_origin=False)
+        # rounding to a count adds uniform noise of variance 1/12
+        noise = math.sqrt(sigma * sigma + 1.0 / 12.0)
+        x_mean = math.fsum(tps) / n
+        s_xx = math.fsum((t - x_mean) ** 2 for t in tps)
+        assert abs(fit.slope - slope) <= 6.0 * noise / math.sqrt(s_xx)
+        assert abs(fit.intercept - intercept) <= 6.0 * noise * math.sqrt(1.0 / n + x_mean**2 / s_xx)
+        assert fit.n_points == n
 
 
 class TestPredictValidators:
