@@ -759,6 +759,21 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == f"error: near: throughput sums leave float range ({count} points)\n"
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(("fit",), 3), (("fit", "--no-origin"), 2), (("chart",), 3)],
+        ids=["fit", "fit-no-origin", "chart"],
+    )
+    def test_squares_underflowing_to_zero_named(self, capsys, tmp_path, argv, count):
+        path = tmp_path / "tiny.csv"
+        path.write_text("network,date,validators,tps\n"
+                        "near,2023-01-01,10,1e-300\nnear,2023-01-02,20,2e-300\n")
+        code, out, err = run(capsys, *argv, "--observations", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: near: squared throughput deviations underflow to zero ({count} points)\n"
+        )
+
     def test_malformed_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("network,date,validators,tps\nnear,not-a-date,158,6.33\n")

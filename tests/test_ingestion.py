@@ -38,13 +38,6 @@ def obs(network="tezos", date="2023-01-31", validators=407, tps=0.9, **kw):
     return NetworkObservation(network, date, validators, tps, **kw)
 
 
-@pytest.fixture
-def empty_memos():
-    """Both per-process memos start empty, so what they hold comes from this test alone."""
-    _parsed_lines.clear()
-    _observation_line.cache_clear()
-
-
 class TestLoadSnapshots:
     def test_bundled_observations(self):
         snap = load_snapshots(bundled("observations.csv"))

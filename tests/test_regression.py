@@ -8,14 +8,16 @@ the two routes is the check.
 import datetime as dt
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from posenergy import regression
 from posenergy.core import NetworkObservation
-from posenergy.ingestion import bundled, load_snapshots
+from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.regression import (
     DegenerateVarianceError,
     InsufficientDataError,
@@ -23,7 +25,7 @@ from posenergy.regression import (
     fit_affine,
     predict_validators,
 )
-from posenergy.report import fit_networks
+from posenergy.report import chart_bands, fit_networks
 
 
 def ols_oracle(xs, ys):
@@ -166,6 +168,23 @@ class TestFitAffine:
                 fit_affine(rows, include_origin=include_origin)
             assert type(caught.value) is ValueError
 
+    @pytest.mark.parametrize("include_origin, count", [(True, 3), (False, 2)])
+    def test_squares_underflowing_to_zero_rejected(self, include_origin, count):
+        # the throughputs differ by a factor of 2, but every squared deviation
+        # is 0.0, and so is the variance floor
+        points = [obs("near", 1, 10, 1e-300), obs("near", 2, 20, 2e-300)]
+        message = rf"^near: squared throughput deviations underflow to zero \({count} points\)$"
+        for rows in (points, points[::-1]):
+            with pytest.raises(ValueError, match=message) as caught:
+                fit_affine(rows, include_origin=include_origin)
+            assert type(caught.value) is ValueError
+
+    def test_coincident_tiny_tps_have_no_usable_variance(self):
+        points = [obs("near", i + 1, 10 * (i + 1), 1e-300) for i in range(3)]
+        message = r"^near: throughput values have no usable variance \(3 points\)$"
+        with pytest.raises(DegenerateVarianceError, match=message):
+            fit_affine(points, include_origin=False)
+
     def test_mixed_networks_rejected(self):
         points = [obs("tron", 1, 50, 33.4), obs("bnb", 2, 56, 40.0)]
         with pytest.raises(ValueError, match="multiple networks"):
@@ -222,7 +241,8 @@ def sorted_fit(observations, include_origin=True):
     """The least-squares kernel that sorts its points first, kept as the reference.
 
     Its sums run over the points in ``(tps, validators)`` order. Beside that
-    kernel it has only the refusal of sums beyond float range.
+    kernel it has only the refusals of sums beyond float range and of squares
+    underflowing to zero.
     """
     obs_list = list(observations)
     if not obs_list:
@@ -246,6 +266,10 @@ def sorted_fit(observations, include_origin=True):
         s_xx = math.inf
     if not math.isfinite(s_xx):
         raise ValueError(f"{network}: throughput sums leave float range ({len(points)} points)")
+    if s_xx == 0.0 and x[0] != x[-1]:
+        raise ValueError(
+            f"{network}: squared throughput deviations underflow to zero ({len(points)} points)"
+        )
     if s_xx / len(points) <= 1e-12 * x_scale * x_scale:
         raise DegenerateVarianceError(
             f"{network}: throughput values have no usable variance ({len(points)} points)"
@@ -350,6 +374,128 @@ class TestOlsRecovery:
         assert abs(fit.slope - slope) <= 6.0 * noise / math.sqrt(s_xx)
         assert abs(fit.intercept - intercept) <= 6.0 * noise * math.sqrt(1.0 / n + x_mean**2 / s_xx)
         assert fit.n_points == n
+
+
+def fit_fields(rows, include_origin):
+    """Every field of the fit as ``float.hex`` or as is, or the error's type and message."""
+    try:
+        fit = fit_affine(rows, include_origin=include_origin)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (fit.network, fit.intercept.hex(), fit.slope.hex(), fit.r2.hex(), fit.n_points,
+            fit.origin_included)
+
+
+class CountingKernel:
+    """Stands in for the least-squares kernel and counts its runs."""
+
+    def __init__(self):
+        self.runs = 0
+        self.kernel = regression._least_squares
+
+    def __call__(self, *args):
+        self.runs += 1
+        return self.kernel(*args)
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    counting = CountingKernel()
+    monkeypatch.setattr(regression, "_least_squares", counting)
+    return counting
+
+
+def variant_rows(data, rows, include_origin):
+    """Rows and origin flag that differ from the given ones in one way: the
+    order, one throughput, one validator count or the origin flag."""
+    change = data.draw(st.sampled_from(["permute", "tps", "validators", "origin"]))
+    if change == "origin":
+        return rows, not include_origin
+    if change == "permute":
+        changed = data.draw(st.permutations(rows))
+        assume([(o.tps, o.validators) for o in changed] != [(o.tps, o.validators) for o in rows])
+        return changed, include_origin
+    i = data.draw(st.integers(0, len(rows) - 1))
+    old = rows[i]
+    if change == "tps":
+        tps = data.draw(st.one_of(st.sampled_from([0.0, 0.9, 1.2]), st.floats(1e-3, 1e4)))
+        assume(tps != old.tps)
+        new = NetworkObservation(old.network, old.date, old.validators, tps)
+    else:
+        validators = data.draw(st.integers(0, 10**6))
+        assume(validators != old.validators)
+        new = NetworkObservation(old.network, old.date, validators, old.tps)
+    return rows[:i] + [new] + rows[i + 1:], include_origin
+
+
+class TestFitMemo:
+    """The last fit of each network is returned again for equal points."""
+
+    ROWS = [obs("tezos", 1, 410, 1.2), obs("tezos", 2, 440, 0.8), obs("tezos", 3, 395, 1.6)]
+
+    def test_repeated_call_returns_the_same_fit(self, empty_memos, kernel):
+        fit = fit_affine(self.ROWS)
+        # equal records built afresh compare by value
+        rebuilt = [NetworkObservation(o.network, o.date, o.validators, o.tps) for o in self.ROWS]
+        assert fit_affine(self.ROWS) is fit
+        assert fit_affine(rebuilt) is fit
+        assert kernel.runs == 1
+
+    def test_each_origin_flag_has_its_own_entry(self, empty_memos, kernel):
+        with_origin = fit_affine(self.ROWS, include_origin=True)
+        without = fit_affine(self.ROWS, include_origin=False)
+        assert with_origin.n_points == 4 and without.n_points == 3
+        assert fit_affine(self.ROWS, include_origin=True) is with_origin
+        assert fit_affine(self.ROWS, include_origin=False) is without
+        assert kernel.runs == 2
+
+    @given(rows=FIT_ROWS, include_origin=st.booleans())
+    def test_hit_has_the_bits_of_a_fresh_fit(self, rows, include_origin):
+        regression._last_fits.clear()
+        first = fit_fields(rows, include_origin)
+        hit = fit_fields(list(rows), include_origin)
+        regression._last_fits.clear()
+        assert hit == first == fit_fields(rows, include_origin)
+
+    @given(rows=FIT_ROWS, include_origin=st.booleans(), data=st.data())
+    def test_changed_points_miss_and_match_a_fresh_fit(self, rows, include_origin, data):
+        changed, changed_origin = variant_rows(data, rows, include_origin)
+        assume(len(changed) + changed_origin >= 2)
+        regression._last_fits.clear()
+        fit_fields(rows, include_origin)
+        counting = CountingKernel()
+        with mock.patch.object(regression, "_least_squares", counting):
+            after_first = fit_fields(changed, changed_origin)
+        regression._last_fits.clear()
+        assert counting.runs == 1
+        assert after_first == fit_fields(changed, changed_origin)
+
+    @pytest.mark.parametrize(
+        "tps, error",
+        [
+            ((33.4, 33.4), DegenerateVarianceError),
+            ((1e308, 1.5e308), ValueError),
+            ((1e-300, 2e-300), ValueError),
+        ],
+        ids=["variance", "overflow", "underflow"],
+    )
+    def test_refused_points_fail_on_every_call_and_leave_no_entry(
+        self, empty_memos, kernel, tps, error
+    ):
+        rows = [obs("tron", i + 1, 50 + i, t) for i, t in enumerate(tps)]
+        for _ in range(3):
+            with pytest.raises(error):
+                fit_affine(rows, include_origin=False)
+        assert kernel.runs == 3
+        assert regression._last_fits == {}
+
+    def test_fit_then_chart_fits_each_network_once(self, empty_memos, kernel):
+        observations = load_snapshots(bundled("observations.csv")).observations
+        fits = fit_networks(observations)
+        profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
+        bands = chart_bands(observations, profiles)
+        assert len(fits) == len(bands) == 14
+        assert kernel.runs == 14
 
 
 class TestPredictValidators:
