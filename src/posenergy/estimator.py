@@ -175,10 +175,8 @@ def default_grid(
         )
     start = math.log10(min_tps)
     step = (math.log10(profile.max_tps) - start) / (n_points - 1)
-    grid = [10.0 ** (i * step + start) for i in range(n_points)]
-    grid[0] = min_tps
-    grid[-1] = profile.max_tps
-    return grid
+    interior = [10.0 ** (i * step + start) for i in range(1, n_points - 1)]
+    return [min_tps, *interior, profile.max_tps]
 
 
 def consumption_band(

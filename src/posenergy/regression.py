@@ -26,7 +26,8 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateVarianceError(ValueError):
-    """All throughput values coincide; the slope is unidentifiable."""
+    """The throughput variance is at or below ``1e-12`` of the squared largest
+    throughput (as when all values coincide); the slope is unidentifiable."""
 
 
 class RegressionFit(Record):
@@ -73,10 +74,9 @@ def fit_affine(
 
     Raises:
         InsufficientDataError: fewer than two points after origin injection.
-        DegenerateVarianceError: all throughput values coincide.
-        ValueError: observations span more than one network, or the
-            throughput sums leave float range, or the squared deviations of
-            distinct throughputs underflow to zero.
+        DegenerateVarianceError: the throughput values have no usable variance.
+        ValueError: observations span more than one network, or the fitted
+            slope leaves float range.
     """
     obs = list(observations)
     if not obs:
@@ -104,29 +104,22 @@ def _least_squares(
     network: str, tps: Sequence[float], validators: Sequence[int], include_origin: bool
 ) -> RegressionFit:
     """The fit of :func:`fit_affine` over at least two points, computed afresh."""
-    x = list(tps)
+    # Fit in units of a power of two at or above the largest tps: the sums and
+    # squares stay in float range, and a square too small to hold its bits
+    # cannot pass the variance floor. The scaling is exact, so only the slope
+    # is scaled back; the bound keeps the unit finite for subnormal throughputs.
+    exponent = max(math.frexp(max(tps))[1], -1023)
+    unit = math.ldexp(1.0, -exponent)
+    x = [v * unit for v in tps]
     y = [float(v) for v in validators]
     if include_origin:
         x.append(0.0)
         y.append(0.0)
     n = len(x)
-    x_scale = max(abs(v) for v in x)
-    # fsum raises where a sum of finite terms leaves float range, and a squared
-    # deviation that leaves it is inf: both depend on the points, not their order.
-    try:
-        x_mean = math.fsum(x) / n
-        dx = [v - x_mean for v in x]
-        s_xx = math.fsum(d * d for d in dx)
-    except OverflowError:
-        s_xx = math.inf
-    if not math.isfinite(s_xx):
-        raise ValueError(f"{network}: throughput sums leave float range ({n} points)")
-    if s_xx == 0.0 and min(x) != max(x):
-        # distinct throughputs so small that every squared deviation is 0.0,
-        # and so is the variance floor
-        raise ValueError(
-            f"{network}: squared throughput deviations underflow to zero ({n} points)"
-        )
+    x_scale = max(x)
+    x_mean = math.fsum(x) / n
+    dx = [v - x_mean for v in x]
+    s_xx = math.fsum(d * d for d in dx)
     if s_xx / n <= _VARIANCE_FLOOR * x_scale * x_scale:
         raise DegenerateVarianceError(
             f"{network}: throughput values have no usable variance ({n} points)"
@@ -141,11 +134,16 @@ def _least_squares(
     else:
         slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / s_xx
         intercept = y_mean - slope * x_mean
+    r2 = _coefficient_of_determination(intercept, slope, x, y, y_mean)
+    try:
+        slope = math.ldexp(slope, -exponent)
+    except OverflowError:
+        raise ValueError(f"{network}: fitted slope leaves float range ({n} points)") from None
     return RegressionFit(
         network=network,
         intercept=intercept,
         slope=slope,
-        r2=_coefficient_of_determination(intercept, slope, x, y, y_mean),
+        r2=r2,
         n_points=n,
         origin_included=include_origin,
     )

@@ -628,6 +628,16 @@ class TestAdjustSolana:
         assert "vote" in err
 
 
+def write_near(tmp_path, validators, tps):
+    """A snapshot of ``near`` rows on consecutive days, with the given counts and tps."""
+    path = tmp_path / "near.csv"
+    path.write_text("network,date,validators,tps\n" + "".join(
+        f"near,2023-01-0{day},{count},{value}\n"
+        for day, (count, value) in enumerate(zip(validators, tps), 1)
+    ))
+    return path
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "table", "--observations", "/nonexistent.csv")
@@ -745,33 +755,67 @@ class TestErrorPaths:
         assert err.startswith(f"error: {path} row 2: validators must be a count in [0, 2**53]")
 
     @pytest.mark.parametrize(
-        "tps, count",
-        [(("1e308", "1.5e308"), 3), (("1e200", "2e200", "3e200"), 4)],
+        "tps",
+        [("1e308", "1.5e308"), ("1e200", "2e200", "3e200")],
         ids=["sum-overflows", "squares-overflow"],
     )
-    @pytest.mark.parametrize("command", ["fit", "chart"])
-    def test_sums_beyond_float_range_named(self, capsys, tmp_path, command, tps, count):
-        path = tmp_path / "huge.csv"
-        path.write_text("network,date,validators,tps\n" + "".join(
-            f"near,2023-01-0{day},{10 * day},{value}\n" for day, value in enumerate(tps, 1)
-        ))
-        code, out, err = run(capsys, command, "--observations", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: near: throughput sums leave float range ({count} points)\n"
+    @pytest.mark.parametrize(
+        "argv", [("fit",), ("fit", "--no-origin"), ("chart",)], ids=["fit", "fit-no-origin", "chart"]
+    )
+    def test_sums_beyond_float_range_fitted(self, capsys, tmp_path, argv, tps):
+        path = write_near(tmp_path, (10, 20, 30), tps)
+        code, out, err = run(capsys, *argv, "--observations", str(path))
+        assert (code, err) == (0, "")
+        assert "near" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("fit",), ("fit", "--no-origin"), ("chart",)], ids=["fit", "fit-no-origin", "chart"]
+    )
+    def test_squares_underflowing_to_zero_fitted(self, capsys, tmp_path, argv):
+        path = write_near(tmp_path, (10, 20), ("1e-300", "2e-300"))
+        code, out, err = run(capsys, *argv, "--observations", str(path))
+        assert (code, err) == (0, "")
+        assert "near" in out
+
+    @pytest.mark.parametrize(
+        "tps, flags, line",
+        [
+            (("1e308", "1.5e308"), (), "near,-0.7142857143,1.285714286e-307,0.9642857143,3,true"),
+            (("1e308", "1.5e308"), ("--no-origin",), "near,-10,2e-307,1,2,false"),
+            (("1e200", "2e200", "3e200"), (), "near,0,1e-199,1,4,true"),
+            (("1e200", "2e200", "3e200"), ("--no-origin",), "near,0,1e-199,1,3,false"),
+            (("1e-300", "2e-300"), (), "near,0,1e+301,1,3,true"),
+            (("1e-300", "2e-300"), ("--no-origin",), "near,0,1e+301,1,2,false"),
+        ],
+        ids=["sum-origin", "sum", "squares-origin", "squares", "tiny-origin", "tiny"],
+    )
+    def test_wide_throughputs_fit_lines(self, capsys, tmp_path, tps, flags, line):
+        path = write_near(tmp_path, (10, 20, 30), tps)
+        code, out, err = run(capsys, "fit", "--format", "csv", "--observations", str(path), *flags)
+        assert (code, err) == (0, "")
+        assert out == f"network,intercept,slope,r2,n_points,origin_included\n{line}\n"
 
     @pytest.mark.parametrize(
         "argv, count",
         [(("fit",), 3), (("fit", "--no-origin"), 2), (("chart",), 3)],
         ids=["fit", "fit-no-origin", "chart"],
     )
-    def test_squares_underflowing_to_zero_named(self, capsys, tmp_path, argv, count):
-        path = tmp_path / "tiny.csv"
-        path.write_text("network,date,validators,tps\n"
-                        "near,2023-01-01,10,1e-300\nnear,2023-01-02,20,2e-300\n")
+    def test_slope_beyond_float_range_named(self, capsys, tmp_path, argv, count):
+        path = write_near(tmp_path, (10, 2**53), ("5e-324", "1e-323"))
         code, out, err = run(capsys, *argv, "--observations", str(path))
         assert (code, out) == (1, "")
+        assert err == f"error: near: fitted slope leaves float range ({count} points)\n"
+
+    def test_largest_float_max_tps_named(self, capsys, tmp_path):
+        # the grid is built, and the band refuses by name its points above about
+        # 5e301 tps, where tps * 3.6e6 (joules per kWh) leaves float range
+        path = tmp_path / "profiles.csv"
+        path.write_text(f"network,max_tps\nnear,{sys.float_info.max!r}\n")
+        code, out, err = run(capsys, "chart", "--profiles", str(path), "--network", "near")
+        assert (code, out) == (1, "")
         assert err == (
-            f"error: near: squared throughput deviations underflow to zero ({count} points)\n"
+            "error: near: band value at tps=1.0433736636587908e+302 must be finite and positive,"
+            " got 0.0\n"
         )
 
     def test_malformed_snapshot(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import sys
 from itertools import compress
 
 import numpy as np
@@ -150,6 +151,15 @@ class TestDefaultGrid:
         # numpy's vectorised log10/power may differ from libm by a few dozen ulp
         reference = np.geomspace(min_tps, profile.max_tps, n_points)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_points", [2, 3, 200])
+    def test_largest_float_max_tps(self, n_points):
+        # 10 ** log10(max_tps) leaves float range, so the end is taken as given
+        grid = default_grid(polkadot_profile(sys.float_info.max), n_points=n_points, min_tps=1.0)
+        assert len(grid) == n_points
+        assert grid[0] == 1.0
+        assert grid[-1] == sys.float_info.max
+        assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_rejects_single_point(self):
         with pytest.raises(GridDomainError):

@@ -142,9 +142,9 @@ class TestFitAffine:
         assert [(f.network, f.intercept) for f in fits if f.intercept != 0.0] == []
 
     def test_coincident_tps_rejected(self):
-        # two points reach the closed-form solve, which divides by x1 - x0; at
-        # 1e-300 the squared deviations underflow, but the points coincide
-        for tps, validators in itertools.product((33.4, 1e-300), ((50, 60), (50, 60, 56))):
+        # two points reach the closed-form solve, which divides by x1 - x0;
+        # coincident points have no variance at any scale, subnormal too
+        for tps, validators in itertools.product((33.4, 1e-300, 5e-324), ((50, 60), (50, 60, 56))):
             points = [obs("tron", i + 1, v, tps) for i, v in enumerate(validators)]
             message = rf"^tron: throughput values have no usable variance \({len(points)} points\)$"
             with pytest.raises(DegenerateVarianceError, match=message):
@@ -153,29 +153,46 @@ class TestFitAffine:
     @pytest.mark.parametrize(
         "tps, include_origin, count",
         [
-            # the sum of the throughputs overflows inside fsum
+            # in tps units, the sum of the throughputs overflows inside fsum
             ((1e308, 1.5e308), True, 3),
             ((1e308, 1.5e308), False, 2),
-            # the sum is finite, but the squared deviations are not
+            # in tps units, the sum is finite, but the squared deviations are not
             ((1e200, 2e200, 3e200), True, 4),
             ((1e200, 2e200, 3e200), False, 3),
         ],
         ids=["sum-origin", "sum", "s_xx-origin", "s_xx"],
     )
-    def test_sums_beyond_float_range_rejected(self, tps, include_origin, count):
+    def test_sums_beyond_float_range_fitted(self, tps, include_origin, count):
+        # the sorted kernel refuses these rows, but fits them in units of 2**512
         points = [obs("near", i + 1, 10 * (i + 1), t) for i, t in enumerate(tps)]
-        message = rf"^near: throughput sums leave float range \({count} points\)$"
+        want = fit_outcome(points, include_origin, fit=in_units(sorted_fit, 512))
+        assert want[3] == count
         for rows in (points, points[::-1]):
-            with pytest.raises(ValueError, match=message) as caught:
-                fit_affine(rows, include_origin=include_origin)
-            assert type(caught.value) is ValueError
+            assert fit_outcome(rows, include_origin) == want
 
     @pytest.mark.parametrize("include_origin, count", [(True, 3), (False, 2)])
-    def test_squares_underflowing_to_zero_rejected(self, include_origin, count):
-        # the throughputs differ by a factor of 2, but every squared deviation
-        # is 0.0, and so is the variance floor
+    def test_squares_underflowing_to_zero_fitted(self, include_origin, count):
+        # every squared deviation underflows in the sorted kernel, which fits
+        # these rows in units of 2**-512
         points = [obs("near", 1, 10, 1e-300), obs("near", 2, 20, 2e-300)]
-        message = rf"^near: squared throughput deviations underflow to zero \({count} points\)$"
+        want = fit_outcome(points, include_origin, fit=in_units(sorted_fit, -512))
+        assert want[3] == count
+        for rows in (points, points[::-1]):
+            assert fit_outcome(rows, include_origin) == want
+
+    def test_subnormal_variance_fits_as_at_any_scale(self):
+        # s_xx of these rows is about 2e-322, subnormal in tps units
+        points = [obs("near", i + 1, v, t) for i, (t, v) in
+                  enumerate(zip((1e-161, 2e-161, 3e-161), (10, 20, 35)))]
+        fit = fit_affine(points, include_origin=False)
+        assert fit_outcome(points, False) == fit_outcome(points, False, fit=in_units(fit_affine, -40))
+        assert fit.intercept == pytest.approx(-10 / 3, rel=1e-12)
+        assert fit.slope == pytest.approx(12.5e161, rel=1e-12)
+
+    @pytest.mark.parametrize("include_origin, count", [(True, 3), (False, 2)])
+    def test_slope_beyond_float_range_rejected(self, include_origin, count):
+        points = [obs("near", 1, 10, 5e-324), obs("near", 2, 2**53, 1e-323)]
+        message = rf"^near: fitted slope leaves float range \({count} points\)$"
         for rows in (points, points[::-1]):
             with pytest.raises(ValueError, match=message) as caught:
                 fit_affine(rows, include_origin=include_origin)
@@ -295,11 +312,25 @@ def sorted_fit(observations, include_origin=True):
     )
 
 
+def in_units(fit, exponent):
+    """``fit`` run on the throughputs in units of ``2**exponent``, with its
+    slope scaled back to units of one."""
+
+    def scaled_fit(observations, include_origin=True):
+        scaled = [NetworkObservation(o.network, o.date, o.validators, math.ldexp(o.tps, -exponent))
+                  for o in observations]
+        f = fit(scaled, include_origin=include_origin)
+        return RegressionFit(f.network, f.intercept, math.ldexp(f.slope, -exponent), f.r2,
+                             f.n_points, f.origin_included)
+
+    return scaled_fit
+
+
 def wide_rows(size, tps_limit):
     """``size`` rows over the whole count range, with ties and zero throughput.
 
-    Throughputs up to 1e150 keep the squared deviations in float range; up to
-    1e300 most fits leave it and are refused.
+    Throughputs up to 1e150 keep the squared deviations of the sorted kernel
+    in float range; up to 1e300 most leave it, and that kernel is refused.
     """
     row = st.builds(
         NetworkObservation,
@@ -328,9 +359,30 @@ class TestFitAffineProperties:
     )
     def test_same_bits_as_sorted_kernel(self, size, tps_limit, include_origin, data):
         rows = data.draw(wide_rows(size, tps_limit))
-        assert fit_outcome(rows, include_origin) == fit_outcome(
-            rows, include_origin, fit=sorted_fit
-        )
+        want = fit_outcome(rows, include_origin, fit=sorted_fit)
+        if want[0] is ValueError:
+            # refused for float range: the same kernel in units of 2**512
+            want = fit_outcome(rows, include_origin, fit=in_units(sorted_fit, 512))
+        assert fit_outcome(rows, include_origin) == want
+
+    @given(rows=FIT_ROWS, include_origin=st.booleans(), k=st.integers(-1000, 1000))
+    def test_power_of_two_tps_scale_only_the_slope(self, rows, include_origin, k):
+        # every tps * 2**k stays a normal float, so the scaling is exact
+        scaled = [NetworkObservation(o.network, o.date, o.validators, math.ldexp(o.tps, k))
+                  for o in rows]
+        got = fit_outcome(scaled, include_origin)
+        try:
+            fit = fit_affine(rows, include_origin=include_origin)
+        except ValueError as exc:
+            assert got == (type(exc), str(exc))
+            return
+        try:
+            slope = math.ldexp(fit.slope, -k)
+        except OverflowError:
+            message = f"tezos: fitted slope leaves float range ({fit.n_points} points)"
+            assert got == (ValueError, message)
+            return
+        assert got == (fit.intercept.hex(), slope.hex(), fit.r2.hex(), fit.n_points)
 
     @given(rows=FIT_ROWS, day=st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)))
     def test_origin_is_one_ordinary_zero_point(self, rows, day):
@@ -470,18 +522,22 @@ class TestFitMemo:
         "tps, error",
         [
             ((33.4, 33.4), DegenerateVarianceError),
-            ((1e308, 1.5e308), ValueError),
-            ((1e-300, 2e-300), ValueError),
+            # in tps units the sum overflows, and in any unit the spread is one ulp
+            ((1.5e308, math.nextafter(1.5e308, math.inf)), DegenerateVarianceError),
+            # in tps units the squares underflow, and in any unit the spread is one ulp
+            ((1e-300, math.nextafter(1e-300, 1.0)), DegenerateVarianceError),
+            ((5e-324, 1e-323), ValueError),
         ],
-        ids=["variance", "overflow", "underflow"],
+        ids=["variance", "overflow", "underflow", "slope-range"],
     )
     def test_refused_points_fail_on_every_call_and_leave_no_entry(
         self, empty_memos, kernel, tps, error
     ):
         rows = [obs("tron", i + 1, 50 + i, t) for i, t in enumerate(tps)]
         for _ in range(3):
-            with pytest.raises(error):
+            with pytest.raises(error) as caught:
                 fit_affine(rows, include_origin=False)
+            assert type(caught.value) is error
         assert kernel.runs == 3
         assert regression._last_fits == {}
 
