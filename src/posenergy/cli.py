@@ -115,7 +115,11 @@ _FLAGS = {
     "network": ("--network", dict(action="append", help="restrict to a network (repeatable)")),
     "no-origin": (
         "--no-origin",
-        dict(action="store_true", help="do not inject the zero-throughput origin point"),
+        dict(
+            action="store_true",
+            help="do not inject the zero-throughput origin point "
+            "(needs observations on 2 or more dates per network)",
+        ),
     ),
     "format": ("--format", dict(choices=("text", "csv"), default="text", help="output format")),
     "out": ("--out", dict(help="write to this path instead of stdout")),

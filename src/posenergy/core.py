@@ -212,20 +212,24 @@ def global_power(n_validators: float, watts_per_validator: float) -> float:
     """Whole-network power draw in kW for ``n_validators`` at the given draw each.
 
     ``n_validators`` may be fractional (predictions from a fitted model are).
+    The draw is converted to kW before it is multiplied, so the result
+    overflows only where the exact kW leaves float range.
     """
     n = _check_finite("n_validators", n_validators, "non-negative")
     watts = _check_finite("watts_per_validator", watts_per_validator, "positive")
-    return n * watts / WATTS_PER_KW
+    return n * (watts / WATTS_PER_KW)
 
 
 def energy_per_tx(n_validators: float, watts_per_validator: float, tps: float) -> float:
     """Energy per transaction, in kWh, at a given throughput.
 
-    Network watts divided by transactions per second is joules per
-    transaction; the result is expressed in kWh. ``tps`` must be positive:
-    at zero throughput the quotient diverges.
+    The product of a structure factor, validators per unit of throughput
+    (``n / tps``), and a hardware factor, the kWh one validator draws per
+    second (``watts / 3.6e6``). The result overflows or underflows only where
+    the exact kWh/tx, or one factor alone, leaves float range. ``tps`` must
+    be positive: at zero throughput the quotient diverges.
     """
     n = _check_finite("n_validators", n_validators, "non-negative")
     watts = _check_finite("watts_per_validator", watts_per_validator, "positive")
     rate = _check_finite("tps", tps, "positive")
-    return (n * watts) / (rate * JOULES_PER_KWH)
+    return (n / rate) * (watts / JOULES_PER_KWH)

@@ -186,16 +186,19 @@ def consumption_band(
 
     Where the model predicts less than one validator the point is flagged
     non-physical and both band values are reported with the prediction
-    clamped to zero. Each value is computed with the arithmetic of
-    :func:`~posenergy.regression.predict_validators` and
-    :func:`~posenergy.core.energy_per_tx`. Before the loop only the fit's
-    coefficients and the grid's (0, max_tps] domain, which guards the
-    division, are checked; :class:`ConsumptionBand` checks the rest.
+    clamped to zero. Each value has the shape of
+    :func:`~posenergy.core.energy_per_tx`: a structure factor, the fitted
+    validators per unit of throughput (``intercept / tps + slope``), times a
+    hardware factor (``w / 3.6e6``) formed once per bound. Before the loop
+    only the fit's coefficients and the grid's (0, max_tps] domain, which
+    guards the division, are checked; :class:`ConsumptionBand` checks the rest.
 
     Raises:
         GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
         ValueError: fit and profile disagree on the network, the fit's
-            coefficients are not finite, or a band value overflows or underflows.
+            coefficients are not finite, or a band value's exact kWh/tx, or
+            one factor alone, leaves float range (the value overflows, or
+            underflows to 0.0).
     """
     network = profile.network
     if fit.network != network:
@@ -204,7 +207,8 @@ def consumption_band(
         )
     intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
     slope = _check_finite(f"{network}: fit slope", fit.slope)
-    w_lower, w_upper = profile.bounds.lower_w, profile.bounds.upper_w
+    k_lower = profile.bounds.lower_w / JOULES_PER_KWH
+    k_upper = profile.bounds.upper_w / JOULES_PER_KWH
     max_tps = profile.max_tps
     outside = f"grid values must lie in (0, {max_tps!r}] for {network!r}"
     try:
@@ -218,15 +222,14 @@ def consumption_band(
     upper: list[float] = []
     physical: list[bool] = []
     for rate in rates:
-        predicted = intercept + slope * rate
-        if predicted < _MIN_PHYSICAL_VALIDATORS:
+        if intercept + slope * rate < _MIN_PHYSICAL_VALIDATORS:
             lower.append(0.0)
             upper.append(0.0)
             physical.append(False)
         else:
-            joules = rate * JOULES_PER_KWH
-            lower.append((predicted * w_lower) / joules)
-            upper.append((predicted * w_upper) / joules)
+            per_tps = intercept / rate + slope
+            lower.append(per_tps * k_lower)
+            upper.append(per_tps * k_upper)
             physical.append(True)
     return ConsumptionBand(network, rates, lower, upper, physical)
 

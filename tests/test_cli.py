@@ -5,6 +5,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -218,6 +219,27 @@ class TestTable:
         _, out, _ = run(capsys, "table", "--network", "near", "--format", "csv")
         names = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert names == ["near", "bitcoin", "visa"]
+
+    def test_largest_throughputs_priced(self, capsys, tmp_path):
+        # 158 validators at 1e305 tx/s: kWh/tx in the subnormal range, not 0
+        path = write_near(tmp_path, (158,), ("1e305",))
+        argv = ("--observations", str(path), "--network", "near", "--format", "csv")
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(",2.41389e-309,3.80956e-308,7.37772e-308")
+
+    def test_largest_draws_priced(self, capsys, tmp_path):
+        # 5294 validators at 1e306 W each: 5.3e306 kW, and 1.2e302 kWh/tx at 12.56 tx/s
+        path = tmp_path / "bounds.csv"
+        path.write_text("network,lower_w,upper_w\nethereum,20.00,1e306\n")
+        argv = ("--bounds", str(path), "--network", "ethereum", "--format", "csv")
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        assert row[:4] == ["ethereum", "5294", "12.56", "105.88"]
+        assert all(math.isfinite(float(cell)) for cell in row[4:6])
+        assert float(row[5]) == pytest.approx(5.294e306, rel=1e-12)
+        assert row[6:] == ["0.00234165", "5.85412e+301", "1.17082e+302"]
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -806,17 +828,14 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == f"error: near: fitted slope leaves float range ({count} points)\n"
 
-    def test_largest_float_max_tps_named(self, capsys, tmp_path):
-        # the grid is built, and the band refuses by name its points above about
-        # 5e301 tps, where tps * 3.6e6 (joules per kWh) leaves float range
+    def test_largest_float_max_tps_charted(self, capsys, tmp_path):
+        # an origin fit prices every tps alike, up to the largest float
         path = tmp_path / "profiles.csv"
         path.write_text(f"network,max_tps\nnear,{sys.float_info.max!r}\n")
-        code, out, err = run(capsys, "chart", "--profiles", str(path), "--network", "near")
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: near: band value at tps=1.0433736636587908e+302 must be finite and positive,"
-            " got 0.0\n"
-        )
+        argv = ("--profiles", str(path), "--network", "near", "--points", "5", "--no-baselines")
+        code, out, err = run(capsys, "chart", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "near,1.797693135e+308,3.813410567e-05,0.001165516939,true"
 
     def test_malformed_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

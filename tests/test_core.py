@@ -6,14 +6,19 @@ validator count times per-validator draw, divided by throughput.
 
 import copy
 import datetime as dt
+import math
 import pickle
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from posenergy.core import (
+    JOULES_PER_KWH,
+    WATTS_PER_KW,
     FrozenInstanceError,
     NetworkObservation,
     NetworkProfile,
@@ -24,6 +29,9 @@ from posenergy.core import (
     parse_date,
     validate_network_id,
 )
+
+EPS, ULP_ZERO = Fraction(sys.float_info.epsilon), Fraction(math.ulp(0.0))
+COUNTS = st.one_of(st.integers(min_value=0, max_value=2**53), st.floats(min_value=0.0, max_value=2.0**53))
 
 
 class TestGlobalPower:
@@ -53,6 +61,17 @@ class TestGlobalPower:
             global_power(10, 0.0)
         with pytest.raises(ValueError):
             global_power(float("nan"), 50.0)
+
+    @given(n=COUNTS, watts=st.floats(min_value=1e-300, max_value=sys.float_info.max))
+    @example(n=2**53, watts=sys.float_info.max)
+    def test_matches_exact_arithmetic(self, n, watts):
+        # two roundings of the exact kW, so it is inf only at the edge of float range or beyond
+        exact = Fraction(n) * Fraction(watts) / Fraction(WATTS_PER_KW)
+        kw = global_power(n, watts)
+        if math.isinf(kw):
+            assert exact > Fraction(sys.float_info.max) * (1 - 2 * EPS)
+        else:
+            assert abs(Fraction(kw) - exact) <= 2 * (EPS * exact + ULP_ZERO)
 
 
 class TestEnergyPerTx:
@@ -90,6 +109,22 @@ class TestEnergyPerTx:
     def test_negative_throughput_rejected(self):
         with pytest.raises(ValueError):
             energy_per_tx(26, 248.05, -1.0)
+
+    @given(
+        n=st.integers(min_value=0, max_value=10**8),
+        watts=st.floats(min_value=1e-3, max_value=1e6),
+        tps=st.floats(min_value=1e-300, max_value=sys.float_info.max),
+    )
+    @example(n=158, watts=168.10, tps=sys.float_info.max)
+    @example(n=158, watts=5.50, tps=1e305)
+    def test_matches_exact_arithmetic(self, n, watts, tps):
+        # Three roundings of the exact kWh/tx, plus the subnormal steps. Up to
+        # 1e8 validators n / tps stays in float range from 1e-300 tx/s, and up
+        # to 1e6 W the hardware factor is below 1, so a subnormal n / tps
+        # loses no more than one subnormal step of the product.
+        exact = Fraction(n) / Fraction(tps) * Fraction(watts) / Fraction(JOULES_PER_KWH)
+        value = energy_per_tx(n, watts, tps)
+        assert abs(Fraction(value) - exact) <= 2 * (EPS * exact + ULP_ZERO)
 
 
 class TestNetworkObservation:

@@ -3,20 +3,21 @@
 import math
 import operator
 import sys
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import BaselineBand
 from posenergy.core import (
+    JOULES_PER_KWH,
     SECONDS_PER_YEAR,
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
-    energy_per_tx,
 )
 from posenergy.estimator import (
     ConsumptionBand,
@@ -38,6 +39,7 @@ from posenergy.regression import RegressionFit, predict_validators
 HEDERA_BOUNDS = ValidatorPowerBounds("hedera", 168.10, 328.00)
 POLKADOT_BOUNDS = ValidatorPowerBounds("polkadot", 4.31, 107.86)
 NAN, INF = float("nan"), float("inf")
+EPS, ULP_ZERO = Fraction(sys.float_info.epsilon), Fraction(math.ulp(0.0))
 # Band coordinates: each edge of the rule, small and huge magnitudes of both signs.
 ORDINARY = st.floats(min_value=1e-6, max_value=1e3)
 BAND_NUMBERS = st.one_of(
@@ -174,6 +176,18 @@ class TestDefaultGrid:
             default_grid(polkadot_profile(), min_tps=0.0)
 
 
+def assert_near_exact(value, intercept, slope, rate, w):
+    """Assert a band value lies within two roundings of its structure term
+    (|intercept| / tps + |slope|), times its draw, of the exact rational
+    (intercept / tps + slope) * w / 3.6e6, plus one subnormal step."""
+    tps = Fraction(rate)
+    exact = Fraction(intercept) / tps + Fraction(slope)
+    scale = abs(Fraction(intercept)) / tps + abs(Fraction(slope))
+    hardware = Fraction(w) / Fraction(JOULES_PER_KWH)
+    bound = 2 * EPS * scale * hardware + ULP_ZERO
+    assert abs(Fraction(value) - exact * hardware) <= bound
+
+
 class TestConsumptionBand:
     def test_capped_fit_known_values(self):
         # flat fit at 297 validators, evaluated at 1000 tx/s
@@ -187,15 +201,18 @@ class TestConsumptionBand:
         assert upper == pytest.approx(8.90e-06, rel=5e-3)
 
     def test_matches_pointwise_formula_exactly(self):
+        # each physical value is validators per tx/s times kWh per validator-second
         fit = RegressionFit("polkadot", 120.0, 3.5, 0.9, 5, True)
         profile = polkadot_profile()
         grid = default_grid(profile, n_points=50)
         band = consumption_band(fit, profile, grid)
         for rate, lower, upper in zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper):
-            predicted = fit.intercept + fit.slope * rate
-            if predicted >= 1.0:
-                assert lower == energy_per_tx(predicted, 4.31, rate)
-                assert upper == energy_per_tx(predicted, 107.86, rate)
+            per_tps = fit.intercept / rate + fit.slope
+            if fit.intercept + fit.slope * rate >= 1.0:
+                assert lower == per_tps * (4.31 / JOULES_PER_KWH)
+                assert upper == per_tps * (107.86 / JOULES_PER_KWH)
+                assert_near_exact(lower, fit.intercept, fit.slope, rate, 4.31)
+                assert_near_exact(upper, fit.intercept, fit.slope, rate, 107.86)
 
     def test_flat_fit_band_strictly_decreasing(self):
         band = consumption_band(
@@ -250,14 +267,25 @@ class TestConsumptionBand:
         with pytest.raises(ValueError):
             consumption_band(flat_fit("tezos", 400), polkadot_profile(), [10.0])
 
+    @pytest.mark.parametrize(
+        "intercept, slope, expected", [(0.0, 1e308, 1.197222e302), (1e307, 0.0, 5.986111e300)]
+    )
+    def test_huge_fit_priced_within_float_range(self, intercept, slope, expected):
+        # the prediction at 2 tx/s, 2e308 or 1e307 validators, leaves float range
+        # or nearly does; validators per tx/s times kWh per validator-second does not
+        fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
+        band = consumption_band(fit, polkadot_profile(), [2.0, 3.0])
+        assert band.kwh_per_tx_lower[0] == pytest.approx(expected, rel=1e-6)
+        assert band.kwh_per_tx_upper[0] == pytest.approx(expected * 107.86 / 4.31, rel=1e-6)
+
     @pytest.mark.parametrize("intercept, slope", [(0.0, 1e308), (1e307, 0.0)])
     def test_overflow_names_network(self, intercept, slope):
-        # 1e308 validators per tx/s overflow the prediction above 1 tx/s; 1e307
-        # validators overflow only once multiplied by the power draw
+        # at a 1e300 W draw the exact kWh/tx at 2 tx/s is about 1e600 or 1e599
+        bounds = ValidatorPowerBounds("polkadot", 1e300, 1e300)
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
         message = r"^polkadot: band value at tps=2\.0 must be finite and positive, got inf$"
         with pytest.raises(ValueError, match=message):
-            consumption_band(fit, polkadot_profile(), [2.0, 3.0])
+            consumption_band(fit, NetworkProfile("polkadot", bounds, 1000.0), [2.0, 3.0])
 
     def test_underflow_names_network_and_tps(self):
         # a 5e-324 W draw makes every physical kWh/tx underflow to 0.0
@@ -321,14 +349,38 @@ class TestConsumptionBand:
         assert band.tps == tuple(grid)
         columns = zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
         for rate, lower, upper, physical in columns:
-            predicted = predict_validators(fit, rate)
-            if predicted < 1.0:
+            if predict_validators(fit, rate) < 1.0:
                 assert (lower, upper, physical) == (0.0, 0.0, False)
             else:
                 assert physical
-                assert lower == energy_per_tx(predicted, bounds.lower_w, rate)
-                assert upper == energy_per_tx(predicted, bounds.upper_w, rate)
+                assert_near_exact(lower, intercept, slope, rate, bounds.lower_w)
+                assert_near_exact(upper, intercept, slope, rate, bounds.upper_w)
                 assert lower <= upper
+
+    @settings(deadline=None)
+    @given(
+        intercept=st.floats(min_value=-1e6, max_value=1e6),
+        slope=st.floats(min_value=-1e6, max_value=1e6),
+        lower_w=st.floats(min_value=1e-3, max_value=1e4),
+        upper_ratio=st.floats(min_value=1.0, max_value=100.0),
+        rate=st.floats(min_value=1e-300, max_value=1e308),
+    )
+    @example(intercept=0.0, slope=24.96, lower_w=5.5, upper_ratio=30.0, rate=sys.float_info.max)
+    @example(intercept=158.0, slope=1e-300, lower_w=5.5, upper_ratio=30.0, rate=1e-300)
+    def test_values_match_exact_arithmetic(self, intercept, slope, lower_w, upper_ratio, rate):
+        # The coefficients keep intercept / tps in float range down to 1e-300 tx/s,
+        # and draws up to 1e6 W keep w / 3.6e6 below 1, so a subnormal structure
+        # factor loses no more than that step.
+        bounds = ValidatorPowerBounds("polkadot", lower_w, lower_w * upper_ratio)
+        fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
+        band = consumption_band(fit, NetworkProfile("polkadot", bounds, rate), [rate])
+        point = (band.kwh_per_tx_lower[0], band.kwh_per_tx_upper[0], band.physical[0])
+        if predict_validators(fit, rate) < 1.0:
+            assert point == (0.0, 0.0, False)
+            return
+        assert point[2]
+        for value, w in zip(point, (bounds.lower_w, bounds.upper_w)):
+            assert_near_exact(value, intercept, slope, rate, w)
 
 
 class TestConsumptionBandColumns:
