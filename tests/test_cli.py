@@ -140,6 +140,37 @@ class TestGeneralFitPins:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVaryingChartPins:
+    """The chart of the same history at 2,000 points, pinned by the sha256 of its output.
+
+    These fits have intercepts near 4,000 validators, so no band run is
+    constant and some points are non-physical: the pins hold the path that
+    formats and draws every point of a varying run.
+    """
+
+    @pytest.mark.parametrize(
+        "fmt, flags, digest",
+        [
+            ("csv", (), "d0770883132812a5f3807aecf491ca62d6b858c4ba9a29ffcd6d3065e71a9afa"),
+            ("csv", ("--no-origin",),
+             "f4b485e1c6d23d814c143ced9da2eee1df2aee5ecad843478fc254833bc9c61c"),
+            ("svg", (), "4b1b5186752235b53a45a54f4a65e028b8c2f6000d771240b1d90075a8113798"),
+            ("svg", ("--no-origin",),
+             "480bc00df0f1078badae3a15daa37f19e305c93766de8eb761286a9ad0cf9357"),
+        ],
+        ids=["csv-origin", "csv-no-origin", "svg-origin", "svg-no-origin"],
+    )
+    def test_chart_digest(self, capsys, tmp_path, fmt, flags, digest):
+        path = tmp_path / "history.csv"
+        write_ols_history(path)
+        argv = ["chart", "--format", fmt, "--points", "2000", "--observations", str(path), *flags]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert ",false\n" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestTable:
     def test_known_cells(self, capsys):
         code, out, err = run(capsys, "table", "--format", "csv")
