@@ -12,7 +12,6 @@ The legend labels are XML-escaped.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from math import floor, log10
 from typing import Iterable, Iterator, Sequence
 
@@ -94,7 +93,7 @@ def chart_geometry(
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
         # Physical values are positive with lower <= upper on an increasing grid.
-        runs = _physical_runs(band.physical)
+        runs = _physical_runs(band)
         if runs:
             xs += (band.tps[runs[0][0]], band.tps[runs[-1][1] - 1])
             ys.append(min(min(band.kwh_per_tx_lower[start:stop]) for start, stop in runs))
@@ -122,16 +121,9 @@ def _placeable(
     )
 
 
-def _physical_runs(physical: Sequence[bool]) -> list[tuple[int, int]]:
+def _physical_runs(band: ConsumptionBand) -> list[tuple[int, int]]:
     """Half-open index ranges of a band's physical runs of two or more points, as drawn."""
-    runs = []
-    start = 0
-    for flag, group in groupby(physical):
-        stop = start + len(list(group))
-        if flag and stop - start >= 2:
-            runs.append((start, stop))
-        start = stop
-    return runs
+    return [(start, stop) for flag, start, stop in band.runs() if flag and stop - start >= 2]
 
 
 def _fmt(value: float) -> str:
@@ -192,13 +184,19 @@ def render_chart(
         )
     for band in bands:
         color = colors[band.network]
-        for start, stop in _physical_runs(band.physical):
-            run_xs = geom.xs_px(band.tps[start:stop])
-            drawn = _column_ends(run_xs)
+        for start, stop in _physical_runs(band):
+            run_tps = band.tps[start:stop]
+            run_lower = band.kwh_per_tx_lower[start:stop]
+            run_upper = band.kwh_per_tx_upper[start:stop]
+            # Physical values are positive, so == compares their bits.
+            if run_lower.count(run_lower[0]) == run_upper.count(run_upper[0]) == len(run_tps):
+                drawn = [0, len(run_tps) - 1]  # a horizontal edge: every point lies on it
+            else:
+                drawn = _column_ends(geom.xs_px(run_tps))
             # Each x is formatted once, with the comma that both of its vertices use.
-            xs = [f"{run_xs[i]:.2f}," for i in drawn]
-            lower = geom.ys_px([band.kwh_per_tx_lower[start + i] for i in drawn])
-            upper = geom.ys_px([band.kwh_per_tx_upper[start + i] for i in drawn])
+            xs = [f"{x:.2f}," for x in geom.xs_px([run_tps[i] for i in drawn])]
+            lower = geom.ys_px([run_lower[i] for i in drawn])
+            upper = geom.ys_px([run_upper[i] for i in drawn])
             vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower)]
             vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper))]
             parts.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import operator
-from itertools import compress
+from itertools import compress, groupby
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
@@ -123,6 +123,19 @@ class ConsumptionBand(Record):
         object.__setattr__(self, "kwh_per_tx_lower", lower)
         object.__setattr__(self, "kwh_per_tx_upper", upper)
         object.__setattr__(self, "physical", physical)
+
+    def runs(self) -> list[tuple[bool, int, int]]:
+        """Each maximal run of equal ``physical`` flags, as ``(flag, start, stop)`` in grid order.
+
+        ``stop`` is exclusive, so the runs tile ``range(len(self.tps))``.
+        """
+        runs = []
+        start = 0
+        for flag, group in groupby(self.physical):
+            stop = start + len(list(group))
+            runs.append((flag, start, stop))
+            start = stop
+        return runs
 
 
 def contemporary_estimate(

@@ -8,7 +8,8 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
@@ -364,16 +365,38 @@ _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "phys
 _PHYSICAL_CELLS = ("false", "true")  # indexed by a point's physical flag
 
 
-def _chart_lines(network: str, physical: bool, values: tuple[float, ...]) -> str:
+def _chart_lines(network: str, physical: bool, columns: Sequence[Sequence[float]]) -> str:
     """The chart CSV lines of one network's rows that share a physical flag, by one ``%``.
 
-    ``values`` holds the rows' (tps, lower, upper) triples, flattened. The
-    name and the flag are text in the template, the name with every ``%``
-    doubled, so only the numbers are arguments; ``%.10g`` formats as
-    format_series does.
+    ``columns`` holds the rows' tps, lower and upper values, one equal-length
+    sequence each. The name and the flag are text in the template, the name
+    with every ``%`` doubled. So is a column whose values all have the bits
+    of its first, printed once by format_series: a flat run formats one
+    float per row. Only the other columns' numbers are arguments, interleaved
+    row by row; ``%.10g`` formats as format_series does.
     """
-    line = f"{network.replace('%', '%%')},%.10g,%.10g,%.10g,{_PHYSICAL_CELLS[physical]}\n"
-    return (line * (len(values) // 3)) % values
+    cells = []
+    varying = []
+    for column in columns:
+        if _constant(column):
+            cells.append(format_series(column[0]))
+        else:
+            cells.append("%.10g")
+            varying.append(column)
+    line = f"{network.replace('%', '%%')},{','.join(cells)},{_PHYSICAL_CELLS[physical]}\n"
+    rows = len(columns[0])
+    values = [None] * (rows * len(varying))
+    for k, column in enumerate(varying):
+        values[k::len(varying)] = column
+    return (line * rows) % tuple(values)
+
+
+def _constant(column: Sequence[float]) -> bool:
+    """Whether every value of ``column`` has the bits of its first: ``-0.0`` is not ``0.0``."""
+    if column[0] != column[-1]:  # settles a monotone column without a walk
+        return False
+    bits = array("d", column).tobytes()
+    return bits == bits[:8] * len(column)
 
 
 def _chart_anchor_lines(
@@ -398,21 +421,20 @@ def _chart_anchor_lines(
         (marker.label, (marker.tps, marker.kwh_per_tx, marker.kwh_per_tx))
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    return [_chart_lines(label, True, values) for label, values in anchors]
+    return [_chart_lines(label, True, [(value,) for value in row]) for label, row in anchors]
 
 
 def _band_csv(band: ConsumptionBand) -> str:
-    """The band's chart CSV lines, formatted one run of equal physical flags at a time."""
-    values = tuple(chain.from_iterable(
-        zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
-    ))
-    texts = []
-    start = 0
-    for flag, group in groupby(band.physical):
-        stop = start + len(list(group))
-        texts.append(_chart_lines(band.network, flag, values[3 * start:3 * stop]))
-        start = stop
-    return "".join(texts)
+    """The band's chart CSV lines, formatted one run of equal physical flags at a time.
+
+    Each run is one :func:`_chart_lines` call, so a run whose lower and upper
+    values are constant, as on every origin fit's band, formats only its tps.
+    """
+    columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
+    return "".join(
+        _chart_lines(band.network, flag, [column[start:stop] for column in columns])
+        for flag, start, stop in band.runs()
+    )
 
 
 def _band_lines(band: ConsumptionBand) -> list[str]:

@@ -115,7 +115,7 @@ def list_geometry(bands, markers=(), reference_bands=()):
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for b in bands:
-        for start, stop in _physical_runs(b.physical):
+        for start, stop in _physical_runs(b):
             xs += b.tps[start:stop]
             ys += b.kwh_per_tx_lower[start:stop]
             ys += b.kwh_per_tx_upper[start:stop]
@@ -372,14 +372,18 @@ def subsequence_indices(drawn, full):
 
 
 class TestCanvasResolution:
-    """Each edge draws the first and last grid point of each whole pixel column."""
+    """Each edge draws the first and last grid point of each whole pixel column.
+
+    A run whose lower and upper values are each constant draws only its two
+    end points: every other point lies on that horizontal edge.
+    """
 
     @settings(deadline=None, max_examples=60)
     @given(bands=st.lists(
         st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
     ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))))
     def test_edges_drawn_at_canvas_resolution(self, bands):
-        assume(any(_physical_runs(b.physical) for b in bands))  # else nothing to plot
+        assume(any(_physical_runs(b) for b in bands))  # else nothing to plot
         svg, geom = render_chart(bands)
         polygons = parse_polygons(svg)
         runs = [
@@ -405,18 +409,26 @@ class TestCanvasResolution:
             assert drawn_edges[1] == [printed(*edges[1][i]) for i in kept]
             # the run's first and last points are drawn
             assert (kept[0], kept[-1]) == (0, len(run) - 1)
-            # exactly the first and the last point of each whole pixel column are drawn
-            first, last = {}, {}
-            for i, x in enumerate(xs):
-                first.setdefault(math.floor(x), i)
-                last[math.floor(x)] = i
-            assert kept == sorted({*first.values(), *last.values()})
+            constant = all(
+                len({column[i] for i in run}) == 1
+                for column in (b.kwh_per_tx_lower, b.kwh_per_tx_upper)
+            )
+            if constant:
+                # a horizontal edge: exactly its two end points are drawn
+                assert kept == [0, len(run) - 1]
+            else:
+                # exactly the first and the last point of each whole pixel column are drawn
+                first, last = {}, {}
+                for i, x in enumerate(xs):
+                    first.setdefault(math.floor(x), i)
+                    last[math.floor(x)] = i
+                assert kept == sorted({*first.values(), *last.values()})
             # every grid point lies within a pixel of its edge (printing moves a vertex 0.005)
             for edge, drawn in zip(edges, drawn_edges):
                 segments = [tuple(map(float, v)) for v in drawn]
                 for k, (i, j) in enumerate(zip(kept, kept[1:])):
                     for point in edge[i:j + 1]:
                         assert segment_distance(point, segments[k], segments[k + 1]) <= 1.01
-            # points a pixel or more apart are all drawn
-            if all(right - left >= 1.0 for left, right in zip(xs, xs[1:])):
+            # points of a varying run a pixel or more apart are all drawn
+            if not constant and all(right - left >= 1.0 for left, right in zip(xs, xs[1:])):
                 assert kept == list(range(len(run)))

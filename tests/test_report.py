@@ -4,7 +4,7 @@ import datetime as dt
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import load_baselines
@@ -316,6 +316,54 @@ class TestChartRunFormatting:
         assert len(rows) == sum(len(b.tps) for b in bands) + 2 * len(refs) + len(markers)
         assert all(row.count("\n") == 1 and row.endswith("\n") for row in rows)
         assert rows == expected
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def flat_run_band(draw):
+    """A band built run by run, so that whole columns of a run are often constant.
+
+    Each run has 1-20 points and is physical or not; each of its two value
+    columns is one repeated value or drawn per point. A physical value is
+    positive with lower <= upper; a non-physical one is 0.0 or -0.0, which
+    ``==`` equates but print differently.
+    """
+    name = draw(st.lists(st.sampled_from(["%", "%%", "%s", "%.10g", ",", "near"]),
+                         min_size=1, max_size=4).map("".join))
+    lower, upper, physical = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        flag = draw(st.booleans())
+        size = draw(st.one_of(st.just(1), st.integers(2, 20)))
+        for column, values in (
+            (lower, st.floats(min_value=1e-300, max_value=1.0) if flag else ZEROS),
+            (upper, st.floats(min_value=1.0, max_value=1e300) if flag else ZEROS),
+        ):
+            if draw(st.booleans()):
+                column += [draw(values)] * size
+            else:
+                column += draw(st.lists(values, min_size=size, max_size=size))
+        physical += [flag] * size
+    tps = sorted(draw(st.sets(POSITIVE, min_size=len(physical), max_size=len(physical))))
+    return ConsumptionBand(name, tps, lower, upper, physical)
+
+
+class TestFlatRunFormatting:
+    @settings(deadline=None, max_examples=150)
+    @given(bands=st.lists(flat_run_band(), min_size=1, max_size=3))
+    @example(bands=[  # equal to 0.0 by ==, but printed as -0
+        ConsumptionBand("a%b", (1.0, 2.0, 3.0), (0.0, -0.0, 0.0), (-0.0,) * 3, (False,) * 3)
+    ])
+    def test_matches_format_series_per_row(self, bands):
+        expected = [
+            f"{b.network},{format_series(t)},{format_series(lo)},{format_series(up)},"
+            f"{'true' if flag else 'false'}\n"
+            for b in sorted(bands, key=lambda b: b.network)
+            for t, lo, up, flag in zip(b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper, b.physical)
+        ]
+        header = "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
+        assert "".join(chart_csv_document(bands)) == header + "".join(expected)
 
 
 class TestChartElements:
