@@ -167,7 +167,9 @@ def render_chart(
     nor is a marker or reference band that a log axis cannot place (see
     :func:`_placeable`). Each edge is drawn at canvas resolution (see
     :func:`_column_ends`), so the markup's size is bounded by the canvas,
-    not by the grid.
+    not by the grid. A run whose lower and upper values are each constant
+    draws only its two end points, 4 vertices, since every other point lies
+    on those horizontal edges.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)

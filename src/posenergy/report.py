@@ -428,7 +428,8 @@ def _band_csv(band: ConsumptionBand) -> str:
     """The band's chart CSV lines, formatted one run of equal physical flags at a time.
 
     Each run is one :func:`_chart_lines` call, so a run whose lower and upper
-    values are constant, as on every origin fit's band, formats only its tps.
+    values are constant, as on the band of every fit with intercept 0, formats
+    only its tps.
     """
     columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
     return "".join(

@@ -485,6 +485,17 @@ class TestConsumptionBandColumns:
             with pytest.raises(ValueError, match=r"^near: "):
                 ConsumptionBand("near", *columns)
 
+    @given(physical=st.lists(st.booleans(), min_size=1, max_size=30))
+    def test_runs_tile_the_grid_by_flag(self, physical):
+        n = len(physical)
+        band = ConsumptionBand("near", [float(i) for i in range(1, n + 1)], [1.0] * n,
+                               [1.0] * n, physical)
+        runs = band.runs()
+        assert [i for _, start, stop in runs for i in range(start, stop)] == list(range(n))
+        assert all(physical[i] == flag for flag, start, stop in runs for i in range(start, stop))
+        # maximal: neighbouring runs differ in flag
+        assert all(left[0] != right[0] for left, right in zip(runs, runs[1:]))
+
 
 class TestErrata:
     def make_estimate(self, network, validators, tps, lower, upper):
