@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import io
 import os
-from collections import OrderedDict
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -44,14 +43,9 @@ OBSERVATION_HEADER = (
 # network, so the reader refuses counts on any other and the writer puts this
 # one on every vote row.
 _VOTE_NETWORK = "solana"
-# Distinct snapshot lines whose parse is kept, and distinct observations whose
-# line is: well above the 3,514 lines a 250-day window of the 14 bundled
-# networks plus one new day reads.
-_MEMO_ROWS = 8192
-# Each kept snapshot line's (observation, vote), keyed by the header's column
-# positions and the line as csv reads it, terminator included; least recently
-# used first.
-_parsed_lines: OrderedDict[tuple[tuple[int | None, ...], str], tuple] = OrderedDict()
+# An observation's (network, date) key, by which the writer sorts and the
+# reader refuses repeats.
+_key = attrgetter("network", "date")
 
 
 class SnapshotFormatError(ValueError):
@@ -73,6 +67,12 @@ class Snapshot(Record):
     vote_records: tuple[VoteRatioRecord, ...]
 
 
+# The last file write_snapshot wrote, and nothing of any earlier one: its bytes,
+# the Snapshot they load as (None where a load must parse them), and each of its
+# observations' lines.
+_last_written: tuple[bytes, Snapshot | None, dict[NetworkObservation, str]] = (b"", None, {})
+
+
 def bundled(name: str) -> Path:
     """Path of a data file shipped with the package."""
     return Path(__file__).with_name("data") / name
@@ -81,32 +81,27 @@ def bundled(name: str) -> Path:
 def load_snapshots(path: str | os.PathLike[str]) -> Snapshot:
     """Load one snapshot CSV.
 
-    Each line is parsed once per process, for up to 8,192 distinct lines: a
-    line read before, under a header with its columns in the same places,
-    returns the same records without csv reading or validating it again. So
-    two loads may return the same record objects, which is safe because
-    records are frozen. Only a line that holds a whole row, and whose row
-    parsed, is kept; a row whose quoted cell runs onto further lines is read
-    by csv every time. For a line of about 65 characters the memo holds about
-    320 B beyond the records a caller keeps, and about 630 B where it alone
-    keeps them: 5.2 MB at the bound. It keeps the lines used last, so
-    re-reading, in order, a file of more distinct lines than the bound reuses
-    none. A bad row is never kept: it fails, naming its file and row, every
-    time it is read. Repeated (network, date) rows are refused on every load.
+    A file whose bytes are those :func:`write_snapshot` wrote last, at any
+    path, returns the Snapshot it wrote, the same object on every load, which
+    is safe because records and tuples are frozen. Any other file is parsed.
+    Repeated (network, date) rows are refused on every load, each naming its
+    file and row.
 
     Raises:
         SnapshotFormatError: missing header, missing columns, or a cell that
             does not parse (the message carries the row number).
         DuplicateObservationError: repeated (network, date) observation rows.
     """
+    data = Path(path).read_bytes()
+    written, snapshot, _ = _last_written
+    if snapshot is not None and data == written:
+        return snapshot
     observations: list[NetworkObservation] = []
     votes: list[VoteRatioRecord] = []
     seen: set[tuple[str, dt.date]] = set()
-    for number, (observation, vote) in _read_csv(
-        path, OBSERVATION_HEADER, 4, _parse_row, _parsed_lines
-    ):
+    for number, (observation, vote) in _read_csv(path, data, OBSERVATION_HEADER, 4, _parse_row):
         if observation is not None:
-            key = (observation.network, observation.date)
+            key = _key(observation)
             if key in seen:
                 raise DuplicateObservationError(
                     f"{os.fspath(path)} row {number}: duplicate observation for "
@@ -190,21 +185,26 @@ def write_snapshot(
     sorted by (network, date), then vote records, with an empty validators
     cell, sorted by (date, reported throughput) with ties in input order.
 
-    Each observation's line is formatted once per process, for up to 8,192
-    distinct observations, so a refresh that rewrites a window formats only
-    its new rows. For a line of about 70 characters the memo holds about 270 B
-    per entry beyond the records it keeps alive, 2.2 MB at the bound. A row
-    refused for its provenance is never kept: it fails every time it is
-    written. Every line is built, and the text encoded, before the file is
-    opened, so a refused write, or one whose text has no UTF-8 form, leaves an
-    existing file as it was.
+    An observation written by the last write takes its line from there, so a
+    refresh that rewrites a window formats only its new rows. Once the file is
+    written, the module keeps its bytes, its lines and, when no (network, date)
+    repeats and every record is of its exact class, the Snapshot that loading
+    those bytes gives: the records, sorted, in file order. Only the last write
+    is kept, and the next write frees it. For a 250-day window of 14 networks
+    (3,500 lines, a 215 kB file) that is 0.78 MB beyond the records themselves,
+    measured with tracemalloc. Every line is built, and the text encoded, before
+    the file is opened, so a refused write, or one whose text has no UTF-8
+    form, leaves an existing file, and what is kept, as they were.
     """
-    rows = sorted(observations, key=lambda o: (o.network, o.date))
+    global _last_written
+    rows = sorted(observations, key=_key)
     votes = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
+    known = _last_written[2]
+    lines = [known.get(obs) or _observation_line(obs) for obs in rows]
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(OBSERVATION_HEADER)
-    text.writelines(map(_observation_line, rows))
+    text.writelines(lines)
     writer.writerows(
         (
             _VOTE_NETWORK,
@@ -220,14 +220,22 @@ def write_snapshot(
     data = text.getvalue().encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(data)
+    # a record of a subclass is unequal to the one its row parses as, and may
+    # equal one of other fields; a repeated key must fail at every load
+    exact = set(map(type, rows)) <= {NetworkObservation}
+    unique = len(set(map(_key, rows))) == len(rows)
+    if exact and unique and set(map(type, votes)) <= {VoteRatioRecord}:
+        snapshot = Snapshot(tuple(rows), tuple(votes))
+    else:
+        snapshot = None
+    _last_written = (data, snapshot, dict(zip(rows, lines)) if exact else {})
 
 
-@functools.lru_cache(maxsize=_MEMO_ROWS)
 def _observation_line(obs: NetworkObservation) -> str:
     """One observation's snapshot line, as :mod:`csv` quotes it.
 
-    Memoised on the record: equal records print alike, since a record stores a
-    zero throughput as ``0.0``. A record that raises is not memoised.
+    A function of the record's fields alone, so equal records print alike,
+    since a record stores a zero throughput as ``0.0``.
     """
     # loading strips cells, and the csv reader of Python 3.10 refuses NUL
     if obs.provenance != obs.provenance.strip() or "\0" in obs.provenance:
@@ -282,7 +290,9 @@ def _read_table(
 ) -> dict[str, Any]:
     """``parse`` of each row, keyed by its first cell; a repeated key names its row."""
     out: dict[str, Any] = {}
-    keyed = _read_csv(path, columns, required, lambda *cells: (cells[0], parse(*cells)))
+    keyed = _read_csv(
+        path, Path(path).read_bytes(), columns, required, lambda *cells: (cells[0], parse(*cells))
+    )
     for row, (key, parsed) in keyed:
         if key in out:
             raise SnapshotFormatError(f"{os.fspath(path)} row {row}: duplicate {what} for {key!r}")
@@ -291,50 +301,27 @@ def _read_table(
 
 
 def _read_csv(
-    path: str | os.PathLike[str], columns: tuple[str, ...], required: int, parse: Callable,
-    memo: OrderedDict | None = None,
+    path: str | os.PathLike[str], data: bytes, columns: tuple[str, ...], required: int,
+    parse: Callable,
 ):
-    """Yield ``(row number, parse(*cells))``; a parse ValueError or a csv.Error names the row.
+    """Yield ``(row number, parse(*cells))`` of the file ``data``, read from ``path``.
 
-    The header must name the first ``required`` of ``columns``, and is mapped to
+    A parse ValueError or a csv.Error names the path and the row. The header
+    must name the first ``required`` of ``columns``, and is mapped to
     positions once; a repeated name reads its last column. ``cells`` are the
     row's stripped cells in ``columns`` order, "" for a column the header
     lacks. A row too short for a column the header has fails as
     ``missing '<column>' cell``. Blank lines are skipped and not counted.
-
-    With a ``memo``, a line found in it under the same positions yields the
-    parse kept there, without csv reading it. A line csv reads is kept only
-    when it alone held a whole row: a line that opens a quoted cell running on
-    is not, and the lines it runs onto are never looked up. At most
-    ``_MEMO_ROWS`` lines are kept, the least recently used dropped first.
     """
     try:
         # decoded whole, so an error offset counts from the start of the file; a
         # byte-order mark (Excel's "CSV UTF-8" writes one) is not part of the header
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(
             f"{os.fspath(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    # split as csv splits a file opened with newline=""
-    lines = iter(io.StringIO(text, newline=""))
-    missed: list[str] = []  # the line the loop hands the reader next
-    ended = False
-
-    def fed():
-        """The loop's missed line, then the lines its row runs onto, if any."""
-        nonlocal ended
-        while True:
-            if missed:
-                yield missed.pop()
-            elif (line := next(lines, None)) is not None:
-                yield line
-            else:
-                ended = True
-                return
-
-    # one reader for every missed line, so each row starts at a record boundary
-    reader = csv.reader(fed())
+    reader = csv.reader(io.StringIO(text, newline=""))
     number = 1  # the row the reader is on, for errors the reader itself raises
     try:
         header = next(reader, None)
@@ -347,21 +334,7 @@ def _read_csv(
         positions = tuple(position.get(c) for c in columns)
         width = 1 + max(p for p in positions if p is not None)
         number = 2
-        for line in lines:
-            if memo is not None:
-                key = (positions, line)
-                parsed = memo.get(key)
-                if parsed is not None:
-                    try:
-                        memo.move_to_end(key)
-                    except KeyError:  # another thread dropped it since the lookup
-                        pass
-                    yield number, parsed
-                    number += 1
-                    continue
-            missed.append(line)
-            start = reader.line_num
-            row = next(reader)
+        for row in reader:
             if not row:
                 continue
             try:
@@ -373,12 +346,6 @@ def _read_csv(
                 parsed = parse(*[row[p].strip() if p is not None else "" for p in positions])
             except ValueError as exc:
                 raise SnapshotFormatError(f"{os.fspath(path)} row {number}: {exc}") from exc
-            # a row that ran onto the next line, or to the end of the file inside
-            # quotes, could read differently where more lines follow it
-            if memo is not None and reader.line_num == start + 1 and not ended:
-                memo[key] = parsed
-                if len(memo) > _MEMO_ROWS:
-                    memo.popitem(last=False)
             yield number, parsed
             number += 1
     except csv.Error as exc:

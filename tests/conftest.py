@@ -9,9 +9,8 @@ from posenergy import ingestion, regression
 def empty_memos():
     """Every per-process memo starts empty, so what they hold comes from this test alone.
 
-    Those are the parsed snapshot lines, the formatted observation lines and
+    Those are the last snapshot file written, with its records and lines, and
     the last fit of each network.
     """
-    ingestion._parsed_lines.clear()
-    ingestion._observation_line.cache_clear()
+    ingestion._last_written = (b"", None, {})
     regression._last_fits.clear()

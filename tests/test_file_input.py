@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from posenergy import ingestion
 from posenergy.baselines import load_baselines
 from posenergy.cli import build_parser, main
 from posenergy.core import (
@@ -382,7 +383,8 @@ class TestReaderMatchesReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             path.write_bytes(text.encode("utf-8"))
-            # the second load takes every line that held a whole good row from the memo
+            # the same outcome on every load, whether the file is parsed or (when its
+            # bytes are the last a write wrote) the write's records are returned
             outcomes = [load_outcome(load, path) for _ in range(2)]
             expected = load_outcome(reference, path)
         for kind, where, message in outcomes:
@@ -646,10 +648,16 @@ class TestSnapshotRoundTrip:
     @SETTINGS
     @given(observations=OBSERVATIONS, votes=VOTES, data=st.data())
     def test_write_then_load_is_exact(self, observations, votes, data):
-        # some vote records share a date and throughput with an observation
+        # some vote records share a date and throughput with an observation, and
+        # at times an observation shares its (network, date) with another
         if observations:
             for obs in data.draw(st.lists(st.sampled_from(observations), max_size=2)):
                 votes.append(VoteRatioRecord(obs.date, 1, 2, obs.tps))
+            for obs in data.draw(st.lists(st.sampled_from(observations), max_size=1)):
+                validators = data.draw(st.one_of(st.just(obs.validators), st.integers(0, 2**53)))
+                observations.append(
+                    NetworkObservation(obs.network, obs.date, validators, obs.tps, obs.provenance)
+                )
         unwritable = [
             o for o in observations if o.provenance != o.provenance.strip() or "\0" in o.provenance
         ]
@@ -657,20 +665,32 @@ class TestSnapshotRoundTrip:
             path, again = Path(tmp) / "snapshot.csv", Path(tmp) / "again.csv"
             reference = Path(tmp) / "reference.csv"
             if unwritable:
-                # the second attempt fails too: a refused line is not kept
+                # the second attempt fails too: nothing of a refused write is kept
                 for _ in range(2):
                     with pytest.raises(ValueError, match="provenance of"):
                         write_snapshot(path, observations, votes)
                 assert not path.exists()
                 return
             reference_write_snapshot(reference, observations, votes)
-            # the second write takes every observation line from the memo
+            # the second write takes every observation line from the first
             for _ in range(2):
                 write_snapshot(path, observations, votes)
                 assert path.read_bytes() == reference.read_bytes()
+            # a reload of the bytes just written returns what the write kept,
+            # which must be what parsing them gives once nothing is kept
+            outcome = load_outcome(load_snapshots, path)
+            assert outcome == load_outcome(reference_load_snapshots, path)
+            _, written, _ = ingestion._last_written
+            ingestion._last_written = (b"", None, {})
+            assert load_outcome(load_snapshots, path) == outcome
+            if len({(o.network, o.date) for o in observations}) < len(observations):
+                assert outcome[0] == "DuplicateObservationError" and written is None
+                return
             loaded = load_snapshots(path)
+            assert loaded == written
             write_snapshot(again, loaded.observations, loaded.vote_records)
             assert again.read_bytes() == path.read_bytes()
+            assert load_snapshots(again) is ingestion._last_written[1]
             with open(path, newline="", encoding="utf-8") as handle:
                 rows = list(csv.DictReader(handle))
         assert loaded.observations == tuple(sorted(observations, key=lambda o: (o.network, o.date)))

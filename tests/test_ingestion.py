@@ -5,7 +5,6 @@ import itertools
 import operator
 import re
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -20,9 +19,6 @@ from posenergy.ingestion import (
     DuplicateObservationError,
     MergeConflictError,
     SnapshotFormatError,
-    _MEMO_ROWS,
-    _observation_line,
-    _parsed_lines,
     bundled,
     load_bounds,
     load_profiles,
@@ -140,19 +136,28 @@ def snapshot_file(path, *rows):
     return path
 
 
+def counted(monkeypatch, name):
+    """The argument tuples of each later call of ``ingestion.<name>``, which still runs."""
+    calls = []
+    wrapped = getattr(ingestion, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(ingestion, name, counting)
+    return calls
+
+
+def by_key(observations):
+    return sorted(observations, key=lambda o: (o.network, o.date))
+
+
 class TestParsedRowMemo:
+    """A load parses every row, unless the file holds the bytes written last."""
+
     NEAR = "near,2023-01-31,158,6.33,,,explorer"
     TEZOS = "tezos,2023-01-31,407,0.9,,,explorer"
-    VOTES = "solana,2022-12-11,,4123.0,17263338,309222640,"
-
-    def test_shared_rows_are_the_same_records(self, tmp_path):
-        first = load_snapshots(snapshot_file(tmp_path / "a.csv", self.NEAR, self.TEZOS, self.VOTES))
-        changed = self.NEAR.replace(",158,", ",159,")
-        second = load_snapshots(snapshot_file(tmp_path / "b.csv", self.VOTES, self.TEZOS, changed))
-        assert second.observations[0] is first.observations[1]
-        assert second.vote_records[0] is first.vote_records[0]
-        assert second.observations[1] != first.observations[0]
-        assert second.observations[1].validators == 159
 
     def test_bad_row_fails_in_each_file_at_its_row(self, tmp_path):
         bad = self.NEAR.replace("2023-01-31", "2023-02-30")
@@ -165,23 +170,7 @@ class TestParsedRowMemo:
             ):
                 load_snapshots(path)
 
-    def test_more_distinct_rows_than_the_bound(self, tmp_path, empty_memos):
-        first = dt.date(2000, 1, 1)
-        rows = [
-            obs(f"n{i % 14}", first + dt.timedelta(days=i // 14), 1 + i, 0.5 + i, provenance="")
-            for i in range(_MEMO_ROWS + 100)
-        ]
-        path = tmp_path / "snap.csv"
-        write_snapshot(path, rows)
-        loaded = load_snapshots(path)
-        assert loaded == reference_load_snapshots(path)
-        assert len(_parsed_lines) == _MEMO_ROWS
-        # least recently used: a second pass in the same order finds none of its lines
-        again = load_snapshots(path)
-        assert again == loaded
-        assert not any(map(operator.is_, again.observations, loaded.observations))
-
-    def test_row_over_two_lines_is_read_by_csv_each_time(self, tmp_path, empty_memos):
+    def test_row_over_two_lines_is_read_by_csv_each_time(self, tmp_path):
         opening = 'near,2023-01-31,158,6.33,,,"explorer\r\n'
         row = opening + 'page 2"\r\n'
         header = ",".join(OBSERVATION_HEADER) + "\r\n"
@@ -190,16 +179,14 @@ class TestParsedRowMemo:
         after.write_bytes((header + self.TEZOS + "\r\n" + row).encode())
         first = load_snapshots(alone)
         assert first.observations[0].provenance == "explorer\r\npage 2"
-        assert not any(line == opening for _, line in _parsed_lines)
         assert load_snapshots(after).observations[1] == first.observations[0]
         # its opening line alone, as the end of a file, reads to the end inside quotes
         cut = tmp_path / "c.csv"
         cut.write_bytes((header + opening).encode())
         assert load_snapshots(cut).observations[0].provenance == "explorer"
         assert load_snapshots(alone) == first
-        assert not any(line == opening for _, line in _parsed_lines)
 
-    def test_line_is_read_by_its_header(self, tmp_path, empty_memos):
+    def test_line_is_read_by_its_header(self, tmp_path):
         line = "near,2023-01-31,158,6,,,explorer\n"
         swapped = ("network", "date", "tps", "validators", *OBSERVATION_HEADER[4:])
         for header, (validators, tps) in [
@@ -212,22 +199,60 @@ class TestParsedRowMemo:
             (observation,) = load_snapshots(path).observations
             assert (observation.validators, observation.tps) == (validators, tps)
             assert load_snapshots(path) == reference_load_snapshots(path)
-        assert len(_parsed_lines) == 2
 
-    def test_line_dropped_after_its_lookup_still_loads(self, tmp_path, monkeypatch):
-        class Racing(OrderedDict):
-            """A memo that another thread empties between each lookup and the next step."""
+    def test_reload_of_the_written_file_parses_nothing(self, tmp_path, monkeypatch, empty_memos):
+        rows = window(3, networks=2)
+        votes = [VoteRatioRecord("2022-12-11", 17_263_338, 309_222_640, 4123.0)]
+        path, copy = tmp_path / "snap.csv", tmp_path / "copy.csv"
+        write_snapshot(path, reversed(rows), votes)
+        copy.write_bytes(path.read_bytes())
+        parsed = counted(monkeypatch, "_parse_row")
+        # the same bytes at another path return the same records
+        for target in (path, copy, path):
+            loaded = load_snapshots(target)
+            assert all(map(operator.is_, loaded.observations, by_key(rows)))
+            assert loaded.vote_records[0] is votes[0]
+        assert parsed == []
+        assert loaded == reference_load_snapshots(path)
 
-            def get(self, key, default=None):
-                found = super().get(key, default)
-                self.clear()
-                return found
+    def test_edited_byte_is_parsed(self, tmp_path, monkeypatch, empty_memos):
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, [obs("near", validators=158, tps=6.33), obs()])
+        path.write_bytes(path.read_bytes().replace(b",158,", b",159,"))
+        parsed = counted(monkeypatch, "_parse_row")
+        loaded = load_snapshots(path)
+        assert len(parsed) == 2
+        assert loaded.observations[0].validators == 159
+        assert loaded == reference_load_snapshots(path)
 
-        monkeypatch.setattr(ingestion, "_parsed_lines", Racing())
-        path = snapshot_file(tmp_path / "a.csv", self.NEAR)
-        first = load_snapshots(path)
-        # the second load finds the line, which is gone before it is marked as used
-        assert load_snapshots(path).observations[0] is first.observations[0]
+    def test_repeated_key_fails_at_its_row_on_every_reload(self, tmp_path, empty_memos):
+        path = tmp_path / "snap.csv"
+        for rows in ([obs("near"), obs(), obs("near", validators=159)], [obs(), obs()]):
+            write_snapshot(path, rows)
+            for _ in range(3):
+                with pytest.raises(
+                    DuplicateObservationError,
+                    match=rf"^{re.escape(str(path))} row 3: duplicate observation for \(",
+                ):
+                    load_snapshots(path)
+
+    def test_subclass_records_are_neither_kept_nor_reused(self, tmp_path, empty_memos):
+        class Tagged(NetworkObservation):
+            # a record subclass compares, hashes and prints by its own fields only
+            tag: str
+
+            def __init__(self, *args, tag=""):
+                super().__init__(*args)
+                object.__setattr__(self, "tag", tag)
+
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, [Tagged("near", "2023-01-31", 158, 6.33)])
+        (observation,) = load_snapshots(path).observations
+        assert type(observation) is NetworkObservation
+        assert load_snapshots(path) == reference_load_snapshots(path)
+        # equal to the record just written, but its line is its own
+        write_snapshot(path, [Tagged("tezos", "2023-01-31", 407, 0.9)])
+        assert path.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.9,,,"
 
 
 class TestMerge:
@@ -417,9 +442,11 @@ class TestWriteSnapshot:
         write_snapshot(path, [obs()])
         before = path.read_bytes()
         # a lone surrogate has no UTF-8 form; the text is encoded before the file is opened
+        kept = ingestion._last_written
         with pytest.raises(UnicodeEncodeError):
             write_snapshot(path, [obs(provenance="\ud800")])
         assert path.read_bytes() == before
+        assert ingestion._last_written is kept
 
     @pytest.mark.parametrize("provenance", [" padded", "nul\0byte"])
     def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance):
@@ -438,6 +465,8 @@ def window(days, networks=14, first=dt.date(2022, 1, 1)):
 
 
 class TestObservationLineMemo:
+    """A write reuses the lines of the last write, and keeps only those."""
+
     def test_zero_throughput_written_as_positive_zero(self, tmp_path):
         positive, negative = tmp_path / "positive.csv", tmp_path / "negative.csv"
         write_snapshot(positive, [obs(tps=0.0)])
@@ -446,19 +475,19 @@ class TestObservationLineMemo:
         assert positive.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.0,,,"
         assert negative.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.0,,,"
 
-    def test_refresh_formats_only_the_new_day(self, tmp_path, empty_memos):
+    def test_refresh_formats_only_the_new_day(self, tmp_path, monkeypatch, empty_memos):
         path = tmp_path / "snapshot.csv"
         history = window(251)
         kept = history[:-14]
+        formatted = counted(monkeypatch, "_observation_line")
         write_snapshot(path, kept)
-        before = _observation_line.cache_info()
-        assert before.misses == len(kept) == 3500
+        assert len(formatted) == len(kept) == 3500
         merged = merge(kept, history[-14:])
         oldest = min(o.date for o in merged)
         kept = [o for o in merged if o.date != oldest]
+        formatted.clear()
         write_snapshot(path, kept)
-        after = _observation_line.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (14, 3486)
+        assert [obs for obs, in formatted] == history[-14:]
         reference = tmp_path / "reference.csv"
         reference_write_snapshot(reference, kept)
         assert path.read_bytes() == reference.read_bytes()
@@ -467,26 +496,30 @@ class TestObservationLineMemo:
         path = tmp_path / "snapshot.csv"
         rows = window(3, networks=2)
         write_snapshot(path, rows)
-        before = path.read_bytes()
-        kept = _observation_line.cache_info().currsize
-        # sorts first, so each attempt looks it up before any other row
+        before, kept = path.read_bytes(), ingestion._last_written
+        # sorts first, so each attempt reaches it before any other row
         refused = obs("algorand", provenance="trailing ")
-        for attempt in range(1, 4):
+        for _ in range(3):
             with pytest.raises(ValueError, match=r"provenance of \(algorand, 2023-01-31\)"):
                 write_snapshot(path, [*rows, refused])
-            info = _observation_line.cache_info()
-            assert (info.misses, info.currsize) == (len(rows) + attempt, kept)
             assert path.read_bytes() == before
+            assert ingestion._last_written is kept
+        # a write that fails at the file keeps the last one too
+        with pytest.raises(OSError):
+            write_snapshot(tmp_path, rows)
+        assert ingestion._last_written is kept
 
-    def test_more_distinct_records_than_the_bound(self, tmp_path, empty_memos):
-        bound = _observation_line.cache_info().maxsize
-        rows = window(bound // 14 + 10)
-        assert len(rows) > bound
-        path, reference = tmp_path / "snapshot.csv", tmp_path / "reference.csv"
-        write_snapshot(path, rows)
-        assert _observation_line.cache_info().currsize == bound
-        reference_write_snapshot(reference, rows)
-        assert path.read_bytes() == reference.read_bytes()
+    def test_only_the_last_write_is_held(self, tmp_path, empty_memos):
+        path = tmp_path / "snapshot.csv"
+        history = window(4, networks=3)
+        write_snapshot(path, history[:-3])
+        # a refresh: the oldest day leaves the window as a new one enters
+        write_snapshot(path, history[3:])
+        data, snapshot, lines = ingestion._last_written
+        assert data == path.read_bytes()
+        assert list(lines) == by_key(history[3:])
+        assert snapshot.observations == tuple(by_key(history[3:]))
+        assert not set(history[:3]) & set(lines)
 
 
 class TestReferenceTables:
