@@ -93,6 +93,9 @@ class FrozenInstanceError(AttributeError):
 class Record:
     """Frozen value base whose fields are the class annotations, in order.
 
+    A subclass of a record has its parents' fields first, then the ones it
+    annotates itself.
+
     The default ``__init__`` takes each field by position or by keyword; a
     field has no class-level default. Equality, hashing and ``repr`` go by the
     tuple of fields, and the ``repr`` is the one a frozen dataclass prints. A
@@ -108,7 +111,11 @@ class Record:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)
+        fields: dict[str, None] = {}
+        for klass in reversed(cls.__mro__):  # parents first, each field where it first appears
+            if issubclass(klass, Record) and klass is not Record:
+                fields.update(dict.fromkeys(klass.__annotations__))
+        cls._fields = tuple(fields)
         cls._astuple = staticmethod(attrgetter(*cls._fields))
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

@@ -220,8 +220,8 @@ def write_snapshot(
     data = text.getvalue().encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(data)
-    # a record of a subclass is unequal to the one its row parses as, and may
-    # equal one of other fields; a repeated key must fail at every load
+    # a record of a subclass is unequal to the one its row parses as, and a
+    # repeated key must fail at every load
     exact = set(map(type, rows)) <= {NetworkObservation}
     unique = len(set(map(_key, rows))) == len(rows)
     if exact and unique and set(map(type, votes)) <= {VoteRatioRecord}:

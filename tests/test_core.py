@@ -29,6 +29,7 @@ from posenergy.core import (
     parse_date,
     validate_network_id,
 )
+from posenergy.ingestion import MergeConflictError, merge
 
 EPS, ULP_ZERO = Fraction(sys.float_info.epsilon), Fraction(math.ulp(0.0))
 COUNTS = st.one_of(st.integers(min_value=0, max_value=2**53), st.floats(min_value=0.0, max_value=2.0**53))
@@ -249,6 +250,16 @@ def sample_calls(draw):
     return values[:positional], kwargs, values
 
 
+class TaggedObservation(NetworkObservation):
+    """A record subclass that adds a field and validates through its parent's ``__init__``."""
+
+    tag: str
+
+    def __init__(self, network, date, validators, tps, provenance="", tag=""):
+        super().__init__(network, date, validators, tps, provenance)
+        object.__setattr__(self, "tag", tag)
+
+
 class TestRecord:
     @given(call=sample_calls(), other=SAMPLE_VALUES)
     def test_matches_frozen_dataclass(self, call, other):
@@ -311,3 +322,31 @@ class TestRecord:
             Sample(*args, **kwargs)
         with pytest.raises(TypeError):
             SampleTwin(*args, **kwargs)
+
+    def test_subclass_keeps_parent_fields(self):
+        class Tagged(NetworkObservation):
+            pass
+
+        assert Tagged._fields == NetworkObservation._fields
+        values = ("near", "2022-12-11", 158, 1.0, "x")
+        row = Tagged(*values)
+        assert row == Tagged(*values) and hash(row) == hash(Tagged(*values))
+        for index, other in enumerate(("tezos", "2022-12-12", 159, 2.0, "y")):
+            assert row != Tagged(*values[:index], other, *values[index + 1:])
+        assert row != NetworkObservation(*values)
+        assert repr(row).startswith("TestRecord.test_subclass_keeps_parent_fields.<locals>.Tagged(")
+        assert repr(row).endswith("(network='near', date=datetime.date(2022, 12, 11), "
+                                  "validators=158, tps=1.0, provenance='x')")
+
+    def test_subclass_fields_follow_parent_fields(self):
+        assert TaggedObservation._fields == (*NetworkObservation._fields, "tag")
+        row = TaggedObservation("near", "2022-12-11", 158, 1.0, tag="a")
+        assert row.tag == "a" and row.validators == 158
+        assert row != TaggedObservation("near", "2022-12-11", 158, 1.0, tag="b")
+        assert row != TaggedObservation("near", "2022-12-11", 159, 1.0, tag="a")
+
+    def test_merge_refuses_subclass_rows_differing_in_a_parent_field(self):
+        first, second = (TaggedObservation("near", "2022-12-11", n, 1.0, tag="a") for n in (158, 159))
+        message = r"\(near, 2022-12-11\): validators=158 .* vs validators=159 "
+        with pytest.raises(MergeConflictError, match=message):
+            merge([first], [second])

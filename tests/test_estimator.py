@@ -2,6 +2,7 @@
 
 import math
 import operator
+import struct
 import sys
 from fractions import Fraction
 from itertools import compress
@@ -18,6 +19,7 @@ from posenergy.core import (
     NetworkObservation,
     NetworkProfile,
     ValidatorPowerBounds,
+    _check_finite,
 )
 from posenergy.estimator import (
     ConsumptionBand,
@@ -33,7 +35,9 @@ from posenergy.estimator import (
     find_input_mismatches,
     printed_tolerance,
 )
+from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.regression import RegressionFit, predict_validators
+from posenergy.report import fit_networks
 
 
 HEDERA_BOUNDS = ValidatorPowerBounds("hedera", 168.10, 328.00)
@@ -75,6 +79,90 @@ def polkadot_profile(max_tps=1000.0):
 
 def flat_fit(network, cap, n_points=3):
     return RegressionFit(network, float(cap), 0.0, 1.0, n_points, False)
+
+
+def reference_band(fit, profile, grid):
+    """The per-point loop that :func:`consumption_band` replaced, kept as its reference."""
+    network = profile.network
+    if fit.network != network:
+        raise ValueError(f"fit for {fit.network!r} evaluated against profile for {network!r}")
+    intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
+    slope = _check_finite(f"{network}: fit slope", fit.slope)
+    k_lower = profile.bounds.lower_w / JOULES_PER_KWH
+    k_upper = profile.bounds.upper_w / JOULES_PER_KWH
+    outside = f"grid values must lie in (0, {profile.max_tps!r}] for {network!r}"
+    try:
+        rates = list(map(float, grid))
+    except OverflowError:
+        raise GridDomainError(outside) from None
+    if rates and not (0 < min(rates) and max(rates) <= profile.max_tps):
+        raise GridDomainError(outside)
+    lower, upper, physical = [], [], []
+    for rate in rates:
+        if intercept + slope * rate < 1.0:
+            lower.append(0.0)
+            upper.append(0.0)
+            physical.append(False)
+        else:
+            per_tps = intercept / rate + slope
+            lower.append(per_tps * k_lower)
+            upper.append(per_tps * k_upper)
+            physical.append(True)
+    return ConsumptionBand(network, rates, lower, upper, physical)
+
+
+def band_outcome(function, fit, profile, grid):
+    """The band's columns as bytes and flags, or the type and message of what it raised."""
+    try:
+        band = function(fit, profile, grid)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
+    return [struct.pack(f"{len(column)}d", *column) for column in columns], band.physical
+
+
+def log_uniform(low, high):
+    """Floats from ``10**low`` to ``10**high``, spread evenly in log10."""
+    return st.floats(min_value=low, max_value=high).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def band_cases(draw):
+    """A fit, a profile and a grid that is increasing, unsorted or ends at ``max_tps``.
+
+    Intercepts put the one-validator boundary inside the grid's range, or are
+    small, 1e15 or beyond of either sign, or zero of either sign; slopes are
+    positive or negative, or zero of either sign.
+    """
+    max_tps = draw(log_uniform(-2, 9))
+    grid = draw(st.lists(st.floats(min_value=max_tps * 1e-6, max_value=max_tps),
+                         min_size=2, max_size=40, unique=True))
+    shape = draw(st.sampled_from(["increasing", "unsorted", "ends-at-max"]))
+    if shape == "increasing":
+        grid.sort()
+    elif shape == "ends-at-max":
+        grid = sorted({*grid, max_tps})
+    sign = st.sampled_from([1.0, -1.0])
+    # hypothesis leans to the first branch of one_of, so the zeros come last; a
+    # slope predicts 0.1 to 1e6 validators at max_tps
+    slope = draw(st.one_of(
+        st.builds(lambda s, count: s * count / max_tps, sign, log_uniform(-1, 6)),
+        st.sampled_from([0.0, -0.0]),
+    ))
+    crossings = log_uniform(math.log10(min(grid)), math.log10(max(grid)))
+    intercept = draw(st.one_of(
+        crossings.map(lambda rate: 1.0 - slope * rate),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.builds(operator.mul, sign, log_uniform(15, 308)),
+        st.sampled_from([0.0, -0.0]),
+    ))
+    lower_w = draw(st.floats(min_value=0.1, max_value=500.0))
+    bounds = ValidatorPowerBounds("near", lower_w, lower_w * draw(st.floats(1.0, 100.0)))
+    fit = RegressionFit("near", intercept, slope, 1.0, 2, False)
+    return fit, NetworkProfile("near", bounds, max_tps), grid
+
+
+NEAR_PROFILE = NetworkProfile("near", ValidatorPowerBounds("near", 5.5, 168.1), 1e6)
 
 
 class TestContemporaryEstimate:
@@ -382,6 +470,45 @@ class TestConsumptionBand:
         for value, w in zip(point, (bounds.lower_w, bounds.upper_w)):
             assert_near_exact(value, intercept, slope, rate, w)
 
+    @settings(max_examples=50, deadline=None)
+    @given(case=band_cases())
+    @example(case=(  # the cancellation refusal: still refused, with the same message
+        RegressionFit("near", -2.3308452694912763e21, 1.0096038554276378e16, 1.0, 2, False),
+        NEAR_PROFILE,
+        [230867.31067444276],
+    ))
+    @example(case=(  # a falling fit: the physical points are a prefix
+        RegressionFit("near", 440.7, -24.6, 0.8, 8, True), NEAR_PROFILE,
+        default_grid(NetworkProfile("near", NEAR_PROFILE.bounds, 1048.0)),
+    ))
+    @example(case=(  # an origin fit with a negative-zero intercept
+        RegressionFit("near", -0.0, 24.96, 1.0, 2, True), NEAR_PROFILE, default_grid(NEAR_PROFILE)
+    ))
+    @example(case=(RegressionFit("near", 0.0, 24.96, 1.0, 2, True), NEAR_PROFILE, [1.0, 0.0, 2.0]))
+    @example(case=(RegressionFit("near", 0.0, 24.96, 1.0, 2, True), NEAR_PROFILE, [2.0, 1.0]))
+    def test_bits_match_pointwise_reference(self, case):
+        assert band_outcome(consumption_band, *case) == band_outcome(reference_band, *case)
+
+    def test_origin_band_run_is_one_float(self):
+        # every bundled fit is through the origin: each physical column is one shared
+        # float, with the bits of the per-point reference
+        observations = load_snapshots(bundled("observations.csv")).observations
+        profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
+        fits = fit_networks(observations)
+        assert len(fits) == 14 and all(fit.intercept == 0 for fit in fits)
+        for fit in fits:
+            profile = profiles[fit.network]
+            grid = default_grid(profile, 20000)
+            band = consumption_band(fit, profile, grid)
+            assert band_outcome(consumption_band, fit, profile, grid) == band_outcome(
+                reference_band, fit, profile, grid
+            )
+            physical = [(start, stop) for flag, start, stop in band.runs() if flag]
+            assert physical
+            for start, stop in physical:
+                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+                    assert len({id(value) for value in column[start:stop]}) == 1
+
 
 class TestConsumptionBandColumns:
     def test_columns_become_tuples(self):
@@ -495,6 +622,19 @@ class TestConsumptionBandColumns:
         assert all(physical[i] == flag for flag, start, stop in runs for i in range(start, stop))
         # maximal: neighbouring runs differ in flag
         assert all(left[0] != right[0] for left, right in zip(runs, runs[1:]))
+
+    def test_runs_returns_a_fresh_list(self):
+        band = ConsumptionBand("near", [1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [0.0, 2.0, 2.0],
+                               [False, True, True])
+        runs = band.runs()
+        assert runs == [(False, 0, 1), (True, 1, 3)]
+        runs.append((False, 3, 4))
+        runs[0] = None
+        assert band.runs() == [(False, 0, 1), (True, 1, 3)]
+        assert band.runs() is not band.runs()
+        # the stored runs are not a field: equality, hashing and repr go by the columns
+        assert ConsumptionBand._fields == ("network", "tps", "kwh_per_tx_lower",
+                                           "kwh_per_tx_upper", "physical")
 
 
 class TestErrata:

@@ -238,7 +238,7 @@ class TestParsedRowMemo:
 
     def test_subclass_records_are_neither_kept_nor_reused(self, tmp_path, empty_memos):
         class Tagged(NetworkObservation):
-            # a record subclass compares, hashes and prints by its own fields only
+            # a record subclass is unequal to the record its row parses as
             tag: str
 
             def __init__(self, *args, tag=""):
@@ -250,7 +250,7 @@ class TestParsedRowMemo:
         (observation,) = load_snapshots(path).observations
         assert type(observation) is NetworkObservation
         assert load_snapshots(path) == reference_load_snapshots(path)
-        # equal to the record just written, but its line is its own
+        # another record of the subclass: its line is its own
         write_snapshot(path, [Tagged("tezos", "2023-01-31", 407, 0.9)])
         assert path.read_text().splitlines()[1] == "tezos,2023-01-31,407,0.9,,,"
 
