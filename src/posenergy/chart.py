@@ -85,7 +85,10 @@ def chart_geometry(
     """Decade-rounded axis ranges covering every placeable value and drawn band point.
 
     A band point is drawn, and so ranged, only in a physical run of two or
-    more points (:func:`_physical_runs`), since one point makes no polygon.
+    more points (:func:`_drawn_runs`), since one point makes no polygon. A
+    flat run (:meth:`~posenergy.estimator.ConsumptionBand.run_flatness`)
+    gives its extremes at its first point; any other run is ranged over all
+    of its points.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     xs = [m.tps for m in markers]
@@ -93,11 +96,16 @@ def chart_geometry(
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
         # Physical values are positive with lower <= upper on an increasing grid.
-        runs = _physical_runs(band)
+        runs = _drawn_runs(band)
         if runs:
+            lower, upper = band.kwh_per_tx_lower, band.kwh_per_tx_upper
             xs += (band.tps[runs[0][0]], band.tps[runs[-1][1] - 1])
-            ys.append(min(min(band.kwh_per_tx_lower[start:stop]) for start, stop in runs))
-            ys.append(max(max(band.kwh_per_tx_upper[start:stop]) for start, stop in runs))
+            ys.append(min(
+                lower[start] if flat else min(lower[start:stop]) for start, stop, flat in runs
+            ))
+            ys.append(max(
+                upper[start] if flat else max(upper[start:stop]) for start, stop, flat in runs
+            ))
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -121,9 +129,22 @@ def _placeable(
     )
 
 
+def _drawn_runs(band: ConsumptionBand) -> list[tuple[int, int, bool]]:
+    """A band's physical runs of two or more points, as drawn: ``(start, stop, flat)``.
+
+    ``stop`` is exclusive, and ``flat`` is the band's own decision that the
+    run's first point gives all of its values.
+    """
+    return [
+        (start, stop, flat)
+        for (flag, start, stop), flat in zip(band.runs(), band.run_flatness())
+        if flag and stop - start >= 2
+    ]
+
+
 def _physical_runs(band: ConsumptionBand) -> list[tuple[int, int]]:
-    """Half-open index ranges of a band's physical runs of two or more points, as drawn."""
-    return [(start, stop) for flag, start, stop in band.runs() if flag and stop - start >= 2]
+    """The half-open index ranges of :func:`_drawn_runs`."""
+    return [(start, stop) for start, stop, _ in _drawn_runs(band)]
 
 
 def _fmt(value: float) -> str:
@@ -167,9 +188,10 @@ def render_chart(
     nor is a marker or reference band that a log axis cannot place (see
     :func:`_placeable`). Each edge is drawn at canvas resolution (see
     :func:`_column_ends`), so the markup's size is bounded by the canvas,
-    not by the grid. A run whose lower and upper values are each constant
-    draws only its two end points, 4 vertices, since every other point lies
-    on those horizontal edges.
+    not by the grid. A flat run, as the band decides it
+    (:meth:`~posenergy.estimator.ConsumptionBand.run_flatness`), draws only
+    its two end points, 4 vertices, since every other point lies on those
+    horizontal edges; nothing here tests the values again.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)
@@ -186,21 +208,18 @@ def render_chart(
         )
     for band in bands:
         color = colors[band.network]
-        for start, stop in _physical_runs(band):
-            run_tps = band.tps[start:stop]
-            run_lower = band.kwh_per_tx_lower[start:stop]
-            run_upper = band.kwh_per_tx_upper[start:stop]
-            # Physical values are positive, so == compares their bits.
-            if run_lower.count(run_lower[0]) == run_upper.count(run_upper[0]) == len(run_tps):
-                drawn = [0, len(run_tps) - 1]  # a horizontal edge: every point lies on it
+        tps, lower, upper = band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper
+        for start, stop, flat in _drawn_runs(band):
+            if flat:
+                drawn = [start, stop - 1]  # a horizontal edge: every point lies on it
             else:
-                drawn = _column_ends(geom.xs_px(run_tps))
+                drawn = [start + i for i in _column_ends(geom.xs_px(tps[start:stop]))]
             # Each x is formatted once, with the comma that both of its vertices use.
-            xs = [f"{x:.2f}," for x in geom.xs_px([run_tps[i] for i in drawn])]
-            lower = geom.ys_px([run_lower[i] for i in drawn])
-            upper = geom.ys_px([run_upper[i] for i in drawn])
-            vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower)]
-            vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper))]
+            xs = [f"{x:.2f}," for x in geom.xs_px([tps[i] for i in drawn])]
+            lower_ys = geom.ys_px([lower[i] for i in drawn])
+            upper_ys = geom.ys_px([upper[i] for i in drawn])
+            vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower_ys)]
+            vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper_ys))]
             parts.append(
                 f'<polygon points="{" ".join(vertices)}" fill="{color}" fill-opacity="0.35" '
                 f'stroke="{color}" stroke-width="1"/>'

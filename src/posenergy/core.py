@@ -98,12 +98,12 @@ class Record:
 
     The default ``__init__`` takes each field by position or by keyword; a
     field has no class-level default. Equality, hashing and ``repr`` go by the
-    tuple of fields, and the ``repr`` is the one a frozen dataclass prints. A
-    subclass that validates its arguments defines its own ``__init__`` and
-    sets each field once with ``object.__setattr__`` (writing ``self.__dict__``
-    instead would slow every later attribute read). Unlike ``dataclasses``,
-    nothing is compiled per class, so defining a record costs no ``exec`` at
-    import.
+    tuple of fields, of any length, and the ``repr`` is the one a frozen
+    dataclass prints. A subclass that validates its arguments defines its
+    own ``__init__`` and sets each field once with ``object.__setattr__``
+    (writing ``self.__dict__`` instead would slow every later attribute
+    read). Unlike ``dataclasses``, nothing is compiled per class, so
+    defining a record costs no ``exec`` at import.
     """
 
     _fields: tuple[str, ...] = ()
@@ -116,7 +116,7 @@ class Record:
             if issubclass(klass, Record) and klass is not Record:
                 fields.update(dict.fromkeys(klass.__annotations__))
         cls._fields = tuple(fields)
-        cls._astuple = staticmethod(attrgetter(*cls._fields))
+        cls._astuple = staticmethod(_tuple_getter(cls._fields))
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         cls = type(self)
@@ -152,6 +152,21 @@ class Record:
     def __repr__(self) -> str:
         cells = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({cells})"
+
+
+def _tuple_getter(fields: tuple[str, ...]) -> Any:
+    """A function from a record to the tuple of its ``fields``.
+
+    ``attrgetter`` of two or more names returns that tuple directly, so it
+    serves every record of two or more fields; of one name it returns the
+    bare value, and of none it cannot be built.
+    """
+    if len(fields) >= 2:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda record: (get(record),)
+    return lambda record: ()
 
 
 class NetworkObservation(Record):

@@ -12,7 +12,7 @@ import datetime as dt
 import math
 import operator
 from bisect import bisect_left
-from itertools import groupby
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
@@ -73,8 +73,16 @@ class ConsumptionBand(Record):
     non-empty, strictly increasing, positive and finite; every energy value
     is finite; and at each physical point ``0 < lower <= upper``.
 
-    The flags are split into runs once, here, and the physical values are
-    checked a run at a time; :meth:`runs` hands out those stored runs.
+    The flags are split into runs once, here, and this is also the one
+    place that decides whether a run is flat: its lower values share one bit
+    pattern, and so do its upper values (``-0.0`` is not ``0.0``). A flat
+    physical run is checked at its first point, since every other point
+    holds the same values; any other run is checked over all of its points.
+    :meth:`runs` hands out the stored runs and :meth:`run_flatness` their
+    flatness, which the chart CSV and the SVG read instead of testing the
+    values again. Every run of the 14 bundled bands is flat; in the bench's
+    library-sweep no physical run is, and only the all-``0.0`` non-physical
+    runs are.
     """
 
     network: str
@@ -100,7 +108,7 @@ class ConsumptionBand(Record):
             )
         if not rates:
             raise GridDomainError(f"{network}: empty throughput grid")
-        if not all(map(operator.lt, rates, rates[1:])):
+        if not all(map(operator.lt, rates, islice(rates, 1, None))):
             raise GridDomainError(f"{network}: band grid must be strictly increasing")
         try:  # the ends bound an increasing grid
             for end in (rates[0], rates[-1]):
@@ -108,10 +116,12 @@ class ConsumptionBand(Record):
         except ValueError as exc:
             raise GridDomainError(str(exc)) from None
         runs = []
+        flat = []
         start = 0
-        for flag, group in groupby(physical):
-            stop = start + len(list(group))
+        for flag, group in groupby(physical):  # counted by groupby's own equality
+            stop = start + operator.countOf(group, flag)
             runs.append((flag, start, stop))
+            flat.append(_one_value(lower, start, stop) and _one_value(upper, start, stop))
             start = stop
         # A sum is finite only if every value is. One that overflows, or holds an
         # int beyond float range, sends the values to the walk below to be named.
@@ -120,9 +130,12 @@ class ConsumptionBand(Record):
         except OverflowError:
             finite = False
         if not finite or any(
-            min(lower[start:stop]) <= 0
-            or any(map(operator.gt, lower[start:stop], upper[start:stop]))
-            for flag, start, stop in runs
+            (lower[start] <= 0 or lower[start] > upper[start]) if one
+            else (
+                min(lower[start:stop]) <= 0
+                or any(map(operator.gt, lower[start:stop], upper[start:stop]))
+            )
+            for (flag, start, stop), one in zip(runs, flat)
             if flag
         ):  # some point is refused: name the first
             for rate, lo, up, flag in zip(rates, lower, upper, physical):
@@ -136,7 +149,9 @@ class ConsumptionBand(Record):
         object.__setattr__(self, "kwh_per_tx_lower", lower)
         object.__setattr__(self, "kwh_per_tx_upper", upper)
         object.__setattr__(self, "physical", physical)
-        object.__setattr__(self, "_runs", tuple(runs))  # not a field: derived from ``physical``
+        # not fields: both are derived from the columns
+        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_flat", tuple(flat))
 
     def runs(self) -> list[tuple[bool, int, int]]:
         """Each maximal run of equal ``physical`` flags, as ``(flag, start, stop)`` in grid order.
@@ -145,6 +160,36 @@ class ConsumptionBand(Record):
         runs are found at construction; each call returns a new list of them.
         """
         return list(self._runs)
+
+    def run_flatness(self) -> tuple[bool, ...]:
+        """Whether each run of :meth:`runs`, in its order, is flat.
+
+        A run is flat when its lower values all have one bit pattern and its
+        upper values all have one, so the run's first point gives every
+        value of it (a run of one point is flat). Decided once, at
+        construction.
+        """
+        return self._flat
+
+
+def _one_value(column: tuple[float, ...], start: int, stop: int) -> bool:
+    """Whether ``column[start:stop]`` holds one bit pattern.
+
+    Values are compared by ``==``; ``tuple.count`` matches a float shared by
+    the run by identity, without comparing it. Of equal finite floats only
+    the zeros differ in bits, so a run of zeros is also compared by sign. A
+    NaN equals nothing, so a run holding one is not flat.
+    """
+    first = column[start]
+    if first != column[stop - 1]:  # settles a monotone run without a walk
+        return False
+    run = column[start:stop]
+    if run.count(first) != len(run):
+        return False
+    if first == 0:
+        sign = math.copysign(1.0, first)
+        return all(math.copysign(1.0, value) == sign for value in run)
+    return True
 
 
 def contemporary_estimate(
@@ -227,7 +272,11 @@ def consumption_band(
     yields the column that pricing each point gives. It is taken by 14 of
     the 14 bundled bands and by none of the 14 in the bench's library-sweep,
     whose least-squares fits all have an intercept; every other fit prices
-    each point of its run.
+    each point of its run. A non-physical run is one shared ``0.0``.
+
+    The grid and every column are built as tuples, so the band keeps them
+    as they are, and a column of shared floats is found flat by identity
+    at each point.
 
     Raises:
         GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
@@ -248,10 +297,10 @@ def consumption_band(
     max_tps = profile.max_tps
     outside = f"grid values must lie in (0, {max_tps!r}] for {network!r}"
     try:
-        rates = list(map(float, grid))
+        rates = tuple(map(float, grid))
     except OverflowError:  # an int too large for a float
         raise GridDomainError(outside) from None
-    if rates and not (0 < min(rates) and max(rates) <= max_tps):  # the band refuses []
+    if rates and not (0 < min(rates) and max(rates) <= max_tps):  # the band refuses ()
         raise GridDomainError(outside)
 
     def below_one(rate: float) -> bool:
@@ -263,19 +312,19 @@ def consumption_band(
     else:  # a prefix
         start, stop = 0, bisect_left(rates, True, key=below_one)
     if intercept == 0:  # at a physical point intercept / tps + slope is slope, bit for bit
-        lower = [slope * k_lower] * (stop - start)
-        upper = [slope * k_upper] * (stop - start)
+        lower = (slope * k_lower,) * (stop - start)
+        upper = (slope * k_upper,) * (stop - start)
     else:
         per_tps = [intercept / rate + slope for rate in rates[start:stop]]
-        lower = [value * k_lower for value in per_tps]
-        upper = [value * k_upper for value in per_tps]
-    before, after = [0.0] * start, [0.0] * (n - stop)
+        lower = tuple([value * k_lower for value in per_tps])
+        upper = tuple([value * k_upper for value in per_tps])
+    before, after = (0.0,) * start, (0.0,) * (n - stop)
     return ConsumptionBand(
         network,
         rates,
         before + lower + after,
         before + upper + after,
-        [False] * start + [True] * (stop - start) + [False] * (n - stop),
+        (False,) * start + (True,) * (stop - start) + (False,) * (n - stop),
     )
 
 

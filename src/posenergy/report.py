@@ -8,7 +8,6 @@ environment details leak into the output.
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -365,38 +364,41 @@ _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "phys
 _PHYSICAL_CELLS = ("false", "true")  # indexed by a point's physical flag
 
 
-def _chart_lines(network: str, physical: bool, columns: Sequence[Sequence[float]]) -> str:
+def _chart_lines(
+    network: str,
+    physical: bool,
+    columns: Sequence[Sequence[float]],
+    constant: tuple[bool, bool, bool],
+) -> str:
     """The chart CSV lines of one network's rows that share a physical flag, by one ``%``.
 
     ``columns`` holds the rows' tps, lower and upper values, one equal-length
-    sequence each. The name and the flag are text in the template, the name
-    with every ``%`` doubled. So is a column whose values all have the bits
-    of its first, printed once by format_series: a flat run formats one
-    float per row. Only the other columns' numbers are arguments, interleaved
-    row by row; ``%.10g`` formats as format_series does.
+    sequence each, and ``constant`` says, from the caller, which of them hold
+    one bit pattern: a band run gives ``(one point, flat, flat)`` from
+    :meth:`~posenergy.estimator.ConsumptionBand.run_flatness`, and an anchor
+    line all three. The name and the flag are text in the template, the name
+    with every ``%`` doubled. So is a constant column, printed once from its
+    first value by format_series: a flat run formats one float per row.
+    Only the other columns' numbers are arguments: a lone varying column,
+    a tuple, is the argument tuple itself, and two or three are interleaved
+    row by row. ``%.10g`` formats as format_series does.
     """
     cells = []
     varying = []
-    for column in columns:
-        if _constant(column):
+    for column, fixed in zip(columns, constant):
+        if fixed:
             cells.append(format_series(column[0]))
         else:
             cells.append("%.10g")
             varying.append(column)
     line = f"{network.replace('%', '%%')},{','.join(cells)},{_PHYSICAL_CELLS[physical]}\n"
     rows = len(columns[0])
+    if len(varying) == 1:
+        return (line * rows) % tuple(varying[0])
     values = [None] * (rows * len(varying))
     for k, column in enumerate(varying):
         values[k::len(varying)] = column
     return (line * rows) % tuple(values)
-
-
-def _constant(column: Sequence[float]) -> bool:
-    """Whether every value of ``column`` has the bits of its first: ``-0.0`` is not ``0.0``."""
-    if column[0] != column[-1]:  # settles a monotone column without a walk
-        return False
-    bits = array("d", column).tobytes()
-    return bits == bits[:8] * len(column)
 
 
 def _chart_anchor_lines(
@@ -421,20 +423,28 @@ def _chart_anchor_lines(
         (marker.label, (marker.tps, marker.kwh_per_tx, marker.kwh_per_tx))
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
-    return [_chart_lines(label, True, [(value,) for value in row]) for label, row in anchors]
+    return [
+        _chart_lines(label, True, [(value,) for value in row], (True, True, True))
+        for label, row in anchors
+    ]
 
 
 def _band_csv(band: ConsumptionBand) -> str:
     """The band's chart CSV lines, formatted one run of equal physical flags at a time.
 
-    Each run is one :func:`_chart_lines` call, so a run whose lower and upper
-    values are constant, as on the band of every fit with intercept 0, formats
-    only its tps.
+    Each run is one :func:`_chart_lines` call, told by the band which runs
+    are flat, so a flat run, as on the band of every fit with intercept 0,
+    formats only its tps.
     """
     columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
     return "".join(
-        _chart_lines(band.network, flag, [column[start:stop] for column in columns])
-        for flag, start, stop in band.runs()
+        _chart_lines(
+            band.network,
+            flag,
+            [column[start:stop] for column in columns],
+            (stop - start == 1, flat, flat),
+        )
+        for (flag, start, stop), flat in zip(band.runs(), band.run_flatness())
     )
 
 

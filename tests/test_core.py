@@ -345,6 +345,26 @@ class TestRecord:
         assert row != TaggedObservation("near", "2022-12-11", 158, 1.0, tag="b")
         assert row != TaggedObservation("near", "2022-12-11", 159, 1.0, tag="a")
 
+    def test_record_without_fields(self):
+        class Empty(Record):
+            pass
+
+        assert Empty._fields == ()
+        assert Empty() == Empty() and hash(Empty()) == hash(())
+        assert repr(Empty()).endswith("Empty()")
+        with pytest.raises(TypeError, match=r"takes 0 fields, got 1 positional"):
+            Empty(1)
+
+    def test_record_of_one_field_hashes_as_a_one_tuple(self):
+        class One(Record):
+            value: int
+
+        assert hash(One(5)) == hash((5,)) != hash(5)
+        assert One(5) == One(5) != One(6)
+        assert repr(One(5)).endswith("One(value=5)")
+        # a tuple-valued field is not taken for the tuple of fields
+        assert hash(One((1, 2))) == hash(((1, 2),))
+
     def test_merge_refuses_subclass_rows_differing_in_a_parent_field(self):
         first, second = (TaggedObservation("near", "2022-12-11", n, 1.0, tag="a") for n in (158, 159))
         message = r"\(near, 2022-12-11\): validators=158 .* vs validators=159 "

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import pickle
 import struct
 import sys
 from fractions import Fraction
@@ -635,6 +636,169 @@ class TestConsumptionBandColumns:
         # the stored runs are not a field: equality, hashing and repr go by the columns
         assert ConsumptionBand._fields == ("network", "tps", "kwh_per_tx_lower",
                                            "kwh_per_tx_upper", "physical")
+
+
+def fresh(value):
+    """A float equal to ``value``, with its bits, that is a distinct object."""
+    return float.fromhex(value.hex())
+
+
+FINITE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def run_built_band(draw):
+    """A hand-built band of 1-5 runs, each of 1-12 points, of one kind per column.
+
+    A column of a run is one shared float, equal floats that are distinct
+    objects, a float per point, or the same float at both ends and others
+    between. A non-physical column may also mix ``0.0`` with ``-0.0``, which
+    ``==`` equates. Physical values are positive with lower <= upper.
+    """
+    lower, upper, physical = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        flag = draw(st.booleans())
+        size = draw(st.one_of(st.just(1), st.integers(2, 12)))
+        kinds = ["shared", "distinct", "varying", "same-ends"] + ([] if flag else ["zeros"])
+        for column, values in (
+            (lower, st.floats(min_value=1e-300, max_value=1.0) if flag else FINITE_VALUES),
+            (upper, st.floats(min_value=1.0, max_value=1e300) if flag else FINITE_VALUES),
+        ):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "zeros":
+                column += draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
+            elif kind == "varying":
+                column += draw(st.lists(values, min_size=size, max_size=size))
+            else:
+                value = draw(values)
+                if kind == "shared":
+                    column += [value] * size
+                elif kind == "distinct":
+                    column += [fresh(value) for _ in range(size)]
+                else:
+                    between = draw(st.lists(values, min_size=max(size - 2, 0),
+                                            max_size=max(size - 2, 0)))
+                    column += [value, *between, fresh(value)][-size:]
+        physical += [flag] * size
+    tps = [float(i) for i in range(1, len(physical) + 1)]
+    return ConsumptionBand("near", tps, lower, upper, physical)
+
+
+class Probe(float):
+    """A float that records itself whenever it is ordered against another value."""
+
+    ordered: list = []
+
+    def __le__(self, other):
+        Probe.ordered.append(self)
+        return float.__le__(self, other)
+
+    def __lt__(self, other):
+        Probe.ordered.append(self)
+        return float.__lt__(self, other)
+
+    def __gt__(self, other):
+        Probe.ordered.append(self)
+        return float.__gt__(self, other)
+
+    def __ge__(self, other):
+        Probe.ordered.append(self)
+        return float.__ge__(self, other)
+
+
+class TestRunFlatness:
+    @settings(max_examples=200, deadline=None)
+    @given(band=run_built_band())
+    @example(band=ConsumptionBand(  # equal ends, another value between
+        "near", (1.0, 2.0, 3.0), (1e-6, 2e-6, 1e-6), (1e-5,) * 3, (True,) * 3))
+    @example(band=ConsumptionBand(  # 0.0 and -0.0 are equal, but differ in bits
+        "near", (1.0, 2.0, 3.0), (0.0, -0.0, 0.0), (-0.0,) * 3, (False,) * 3))
+    def test_matches_per_run_bits(self, band):
+        columns = (band.kwh_per_tx_lower, band.kwh_per_tx_upper)
+        expected = tuple(
+            all(len({struct.pack("d", value) for value in column[start:stop]}) == 1
+                for column in columns)
+            for _, start, stop in band.runs()
+        )
+        assert band.run_flatness() == expected
+
+    def test_one_point_runs_are_flat(self):
+        band = ConsumptionBand("near", (1.0, 2.0, 3.0), (0.0, 1e-6, -0.0), (-0.0, 1e-5, 0.0),
+                               (False, True, False))
+        assert band.run_flatness() == (True, True, True)
+
+    def test_consumption_band_runs_of_bundled_fits_are_flat(self):
+        observations = load_snapshots(bundled("observations.csv")).observations
+        profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
+        for fit in fit_networks(observations):
+            profile = profiles[fit.network]
+            band = consumption_band(fit, profile, default_grid(profile, 500))
+            assert all(band.run_flatness())
+
+    def test_varying_runs_of_a_fit_with_an_intercept(self):
+        # a rising fit: a flat all-0.0 non-physical prefix, then a varying physical run
+        fit = RegressionFit("polkadot", -50.0, 2.0, 1.0, 5, False)
+        band = consumption_band(fit, polkadot_profile(), default_grid(polkadot_profile(), 50))
+        assert [flag for flag, _, _ in band.runs()] == [False, True]
+        assert band.run_flatness() == (True, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        band=run_built_band(),
+        refusal=st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, -1e-300]).map(lambda low: ("value", low)),
+            st.floats(min_value=1.0 + 2**-52, max_value=1e300).map(lambda up: ("inverted", up)),
+        ),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    def test_refused_flat_run_names_its_first_point(self, band, refusal, shared, data):
+        runs = [(start, stop) for flag, start, stop in band.runs() if flag]
+        assume(runs)
+        start, stop = data.draw(st.sampled_from(runs))
+        lower, upper = list(band.kwh_per_tx_lower), list(band.kwh_per_tx_upper)
+        kind, value = refusal  # either way, every point of the run is refused
+        lower[start:stop] = [value if shared else fresh(value) for _ in range(start, stop)]
+        upper[start:stop] = [1.0] * (stop - start)
+        if kind == "value":  # lower is not positive
+            message = (f"near: band value at tps={band.tps[start]!r} "
+                       f"must be finite and positive, got {value}")
+        else:  # lower is above upper
+            message = f"near: band inverted at tps={band.tps[start]!r}"
+        with pytest.raises(ValueError) as raised:
+            ConsumptionBand("near", band.tps, lower, upper, band.physical)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("middle, message", [
+        (3e-5, r"^near: band inverted at tps=2\.0$"),
+        (0.0, r"^near: band value at tps=2\.0 must be finite and positive, got 0\.0$"),
+    ])
+    def test_run_with_equal_ends_is_checked_at_every_point(self, middle, message):
+        with pytest.raises(ValueError, match=message):
+            ConsumptionBand("near", (1.0, 2.0, 3.0), (1e-6, middle, 1e-6), (2e-5,) * 3,
+                            (True,) * 3)
+
+    def test_flat_run_is_checked_at_its_first_point(self):
+        lower = [Probe(1e-6) for _ in range(5)]
+        upper = [Probe(1e-5) for _ in range(5)]
+        Probe.ordered.clear()
+        band = ConsumptionBand("near", (1.0, 2.0, 3.0, 4.0, 5.0), lower, upper, (True,) * 5)
+        assert band.run_flatness() == (True,)
+        assert Probe.ordered and all(value is lower[0] for value in Probe.ordered)
+        # a varying run is checked at every point
+        lower[2] = Probe(2e-6)
+        Probe.ordered.clear()
+        band = ConsumptionBand("near", (1.0, 2.0, 3.0, 4.0, 5.0), lower, upper, (True,) * 5)
+        assert band.run_flatness() == (False,)
+        assert {id(value) for value in lower} <= {id(value) for value in Probe.ordered}
+
+    def test_flatness_is_not_a_field(self):
+        flat = ConsumptionBand("near", (1.0, 2.0), (1e-6, 1e-6), (1e-5, 1e-5), (True, True))
+        assert flat.run_flatness() == (True,)
+        copy = pickle.loads(pickle.dumps(flat))
+        assert copy == flat and hash(copy) == hash(flat) and copy.run_flatness() == (True,)
+        assert "run_flatness" not in repr(flat) and "_flat" not in repr(flat)
 
 
 class TestErrata:
