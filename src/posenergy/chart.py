@@ -1,7 +1,7 @@
 """Log-log SVG rendering for consumption bands, markers and reference bands.
 
 The chart is hand-rolled SVG rather than a plotting-library figure: shaded
-polygons for bands (one per contiguous physical run), horizontal reference
+polygons for bands (one per physical run), horizontal reference
 bands, point markers, decade gridlines and a legend, on a fixed canvas and
 plot box. :class:`ChartGeometry` holds the axis ranges and the pixel mapping,
 so callers can verify coordinates. A marker is placed only if its throughput
@@ -84,28 +84,21 @@ def chart_geometry(
 ) -> ChartGeometry:
     """Decade-rounded axis ranges covering every placeable value and drawn band point.
 
-    A band point is drawn, and so ranged, only in a physical run of two or
-    more points (:func:`_drawn_runs`), since one point makes no polygon. A
-    flat run (:meth:`~posenergy.estimator.ConsumptionBand.run_flatness`)
-    gives its extremes at its first point; any other run is ranged over all
-    of its points.
+    A band is drawn, and so ranged, only where its physical run has two or
+    more points, since one point makes no polygon. Each column is monotone
+    over the run, so the run's extremes are its values at its two ends.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     xs = [m.tps for m in markers]
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for band in bands:
-        # Physical values are positive with lower <= upper on an increasing grid.
-        runs = _drawn_runs(band)
-        if runs:
-            lower, upper = band.kwh_per_tx_lower, band.kwh_per_tx_upper
-            xs += (band.tps[runs[0][0]], band.tps[runs[-1][1] - 1])
-            ys.append(min(
-                lower[start] if flat else min(lower[start:stop]) for start, stop, flat in runs
-            ))
-            ys.append(max(
-                upper[start] if flat else max(upper[start:stop]) for start, stop, flat in runs
-            ))
+        start, stop = band.physical_run
+        if stop - start >= 2:
+            ends = (band.grid[start], band.grid[stop - 1])
+            lower, upper = band.kwh_per_tx_at(ends)
+            xs += ends
+            ys += (min(lower), max(upper))
     if not xs or not ys:
         raise ValueError("nothing to plot: no physical points in range")
     x_log_min = math.floor(math.log10(min(xs)))
@@ -127,24 +120,6 @@ def _placeable(
         [m for m in markers if m.tps > 0 and m.kwh_per_tx > 0],
         [r for r in reference_bands if r.kwh_per_tx_lower > 0 and r.kwh_per_tx_upper > 0],
     )
-
-
-def _drawn_runs(band: ConsumptionBand) -> list[tuple[int, int, bool]]:
-    """A band's physical runs of two or more points, as drawn: ``(start, stop, flat)``.
-
-    ``stop`` is exclusive, and ``flat`` is the band's own decision that the
-    run's first point gives all of its values.
-    """
-    return [
-        (start, stop, flat)
-        for (flag, start, stop), flat in zip(band.runs(), band.run_flatness())
-        if flag and stop - start >= 2
-    ]
-
-
-def _physical_runs(band: ConsumptionBand) -> list[tuple[int, int]]:
-    """The half-open index ranges of :func:`_drawn_runs`."""
-    return [(start, stop) for start, stop, _ in _drawn_runs(band)]
 
 
 def _fmt(value: float) -> str:
@@ -184,14 +159,13 @@ def render_chart(
     """Render an SVG document on the fixed canvas; returns the markup and the geometry used.
 
     Band polygons walk the lower edge left to right, then the upper edge
-    back, per contiguous physical run. Non-physical points are not drawn,
-    nor is a marker or reference band that a log axis cannot place (see
-    :func:`_placeable`). Each edge is drawn at canvas resolution (see
-    :func:`_column_ends`), so the markup's size is bounded by the canvas,
-    not by the grid. A flat run, as the band decides it
-    (:meth:`~posenergy.estimator.ConsumptionBand.run_flatness`), draws only
-    its two end points, 4 vertices, since every other point lies on those
-    horizontal edges; nothing here tests the values again.
+    back, over each band's physical run. Non-physical points are not drawn,
+    nor is a run of one point, nor a marker or reference band that a log
+    axis cannot place (see :func:`_placeable`). Each edge is drawn at canvas
+    resolution (see :func:`_column_ends`), so the markup's size is bounded
+    by the canvas, not by the grid. A band whose fit has intercept 0 is
+    flat over its run, so it draws only the run's two end points, 4
+    vertices, and reads no other grid point.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)
@@ -208,22 +182,23 @@ def render_chart(
         )
     for band in bands:
         color = colors[band.network]
-        tps, lower, upper = band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper
-        for start, stop, flat in _drawn_runs(band):
-            if flat:
-                drawn = [start, stop - 1]  # a horizontal edge: every point lies on it
-            else:
-                drawn = [start + i for i in _column_ends(geom.xs_px(tps[start:stop]))]
-            # Each x is formatted once, with the comma that both of its vertices use.
-            xs = [f"{x:.2f}," for x in geom.xs_px([tps[i] for i in drawn])]
-            lower_ys = geom.ys_px([lower[i] for i in drawn])
-            upper_ys = geom.ys_px([upper[i] for i in drawn])
-            vertices = [f"{x}{y:.2f}" for x, y in zip(xs, lower_ys)]
-            vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(upper_ys))]
-            parts.append(
-                f'<polygon points="{" ".join(vertices)}" fill="{color}" fill-opacity="0.35" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
+        start, stop = band.physical_run
+        if stop - start < 2:
+            continue
+        if band.intercept == 0:  # a horizontal edge: every point lies on it
+            rates = [band.grid[start], band.grid[stop - 1]]
+        else:
+            run = band.grid[start:stop]
+            rates = [run[i] for i in _column_ends(geom.xs_px(run))]
+        lower, upper = band.kwh_per_tx_at(rates)
+        # Each x is formatted once, with the comma that both of its vertices use.
+        xs = [f"{x:.2f}," for x in geom.xs_px(rates)]
+        vertices = [f"{x}{y:.2f}" for x, y in zip(xs, geom.ys_px(lower))]
+        vertices += [f"{x}{y:.2f}" for x, y in zip(reversed(xs), reversed(geom.ys_px(upper)))]
+        parts.append(
+            f'<polygon points="{" ".join(vertices)}" fill="{color}" fill-opacity="0.35" '
+            f'stroke="{color}" stroke-width="1"/>'
+        )
     parts.extend(
         f'<circle cx="{_fmt(geom.x_px(marker.tps))}" cy="{_fmt(geom.y_px(marker.kwh_per_tx))}" '
         f'r="4" fill="{colors[marker.label]}" stroke="#333333"/>'

@@ -11,9 +11,10 @@ from __future__ import annotations
 import datetime as dt
 import math
 import operator
+import sys
 from bisect import bisect_left
-from itertools import groupby, islice
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     JOULES_PER_KWH,
@@ -44,6 +45,10 @@ _MIN_PHYSICAL_VALIDATORS = 1.0
 _PRINTED_REL_TOL = 0.005
 
 
+# The exponent step, per unit of exponent magnitude, that proves a LogGrid increasing.
+_PROVEN_STEP = 2.0**-40
+
+
 class GridDomainError(ValueError):
     """Throughput grid empty, unsorted, or outside (0, max_tps]."""
 
@@ -63,133 +68,231 @@ class ContemporaryEstimate(Record):
     kwh_per_tx_upper: float
 
 
+class LogGrid(Record):
+    """The log-spaced throughput grid of :func:`default_grid`, a sequence computed on demand.
+
+    Item ``i`` is ``10.0 ** (i * step + start)``, where ``start`` is
+    ``log10(min_tps)`` and ``step`` is ``(log10(max_tps) - start) / (n - 1)``,
+    except that the first item is ``min_tps`` and the last ``max_tps``,
+    exactly. The grid supports ``len``, indices of either sign, slices (a
+    tuple) and iteration; a slice or an iteration computes its items in one
+    comprehension.
+    """
+
+    min_tps: float
+    max_tps: float
+    n: int
+
+    def __init__(self, min_tps: float, max_tps: float, n: int) -> None:
+        object.__setattr__(self, "min_tps", float(min_tps))
+        object.__setattr__(self, "max_tps", float(max_tps))
+        object.__setattr__(self, "n", n)
+        # not fields: both follow from the ends and the count
+        object.__setattr__(self, "start", math.log10(min_tps))
+        object.__setattr__(self, "step", (math.log10(max_tps) - self.start) / (n - 1))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
+        if isinstance(index, slice):
+            return self._items(range(self.n)[index])
+        i = range(self.n)[index]  # a negative index counts from the end; IndexError past it
+        if 0 < i < self.n - 1:
+            return 10.0 ** (i * self.step + self.start)
+        return self.min_tps if i == 0 else self.max_tps
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._items(range(self.n)))
+
+    def _items(self, indices: range) -> tuple[float, ...]:
+        """The items at ``indices``; an exact end can only open or close the range."""
+        ends = (0, self.n - 1)
+        head = tail = ()
+        if indices and indices[0] in ends:
+            head, indices = (self[indices[0]],), indices[1:]
+        if indices and indices[-1] in ends:
+            tail, indices = (self[indices[-1]],), indices[:-1]
+        start, step = self.start, self.step
+        return head + tuple([10.0 ** (i * step + start) for i in indices]) + tail
+
+    def increasing(self) -> bool:
+        """Whether the items are proven strictly increasing, without computing them.
+
+        The proof needs a normal ``min_tps`` below a finite ``max_tps`` and
+        ``step >= 2**-40 * M``, where ``M`` is ``max(1, |log10 min_tps|,
+        |log10 max_tps|)``. Let ``u`` be ``2**-53``. Each interior exponent
+        ``i * step + start`` is within ``3 * M * u`` of its exact value, the
+        computed ``step`` adds ``4 * M * u`` over the grid's span, and a libm
+        whose ``log10`` and ``pow`` err by ``c`` ulp adds ``4 * c * M * u``
+        more. So every item lies strictly above the one before, the exact
+        ends included, once ``step`` exceeds ``(8 + 4 * c) * M * u``. The
+        bound is ``2**13 * M * u``, which covers any ``c`` under 2,000.
+        False means only that the grid must be walked.
+        """
+        magnitude = max(1.0, abs(self.start), abs(math.log10(self.max_tps)))
+        return (
+            sys.float_info.min <= self.min_tps < self.max_tps <= sys.float_info.max
+            and self.step >= _PROVEN_STEP * magnitude
+        )
+
+
 class ConsumptionBand(Record):
-    """Sampled lower/upper per-transaction energy over a throughput grid.
+    """A fit's lower/upper per-transaction energy over a throughput grid, computed on demand.
 
-    The band is held as four equal-length columns indexed by grid position.
-    ``physical`` is false where the model predicts less than one validator
-    (:func:`consumption_band` puts 0.0 in both energy columns there). This
-    is the one place that checks a band, so no consumer does: the grid is
-    non-empty, strictly increasing, positive and finite; every energy value
-    is finite; and at each physical point ``0 < lower <= upper``.
+    ``ConsumptionBand(fit, profile, grid)`` keeps what fixes every value:
+    the fit's ``intercept`` and ``slope``, the hardware factor ``w / 3.6e6``
+    of each power bound (``hardware_lower``, ``hardware_upper``) and the
+    ``grid``. At a grid point where the fit predicts one validator or more,
+    each value has the shape of :func:`~posenergy.core.energy_per_tx`: the
+    validators per unit of throughput, ``intercept / tps + slope``, times
+    its hardware factor. Elsewhere the point is non-physical and both
+    values are ``0.0``. ``tps``, ``kwh_per_tx_lower``, ``kwh_per_tx_upper``
+    and ``physical`` are these columns, as tuples built on each read.
 
-    The flags are split into runs once, here, and this is also the one
-    place that decides whether a run is flat: its lower values share one bit
-    pattern, and so do its upper values (``-0.0`` is not ``0.0``). A flat
-    physical run is checked at its first point, since every other point
-    holds the same values; any other run is checked over all of its points.
-    :meth:`runs` hands out the stored runs and :meth:`run_flatness` their
-    flatness, which the chart CSV and the SVG read instead of testing the
-    values again. Every run of the 14 bundled bands is flat; in the bench's
-    library-sweep no physical run is, and only the all-``0.0`` non-physical
-    runs are.
+    The flag ``intercept + slope * tps < 1`` is monotone in ``tps``, since
+    rounding is, so on an increasing grid the physical points are one run,
+    a suffix when ``slope >= 0`` and a prefix otherwise. One bisection finds
+    it, and ``physical_run`` is its ``(start, stop)``, ``stop`` exclusive.
+
+    Building the band is its one check, so no consumer makes another: the
+    coefficients are finite, the grid is non-empty, strictly increasing and
+    in (0, max_tps] (see :func:`_checked_grid`), and each physical value is
+    finite, with ``0 < lower <= upper``. Dividing by ``tps``, adding
+    ``slope`` and multiplying by a fixed factor each keep or reverse order
+    under rounding, so each column is monotone over the physical run, and
+    the values are checked at its two ends. That decides ``lower <= upper``
+    too when ``0 <= hardware_lower <= hardware_upper``, as every profile's
+    bounds give, since ``intercept / tps + slope`` is then positive at both
+    ends and so between them. Only a refused band walks its points, to
+    name the first one refused.
+
+    Raises:
+        GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
+        ValueError: fit and profile disagree on the network, the fit's
+            coefficients are not finite, or a band value's exact kWh/tx, or
+            one factor alone, leaves float range (the value overflows, or
+            underflows to 0.0).
     """
 
     network: str
-    tps: tuple[float, ...]
-    kwh_per_tx_lower: tuple[float, ...]
-    kwh_per_tx_upper: tuple[float, ...]
-    physical: tuple[bool, ...]
+    intercept: float
+    slope: float
+    hardware_lower: float
+    hardware_upper: float
+    grid: Sequence[float]
 
-    def __init__(
-        self,
-        network: str,
-        tps: Iterable[float],
-        kwh_per_tx_lower: Iterable[float],
-        kwh_per_tx_upper: Iterable[float],
-        physical: Iterable[bool],
-    ) -> None:
-        rates, lower, upper = tuple(tps), tuple(kwh_per_tx_lower), tuple(kwh_per_tx_upper)
-        physical = tuple(physical)
-        if not len(rates) == len(lower) == len(upper) == len(physical):
-            raise ValueError(
-                f"{network}: band columns differ in length "
-                f"({len(rates)}, {len(lower)}, {len(upper)}, {len(physical)})"
-            )
-        if not rates:
-            raise GridDomainError(f"{network}: empty throughput grid")
-        if not all(map(operator.lt, rates, islice(rates, 1, None))):
-            raise GridDomainError(f"{network}: band grid must be strictly increasing")
-        try:  # the ends bound an increasing grid
-            for end in (rates[0], rates[-1]):
-                _check_finite(f"{network}: band tps", end, "positive")
-        except ValueError as exc:
-            raise GridDomainError(str(exc)) from None
-        runs = []
-        flat = []
-        start = 0
-        for flag, group in groupby(physical):  # counted by groupby's own equality
-            stop = start + operator.countOf(group, flag)
-            runs.append((flag, start, stop))
-            flat.append(_one_value(lower, start, stop) and _one_value(upper, start, stop))
-            start = stop
-        # A sum is finite only if every value is. One that overflows, or holds an
-        # int beyond float range, sends the values to the walk below to be named.
-        try:
-            finite = math.isfinite(sum(lower) + sum(upper))
-        except OverflowError:
-            finite = False
-        if not finite or any(
-            (lower[start] <= 0 or lower[start] > upper[start]) if one
-            else (
-                min(lower[start:stop]) <= 0
-                or any(map(operator.gt, lower[start:stop], upper[start:stop]))
-            )
-            for (flag, start, stop), one in zip(runs, flat)
-            if flag
-        ):  # some point is refused: name the first
-            for rate, lo, up, flag in zip(rates, lower, upper, physical):
-                name = f"{network}: band value at tps={rate!r}"
+    def __init__(self, fit: RegressionFit, profile: NetworkProfile, grid: Sequence[float]) -> None:
+        network = profile.network
+        if fit.network != network:
+            raise ValueError(f"fit for {fit.network!r} evaluated against profile for {network!r}")
+        intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
+        slope = _check_finite(f"{network}: fit slope", fit.slope)
+        grid = _checked_grid(network, grid, profile.max_tps)
+
+        def below_one(rate: float) -> bool:
+            return intercept + slope * rate < _MIN_PHYSICAL_VALIDATORS
+
+        if slope >= 0:  # the physical points are a suffix
+            start, stop = bisect_left(grid, True, key=lambda rate: not below_one(rate)), len(grid)
+        else:  # a prefix
+            start, stop = 0, bisect_left(grid, True, key=below_one)
+        hardware = [w / JOULES_PER_KWH for w in (profile.bounds.lower_w, profile.bounds.upper_w)]
+        for field, value in zip(self._fields, (network, intercept, slope, *hardware, grid)):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "physical_run", (start, stop))  # not a field: it follows from them
+        if start == stop:
+            return
+        lower, upper = self.kwh_per_tx_at((grid[start], grid[stop - 1]))
+        if not (
+            0 <= self.hardware_lower <= self.hardware_upper
+            and all(0 < lo <= up < math.inf for lo, up in zip(lower, upper))
+        ):
+            run = grid[start:stop]  # some point is refused: name the first
+            for rate, lo, up in zip(run, *self.kwh_per_tx_at(run)):
                 for value in (lo, up):
-                    _check_finite(name, value, "positive" if flag else "")
-                if flag and lo > up:
+                    _check_finite(f"{network}: band value at tps={rate!r}", value, "positive")
+                if lo > up:
                     raise ValueError(f"{network}: band inverted at tps={rate!r}")
-        object.__setattr__(self, "network", network)
-        object.__setattr__(self, "tps", rates)
-        object.__setattr__(self, "kwh_per_tx_lower", lower)
-        object.__setattr__(self, "kwh_per_tx_upper", upper)
-        object.__setattr__(self, "physical", physical)
-        # not fields: both are derived from the columns
-        object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_flat", tuple(flat))
+
+    def kwh_per_tx_at(self, rates: Iterable[float]) -> tuple[list[float], list[float]]:
+        """The lower and the upper kWh/tx at each of ``rates``, physical throughputs of the band.
+
+        These are the values the columns hold at those points, bit for bit.
+        """
+        per_tps = [self.intercept / rate + self.slope for rate in rates]
+        return (
+            [value * self.hardware_lower for value in per_tps],
+            [value * self.hardware_upper for value in per_tps],
+        )
+
+    def columns(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """``(tps, kwh_per_tx_lower, kwh_per_tx_upper)``, from one pass over the grid.
+
+        With ``intercept == 0``, of either sign, ``intercept / tps + slope``
+        is ``slope`` bit for bit at every physical point, so one point is
+        priced and each column of the run is that one float, shared.
+        """
+        rates = self.grid[:]
+        start, stop = self.physical_run
+        if self.intercept == 0:
+            lower, upper = self.kwh_per_tx_at(rates[start:start + 1])
+            lower, upper = lower * (stop - start), upper * (stop - start)
+        else:
+            lower, upper = self.kwh_per_tx_at(rates[start:stop])
+        before, after = (0.0,) * start, (0.0,) * (len(rates) - stop)
+        return rates, before + tuple(lower) + after, before + tuple(upper) + after
+
+    @property
+    def tps(self) -> tuple[float, ...]:
+        return self.grid[:]
+
+    @property
+    def kwh_per_tx_lower(self) -> tuple[float, ...]:
+        return self.columns()[1]
+
+    @property
+    def kwh_per_tx_upper(self) -> tuple[float, ...]:
+        return self.columns()[2]
+
+    @property
+    def physical(self) -> tuple[bool, ...]:
+        start, stop = self.physical_run
+        return (False,) * start + (True,) * (stop - start) + (False,) * (len(self.grid) - stop)
 
     def runs(self) -> list[tuple[bool, int, int]]:
         """Each maximal run of equal ``physical`` flags, as ``(flag, start, stop)`` in grid order.
 
-        ``stop`` is exclusive, so the runs tile ``range(len(self.tps))``. The
-        runs are found at construction; each call returns a new list of them.
+        ``stop`` is exclusive, so the runs tile ``range(len(self.grid))``.
         """
-        return list(self._runs)
-
-    def run_flatness(self) -> tuple[bool, ...]:
-        """Whether each run of :meth:`runs`, in its order, is flat.
-
-        A run is flat when its lower values all have one bit pattern and its
-        upper values all have one, so the run's first point gives every
-        value of it (a run of one point is flat). Decided once, at
-        construction.
-        """
-        return self._flat
+        start, stop = self.physical_run
+        runs = ((False, 0, start), (True, start, stop), (False, stop, len(self.grid)))
+        return [run for run in runs if run[1] < run[2]]
 
 
-def _one_value(column: tuple[float, ...], start: int, stop: int) -> bool:
-    """Whether ``column[start:stop]`` holds one bit pattern.
+def _checked_grid(network: str, grid: Sequence[float], max_tps: float) -> Sequence[float]:
+    """``grid`` as a band keeps it, once it is non-empty, strictly increasing and in (0, max_tps].
 
-    Values are compared by ``==``; ``tuple.count`` matches a float shared by
-    the run by identity, without comparing it. Of equal finite floats only
-    the zeros differ in bits, so a run of zeros is also compared by sign. A
-    NaN equals nothing, so a run holding one is not flat.
+    A :class:`LogGrid` that is proven increasing is kept, and its exact ends
+    are its domain. Any other grid becomes a tuple of floats, is refused if
+    its least or greatest value leaves the domain, and is then walked.
     """
-    first = column[start]
-    if first != column[stop - 1]:  # settles a monotone run without a walk
-        return False
-    run = column[start:stop]
-    if run.count(first) != len(run):
-        return False
-    if first == 0:
-        sign = math.copysign(1.0, first)
-        return all(math.copysign(1.0, value) == sign for value in run)
-    return True
+    outside = f"grid values must lie in (0, {max_tps!r}] for {network!r}"
+    if isinstance(grid, LogGrid) and grid.increasing():  # min_tps > 0 is part of the proof
+        if not grid.max_tps <= max_tps:
+            raise GridDomainError(outside)
+        return grid
+    try:
+        rates = tuple(map(float, grid))
+    except OverflowError:  # an int too large for a float
+        raise GridDomainError(outside) from None
+    if not rates:
+        raise GridDomainError(f"{network}: empty throughput grid")
+    if not (0 < min(rates) and max(rates) <= max_tps):
+        raise GridDomainError(outside)
+    if not all(map(operator.lt, rates, islice(rates, 1, None))):
+        raise GridDomainError(f"{network}: band grid must be strictly increasing")
+    return rates
 
 
 def contemporary_estimate(
@@ -228,11 +331,12 @@ def default_grid(
     profile: NetworkProfile,
     n_points: int = DEFAULT_GRID_POINTS,
     min_tps: float = DEFAULT_MIN_TPS,
-) -> list[float]:
+) -> LogGrid:
     """Log-spaced throughput grid from ``min_tps`` to the profile's maximum.
 
     Both endpoints are exactly the requested values; the interior points are
-    evenly spaced in log10.
+    evenly spaced in log10. The grid is a :class:`LogGrid`, whose items are
+    computed when they are read.
     """
     if n_points < 2:
         raise GridDomainError(f"{profile.network}: grid needs at least 2 points, got {n_points}")
@@ -240,92 +344,14 @@ def default_grid(
         raise GridDomainError(
             f"{profile.network}: min_tps must lie in (0, {profile.max_tps!r}), got {min_tps!r}"
         )
-    start = math.log10(min_tps)
-    step = (math.log10(profile.max_tps) - start) / (n_points - 1)
-    interior = [10.0 ** (i * step + start) for i in range(1, n_points - 1)]
-    return [min_tps, *interior, profile.max_tps]
+    return LogGrid(min_tps, profile.max_tps, n_points)
 
 
 def consumption_band(
     fit: RegressionFit, profile: NetworkProfile, grid: Sequence[float]
 ) -> ConsumptionBand:
-    """Evaluate the fitted model across a grid, between the hardware bounds.
-
-    Where the model predicts less than one validator the point is flagged
-    non-physical and both band values are reported with the prediction
-    clamped to zero. Each value has the shape of
-    :func:`~posenergy.core.energy_per_tx`: a structure factor, the fitted
-    validators per unit of throughput (``intercept / tps + slope``), times a
-    hardware factor (``w / 3.6e6``) formed once per bound. Before the values
-    are built only the fit's coefficients and the grid's (0, max_tps] domain,
-    which guards the division, are checked; :class:`ConsumptionBand` checks
-    the rest.
-
-    The band is built a run at a time. The non-physical flag, ``intercept +
-    slope * tps < 1``, is monotone in ``tps`` since rounding is, so on an
-    increasing grid the physical points are one run, a suffix when ``slope
-    >= 0`` and a prefix otherwise, and one bisection finds its boundary. (An
-    unsorted grid gets some split, and the band refuses the grid.) With
-    ``intercept == 0``, of either sign, the structure factor is ``slope``
-    bit for bit at every physical point, so each column of the physical run
-    is one float shared by every point. That is not a second model path: it
-    yields the column that pricing each point gives. It is taken by 14 of
-    the 14 bundled bands and by none of the 14 in the bench's library-sweep,
-    whose least-squares fits all have an intercept; every other fit prices
-    each point of its run. A non-physical run is one shared ``0.0``.
-
-    The grid and every column are built as tuples, so the band keeps them
-    as they are, and a column of shared floats is found flat by identity
-    at each point.
-
-    Raises:
-        GridDomainError: the grid is empty, unsorted, or leaves (0, max_tps].
-        ValueError: fit and profile disagree on the network, the fit's
-            coefficients are not finite, or a band value's exact kWh/tx, or
-            one factor alone, leaves float range (the value overflows, or
-            underflows to 0.0).
-    """
-    network = profile.network
-    if fit.network != network:
-        raise ValueError(
-            f"fit for {fit.network!r} evaluated against profile for {network!r}"
-        )
-    intercept = _check_finite(f"{network}: fit intercept", fit.intercept)
-    slope = _check_finite(f"{network}: fit slope", fit.slope)
-    k_lower = profile.bounds.lower_w / JOULES_PER_KWH
-    k_upper = profile.bounds.upper_w / JOULES_PER_KWH
-    max_tps = profile.max_tps
-    outside = f"grid values must lie in (0, {max_tps!r}] for {network!r}"
-    try:
-        rates = tuple(map(float, grid))
-    except OverflowError:  # an int too large for a float
-        raise GridDomainError(outside) from None
-    if rates and not (0 < min(rates) and max(rates) <= max_tps):  # the band refuses ()
-        raise GridDomainError(outside)
-
-    def below_one(rate: float) -> bool:
-        return intercept + slope * rate < _MIN_PHYSICAL_VALIDATORS
-
-    n = len(rates)
-    if slope >= 0:  # the physical points are a suffix
-        start, stop = bisect_left(rates, True, key=lambda rate: not below_one(rate)), n
-    else:  # a prefix
-        start, stop = 0, bisect_left(rates, True, key=below_one)
-    if intercept == 0:  # at a physical point intercept / tps + slope is slope, bit for bit
-        lower = (slope * k_lower,) * (stop - start)
-        upper = (slope * k_upper,) * (stop - start)
-    else:
-        per_tps = [intercept / rate + slope for rate in rates[start:stop]]
-        lower = tuple([value * k_lower for value in per_tps])
-        upper = tuple([value * k_upper for value in per_tps])
-    before, after = (0.0,) * start, (0.0,) * (n - stop)
-    return ConsumptionBand(
-        network,
-        rates,
-        before + lower + after,
-        before + upper + after,
-        (False,) * start + (True,) * (stop - start) + (False,) * (n - stop),
-    )
+    """The :class:`ConsumptionBand` of ``fit`` over ``grid``, between ``profile``'s bounds."""
+    return ConsumptionBand(fit, profile, grid)
 
 
 class ReportedEstimate(Record):

@@ -374,11 +374,11 @@ def _chart_lines(
 
     ``columns`` holds the rows' tps, lower and upper values, one equal-length
     sequence each, and ``constant`` says, from the caller, which of them hold
-    one bit pattern: a band run gives ``(one point, flat, flat)`` from
-    :meth:`~posenergy.estimator.ConsumptionBand.run_flatness`, and an anchor
-    line all three. The name and the flag are text in the template, the name
-    with every ``%`` doubled. So is a constant column, printed once from its
-    first value by format_series: a flat run formats one float per row.
+    one bit pattern: a band run gives ``(one point, flat, flat)`` (see
+    :func:`_band_csv`), and an anchor line all three. The name and the flag
+    are text in the template, the name with every ``%`` doubled. So is a
+    constant column, printed once from its first value by format_series: a
+    flat run formats one float per row.
     Only the other columns' numbers are arguments: a lone varying column,
     a tuple, is the argument tuple itself, and two or three are interleaved
     row by row. ``%.10g`` formats as format_series does.
@@ -413,7 +413,7 @@ def _chart_anchor_lines(
     """
     if reference_bands and not bands:
         raise ValueError("reference bands need a band to span")
-    grid_extremes = [t for band in bands for t in (band.tps[0], band.tps[-1])]
+    grid_extremes = [t for band in bands for t in (band.grid[0], band.grid[-1])]
     anchors = [
         (ref.label, (tps, ref.kwh_per_tx_lower, ref.kwh_per_tx_upper))
         for ref in sorted(reference_bands, key=lambda r: r.label)
@@ -432,19 +432,16 @@ def _chart_anchor_lines(
 def _band_csv(band: ConsumptionBand) -> str:
     """The band's chart CSV lines, formatted one run of equal physical flags at a time.
 
-    Each run is one :func:`_chart_lines` call, told by the band which runs
-    are flat, so a flat run, as on the band of every fit with intercept 0,
-    formats only its tps.
+    Each run is one :func:`_chart_lines` call. A run's values are constant
+    when it is non-physical, where every value is ``0.0``, or when the fit's
+    intercept is 0, where every value is the slope times its hardware
+    factor; such a run formats only its tps.
     """
-    columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
+    columns, flat = band.columns(), band.intercept == 0
     return "".join(
-        _chart_lines(
-            band.network,
-            flag,
-            [column[start:stop] for column in columns],
-            (stop - start == 1, flat, flat),
-        )
-        for (flag, start, stop), flat in zip(band.runs(), band.run_flatness())
+        _chart_lines(band.network, flag, [column[start:stop] for column in columns],
+                     (stop - start == 1, not flag or flat, not flag or flat))
+        for flag, start, stop in band.runs()
     )
 
 

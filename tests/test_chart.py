@@ -2,7 +2,7 @@
 
 import math
 import re
-from itertools import compress, groupby
+from itertools import compress
 
 from xml.etree import ElementTree
 
@@ -18,38 +18,37 @@ from posenergy.chart import (
     ChartGeometry,
     PointMarker,
     ReferenceBand,
-    _physical_runs,
     chart_geometry,
     render_chart,
 )
 from posenergy.core import NetworkProfile, ValidatorPowerBounds
-from posenergy.estimator import ConsumptionBand, consumption_band, default_grid
+from posenergy.estimator import consumption_band, default_grid
 from posenergy.regression import RegressionFit
 
 
-def band(network="polkadot", points=None):
-    """A band from (tps, lower, upper, physical) rows, transposed into columns."""
-    if points is None:
-        points = [
-            (0.1, 1e-4, 1e-3, True),
-            (1.0, 1e-5, 1e-4, True),
-            (10.0, 1e-6, 1e-5, True),
-        ]
-    return ConsumptionBand(network, *zip(*points))
+def band(network="polkadot", intercept=20.0, slope=0.0, grid=(0.1, 1.0, 10.0), watts=(3.6, 36.0)):
+    """The band of a fit over ``grid``, up to its last point, between draws of ``watts``.
+
+    By default ``20 / tps`` validators per tx/s at about 1e-6 and 1e-5 kWh
+    per validator-second: about 2e-4 to 2e-6 kWh/tx on the lower edge, and
+    ten times that on the upper one.
+    """
+    profile = NetworkProfile(network, ValidatorPowerBounds(network, *watts), grid[-1])
+    return consumption_band(RegressionFit(network, intercept, slope, 1.0, 2, False), profile, grid)
 
 
 class TestChartGeometry:
     def test_decade_rounding(self):
         geom = chart_geometry([band()])
-        # tps spans [0.1, 10] -> log10 in [-1, 1]; energy spans [1e-6, 1e-3]
+        # tps spans [0.1, 10] -> log10 in [-1, 1]; energy spans about [2e-6, 2e-3]
         assert geom.x_log_min == -1.0
         assert geom.x_log_max == 1.0
         assert geom.y_log_min == -6.0
-        assert geom.y_log_max == -3.0
+        assert geom.y_log_max == -2.0
 
     def test_degenerate_range_widens_one_decade(self):
-        points = [(2.0, 5e-5, 5e-5, True), (3.0, 5e-5, 5e-5, True)]
-        geom = chart_geometry([band(points=points)])
+        # about 5e-5 kWh/tx on both edges at both points
+        geom = chart_geometry([band(intercept=0.0, slope=50.0, grid=(2.0, 3.0), watts=(3.6, 3.6))])
         assert geom.x_log_max > geom.x_log_min
         assert geom.y_log_max > geom.y_log_min
 
@@ -63,33 +62,33 @@ class TestChartGeometry:
         assert geom.y_log_max >= math.log10(1662.78)
 
     def test_non_physical_points_ignored(self):
-        points = [
-            (1.0, 1e-5, 1e-4, True),
-            (10.0, 1e-6, 1e-5, True),
-            (100.0, 0.0, 0.0, False),
-        ]
-        geom = chart_geometry([band(points=points)])
+        # a falling fit: 49.5 and 45 validators at 1 and 10 tx/s, none at 100
+        geom = chart_geometry([band(intercept=50.0, slope=-0.5, grid=(1.0, 10.0, 100.0))])
         assert geom.x_log_max == 1.0
 
     @pytest.mark.parametrize(
-        "points",
+        "bands, markers, refs",
         [
-            pytest.param([(1.0, 1e-3, 1e-2, True), (1.7e308, 1e-3, 1e-2, True)], id="tps-1.7e308"),
-            pytest.param([(5e-324, 1e-3, 1e-2, True), (1.0, 1e-3, 1e-2, True)], id="tps-5e-324"),
-            pytest.param([(1.0, 5e-324, 1.7e308, True), (2.0, 1e-3, 1e-2, True)], id="kwh-ends"),
+            pytest.param(
+                [band(intercept=0.0, slope=1e3, grid=(1.0, 1.7e308))], [], [], id="tps-1.7e308"
+            ),
+            # no band value is finite below about 5.6e-309 tx/s, so a marker goes lower
+            pytest.param([band()], [PointMarker("visa", 5e-324, 1e-3)], [], id="tps-5e-324"),
+            pytest.param([band()], [], [ReferenceBand("bitcoin", 5e-324, 1.7e308)], id="kwh-ends"),
         ],
     )
-    def test_decades_beyond_float_range_render(self, points):
+    def test_decades_beyond_float_range_render(self, bands, markers, refs):
         # the outer gridlines sit at 1e309 or 1e-324, which no float holds
-        svg, geom = render_chart([band(points=points)])
-        assert geom == chart_geometry([band(points=points)])
+        svg, geom = render_chart(bands, markers, refs)
+        assert geom == chart_geometry(bands, markers, refs)
+        assert {geom.x_log_min, geom.x_log_max, geom.y_log_min, geom.y_log_max} & {309.0, -324.0}
         assert "nan" not in svg and "inf" not in svg
         ElementTree.fromstring(svg)
 
     def test_nothing_to_plot(self):
-        points = [(1.0, 0.0, 0.0, False)]
+        # half a validator at 1 tx/s: no physical point
         with pytest.raises(ValueError, match="nothing to plot"):
-            chart_geometry([band(points=points)])
+            chart_geometry([band(intercept=0.0, slope=0.5, grid=(1.0,))])
 
     def test_axis_mapping_corners(self):
         geom = ChartGeometry(0.0, 2.0, -6.0, -2.0)
@@ -115,7 +114,8 @@ def list_geometry(bands, markers=(), reference_bands=()):
     ys = [m.kwh_per_tx for m in markers]
     ys += [v for r in reference_bands for v in (r.kwh_per_tx_lower, r.kwh_per_tx_upper)]
     for b in bands:
-        for start, stop in _physical_runs(b):
+        start, stop = b.physical_run
+        if stop - start >= 2:  # one point makes no polygon
             xs += b.tps[start:stop]
             ys += b.kwh_per_tx_lower[start:stop]
             ys += b.kwh_per_tx_upper[start:stop]
@@ -136,26 +136,23 @@ def list_geometry(bands, markers=(), reference_bands=()):
 
 # 0.0 is drawn often: markers and reference bands at 0.0 must be skipped.
 VALUES = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9))
-# Every physical coordinate of a band is positive; the extremes of float range included.
-POSITIVE = st.one_of(
-    st.floats(min_value=1e-9, max_value=1e9),
-    st.floats(min_value=5e-324, allow_infinity=False),
-)
 
 
 @st.composite
 def generated_band(draw):
-    """A valid band whose physical flags come in runs, some bands all non-physical.
+    """The band of a generated fit over up to 12 throughputs, up to the largest float.
 
-    Non-physical points are at 0.0, as :func:`consumption_band` puts them.
+    The fit rises, falls, is flat or is through the origin, so the physical
+    run is a prefix, a suffix, the whole grid or nothing.
     """
-    tps = sorted(draw(st.sets(POSITIVE, min_size=1, max_size=12)))
-    physical = draw(st.lists(st.booleans(), min_size=len(tps), max_size=len(tps)))
-    rows = []
-    for t, ok in zip(tps, physical):
-        lo, up = sorted((draw(POSITIVE), draw(POSITIVE))) if ok else (0.0, 0.0)
-        rows.append((t, lo, up, ok))
-    return band(draw(st.sampled_from(["near", "tezos", "tron"])), rows)
+    rates = st.one_of(st.floats(min_value=1e-9, max_value=1e9),
+                      st.floats(min_value=1.0, allow_infinity=False))
+    tps = sorted(draw(st.sets(rates, min_size=1, max_size=12)))
+    coefficient = st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3))
+    lower_w = draw(st.floats(min_value=1e-3, max_value=1e3))
+    watts = (lower_w, lower_w * draw(st.floats(min_value=1.0, max_value=1e3)))
+    network = draw(st.sampled_from(["near", "tezos", "tron"]))
+    return band(network, draw(coefficient), draw(coefficient), tuple(tps), watts)
 
 
 class TestChartGeometryProperty:
@@ -226,27 +223,14 @@ class TestRenderChart:
         for (got_x, got_y), (want_x, want_y) in zip(vertices, expected):
             assert (f"{got_x:.2f}", f"{got_y:.2f}") == (f"{want_x:.2f}", f"{want_y:.2f}")
 
-    def test_non_physical_gap_splits_polygons(self):
-        points = [
-            (0.1, 1e-4, 1e-3, True),
-            (1.0, 1e-5, 1e-4, True),
-            (10.0, 0.0, 0.0, False),
-            (100.0, 1e-6, 1e-5, True),
-            (1000.0, 1e-7, 1e-6, True),
-        ]
-        svg, _ = render_chart([band(points=points)])
-        assert len(parse_polygons(svg)) == 2
-
     def test_single_point_run_not_drawn(self):
-        points = [
-            (1.0, 1e-5, 1e-4, True),
-            (10.0, 0.0, 0.0, False),
-        ]
+        # a falling fit: 4.5 validators at 1 tx/s, none at 10
+        lone = band(intercept=5.0, slope=-0.5, grid=(1.0, 10.0))
         # a lone physical point is neither drawn nor ranged, so alone it leaves nothing to plot
         with pytest.raises(ValueError, match="nothing to plot"):
-            render_chart([band(points=points)])
+            render_chart([lone])
         marker = PointMarker("visa", 1736.0, 0.0033)
-        svg, geom = render_chart([band(points=points)], [marker])
+        svg, geom = render_chart([lone], [marker])
         assert parse_polygons(svg) == []
         assert geom == chart_geometry([], [marker])
 
@@ -374,8 +358,8 @@ def subsequence_indices(drawn, full):
 class TestCanvasResolution:
     """Each edge draws the first and last grid point of each whole pixel column.
 
-    A run whose lower and upper values are each constant draws only its two
-    end points: every other point lies on that horizontal edge.
+    The band of a fit with intercept 0 draws only its run's two end points:
+    every other point lies on that horizontal edge.
     """
 
     @settings(deadline=None, max_examples=60)
@@ -383,23 +367,16 @@ class TestCanvasResolution:
         st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
     ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))))
     def test_edges_drawn_at_canvas_resolution(self, bands):
-        assume(any(_physical_runs(b) for b in bands))  # else nothing to plot
+        runs = [(b, range(*b.physical_run)) for b in bands]
+        runs = [(b, run) for b, run in runs if len(run) >= 2]
+        assume(runs)  # else nothing to plot
         svg, geom = render_chart(bands)
         polygons = parse_polygons(svg)
-        runs = [
-            (b, [i for i, _ in group])
-            for b in bands
-            for flag, group in groupby(enumerate(b.physical), key=lambda item: item[1])
-            if flag
-        ]
-        runs = [(b, run) for b, run in runs if len(run) >= 2]
         assert len(polygons) == len(runs)
         for (b, run), vertices in zip(runs, polygons):
-            xs = [geom.x_px(b.tps[i]) for i in run]
-            edges = [
-                [(x, geom.y_px(column[i])) for x, i in zip(xs, run)]
-                for column in (b.kwh_per_tx_lower, b.kwh_per_tx_upper)
-            ]
+            tps, *columns = b.columns()  # each column is computed when it is read: read once
+            xs = [geom.x_px(tps[i]) for i in run]
+            edges = [[(x, geom.y_px(column[i])) for x, i in zip(xs, run)] for column in columns]
             vertices = [printed(x, y) for x, y in vertices]
             half = len(vertices) // 2
             drawn_edges = vertices[:half], vertices[half:][::-1]
@@ -409,11 +386,9 @@ class TestCanvasResolution:
             assert drawn_edges[1] == [printed(*edges[1][i]) for i in kept]
             # the run's first and last points are drawn
             assert (kept[0], kept[-1]) == (0, len(run) - 1)
-            constant = all(
-                len({column[i] for i in run}) == 1
-                for column in (b.kwh_per_tx_lower, b.kwh_per_tx_upper)
-            )
+            constant = b.intercept == 0
             if constant:
+                assert all(len({column[i] for i in run}) == 1 for column in columns)
                 # a horizontal edge: exactly its two end points are drawn
                 assert kept == [0, len(run) - 1]
             else:

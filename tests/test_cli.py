@@ -24,7 +24,7 @@ from posenergy import cli, report
 from posenergy.baselines import load_baselines
 from posenergy.chart import render_chart
 from posenergy.cli import build_parser, main
-from posenergy.estimator import find_baseline_errata, find_errata
+from posenergy.estimator import consumption_band, default_grid, find_baseline_errata, find_errata
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -451,6 +451,39 @@ class TestChartOutput:
         argv = ["chart", "--format", fmt, "--points", str(points)]
         argv += [arg for network in networks for arg in ("--network", network)]
         assert run_main(argv) == (0, expected, "")
+
+
+class TestNarrowGrid:
+    """An --lmin just below polkadot's 1000 tx/s, with 50 points.
+
+    A default grid whose exponent step clears ``2**-40`` times the largest
+    exponent magnitude (here 3) is proven increasing; a narrower one is
+    walked, as a caller's tuple is, and refused if two items collapse.
+    """
+
+    @staticmethod
+    def lmin(side):
+        return 10.0 ** (3.0 - side * 49 * 2.0**-40 * 3.0)
+
+    @pytest.mark.parametrize("side", [1.01, 0.99], ids=["above-bound", "below-bound"])
+    def test_narrow_grid_charts_as_a_tuple_grid(self, capsys, side):
+        profile = BUNDLED_PROFILES["polkadot"]
+        grid = default_grid(profile, 50, self.lmin(side))
+        assert grid.increasing() is (side > 1)
+        argv = ["chart", "--network", "polkadot", "--lmin", repr(self.lmin(side)), "--points", "50"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        (fit,) = report.fit_networks(BUNDLED_OBSERVATIONS, ["polkadot"])
+        band = consumption_band(fit, profile, tuple(grid))
+        assert out == report.chart_csv(report.chart_rows([band], *BASELINE_ELEMENTS))
+
+    def test_collapsing_grid_refused(self, capsys):
+        lmin = 1000.0 - 4 * math.ulp(1000.0)
+        assert not default_grid(BUNDLED_PROFILES["polkadot"], 50, lmin).increasing()
+        argv = ["chart", "--network", "polkadot", "--lmin", repr(lmin), "--points", "50"]
+        assert run(capsys, *argv) == (
+            1, "", "error: polkadot: band grid must be strictly increasing\n"
+        )
 
 
 class TestClosedStdout:

@@ -7,6 +7,7 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posenergy.baselines import BaselineBand
+from posenergy.chart import render_chart
 from posenergy.core import (
     JOULES_PER_KWH,
     SECONDS_PER_YEAR,
@@ -27,6 +29,7 @@ from posenergy.estimator import (
     ContemporaryEstimate,
     Erratum,
     GridDomainError,
+    LogGrid,
     ReportedEstimate,
     consumption_band,
     contemporary_estimate,
@@ -55,23 +58,26 @@ BAND_NUMBERS = st.one_of(
 EDGE_PAIRS = st.tuples(BAND_NUMBERS, BAND_NUMBERS)
 
 
-@st.composite
-def band_rows(draw):
-    """Rows of (tps, lower, upper, physical) for a band of up to five points.
-
-    Half the grids are increasing ordinary rates, so those draws reach the
-    value checks; the rest are any numbers in any order. Half the edge pairs
-    are sorted.
-    """
-    grid = draw(st.one_of(
-        st.lists(ORDINARY, max_size=5, unique=True).map(sorted), st.lists(BAND_NUMBERS, max_size=5)
-    ))
-    pairs = [draw(st.one_of(EDGE_PAIRS, EDGE_PAIRS.map(sorted))) for _ in grid]
-    return [(t, lo, up, draw(st.booleans())) for t, (lo, up) in zip(grid, pairs)]
-
-
 # Ints too large for a float, up to more digits (6,021) than Python prints.
 BEYOND_FLOAT = st.integers(min_value=2**1024, max_value=2**20000)
+
+
+@st.composite
+def any_band_case(draw):
+    """Any fit coefficients, draws and grid, most of which a band refuses.
+
+    The grid is up to five numbers in any order, ints beyond float range
+    included, or a :class:`LogGrid` that may reach beyond ``max_tps``.
+    """
+    grid = draw(st.one_of(
+        st.lists(ORDINARY, max_size=5, unique=True).map(sorted),
+        st.lists(st.one_of(BAND_NUMBERS, BEYOND_FLOAT), max_size=5),
+        st.builds(LogGrid, ORDINARY, st.floats(1e3, 1e4), st.integers(2, 50)),
+    ))
+    lower_w = draw(st.floats(min_value=5e-324, max_value=1e300))
+    bounds = ValidatorPowerBounds("near", lower_w, draw(st.floats(lower_w, 1e300)))
+    fit = RegressionFit("near", draw(BAND_NUMBERS), draw(BAND_NUMBERS), 1.0, 2, False)
+    return fit, NetworkProfile("near", bounds, 1e3), grid
 
 
 def polkadot_profile(max_tps=1000.0):
@@ -83,7 +89,10 @@ def flat_fit(network, cap, n_points=3):
 
 
 def reference_band(fit, profile, grid):
-    """The per-point loop that :func:`consumption_band` replaced, kept as its reference."""
+    """The per-point loop and column checks that the fit-held band replaced, kept as its reference.
+
+    Returns the columns as a namespace with the band's column names.
+    """
     network = profile.network
     if fit.network != network:
         raise ValueError(f"fit for {fit.network!r} evaluated against profile for {network!r}")
@@ -109,7 +118,20 @@ def reference_band(fit, profile, grid):
             lower.append(per_tps * k_lower)
             upper.append(per_tps * k_upper)
             physical.append(True)
-    return ConsumptionBand(network, rates, lower, upper, physical)
+    if not rates:
+        raise GridDomainError(f"{network}: empty throughput grid")
+    if not all(a < b for a, b in zip(rates, rates[1:])):
+        raise GridDomainError(f"{network}: band grid must be strictly increasing")
+    for rate, lo, up, flag in zip(rates, lower, upper, physical):
+        name = f"{network}: band value at tps={rate!r}"
+        for value in (lo, up):
+            _check_finite(name, value, "positive" if flag else "")
+        if flag and lo > up:
+            raise ValueError(f"{network}: band inverted at tps={rate!r}")
+    return SimpleNamespace(
+        tps=tuple(rates), kwh_per_tx_lower=tuple(lower), kwh_per_tx_upper=tuple(upper),
+        physical=tuple(physical),
+    )
 
 
 def band_outcome(function, fit, profile, grid):
@@ -129,20 +151,31 @@ def log_uniform(low, high):
 
 @st.composite
 def band_cases(draw):
-    """A fit, a profile and a grid that is increasing, unsorted or ends at ``max_tps``.
+    """A fit, a profile and a grid: a list that is increasing, unsorted or ends at ``max_tps``,
+    or a :class:`LogGrid` that is proven increasing, collapsing or reaching beyond ``max_tps``.
 
     Intercepts put the one-validator boundary inside the grid's range, or are
     small, 1e15 or beyond of either sign, or zero of either sign; slopes are
     positive or negative, or zero of either sign.
     """
     max_tps = draw(log_uniform(-2, 9))
-    grid = draw(st.lists(st.floats(min_value=max_tps * 1e-6, max_value=max_tps),
-                         min_size=2, max_size=40, unique=True))
-    shape = draw(st.sampled_from(["increasing", "unsorted", "ends-at-max"]))
-    if shape == "increasing":
-        grid.sort()
-    elif shape == "ends-at-max":
-        grid = sorted({*grid, max_tps})
+    shape = draw(st.sampled_from(
+        ["increasing", "unsorted", "ends-at-max", "default", "collapsing", "beyond-max"]
+    ))
+    if shape == "default":  # 1.003 to 1e8 times min_tps
+        grid = LogGrid(max_tps / draw(log_uniform(-2.9, 8)), max_tps, draw(st.integers(2, 2000)))
+    elif shape == "collapsing":  # a few ulp wide, so it is walked; some items repeat
+        low = max_tps - draw(st.integers(1, 8)) * math.ulp(max_tps)
+        grid = LogGrid(low, max_tps, draw(st.integers(3, 60)))
+    elif shape == "beyond-max":
+        grid = LogGrid(max_tps / 100, max_tps * draw(st.floats(1.01, 100.0)), 50)
+    else:
+        grid = draw(st.lists(st.floats(min_value=max_tps * 1e-6, max_value=max_tps),
+                             min_size=2, max_size=40, unique=True))
+        if shape == "increasing":
+            grid.sort()
+        elif shape == "ends-at-max":
+            grid = sorted({*grid, max_tps})
     sign = st.sampled_from([1.0, -1.0])
     # hypothesis leans to the first branch of one_of, so the zeros come last; a
     # slope predicts 0.1 to 1e6 validators at max_tps
@@ -150,7 +183,8 @@ def band_cases(draw):
         st.builds(lambda s, count: s * count / max_tps, sign, log_uniform(-1, 6)),
         st.sampled_from([0.0, -0.0]),
     ))
-    crossings = log_uniform(math.log10(min(grid)), math.log10(max(grid)))
+    low, high = min(grid), min(max(grid), max_tps)
+    crossings = log_uniform(math.log10(low), math.log10(high))
     intercept = draw(st.one_of(
         crossings.map(lambda rate: 1.0 - slope * rate),
         st.floats(min_value=-10.0, max_value=10.0),
@@ -263,6 +297,76 @@ class TestDefaultGrid:
     def test_rejects_non_positive_min(self):
         with pytest.raises(GridDomainError):
             default_grid(polkadot_profile(), min_tps=0.0)
+
+
+def listed_grid(min_tps, max_tps, n_points):
+    """The list :func:`default_grid` built before it returned a :class:`LogGrid`: the reference."""
+    start = math.log10(min_tps)
+    step = (math.log10(max_tps) - start) / (n_points - 1)
+    interior = [10.0 ** (i * step + start) for i in range(1, n_points - 1)]
+    return [min_tps, *interior, max_tps]
+
+
+def bits(values):
+    return [struct.pack("d", value) for value in values]
+
+
+# Grid ends, from the tiniest normal throughput to the largest float.
+GRID_ENDS = st.one_of(
+    st.tuples(log_uniform(-6, 4), log_uniform(0.001, 8)).map(
+        lambda ends: (ends[0], ends[0] * ends[1]),
+    ),
+    st.tuples(st.floats(sys.float_info.min, 1.0), st.floats(2.0, sys.float_info.max)),
+    st.floats(1e-6, 1e6).flatmap(
+        lambda high: st.integers(1, 64).map(lambda k: (high - k * math.ulp(high), high))
+    ),
+)
+
+
+class TestLogGrid:
+    @settings(max_examples=20, deadline=None)
+    @given(ends=GRID_ENDS, n_points=st.integers(2, 5000), data=st.data())
+    def test_items_match_listed_grid_bit_for_bit(self, ends, n_points, data):
+        grid, listed = LogGrid(*ends, n_points), listed_grid(*ends, n_points)
+        assert len(grid) == n_points
+        assert bits(grid) == bits(listed)
+        assert bits(grid[:]) == bits(listed) and type(grid[:]) is tuple
+        for index in data.draw(st.lists(st.integers(-n_points, n_points - 1), max_size=8)):
+            assert bits([grid[index]]) == bits([listed[index]])
+        indices = st.one_of(st.none(), st.integers(-n_points - 2, n_points + 2))
+        for _ in range(4):
+            cut = slice(data.draw(indices), data.draw(indices),
+                        data.draw(st.one_of(st.none(), st.integers(1, 7), st.integers(-7, -1))))
+            assert bits(grid[cut]) == bits(listed[cut])
+        for index in (n_points, -n_points - 1):
+            with pytest.raises(IndexError):
+                grid[index]
+
+    @settings(max_examples=20, deadline=None)
+    @given(ends=GRID_ENDS, n_points=st.integers(2, 5000))
+    def test_proven_grid_is_strictly_increasing(self, ends, n_points):
+        grid = LogGrid(*ends, n_points)
+        if grid.increasing():
+            listed = listed_grid(*ends, n_points)
+            assert all(a < b for a, b in zip(listed, listed[1:]))
+
+    @pytest.mark.parametrize("side, proven", [(1.01, True), (0.99, False)])
+    def test_bound_decides_the_proof(self, side, proven):
+        # step >= 2**-40 * max(1, |log10 min|, |log10 max|) proves the grid; below, it is walked
+        n_points, magnitude = 50, 3.0
+        low = 10.0 ** (3.0 - side * (n_points - 1) * 2.0**-40 * magnitude)
+        grid = LogGrid(low, 1000.0, n_points)
+        assert grid.increasing() is proven
+        listed = listed_grid(low, 1000.0, n_points)
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+
+    def test_record_of_its_ends_and_count(self):
+        grid = default_grid(polkadot_profile(), 5)
+        assert grid == LogGrid(0.01, 1000.0, 5)
+        assert repr(grid) == "LogGrid(min_tps=0.01, max_tps=1000.0, n=5)"
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy == grid and hash(copy) == hash(grid) and bits(copy) == bits(grid)
+        assert list(reversed(grid)) == list(grid)[::-1] and grid[2] in grid
 
 
 def assert_near_exact(value, intercept, slope, rate, w):
@@ -511,222 +615,177 @@ class TestConsumptionBand:
                     assert len({id(value) for value in column[start:stop]}) == 1
 
 
+def near_band(intercept, slope, grid, lower_w=5.5, upper_w=168.1, max_tps=100.0):
+    fit = RegressionFit("near", intercept, slope, 1.0, 2, False)
+    bounds = ValidatorPowerBounds("near", lower_w, upper_w)
+    return consumption_band(fit, NetworkProfile("near", bounds, max_tps), grid)
+
+
+def inverted_profile(lower_w, upper_w, max_tps=100.0):
+    """A profile-shaped namespace whose lower draw may exceed its upper one, as no profile can."""
+    bounds = SimpleNamespace(network="near", lower_w=lower_w, upper_w=upper_w)
+    return SimpleNamespace(network="near", bounds=bounds, max_tps=max_tps)
+
+
 class TestConsumptionBandColumns:
     def test_columns_become_tuples(self):
-        band = ConsumptionBand("near", [1.0, 2.0], [1e-6, 2e-6], [1e-5, 2e-5], [True, True])
-        assert band.tps == (1.0, 2.0)
-        assert band.physical == (True, True)
-
-    def test_unequal_columns_rejected(self):
-        with pytest.raises(ValueError, match=r"^near: band columns differ in length"):
-            ConsumptionBand("near", (1.0, 2.0), (1e-6,), (1e-5, 2e-5), (True, True))
+        for grid in ([1.0, 2.0], default_grid(NEAR_PROFILE, 3)):
+            band = near_band(0.0, 24.96, grid, max_tps=1e6)
+            columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
+            assert all(type(column) is tuple and len(column) == len(grid) for column in columns)
+            assert band.tps == tuple(grid) and band.columns() == columns[:3]
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(GridDomainError, match=r"^near: band grid must be strictly"):
-            ConsumptionBand("near", (2.0, 1.0), (1e-6, 1e-6), (1e-5, 1e-5), (True, True))
+            near_band(0.0, 24.96, (2.0, 1.0))
 
     def test_inverted_physical_point_rejected(self):
-        with pytest.raises(ValueError, match=r"^near: band inverted at tps=2\.0$"):
-            ConsumptionBand("near", (1.0, 2.0), (1e-6, 3e-5), (1e-5, 2e-5), (True, True))
+        fit = RegressionFit("near", 10.0, 0.0, 1.0, 2, False)
+        with pytest.raises(ValueError, match=r"^near: band inverted at tps=1\.0$"):
+            consumption_band(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
 
     def test_inverted_non_physical_point_allowed(self):
-        band = ConsumptionBand("near", (1.0, 2.0), (1e-6, 3e-5), (1e-5, 2e-5), (True, False))
-        assert band.physical == (True, False)
+        # no point is physical, so no value is checked: each is 0.0
+        fit = RegressionFit("near", 0.0, 0.1, 1.0, 2, False)
+        band = consumption_band(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
+        assert band.physical == (False, False)
+        assert band.kwh_per_tx_lower == band.kwh_per_tx_upper == (0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "columns, error, message",
+        "band_args, error, message",
         [
             pytest.param(
-                ((0.0, 1.0, 10.0), (1e-4, 1e-5, 1e-6), (1e-3, 1e-4, 1e-5), (True,) * 3),
+                (0.0, 24.96, (0.0, 1.0, 10.0)),
                 GridDomainError,
-                r"^near: band tps must be finite and positive, got 0\.0$",
+                r"^grid values must lie in \(0, 100\.0\] for 'near'$",
                 id="physical-at-tps-zero",
             ),
             pytest.param(
-                ((0.1, 1.0, 10.0), (0.0, 1e-5, 1e-6), (1e-3, 1e-4, 1e-5), (True,) * 3),
+                (10.0, 0.0, (0.1, 1.0, 10.0), 5e-324),
                 ValueError,
                 r"^near: band value at tps=0\.1 must be finite and positive, got 0\.0$",
                 id="physical-kwh-zero",
             ),
-            pytest.param(
-                ((0.1, 1.0), (1e-4, NAN), (1e-3, 1e-4), (True, True)),
+            pytest.param(  # at 1e-10 tx/s, 1e300 validators per tx/s overflow; times 0.0 is nan
+                (1e300, 0.0, (1e-10, 1.0), 5e-324),
                 ValueError,
-                r"^near: band value at tps=1\.0 must be finite and positive, got nan$",
+                r"^near: band value at tps=1e-10 must be finite and positive, got nan$",
                 id="nan-polygon-vertex",
             ),
-            pytest.param(
-                ((0.1, 1.0), (1e-4, 0.0), (1e-3, NAN), (True, False)),
+            pytest.param(  # 1e310 validators per tx/s at the run's first point only
+                (1e300, 0.0, (1e-10, 1.0)),
                 ValueError,
-                r"^near: band value at tps=1\.0 must be finite, got nan$",
-                id="nan-non-physical",
+                r"^near: band value at tps=1e-10 must be finite and positive, got inf$",
+                id="overflow-at-lowest-tps",
+            ),
+            pytest.param(  # a rising fit: 9.1e307 validators per tx/s at 10 tx/s, times 5
+                (-9e307, 1e308, (1.0, 10.0), 3.6e6, 1.8e7),
+                ValueError,
+                r"^near: band value at tps=10\.0 must be finite and positive, got inf$",
+                id="overflow-at-highest-tps",
             ),
             pytest.param(
-                ((0.1, INF), (1e-4, 1e-5), (1e-3, 1e-4), (True, True)),
+                (0.0, 24.96, (0.1, INF)),
                 GridDomainError,
-                r"^near: band tps must be finite and positive, got inf$",
+                r"^grid values must lie in \(0, 100\.0\] for 'near'$",
                 id="inf-tps",
             ),
             pytest.param(
-                ((), (), (), ()), GridDomainError, r"^near: empty throughput grid$", id="empty"
+                (0.0, 24.96, ()), GridDomainError, r"^near: empty throughput grid$", id="empty"
             ),
         ],
     )
-    def test_band_a_chart_cannot_show_refused(self, columns, error, message):
+    def test_band_a_chart_cannot_show_refused(self, band_args, error, message):
         with pytest.raises(error, match=message):
-            ConsumptionBand("near", *columns)
+            near_band(*band_args)
 
     def test_finite_values_whose_sum_overflows_accepted(self):
-        huge = (1e308, 1.5e308, 1.7e308)
-        band = ConsumptionBand("near", (1.0, 2.0, 3.0), huge, huge, (True, True, True))
-        assert band.kwh_per_tx_upper == huge
+        # 1.5e308 and 1.7e308 kWh/tx at every point: finite, though their sum is not
+        band = near_band(0.0, 1e308, (1.0, 2.0, 3.0), 5.4e6, 6.12e6)
+        assert band.kwh_per_tx_lower == (1e308 * (5.4e6 / JOULES_PER_KWH),) * 3
+        assert band.kwh_per_tx_upper == (1e308 * (6.12e6 / JOULES_PER_KWH),) * 3
 
     def test_value_beyond_float_range_named(self):
-        # an int too large for a float overflows the sum pass, and the walk names it
-        message = (r"^near: band value at tps=1\.0 must be finite and positive, "
-                   r"got a number beyond float range$")
+        message = r"^near: fit intercept must be finite, got a number beyond float range$"
         with pytest.raises(ValueError, match=message):
-            ConsumptionBand("near", (1.0,), (10**400,), (10**400,), (True,))
+            near_band(10**400, 1.0, (1.0,))
 
     def test_tps_beyond_float_range_named(self):
-        message = r"^near: band tps must be finite and positive, got a number beyond float range$"
+        message = r"^grid values must lie in \(0, 100\.0\] for 'near'$"
         with pytest.raises(GridDomainError, match=message):
-            ConsumptionBand("near", (1.0, 10**400), (1e-3, 1e-3), (1e-2, 1e-2), (True, True))
+            near_band(0.0, 24.96, (1.0, 10**400))
 
-    @given(rows=band_rows())
-    def test_accepts_exactly_the_pointwise_rule(self, rows):
-        def point_ok(tps, lower, upper, physical):
-            finite = math.isfinite(tps) and math.isfinite(lower) and math.isfinite(upper)
-            return finite and tps > 0 and (not physical or 0 < lower <= upper)
+    @settings(max_examples=20, deadline=None)
+    @given(case=any_band_case())
+    def test_accepts_exactly_the_pointwise_rule(self, case):
+        # refusals as well as bands: the same type and message, or the same bits
+        assert band_outcome(consumption_band, *case) == band_outcome(reference_band, *case)
 
-        valid = (
-            bool(rows)
-            and all(point_ok(*row) for row in rows)
-            and all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
-        )
-        columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
-        if valid:
-            band = ConsumptionBand("near", *columns)
-            assert [band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical] == [
-                tuple(column) for column in columns
-            ]
-        else:
-            with pytest.raises(ValueError, match=r"^near: "):
-                ConsumptionBand("near", *columns)
-
-    @given(physical=st.lists(st.booleans(), min_size=1, max_size=30))
-    def test_runs_tile_the_grid_by_flag(self, physical):
-        n = len(physical)
-        band = ConsumptionBand("near", [float(i) for i in range(1, n + 1)], [1.0] * n,
-                               [1.0] * n, physical)
-        runs = band.runs()
-        assert [i for _, start, stop in runs for i in range(start, stop)] == list(range(n))
+    @settings(max_examples=20, deadline=None)
+    @given(case=band_cases())
+    def test_runs_tile_the_grid_by_flag(self, case):
+        try:
+            band = consumption_band(*case)
+        except ValueError:
+            assume(False)
+        runs, physical = band.runs(), band.physical
+        tiled = [i for _, start, stop in runs for i in range(start, stop)]
+        assert tiled == list(range(len(physical)))
         assert all(physical[i] == flag for flag, start, stop in runs for i in range(start, stop))
         # maximal: neighbouring runs differ in flag
         assert all(left[0] != right[0] for left, right in zip(runs, runs[1:]))
+        assert [(start, stop) for flag, start, stop in runs if flag] in ([band.physical_run], [])
 
     def test_runs_returns_a_fresh_list(self):
-        band = ConsumptionBand("near", [1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [0.0, 2.0, 2.0],
-                               [False, True, True])
+        band = near_band(-1.0, 1.0, (1.0, 2.0, 3.0))
         runs = band.runs()
         assert runs == [(False, 0, 1), (True, 1, 3)]
         runs.append((False, 3, 4))
         runs[0] = None
         assert band.runs() == [(False, 0, 1), (True, 1, 3)]
         assert band.runs() is not band.runs()
-        # the stored runs are not a field: equality, hashing and repr go by the columns
-        assert ConsumptionBand._fields == ("network", "tps", "kwh_per_tx_lower",
-                                           "kwh_per_tx_upper", "physical")
+        # the run is not a field: equality, hashing and repr go by what fixes the values
+        assert ConsumptionBand._fields == ("network", "intercept", "slope", "hardware_lower",
+                                           "hardware_upper", "grid")
 
 
-def fresh(value):
-    """A float equal to ``value``, with its bits, that is a distinct object."""
-    return float.fromhex(value.hex())
+class CountingGrid(LogGrid):
+    """A LogGrid that counts the items read from it."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        object.__setattr__(self, "reads", 0)
 
-FINITE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
-                          st.floats(allow_nan=False, allow_infinity=False))
+    def __getitem__(self, index):
+        items = super().__getitem__(index)
+        read = len(items) if isinstance(index, slice) else 1
+        object.__setattr__(self, "reads", self.reads + read)
+        return items
 
-
-@st.composite
-def run_built_band(draw):
-    """A hand-built band of 1-5 runs, each of 1-12 points, of one kind per column.
-
-    A column of a run is one shared float, equal floats that are distinct
-    objects, a float per point, or the same float at both ends and others
-    between. A non-physical column may also mix ``0.0`` with ``-0.0``, which
-    ``==`` equates. Physical values are positive with lower <= upper.
-    """
-    lower, upper, physical = [], [], []
-    for _ in range(draw(st.integers(1, 5))):
-        flag = draw(st.booleans())
-        size = draw(st.one_of(st.just(1), st.integers(2, 12)))
-        kinds = ["shared", "distinct", "varying", "same-ends"] + ([] if flag else ["zeros"])
-        for column, values in (
-            (lower, st.floats(min_value=1e-300, max_value=1.0) if flag else FINITE_VALUES),
-            (upper, st.floats(min_value=1.0, max_value=1e300) if flag else FINITE_VALUES),
-        ):
-            kind = draw(st.sampled_from(kinds))
-            if kind == "zeros":
-                column += draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
-            elif kind == "varying":
-                column += draw(st.lists(values, min_size=size, max_size=size))
-            else:
-                value = draw(values)
-                if kind == "shared":
-                    column += [value] * size
-                elif kind == "distinct":
-                    column += [fresh(value) for _ in range(size)]
-                else:
-                    between = draw(st.lists(values, min_size=max(size - 2, 0),
-                                            max_size=max(size - 2, 0)))
-                    column += [value, *between, fresh(value)][-size:]
-        physical += [flag] * size
-    tps = [float(i) for i in range(1, len(physical) + 1)]
-    return ConsumptionBand("near", tps, lower, upper, physical)
-
-
-class Probe(float):
-    """A float that records itself whenever it is ordered against another value."""
-
-    ordered: list = []
-
-    def __le__(self, other):
-        Probe.ordered.append(self)
-        return float.__le__(self, other)
-
-    def __lt__(self, other):
-        Probe.ordered.append(self)
-        return float.__lt__(self, other)
-
-    def __gt__(self, other):
-        Probe.ordered.append(self)
-        return float.__gt__(self, other)
-
-    def __ge__(self, other):
-        Probe.ordered.append(self)
-        return float.__ge__(self, other)
+    def __iter__(self):
+        return iter(self[:])
 
 
 class TestRunFlatness:
-    @settings(max_examples=200, deadline=None)
-    @given(band=run_built_band())
-    @example(band=ConsumptionBand(  # equal ends, another value between
-        "near", (1.0, 2.0, 3.0), (1e-6, 2e-6, 1e-6), (1e-5,) * 3, (True,) * 3))
-    @example(band=ConsumptionBand(  # 0.0 and -0.0 are equal, but differ in bits
-        "near", (1.0, 2.0, 3.0), (0.0, -0.0, 0.0), (-0.0,) * 3, (False,) * 3))
-    def test_matches_per_run_bits(self, band):
-        columns = (band.kwh_per_tx_lower, band.kwh_per_tx_upper)
-        expected = tuple(
-            all(len({struct.pack("d", value) for value in column[start:stop]}) == 1
-                for column in columns)
-            for _, start, stop in band.runs()
-        )
-        assert band.run_flatness() == expected
+    @settings(max_examples=20, deadline=None)
+    @given(case=band_cases())
+    def test_matches_per_run_bits(self, case):
+        # a run the chart treats as flat, non-physical or of a fit with intercept 0,
+        # holds one bit pattern per column
+        try:
+            band = consumption_band(*case)
+        except ValueError:
+            assume(False)
+        for flag, start, stop in band.runs():
+            if not flag or band.intercept == 0:
+                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+                    assert len(set(bits(column[start:stop]))) == 1
 
     def test_one_point_runs_are_flat(self):
-        band = ConsumptionBand("near", (1.0, 2.0, 3.0), (0.0, 1e-6, -0.0), (-0.0, 1e-5, 0.0),
-                               (False, True, False))
-        assert band.run_flatness() == (True, True, True)
+        # a falling fit: one physical point, then one that is not
+        band = near_band(440.7, -24.6, (1.0, 20.0))
+        assert band.runs() == [(True, 0, 1), (False, 1, 2)]
+        assert band.kwh_per_tx_lower[1:] == band.kwh_per_tx_upper[1:] == (0.0,)
 
     def test_consumption_band_runs_of_bundled_fits_are_flat(self):
         observations = load_snapshots(bundled("observations.csv")).observations
@@ -734,71 +793,54 @@ class TestRunFlatness:
         for fit in fit_networks(observations):
             profile = profiles[fit.network]
             band = consumption_band(fit, profile, default_grid(profile, 500))
-            assert all(band.run_flatness())
+            assert band.intercept == 0
+            for _, start, stop in band.runs():
+                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+                    assert len(set(bits(column[start:stop]))) == 1
 
     def test_varying_runs_of_a_fit_with_an_intercept(self):
         # a rising fit: a flat all-0.0 non-physical prefix, then a varying physical run
         fit = RegressionFit("polkadot", -50.0, 2.0, 1.0, 5, False)
         band = consumption_band(fit, polkadot_profile(), default_grid(polkadot_profile(), 50))
         assert [flag for flag, _, _ in band.runs()] == [False, True]
-        assert band.run_flatness() == (True, False)
+        start, stop = band.physical_run
+        assert len(set(band.kwh_per_tx_lower[start:stop])) == stop - start
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
-        band=run_built_band(),
-        refusal=st.one_of(
-            st.sampled_from([0.0, -0.0, -1.0, -1e-300]).map(lambda low: ("value", low)),
-            st.floats(min_value=1.0 + 2**-52, max_value=1e300).map(lambda up: ("inverted", up)),
-        ),
-        shared=st.booleans(),
-        data=st.data(),
+        refusal=st.sampled_from([(5e-324, 1.0, 1.0, "0.0"), (1e300, 1e300, 1e300, "inf")]),
+        intercept=st.sampled_from([0.0, -0.0]),
+        n_points=st.integers(2, 20000),
+        min_tps=log_uniform(-3, 2),
     )
-    def test_refused_flat_run_names_its_first_point(self, band, refusal, shared, data):
-        runs = [(start, stop) for flag, start, stop in band.runs() if flag]
-        assume(runs)
-        start, stop = data.draw(st.sampled_from(runs))
-        lower, upper = list(band.kwh_per_tx_lower), list(band.kwh_per_tx_upper)
-        kind, value = refusal  # either way, every point of the run is refused
-        lower[start:stop] = [value if shared else fresh(value) for _ in range(start, stop)]
-        upper[start:stop] = [1.0] * (stop - start)
-        if kind == "value":  # lower is not positive
-            message = (f"near: band value at tps={band.tps[start]!r} "
-                       f"must be finite and positive, got {value}")
-        else:  # lower is above upper
-            message = f"near: band inverted at tps={band.tps[start]!r}"
+    def test_refused_flat_run_names_its_first_point(self, refusal, intercept, n_points, min_tps):
+        # underflow or overflow refuses every point of the run: the first is named
+        lower_w, upper_w, slope, shown = refusal
+        profile = NetworkProfile("near", ValidatorPowerBounds("near", lower_w, upper_w), 1e3)
+        fit = RegressionFit("near", intercept, slope, 1.0, 2, True)
+        grid = default_grid(profile, n_points, min_tps)
+        start = next(i for i, rate in enumerate(grid) if intercept + slope * rate >= 1.0)
+        message = (f"near: band value at tps={grid[start]!r} "
+                   f"must be finite and positive, got {shown}")
         with pytest.raises(ValueError) as raised:
-            ConsumptionBand("near", band.tps, lower, upper, band.physical)
+            consumption_band(fit, profile, grid)
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("middle, message", [
-        (3e-5, r"^near: band inverted at tps=2\.0$"),
-        (0.0, r"^near: band value at tps=2\.0 must be finite and positive, got 0\.0$"),
-    ])
-    def test_run_with_equal_ends_is_checked_at_every_point(self, middle, message):
-        with pytest.raises(ValueError, match=message):
-            ConsumptionBand("near", (1.0, 2.0, 3.0), (1e-6, middle, 1e-6), (2e-5,) * 3,
-                            (True,) * 3)
-
-    def test_flat_run_is_checked_at_its_first_point(self):
-        lower = [Probe(1e-6) for _ in range(5)]
-        upper = [Probe(1e-5) for _ in range(5)]
-        Probe.ordered.clear()
-        band = ConsumptionBand("near", (1.0, 2.0, 3.0, 4.0, 5.0), lower, upper, (True,) * 5)
-        assert band.run_flatness() == (True,)
-        assert Probe.ordered and all(value is lower[0] for value in Probe.ordered)
-        # a varying run is checked at every point
-        lower[2] = Probe(2e-6)
-        Probe.ordered.clear()
-        band = ConsumptionBand("near", (1.0, 2.0, 3.0, 4.0, 5.0), lower, upper, (True,) * 5)
-        assert band.run_flatness() == (False,)
-        assert {id(value) for value in lower} <= {id(value) for value in Probe.ordered}
+    def test_flat_band_reads_log_n_grid_items(self):
+        # built, ranged and drawn from its run's ends and one bisection's probes
+        fit = RegressionFit("near", 0.0, 24.96, 1.0, 2, True)
+        for n_points in (200, 20000, 2_000_000):
+            grid = CountingGrid(0.01, 1000.0, n_points)
+            svg, _ = render_chart([consumption_band(fit, NEAR_PROFILE, grid)])
+            assert svg.count("<polygon") == 1
+            assert 0 < grid.reads <= 2 * math.log2(n_points) + 8
 
     def test_flatness_is_not_a_field(self):
-        flat = ConsumptionBand("near", (1.0, 2.0), (1e-6, 1e-6), (1e-5, 1e-5), (True, True))
-        assert flat.run_flatness() == (True,)
-        copy = pickle.loads(pickle.dumps(flat))
-        assert copy == flat and hash(copy) == hash(flat) and copy.run_flatness() == (True,)
-        assert "run_flatness" not in repr(flat) and "_flat" not in repr(flat)
+        band = near_band(0.0, 24.96, default_grid(NEAR_PROFILE, 50), max_tps=1e6)
+        copy = pickle.loads(pickle.dumps(band))
+        assert copy == band and hash(copy) == hash(band)
+        assert copy.physical_run == band.physical_run and copy.columns() == band.columns()
+        assert "physical_run" not in repr(band) and "_run" not in repr(band)
 
 
 class TestErrata:

@@ -2,6 +2,7 @@
 
 import datetime as dt
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from posenergy.baselines import load_baselines
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
-from posenergy.estimator import ConsumptionBand
+from posenergy.estimator import LogGrid, consumption_band
 from posenergy.ingestion import bundled, load_bounds, load_snapshots
 from posenergy.report import (
     TABLE_HEADER,
@@ -203,6 +204,18 @@ class TestComparisonTable:
         assert text.splitlines()[0].rstrip() == "a   b"
 
 
+def fit_band(name, intercept, slope, grid, watts=(36.0, 360.0)):
+    """The band of a fit over ``grid``, up to its last point, under any ``name``.
+
+    A band reads only these attributes of its fit and profile, so a library
+    caller may name it with any text, as a marker or reference band is.
+    """
+    fit = SimpleNamespace(network=name, intercept=intercept, slope=slope)
+    bounds = SimpleNamespace(lower_w=watts[0], upper_w=watts[1])
+    profile = SimpleNamespace(network=name, bounds=bounds, max_tps=grid[-1])
+    return consumption_band(fit, profile, grid)
+
+
 def chart_cells(*args, **kwargs):
     """The cells of each line :func:`chart_rows` returns."""
     return [line.rstrip("\n").split(",") for line in chart_rows(*args, **kwargs)]
@@ -210,9 +223,9 @@ def chart_cells(*args, **kwargs):
 
 class TestChartSeries:
     def test_rows_sorted_and_flagged(self):
-        bands = [
-            ConsumptionBand("tezos", (1.0, 20.0), (1e-5, 0.0), (1e-4, 0.0), (True, False)),
-            ConsumptionBand("near", (1.0,), (2e-6,), (5e-5,), (True,)),
+        bands = [  # a falling fit, physical at 1 tx/s only, and a proportional one
+            fit_band("tezos", 440.7, -24.6, (1.0, 20.0)),
+            fit_band("near", 0.0, 24.96, (1.0,)),
         ]
         rows = chart_cells(bands)
         assert [r[0] for r in rows] == ["near", "tezos", "tezos"]
@@ -220,7 +233,7 @@ class TestChartSeries:
         assert rows[2][4] == "false"
 
     def test_reference_band_pinned_to_grid_extremes(self):
-        bands = [ConsumptionBand("near", (0.01, 100.0), (1e-5, 1e-6), (1e-4, 1e-5), (True, True))]
+        bands = [fit_band("near", 20.0, 0.0, (0.01, 100.0))]
         ref = ReferenceBand("bitcoin", 624.41, 1662.78)
         rows = chart_cells(bands, reference_bands=[ref])
         ref_rows = [r for r in rows if r[0] == "bitcoin"]
@@ -229,16 +242,19 @@ class TestChartSeries:
         assert ref_rows[0][2] == format_series(624.41)
 
     def test_markers_appended(self):
-        bands = [ConsumptionBand("near", (1.0,), (1e-5,), (1e-4,), (True,))]
+        bands = [fit_band("near", 0.0, 24.96, (1.0,))]
         rows = chart_cells(bands, baseline_markers=[PointMarker("visa", 1736.0, 0.0033)])
         assert rows[-1][0] == "visa"
         assert rows[-1][2] == rows[-1][3]
 
     def test_band_name_is_a_cell_not_a_format(self):
-        bands = [ConsumptionBand("a%sb%%", (1.0, 2.0), (1e-5, 0.0), (1e-4, 0.0), (True, False))]
+        # a falling fit: 1.5 validators per tx/s at 1 tx/s, none at 2
+        bands = [fit_band("a%sb%%", 3.0, -1.5, (1.0, 2.0), (24.0, 240.0))]
         text = "".join(chart_csv_document(bands))
         assert text == chart_csv(chart_rows(bands))
-        assert text.splitlines()[1] == "a%sb%%,1,1e-05,0.0001,true"
+        lower, upper = (format_series(value[0]) for value in bands[0].columns()[1:])
+        assert (lower, upper) == ("1e-05", "0.0001")
+        assert text.splitlines()[1:] == ["a%sb%%,1,1e-05,0.0001,true", "a%sb%%,2,0,0,false"]
 
     def test_reference_band_without_band_refused(self):
         # reference bands are pinned to the grid's extremes, so they need a band
@@ -265,19 +281,27 @@ CHART_NAMES = st.one_of(
     st.text(st.characters(blacklist_characters="\n"), max_size=8),
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+# Fit coefficients: zeros of either sign, so origin fits are common, or any moderate value.
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e3, max_value=1e3))
+# Draws in watts, lower then upper.
+WATTS = st.floats(min_value=1e-3, max_value=1e3).flatmap(
+    lambda lower: st.floats(min_value=lower, max_value=1e6).map(lambda upper: (lower, upper))
+)
 
 
 @st.composite
 def chart_band(draw):
-    """A valid band of 1-50 points in any physical pattern, any finite value where non-physical."""
-    tps = sorted(draw(st.sets(POSITIVE, min_size=1, max_size=50)))
-    physical = draw(st.lists(st.booleans(), min_size=len(tps), max_size=len(tps)))
-    pairs = [
-        sorted(draw(st.tuples(POSITIVE, POSITIVE))) if flag else draw(st.tuples(FINITE, FINITE))
-        for flag in physical
-    ]
-    return ConsumptionBand(draw(CHART_NAMES), tps, *zip(*pairs), physical)
+    """The band of a generated fit under any name, over a set of throughputs or a default grid.
+
+    The fit rises, falls, is flat or is through the origin, so the physical
+    run is a prefix, a suffix, the whole grid or nothing.
+    """
+    grid = draw(st.one_of(
+        st.sets(st.floats(min_value=1e-9, max_value=1e9), min_size=1, max_size=50)
+        .map(sorted).map(tuple),
+        st.builds(LogGrid, st.floats(1e-3, 1.0), st.floats(2.0, 1e6), st.integers(2, 50)),
+    ))
+    return fit_band(draw(CHART_NAMES), draw(COEFFICIENTS), draw(COEFFICIENTS), grid, draw(WATTS))
 
 
 def per_row_chart_lines(bands, markers, refs):
@@ -313,47 +337,31 @@ class TestChartRunFormatting:
         assert "".join(chart_csv_document(bands, markers, refs)) == header + "".join(expected)
         # one item per point and per anchor, each ending in its one "\n"
         rows = chart_rows(bands, markers, refs)
-        assert len(rows) == sum(len(b.tps) for b in bands) + 2 * len(refs) + len(markers)
+        assert len(rows) == sum(len(b.grid) for b in bands) + 2 * len(refs) + len(markers)
         assert all(row.count("\n") == 1 and row.endswith("\n") for row in rows)
         assert rows == expected
 
 
-ZEROS = st.sampled_from([0.0, -0.0])
-
-
 @st.composite
 def flat_run_band(draw):
-    """A band built run by run, so that whole columns of a run are often constant.
+    """The band of an origin fit, intercept ``0.0`` or ``-0.0``, whose every run is constant.
 
-    Each run has 1-20 points and is physical or not; each of its two value
-    columns is one repeated value or drawn per point. A physical value is
-    positive with lower <= upper; a non-physical one is 0.0 or -0.0, which
-    ``==`` equates but print differently.
+    The slope puts the first physical point anywhere on a grid of 1-60
+    points, or nowhere.
     """
     name = draw(st.lists(st.sampled_from(["%", "%%", "%s", "%.10g", ",", "near"]),
                          min_size=1, max_size=4).map("".join))
-    lower, upper, physical = [], [], []
-    for _ in range(draw(st.integers(1, 5))):
-        flag = draw(st.booleans())
-        size = draw(st.one_of(st.just(1), st.integers(2, 20)))
-        for column, values in (
-            (lower, st.floats(min_value=1e-300, max_value=1.0) if flag else ZEROS),
-            (upper, st.floats(min_value=1.0, max_value=1e300) if flag else ZEROS),
-        ):
-            if draw(st.booleans()):
-                column += [draw(values)] * size
-            else:
-                column += draw(st.lists(values, min_size=size, max_size=size))
-        physical += [flag] * size
-    tps = sorted(draw(st.sets(POSITIVE, min_size=len(physical), max_size=len(physical))))
-    return ConsumptionBand(name, tps, lower, upper, physical)
+    grid = tuple(sorted(draw(st.sets(st.floats(min_value=1e-3, max_value=1e3),
+                                     min_size=1, max_size=60))))
+    slope = 1.0 / draw(st.floats(min_value=1e-4, max_value=1e4))
+    return fit_band(name, draw(st.sampled_from([0.0, -0.0])), slope, grid, draw(WATTS))
 
 
 class TestFlatRunFormatting:
     @settings(deadline=None, max_examples=150)
     @given(bands=st.lists(flat_run_band(), min_size=1, max_size=3))
-    @example(bands=[  # equal to 0.0 by ==, but printed as -0
-        ConsumptionBand("a%b", (1.0, 2.0, 3.0), (0.0, -0.0, 0.0), (-0.0,) * 3, (False,) * 3)
+    @example(bands=[  # a negative-zero intercept: the non-physical values print as 0, not -0
+        fit_band("a%b", -0.0, 0.5, (1.0, 2.0, 3.0))
     ])
     def test_matches_format_series_per_row(self, bands):
         expected = [
