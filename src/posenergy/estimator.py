@@ -77,6 +77,10 @@ class LogGrid(Record):
     exactly. The grid supports ``len``, indices of either sign, slices (a
     tuple) and iteration; a slice or an iteration computes its items in one
     comprehension.
+
+    Raises:
+        ValueError: ``min_tps`` or ``max_tps`` is not finite and positive, or
+            ``n`` is not a count of at least 2.
     """
 
     min_tps: float
@@ -84,12 +88,12 @@ class LogGrid(Record):
     n: int
 
     def __init__(self, min_tps: float, max_tps: float, n: int) -> None:
-        object.__setattr__(self, "min_tps", float(min_tps))
-        object.__setattr__(self, "max_tps", float(max_tps))
-        object.__setattr__(self, "n", n)
+        for name, value in (("min_tps", min_tps), ("max_tps", max_tps)):
+            object.__setattr__(self, name, _check_finite(name, value, "positive"))
+        object.__setattr__(self, "n", _check_count("n", n, 2))
         # not fields: both follow from the ends and the count
-        object.__setattr__(self, "start", math.log10(min_tps))
-        object.__setattr__(self, "step", (math.log10(max_tps) - self.start) / (n - 1))
+        object.__setattr__(self, "start", math.log10(self.min_tps))
+        object.__setattr__(self, "step", (math.log10(self.max_tps) - self.start) / (self.n - 1))
 
     def __len__(self) -> int:
         return self.n
@@ -148,7 +152,8 @@ class ConsumptionBand(Record):
     validators per unit of throughput, ``intercept / tps + slope``, times
     its hardware factor. Elsewhere the point is non-physical and both
     values are ``0.0``. ``tps``, ``kwh_per_tx_lower``, ``kwh_per_tx_upper``
-    and ``physical`` are these columns, as tuples built on each read.
+    and ``physical`` are these columns, as tuples built whole on each read,
+    so a loop over points reads ``grid[i]`` and :meth:`kwh_per_tx_at`.
 
     The flag ``intercept + slope * tps < 1`` is monotone in ``tps``, since
     rounding is, so on an increasing grid the physical points are one run,
@@ -226,48 +231,32 @@ class ConsumptionBand(Record):
             [value * self.hardware_upper for value in per_tps],
         )
 
-    def columns(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """``(tps, kwh_per_tx_lower, kwh_per_tx_upper)``, from one pass over the grid.
-
-        With ``intercept == 0``, of either sign, ``intercept / tps + slope``
-        is ``slope`` bit for bit at every physical point, so one point is
-        priced and each column of the run is that one float, shared.
-        """
-        rates = self.grid[:]
-        start, stop = self.physical_run
-        if self.intercept == 0:
-            lower, upper = self.kwh_per_tx_at(rates[start:start + 1])
-            lower, upper = lower * (stop - start), upper * (stop - start)
-        else:
-            lower, upper = self.kwh_per_tx_at(rates[start:stop])
-        before, after = (0.0,) * start, (0.0,) * (len(rates) - stop)
-        return rates, before + tuple(lower) + after, before + tuple(upper) + after
-
     @property
     def tps(self) -> tuple[float, ...]:
+        """The grid as a tuple, built whole on each read: read one point as ``grid[i]``."""
         return self.grid[:]
 
     @property
     def kwh_per_tx_lower(self) -> tuple[float, ...]:
-        return self.columns()[1]
+        """The lower kWh/tx at each point, built whole on each read: see :meth:`kwh_per_tx_at`."""
+        return self._column(0)
 
     @property
     def kwh_per_tx_upper(self) -> tuple[float, ...]:
-        return self.columns()[2]
+        """The upper kWh/tx at each point, built whole on each read: see :meth:`kwh_per_tx_at`."""
+        return self._column(1)
 
     @property
     def physical(self) -> tuple[bool, ...]:
+        """Each point's flag, built whole on each read: the ``True`` flags are ``physical_run``."""
         start, stop = self.physical_run
         return (False,) * start + (True,) * (stop - start) + (False,) * (len(self.grid) - stop)
 
-    def runs(self) -> list[tuple[bool, int, int]]:
-        """Each maximal run of equal ``physical`` flags, as ``(flag, start, stop)`` in grid order.
-
-        ``stop`` is exclusive, so the runs tile ``range(len(self.grid))``.
-        """
+    def _column(self, bound: int) -> tuple[float, ...]:
+        """The lower (0) or upper (1) values over the whole grid, 0.0 off the physical run."""
         start, stop = self.physical_run
-        runs = ((False, 0, start), (True, start, stop), (False, stop, len(self.grid)))
-        return [run for run in runs if run[1] < run[2]]
+        run = self.kwh_per_tx_at(self.grid[start:stop])[bound]
+        return (0.0,) * start + tuple(run) + (0.0,) * (len(self.grid) - stop)
 
 
 def _checked_grid(network: str, grid: Sequence[float], max_tps: float) -> Sequence[float]:

@@ -361,44 +361,6 @@ def baseline_chart_elements(
 
 
 _CHART_HEADER = ("network", "tps", "kwh_per_tx_lower", "kwh_per_tx_upper", "physical")
-_PHYSICAL_CELLS = ("false", "true")  # indexed by a point's physical flag
-
-
-def _chart_lines(
-    network: str,
-    physical: bool,
-    columns: Sequence[Sequence[float]],
-    constant: tuple[bool, bool, bool],
-) -> str:
-    """The chart CSV lines of one network's rows that share a physical flag, by one ``%``.
-
-    ``columns`` holds the rows' tps, lower and upper values, one equal-length
-    sequence each, and ``constant`` says, from the caller, which of them hold
-    one bit pattern: a band run gives ``(one point, flat, flat)`` (see
-    :func:`_band_csv`), and an anchor line all three. The name and the flag
-    are text in the template, the name with every ``%`` doubled. So is a
-    constant column, printed once from its first value by format_series: a
-    flat run formats one float per row.
-    Only the other columns' numbers are arguments: a lone varying column,
-    a tuple, is the argument tuple itself, and two or three are interleaved
-    row by row. ``%.10g`` formats as format_series does.
-    """
-    cells = []
-    varying = []
-    for column, fixed in zip(columns, constant):
-        if fixed:
-            cells.append(format_series(column[0]))
-        else:
-            cells.append("%.10g")
-            varying.append(column)
-    line = f"{network.replace('%', '%%')},{','.join(cells)},{_PHYSICAL_CELLS[physical]}\n"
-    rows = len(columns[0])
-    if len(varying) == 1:
-        return (line * rows) % tuple(varying[0])
-    values = [None] * (rows * len(varying))
-    for k, column in enumerate(varying):
-        values[k::len(varying)] = column
-    return (line * rows) % tuple(values)
 
 
 def _chart_anchor_lines(
@@ -424,25 +386,34 @@ def _chart_anchor_lines(
         for marker in sorted(baseline_markers, key=lambda m: (m.label, m.tps))
     ]
     return [
-        _chart_lines(label, True, [(value,) for value in row], (True, True, True))
-        for label, row in anchors
+        f"{label},{format_series(tps)},{format_series(lower)},{format_series(upper)},true\n"
+        for label, (tps, lower, upper) in anchors
     ]
 
 
 def _band_csv(band: ConsumptionBand) -> str:
-    """The band's chart CSV lines, formatted one run of equal physical flags at a time.
+    """The band's chart CSV lines, formatted from its physical run by at most three ``%``.
 
-    Each run is one :func:`_chart_lines` call. A run's values are constant
-    when it is non-physical, where every value is ``0.0``, or when the fit's
-    intercept is 0, where every value is the slope times its hardware
-    factor; such a run formats only its tps.
+    The points before and after the run print ``0,0,false``. In the run, a
+    fit with intercept 0 gives every point the slope times each hardware
+    factor, so those two values are formatted once; any other fit's tps and
+    values are interleaved row by row. The name is text in each template,
+    with every ``%`` doubled, and ``%.10g`` formats as format_series does.
     """
-    columns, flat = band.columns(), band.intercept == 0
-    return "".join(
-        _chart_lines(band.network, flag, [column[start:stop] for column in columns],
-                     (stop - start == 1, not flag or flat, not flag or flat))
-        for flag, start, stop in band.runs()
-    )
+    name, grid = band.network.replace("%", "%%"), band.grid
+    start, stop = band.physical_run
+    off = f"{name},%.10g,0,0,false\n"
+    run = grid[start:stop]
+    if not run:
+        lines = ""
+    elif band.intercept == 0:
+        lower, upper = (format_series(values[0]) for values in band.kwh_per_tx_at(run[:1]))
+        lines = (f"{name},%.10g,{lower},{upper},true\n" * len(run)) % run
+    else:
+        values = [None] * (3 * len(run))
+        values[::3], (values[1::3], values[2::3]) = run, band.kwh_per_tx_at(run)
+        lines = (f"{name},%.10g,%.10g,%.10g,true\n" * len(run)) % tuple(values)
+    return (off * start) % grid[:start] + lines + (off * (len(grid) - stop)) % grid[stop:]
 
 
 def _band_lines(band: ConsumptionBand) -> list[str]:

@@ -374,7 +374,8 @@ class TestCanvasResolution:
         polygons = parse_polygons(svg)
         assert len(polygons) == len(runs)
         for (b, run), vertices in zip(runs, polygons):
-            tps, *columns = b.columns()  # each column is computed when it is read: read once
+            # each column is built whole when it is read: read each once
+            tps, *columns = b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper
             xs = [geom.x_px(tps[i]) for i in run]
             edges = [[(x, geom.y_px(column[i])) for x, i in zip(xs, run)] for column in columns]
             vertices = [printed(x, y) for x, y in vertices]

@@ -360,6 +360,25 @@ class TestLogGrid:
         listed = listed_grid(low, 1000.0, n_points)
         assert all(a < b for a, b in zip(listed, listed[1:]))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.01, 1000.0, 1), r"^n must be a count in \[2, 2\*\*53\], got 1$"),
+            ((0.01, 1000.0, 2.5), r"^n must be a count in \[2, 2\*\*53\], got 2\.5$"),
+            ((0.0, 10.0, 5), r"^min_tps must be finite and positive, got 0\.0$"),
+            ((NAN, 10.0, 5), r"^min_tps must be finite and positive, got nan$"),
+            ((0.01, -10.0, 5), r"^max_tps must be finite and positive, got -10\.0$"),
+            ((0.01, INF, 5), r"^max_tps must be finite and positive, got inf$"),
+            ((0.01, 10**400, 5),
+             r"^max_tps must be finite and positive, got a number beyond float range$"),
+        ],
+        ids=["one-point", "fractional-n", "zero-min", "nan-min", "negative-max", "inf-max",
+             "max-beyond-float"],
+    )
+    def test_refuses_ends_and_counts_no_grid_has(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            LogGrid(*args)
+
     def test_record_of_its_ends_and_count(self):
         grid = default_grid(polkadot_profile(), 5)
         assert grid == LogGrid(0.01, 1000.0, 5)
@@ -594,9 +613,8 @@ class TestConsumptionBand:
     def test_bits_match_pointwise_reference(self, case):
         assert band_outcome(consumption_band, *case) == band_outcome(reference_band, *case)
 
-    def test_origin_band_run_is_one_float(self):
-        # every bundled fit is through the origin: each physical column is one shared
-        # float, with the bits of the per-point reference
+    def test_bundled_origin_bands_match_reference(self):
+        # every bundled fit is through the origin, and its band has the per-point reference's bits
         observations = load_snapshots(bundled("observations.csv")).observations
         profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
         fits = fit_networks(observations)
@@ -604,15 +622,11 @@ class TestConsumptionBand:
         for fit in fits:
             profile = profiles[fit.network]
             grid = default_grid(profile, 20000)
-            band = consumption_band(fit, profile, grid)
+            start, stop = consumption_band(fit, profile, grid).physical_run
+            assert start < stop
             assert band_outcome(consumption_band, fit, profile, grid) == band_outcome(
                 reference_band, fit, profile, grid
             )
-            physical = [(start, stop) for flag, start, stop in band.runs() if flag]
-            assert physical
-            for start, stop in physical:
-                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
-                    assert len({id(value) for value in column[start:stop]}) == 1
 
 
 def near_band(intercept, slope, grid, lower_w=5.5, upper_w=168.1, max_tps=100.0):
@@ -633,7 +647,7 @@ class TestConsumptionBandColumns:
             band = near_band(0.0, 24.96, grid, max_tps=1e6)
             columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
             assert all(type(column) is tuple and len(column) == len(grid) for column in columns)
-            assert band.tps == tuple(grid) and band.columns() == columns[:3]
+            assert band.tps == tuple(grid)
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(GridDomainError, match=r"^near: band grid must be strictly"):
@@ -723,30 +737,13 @@ class TestConsumptionBandColumns:
 
     @settings(max_examples=20, deadline=None)
     @given(case=band_cases())
-    def test_runs_tile_the_grid_by_flag(self, case):
+    def test_physical_run_holds_the_reference_flags(self, case):
         try:
             band = consumption_band(*case)
         except ValueError:
             assume(False)
-        runs, physical = band.runs(), band.physical
-        tiled = [i for _, start, stop in runs for i in range(start, stop)]
-        assert tiled == list(range(len(physical)))
-        assert all(physical[i] == flag for flag, start, stop in runs for i in range(start, stop))
-        # maximal: neighbouring runs differ in flag
-        assert all(left[0] != right[0] for left, right in zip(runs, runs[1:]))
-        assert [(start, stop) for flag, start, stop in runs if flag] in ([band.physical_run], [])
-
-    def test_runs_returns_a_fresh_list(self):
-        band = near_band(-1.0, 1.0, (1.0, 2.0, 3.0))
-        runs = band.runs()
-        assert runs == [(False, 0, 1), (True, 1, 3)]
-        runs.append((False, 3, 4))
-        runs[0] = None
-        assert band.runs() == [(False, 0, 1), (True, 1, 3)]
-        assert band.runs() is not band.runs()
-        # the run is not a field: equality, hashing and repr go by what fixes the values
-        assert ConsumptionBand._fields == ("network", "intercept", "slope", "hardware_lower",
-                                           "hardware_upper", "grid")
+        flags = reference_band(*case).physical
+        assert [i for i, flag in enumerate(flags) if flag] == list(range(*band.physical_run))
 
 
 class CountingGrid(LogGrid):
@@ -766,25 +763,32 @@ class CountingGrid(LogGrid):
         return iter(self[:])
 
 
+def assert_flat_where_formatted_once(band):
+    """Assert the values the chart CSV formats once hold one bit pattern per column: ``0.0``
+    off the physical run, and one value on it when the fit's intercept is 0."""
+    start, stop = band.physical_run
+    for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+        assert set(bits(column[:start] + column[stop:])) <= set(bits([0.0]))
+        if band.intercept == 0:
+            assert len(set(bits(column[start:stop]))) <= 1
+
+
 class TestRunFlatness:
+    """Which spans of a band hold one bit pattern per column, and how little a flat band reads."""
+
     @settings(max_examples=20, deadline=None)
     @given(case=band_cases())
     def test_matches_per_run_bits(self, case):
-        # a run the chart treats as flat, non-physical or of a fit with intercept 0,
-        # holds one bit pattern per column
         try:
             band = consumption_band(*case)
         except ValueError:
             assume(False)
-        for flag, start, stop in band.runs():
-            if not flag or band.intercept == 0:
-                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
-                    assert len(set(bits(column[start:stop]))) == 1
+        assert_flat_where_formatted_once(band)
 
     def test_one_point_runs_are_flat(self):
         # a falling fit: one physical point, then one that is not
         band = near_band(440.7, -24.6, (1.0, 20.0))
-        assert band.runs() == [(True, 0, 1), (False, 1, 2)]
+        assert band.physical_run == (0, 1)
         assert band.kwh_per_tx_lower[1:] == band.kwh_per_tx_upper[1:] == (0.0,)
 
     def test_consumption_band_runs_of_bundled_fits_are_flat(self):
@@ -794,16 +798,14 @@ class TestRunFlatness:
             profile = profiles[fit.network]
             band = consumption_band(fit, profile, default_grid(profile, 500))
             assert band.intercept == 0
-            for _, start, stop in band.runs():
-                for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
-                    assert len(set(bits(column[start:stop]))) == 1
+            assert_flat_where_formatted_once(band)
 
     def test_varying_runs_of_a_fit_with_an_intercept(self):
         # a rising fit: a flat all-0.0 non-physical prefix, then a varying physical run
         fit = RegressionFit("polkadot", -50.0, 2.0, 1.0, 5, False)
         band = consumption_band(fit, polkadot_profile(), default_grid(polkadot_profile(), 50))
-        assert [flag for flag, _, _ in band.runs()] == [False, True]
         start, stop = band.physical_run
+        assert 0 < start < stop == 50
         assert len(set(band.kwh_per_tx_lower[start:stop])) == stop - start
 
     @settings(max_examples=20, deadline=None)
@@ -839,8 +841,12 @@ class TestRunFlatness:
         band = near_band(0.0, 24.96, default_grid(NEAR_PROFILE, 50), max_tps=1e6)
         copy = pickle.loads(pickle.dumps(band))
         assert copy == band and hash(copy) == hash(band)
-        assert copy.physical_run == band.physical_run and copy.columns() == band.columns()
+        assert copy.physical_run == band.physical_run
+        assert copy.kwh_per_tx_lower == band.kwh_per_tx_lower
         assert "physical_run" not in repr(band) and "_run" not in repr(band)
+        # equality, hashing and repr go by what fixes the values
+        assert ConsumptionBand._fields == ("network", "intercept", "slope", "hardware_lower",
+                                           "hardware_upper", "grid")
 
 
 class TestErrata:

@@ -252,7 +252,7 @@ class TestChartSeries:
         bands = [fit_band("a%sb%%", 3.0, -1.5, (1.0, 2.0), (24.0, 240.0))]
         text = "".join(chart_csv_document(bands))
         assert text == chart_csv(chart_rows(bands))
-        lower, upper = (format_series(value[0]) for value in bands[0].columns()[1:])
+        lower, upper = (format_series(values[0]) for values in bands[0].kwh_per_tx_at([1.0]))
         assert (lower, upper) == ("1e-05", "0.0001")
         assert text.splitlines()[1:] == ["a%sb%%,1,1e-05,0.0001,true", "a%sb%%,2,0,0,false"]
 
