@@ -12,7 +12,7 @@ bounds, rendered as a log-log SVG chart.
 import sys
 
 from posenergy.baselines import load_baselines
-from posenergy.chart import DEFAULT_HEIGHT, DEFAULT_WIDTH, render_chart
+from posenergy.chart import DEFAULT_HEIGHT, DEFAULT_WIDTH, chart_geometry, render_chart
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.report import (
     baseline_chart_elements,
@@ -41,7 +41,9 @@ baseline_markers, reference_bands = baseline_chart_elements(
     load_baselines(bundled("baselines.cfg"))
 )
 
-svg, geometry = render_chart(bands, markers + baseline_markers, reference_bands)
+markers += baseline_markers
+svg = render_chart(bands, markers, reference_bands)
+geometry = chart_geometry(bands, markers, reference_bands)
 
 out = sys.argv[1] if len(sys.argv) > 1 else "throughput_bands.svg"
 with open(out, "w", encoding="utf-8") as handle:

@@ -29,7 +29,6 @@ _EXPORTS = {
         "Erratum",
         "GridDomainError",
         "ReportedEstimate",
-        "consumption_band",
         "contemporary_estimate",
         "default_grid",
         "find_errata",

@@ -85,7 +85,7 @@ def chart_geometry(
     """Decade-rounded axis ranges covering every placeable value and drawn band point.
 
     A band is drawn, and so ranged, only where its physical run has two or
-    more points, since one point makes no polygon. Each column is monotone
+    more points, since one point makes no polygon. Each edge is monotone
     over the run, so the run's extremes are its values at its two ends.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
@@ -155,8 +155,8 @@ def render_chart(
     bands: Sequence[ConsumptionBand],
     markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
-) -> tuple[str, ChartGeometry]:
-    """Render an SVG document on the fixed canvas; returns the markup and the geometry used.
+) -> str:
+    """Render an SVG document on the fixed canvas, ranged by :func:`chart_geometry`.
 
     Band polygons walk the lower edge left to right, then the upper edge
     back, over each band's physical run. Non-physical points are not drawn,
@@ -207,7 +207,7 @@ def render_chart(
     parts.append(_FRAME_AND_LABELS)
     parts.extend(_legend(colors))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n", geom
+    return "\n".join(parts) + "\n"
 
 
 def _column_ends(xs: Sequence[float]) -> list[int]:

@@ -226,7 +226,7 @@ def _cmd_chart(args: argparse.Namespace) -> None:
         markers = report.observation_markers(
             snapshot.observations, bounds, [b.network for b in bands]
         ) + baseline_markers
-        chunks = [render_chart(bands, markers, reference_bands)[0]]
+        chunks = [render_chart(bands, markers, reference_bands)]
     _write(chunks, args.out)
 
 

@@ -72,46 +72,47 @@ class LogGrid(Record):
     """The log-spaced throughput grid of :func:`default_grid`, a sequence computed on demand.
 
     Item ``i`` is ``10.0 ** (i * step + start)``, where ``start`` is
-    ``log10(min_tps)`` and ``step`` is ``(log10(max_tps) - start) / (n - 1)``,
-    except that the first item is ``min_tps`` and the last ``max_tps``,
-    exactly. The grid supports ``len``, indices of either sign, slices (a
-    tuple) and iteration; a slice or an iteration computes its items in one
-    comprehension.
+    ``log10(min_tps)`` and ``step`` is ``(log10(max_tps) - start) /
+    (n_points - 1)``, except that the first item is ``min_tps`` and the last
+    ``max_tps``, exactly. The grid supports ``len``, indices of either sign,
+    slices (a tuple) and iteration; a slice or an iteration computes its
+    items in one comprehension.
 
     Raises:
         ValueError: ``min_tps`` or ``max_tps`` is not finite and positive, or
-            ``n`` is not a count of at least 2.
+            ``n_points`` is not a count of at least 2.
     """
 
     min_tps: float
     max_tps: float
-    n: int
+    n_points: int
 
-    def __init__(self, min_tps: float, max_tps: float, n: int) -> None:
+    def __init__(self, min_tps: float, max_tps: float, n_points: int) -> None:
         for name, value in (("min_tps", min_tps), ("max_tps", max_tps)):
             object.__setattr__(self, name, _check_finite(name, value, "positive"))
-        object.__setattr__(self, "n", _check_count("n", n, 2))
+        object.__setattr__(self, "n_points", _check_count("n_points", n_points, 2))
         # not fields: both follow from the ends and the count
         object.__setattr__(self, "start", math.log10(self.min_tps))
-        object.__setattr__(self, "step", (math.log10(self.max_tps) - self.start) / (self.n - 1))
+        step = (math.log10(self.max_tps) - self.start) / (self.n_points - 1)
+        object.__setattr__(self, "step", step)
 
     def __len__(self) -> int:
-        return self.n
+        return self.n_points
 
     def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
         if isinstance(index, slice):
-            return self._items(range(self.n)[index])
-        i = range(self.n)[index]  # a negative index counts from the end; IndexError past it
-        if 0 < i < self.n - 1:
+            return self._items(range(self.n_points)[index])
+        i = range(self.n_points)[index]  # a negative index counts from the end; IndexError past it
+        if 0 < i < self.n_points - 1:
             return 10.0 ** (i * self.step + self.start)
         return self.min_tps if i == 0 else self.max_tps
 
     def __iter__(self) -> Iterator[float]:
-        return iter(self._items(range(self.n)))
+        return iter(self._items(range(self.n_points)))
 
     def _items(self, indices: range) -> tuple[float, ...]:
         """The items at ``indices``; an exact end can only open or close the range."""
-        ends = (0, self.n - 1)
+        ends = (0, self.n_points - 1)
         head = tail = ()
         if indices and indices[0] in ends:
             head, indices = (self[indices[0]],), indices[1:]
@@ -151,9 +152,8 @@ class ConsumptionBand(Record):
     each value has the shape of :func:`~posenergy.core.energy_per_tx`: the
     validators per unit of throughput, ``intercept / tps + slope``, times
     its hardware factor. Elsewhere the point is non-physical and both
-    values are ``0.0``. ``tps``, ``kwh_per_tx_lower``, ``kwh_per_tx_upper``
-    and ``physical`` are these columns, as tuples built whole on each read,
-    so a loop over points reads ``grid[i]`` and :meth:`kwh_per_tx_at`.
+    values are ``0.0``. :meth:`kwh_per_tx_at` computes the values at any
+    physical points.
 
     The flag ``intercept + slope * tps < 1`` is monotone in ``tps``, since
     rounding is, so on an increasing grid the physical points are one run,
@@ -165,7 +165,7 @@ class ConsumptionBand(Record):
     in (0, max_tps] (see :func:`_checked_grid`), and each physical value is
     finite, with ``0 < lower <= upper``. Dividing by ``tps``, adding
     ``slope`` and multiplying by a fixed factor each keep or reverse order
-    under rounding, so each column is monotone over the physical run, and
+    under rounding, so each edge is monotone over the physical run, and
     the values are checked at its two ends. That decides ``lower <= upper``
     too when ``0 <= hardware_lower <= hardware_upper``, as every profile's
     bounds give, since ``intercept / tps + slope`` is then positive at both
@@ -221,42 +221,12 @@ class ConsumptionBand(Record):
                     raise ValueError(f"{network}: band inverted at tps={rate!r}")
 
     def kwh_per_tx_at(self, rates: Iterable[float]) -> tuple[list[float], list[float]]:
-        """The lower and the upper kWh/tx at each of ``rates``, physical throughputs of the band.
-
-        These are the values the columns hold at those points, bit for bit.
-        """
+        """The lower and the upper kWh/tx at each of ``rates``, physical throughputs of the band."""
         per_tps = [self.intercept / rate + self.slope for rate in rates]
         return (
             [value * self.hardware_lower for value in per_tps],
             [value * self.hardware_upper for value in per_tps],
         )
-
-    @property
-    def tps(self) -> tuple[float, ...]:
-        """The grid as a tuple, built whole on each read: read one point as ``grid[i]``."""
-        return self.grid[:]
-
-    @property
-    def kwh_per_tx_lower(self) -> tuple[float, ...]:
-        """The lower kWh/tx at each point, built whole on each read: see :meth:`kwh_per_tx_at`."""
-        return self._column(0)
-
-    @property
-    def kwh_per_tx_upper(self) -> tuple[float, ...]:
-        """The upper kWh/tx at each point, built whole on each read: see :meth:`kwh_per_tx_at`."""
-        return self._column(1)
-
-    @property
-    def physical(self) -> tuple[bool, ...]:
-        """Each point's flag, built whole on each read: the ``True`` flags are ``physical_run``."""
-        start, stop = self.physical_run
-        return (False,) * start + (True,) * (stop - start) + (False,) * (len(self.grid) - stop)
-
-    def _column(self, bound: int) -> tuple[float, ...]:
-        """The lower (0) or upper (1) values over the whole grid, 0.0 off the physical run."""
-        start, stop = self.physical_run
-        run = self.kwh_per_tx_at(self.grid[start:stop])[bound]
-        return (0.0,) * start + tuple(run) + (0.0,) * (len(self.grid) - stop)
 
 
 def _checked_grid(network: str, grid: Sequence[float], max_tps: float) -> Sequence[float]:
@@ -326,21 +296,17 @@ def default_grid(
     Both endpoints are exactly the requested values; the interior points are
     evenly spaced in log10. The grid is a :class:`LogGrid`, whose items are
     computed when they are read.
+
+    Raises:
+        ValueError: :class:`LogGrid` refuses ``min_tps`` or ``n_points``.
+        GridDomainError: ``min_tps`` is not below the profile's maximum.
     """
-    if n_points < 2:
-        raise GridDomainError(f"{profile.network}: grid needs at least 2 points, got {n_points}")
-    if not 0 < min_tps < profile.max_tps:
+    grid = LogGrid(min_tps, profile.max_tps, n_points)
+    if not grid.min_tps < grid.max_tps:
         raise GridDomainError(
             f"{profile.network}: min_tps must lie in (0, {profile.max_tps!r}), got {min_tps!r}"
         )
-    return LogGrid(min_tps, profile.max_tps, n_points)
-
-
-def consumption_band(
-    fit: RegressionFit, profile: NetworkProfile, grid: Sequence[float]
-) -> ConsumptionBand:
-    """The :class:`ConsumptionBand` of ``fit`` over ``grid``, between ``profile``'s bounds."""
-    return ConsumptionBand(fit, profile, grid)
+    return grid
 
 
 class ReportedEstimate(Record):

@@ -19,7 +19,6 @@ from .estimator import (
     DEFAULT_MIN_TPS,
     Erratum,
     ReportedEstimate,
-    consumption_band,
     contemporary_estimate,
     default_grid,
 )
@@ -323,7 +322,7 @@ def chart_bands(
         if fit.network not in profiles:
             raise ValueError(f"no throughput profile for network {fit.network!r}")
         profile = profiles[fit.network]
-        bands.append(consumption_band(fit, profile, default_grid(profile, n_points, min_tps)))
+        bands.append(ConsumptionBand(fit, profile, default_grid(profile, n_points, min_tps)))
     return bands
 
 

@@ -12,7 +12,6 @@ stated relative tolerance, whichever is wider.
 
 import math
 import time
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -21,14 +20,14 @@ from posenergy.baselines import load_baselines
 from posenergy.cli import main
 from posenergy.core import NetworkObservation, NetworkProfile, ValidatorPowerBounds
 from posenergy.estimator import (
-    consumption_band,
+    ConsumptionBand,
     default_grid,
     find_errata,
     printed_tolerance,
 )
 from posenergy.ingestion import bundled, load_bounds, load_reported, load_snapshots, merge, write_snapshot
 from posenergy.regression import RegressionFit, fit_affine, predict_validators
-from posenergy.report import comparison_estimates
+from posenergy.report import chart_rows, comparison_estimates
 from posenergy.solana import VoteRatioRecord, adjusted_max_tps, average_tps, nonvote_ratio
 
 
@@ -211,19 +210,21 @@ def test_criterion_5_estimator_properties(capsys):
     grid = default_grid(profile, n_points=120)
     problems = []
 
+    def physical_values(band):
+        """The band's physical throughputs and its lower and upper kWh/tx at each."""
+        run = band.grid[slice(*band.physical_run)]
+        return (run, *band.kwh_per_tx_at(run))
+
     flat = RegressionFit("net0", 297.0, 0.0, 1.0, 3, False)
-    band = consumption_band(flat, profile, grid)
-    lowers = list(compress(band.kwh_per_tx_lower, band.physical))
-    uppers = list(compress(band.kwh_per_tx_upper, band.physical))
+    _, lowers, uppers = physical_values(ConsumptionBand(flat, profile, grid))
     if not all(b < a for a, b in zip(lowers, lowers[1:])):
         problems.append("slope-0 lower edge is not strictly decreasing")
     if not all(b < a for a, b in zip(uppers, uppers[1:])):
         problems.append("slope-0 upper edge is not strictly decreasing")
 
     proportional = RegressionFit("net0", 0.0, 2.0, 1.0, 3, True)
-    band = consumption_band(proportional, profile, grid)
-    for edge in ("kwh_per_tx_lower", "kwh_per_tx_upper"):
-        values = list(compress(getattr(band, edge), band.physical))
+    _, *edges = physical_values(ConsumptionBand(proportional, profile, grid))
+    for values in edges:
         if max(values) - min(values) > 1e-12 * max(values):
             problems.append("intercept-0 band is not constant")
             break
@@ -233,17 +234,15 @@ def test_criterion_5_estimator_properties(capsys):
         fit = RegressionFit(
             "net0", float(rng.uniform(0.0, 500.0)), float(rng.uniform(-5.0, 50.0)), 0.9, 4, True
         )
-        band = consumption_band(fit, profile, grid)
-        columns = zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
-        for rate, lower, upper, physical in columns:
-            if physical and lower > upper:
+        for rate, lower, upper in zip(*physical_values(ConsumptionBand(fit, profile, grid))):
+            if lower > upper:
                 problems.append(f"lower > upper at tps {rate}")
                 break
 
     tezos_like = RegressionFit("net0", 440.7, -24.6, 0.8, 8, True)
-    band = consumption_band(tezos_like, profile, [20.0])
-    ((lower,), (upper,), (physical,)) = band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical
-    if physical or lower != 0.0 or upper != 0.0:
+    band = ConsumptionBand(tezos_like, profile, [20.0])
+    start, stop = band.physical_run
+    if start != stop or chart_rows([band]) != ["net0,20,0,0,false\n"]:
         problems.append("negative prediction at throughput 20 was not flagged non-physical")
     verdict(capsys, 5, "estimator band properties", not problems, "; ".join(problems))
 

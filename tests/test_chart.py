@@ -2,7 +2,6 @@
 
 import math
 import re
-from itertools import compress
 
 from xml.etree import ElementTree
 
@@ -22,7 +21,7 @@ from posenergy.chart import (
     render_chart,
 )
 from posenergy.core import NetworkProfile, ValidatorPowerBounds
-from posenergy.estimator import consumption_band, default_grid
+from posenergy.estimator import ConsumptionBand, default_grid
 from posenergy.regression import RegressionFit
 
 
@@ -34,7 +33,7 @@ def band(network="polkadot", intercept=20.0, slope=0.0, grid=(0.1, 1.0, 10.0), w
     ten times that on the upper one.
     """
     profile = NetworkProfile(network, ValidatorPowerBounds(network, *watts), grid[-1])
-    return consumption_band(RegressionFit(network, intercept, slope, 1.0, 2, False), profile, grid)
+    return ConsumptionBand(RegressionFit(network, intercept, slope, 1.0, 2, False), profile, grid)
 
 
 class TestChartGeometry:
@@ -79,8 +78,8 @@ class TestChartGeometry:
     )
     def test_decades_beyond_float_range_render(self, bands, markers, refs):
         # the outer gridlines sit at 1e309 or 1e-324, which no float holds
-        svg, geom = render_chart(bands, markers, refs)
-        assert geom == chart_geometry(bands, markers, refs)
+        svg = render_chart(bands, markers, refs)
+        geom = chart_geometry(bands, markers, refs)
         assert {geom.x_log_min, geom.x_log_max, geom.y_log_min, geom.y_log_max} & {309.0, -324.0}
         assert "nan" not in svg and "inf" not in svg
         ElementTree.fromstring(svg)
@@ -116,9 +115,10 @@ def list_geometry(bands, markers=(), reference_bands=()):
     for b in bands:
         start, stop = b.physical_run
         if stop - start >= 2:  # one point makes no polygon
-            xs += b.tps[start:stop]
-            ys += b.kwh_per_tx_lower[start:stop]
-            ys += b.kwh_per_tx_upper[start:stop]
+            run = b.grid[start:stop]
+            lower, upper = b.kwh_per_tx_at(run)
+            xs += run
+            ys += lower + upper
     xs = [x for x in xs if x > 0]
     ys = [y for y in ys if y > 0]
     if not xs or not ys:
@@ -170,8 +170,7 @@ class TestChartGeometryProperty:
         else:
             assert chart_geometry(bands, markers, refs) == expected
             # every band that can be built renders, with finite coordinates only
-            svg, geometry = render_chart(bands, markers, refs)
-            assert geometry == expected
+            svg = render_chart(bands, markers, refs)
             assert "nan" not in svg and "inf" not in svg
             ElementTree.fromstring(svg)
 
@@ -187,13 +186,13 @@ def parse_polygons(svg):
 
 class TestRenderChart:
     def test_returns_wellformed_svg(self):
-        svg, geom = render_chart([band()])
+        svg = render_chart([band()])
+        assert type(svg) is str
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         assert 'width="1200" height="800"' in svg
         assert "throughput (tx/s)" in svg
         assert "energy per transaction (kWh/tx)" in svg
-        assert isinstance(geom, ChartGeometry)
 
     @pytest.mark.parametrize(
         "kwargs, text",
@@ -204,19 +203,18 @@ class TestRenderChart:
         ids=["marker", "reference-band"],
     )
     def test_text_is_escaped(self, kwargs, text):
-        svg, _ = render_chart([band()], **kwargs)
+        svg = render_chart([band()], **kwargs)
         root = ElementTree.fromstring(svg)
         assert text in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_polygon_vertices_match_geometry(self):
         b = band()
-        svg, geom = render_chart([b])
+        svg, geom = render_chart([b]), chart_geometry([b])
         polygons = parse_polygons(svg)
         assert len(polygons) == 1
         vertices = polygons[0]
-        tps = list(compress(b.tps, b.physical))
-        lower = list(compress(b.kwh_per_tx_lower, b.physical))
-        upper = list(compress(b.kwh_per_tx_upper, b.physical))
+        tps = b.grid[slice(*b.physical_run)]
+        lower, upper = b.kwh_per_tx_at(tps)
         expected = [(geom.x_px(t), geom.y_px(v)) for t, v in zip(tps, lower)]
         expected += [(geom.x_px(t), geom.y_px(v)) for t, v in zip(reversed(tps), reversed(upper))]
         assert len(vertices) == len(expected)
@@ -230,13 +228,12 @@ class TestRenderChart:
         with pytest.raises(ValueError, match="nothing to plot"):
             render_chart([lone])
         marker = PointMarker("visa", 1736.0, 0.0033)
-        svg, geom = render_chart([lone], [marker])
-        assert parse_polygons(svg) == []
-        assert geom == chart_geometry([], [marker])
+        assert parse_polygons(render_chart([lone], [marker])) == []
+        assert chart_geometry([lone], [marker]) == chart_geometry([], [marker])
 
     def test_marker_circle_position(self):
         marker = PointMarker("visa", 1736.0, 0.00327773)
-        svg, geom = render_chart([band()], markers=[marker])
+        svg, geom = render_chart([band()], [marker]), chart_geometry([band()], [marker])
         match = re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg)
         assert match
         assert abs(float(match.group(1)) - geom.x_px(marker.tps)) <= 0.5
@@ -244,7 +241,8 @@ class TestRenderChart:
 
     def test_reference_band_spans_plot_width(self):
         ref = ReferenceBand("bitcoin", 624.41, 1662.78)
-        svg, geom = render_chart([band()], reference_bands=[ref])
+        svg = render_chart([band()], reference_bands=[ref])
+        geom = chart_geometry([band()], reference_bands=[ref])
         pattern = (
             r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" height="([\d.]+)" '
             r'fill="#[0-9a-f]{6}" fill-opacity="0.25"'
@@ -256,7 +254,7 @@ class TestRenderChart:
         assert float(match.group(2)) == pytest.approx(geom.y_px(1662.78), abs=0.5)
 
     def test_legend_lists_every_label(self):
-        svg, _ = render_chart(
+        svg = render_chart(
             [band("polkadot"), band("tezos")],
             markers=[PointMarker("visa", 1736.0, 0.0033)],
             reference_bands=[ReferenceBand("bitcoin", 624.41, 1662.78)],
@@ -270,12 +268,12 @@ class TestRenderChart:
             [PointMarker("visa", 1736.0, 0.0033)],
             [ReferenceBand("bitcoin", 624.41, 1662.78)],
         )
-        first, _ = render_chart(*args)
-        second, _ = render_chart(*args)
+        first = render_chart(*args)
+        second = render_chart(*args)
         assert first == second
 
     def test_distinct_band_colors(self):
-        svg, _ = render_chart([band("polkadot"), band("tezos")])
+        svg = render_chart([band("polkadot"), band("tezos")])
         fills = re.findall(r'<polygon points="[^"]+" fill="(#[0-9a-f]{6})"', svg)
         assert len(fills) == 2
         assert fills[0] != fills[1]
@@ -299,9 +297,8 @@ class TestPlacement:
 
     def test_placeable_beside_unplaceable_is_drawn(self):
         markers = [PointMarker("visa", 1736.0, 0.0033), PointMarker("near", 1.0, 0.0)]
-        svg, geom = render_chart([band()], markers)
-        assert svg.count("<circle ") == 1
-        assert geom == chart_geometry([band()], markers[:1])
+        assert render_chart([band()], markers).count("<circle ") == 1
+        assert chart_geometry([band()], markers) == chart_geometry([band()], markers[:1])
 
 
 @st.composite
@@ -326,7 +323,7 @@ def affine_band(draw, network):
     profile = NetworkProfile(network, ValidatorPowerBounds(network, lower_w, upper_w), max_tps)
     fit = RegressionFit(network, intercept, slope, 1.0, 2, kind == "origin")
     grid = default_grid(profile, draw(st.integers(min_value=2, max_value=5000)), 0.01)
-    return consumption_band(fit, profile, grid)
+    return ConsumptionBand(fit, profile, grid)
 
 
 def printed(x, y):
@@ -370,14 +367,14 @@ class TestCanvasResolution:
         runs = [(b, range(*b.physical_run)) for b in bands]
         runs = [(b, run) for b, run in runs if len(run) >= 2]
         assume(runs)  # else nothing to plot
-        svg, geom = render_chart(bands)
+        svg, geom = render_chart(bands), chart_geometry(bands)
         polygons = parse_polygons(svg)
         assert len(polygons) == len(runs)
         for (b, run), vertices in zip(runs, polygons):
-            # each column is built whole when it is read: read each once
-            tps, *columns = b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper
-            xs = [geom.x_px(tps[i]) for i in run]
-            edges = [[(x, geom.y_px(column[i])) for x, i in zip(xs, run)] for column in columns]
+            rates = b.grid[run.start:run.stop]
+            columns = b.kwh_per_tx_at(rates)
+            xs = [geom.x_px(rate) for rate in rates]
+            edges = [[(x, geom.y_px(value)) for x, value in zip(xs, column)] for column in columns]
             vertices = [printed(x, y) for x, y in vertices]
             half = len(vertices) // 2
             drawn_edges = vertices[:half], vertices[half:][::-1]
@@ -389,7 +386,7 @@ class TestCanvasResolution:
             assert (kept[0], kept[-1]) == (0, len(run) - 1)
             constant = b.intercept == 0
             if constant:
-                assert all(len({column[i] for i in run}) == 1 for column in columns)
+                assert all(len(set(column)) == 1 for column in columns)
                 # a horizontal edge: exactly its two end points are drawn
                 assert kept == [0, len(run) - 1]
             else:

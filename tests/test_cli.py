@@ -24,7 +24,7 @@ from posenergy import cli, report
 from posenergy.baselines import load_baselines
 from posenergy.chart import render_chart
 from posenergy.cli import build_parser, main
-from posenergy.estimator import consumption_band, default_grid, find_baseline_errata, find_errata
+from posenergy.estimator import ConsumptionBand, default_grid, find_baseline_errata, find_errata
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -447,7 +447,7 @@ class TestChartOutput:
             expected = report.chart_csv(report.chart_rows(bands, baseline_markers, refs))
         else:
             markers = report.observation_markers(BUNDLED_OBSERVATIONS, BUNDLED_BOUNDS, networks)
-            expected = render_chart(bands, markers + baseline_markers, refs)[0]
+            expected = render_chart(bands, markers + baseline_markers, refs)
         argv = ["chart", "--format", fmt, "--points", str(points)]
         argv += [arg for network in networks for arg in ("--network", network)]
         assert run_main(argv) == (0, expected, "")
@@ -474,7 +474,7 @@ class TestNarrowGrid:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         (fit,) = report.fit_networks(BUNDLED_OBSERVATIONS, ["polkadot"])
-        band = consumption_band(fit, profile, tuple(grid))
+        band = ConsumptionBand(fit, profile, tuple(grid))
         assert out == report.chart_csv(report.chart_rows([band], *BASELINE_ELEMENTS))
 
     def test_collapsing_grid_refused(self, capsys):
@@ -818,11 +818,23 @@ class TestErrorPaths:
         "argv, message",
         [
             (["--lmin", "200"], "bnb: min_tps must lie in (0, 188.0), got 200.0"),
-            (["--points", "1"], "algorand: grid needs at least 2 points, got 1"),
         ],
-        ids=["lmin-above-max", "one-point"],
+        ids=["lmin-above-max"],
     )
     def test_grid_refusal_names_network(self, capsys, argv, message):
+        assert run(capsys, "chart", *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--points", "1"], "n_points must be a count in [2, 2**53], got 1"),
+            (["--lmin", "0"], "min_tps must be finite and positive, got 0.0"),
+            (["--lmin", "nan"], "min_tps must be finite and positive, got nan"),
+        ],
+        ids=["one-point", "zero-lmin", "nan-lmin"],
+    )
+    def test_grid_argument_refusal_names_no_network(self, capsys, argv, message):
+        # the grid's own arguments are refused by core's checkers, for no network
         assert run(capsys, "chart", *argv) == (1, "", f"error: {message}\n")
 
     def test_oversized_cell_named(self, capsys, tmp_path):

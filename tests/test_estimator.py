@@ -6,7 +6,6 @@ import pickle
 import struct
 import sys
 from fractions import Fraction
-from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +30,6 @@ from posenergy.estimator import (
     GridDomainError,
     LogGrid,
     ReportedEstimate,
-    consumption_band,
     contemporary_estimate,
     default_grid,
     find_baseline_errata,
@@ -134,14 +132,37 @@ def reference_band(fit, profile, grid):
     )
 
 
+def band_columns(band):
+    """A band's values over its whole grid, named as :func:`reference_band` names them.
+
+    Off the physical run each value is ``0.0`` and each flag ``False``.
+    """
+    start, stop = band.physical_run
+    after = len(band.grid) - stop
+    lower, upper = band.kwh_per_tx_at(band.grid[start:stop])
+    return SimpleNamespace(
+        tps=band.grid[:],
+        kwh_per_tx_lower=(0.0,) * start + tuple(lower) + (0.0,) * after,
+        kwh_per_tx_upper=(0.0,) * start + tuple(upper) + (0.0,) * after,
+        physical=(False,) * start + (True,) * (stop - start) + (False,) * after,
+    )
+
+
+def band_points(band):
+    """Each grid point of a band as ``(tps, lower, upper, physical)``: see :func:`band_columns`."""
+    columns = band_columns(band)
+    return zip(columns.tps, columns.kwh_per_tx_lower, columns.kwh_per_tx_upper, columns.physical)
+
+
 def band_outcome(function, fit, profile, grid):
     """The band's columns as bytes and flags, or the type and message of what it raised."""
     try:
         band = function(fit, profile, grid)
     except ValueError as exc:
         return type(exc), str(exc)
-    columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper)
-    return [struct.pack(f"{len(column)}d", *column) for column in columns], band.physical
+    columns = band_columns(band) if isinstance(band, ConsumptionBand) else band
+    values = (columns.tps, columns.kwh_per_tx_lower, columns.kwh_per_tx_upper)
+    return [struct.pack(f"{len(column)}d", *column) for column in values], columns.physical
 
 
 def log_uniform(low, high):
@@ -287,15 +308,17 @@ class TestDefaultGrid:
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_rejects_single_point(self):
-        with pytest.raises(GridDomainError):
+        message = r"^n_points must be a count in \[2, 2\*\*53\], got 1$"
+        with pytest.raises(ValueError, match=message):
             default_grid(polkadot_profile(), n_points=1)
 
     def test_rejects_min_at_or_above_max(self):
-        with pytest.raises(GridDomainError):
+        message = r"^polkadot: min_tps must lie in \(0, 100\.0\), got 100\.0$"
+        with pytest.raises(GridDomainError, match=message):
             default_grid(polkadot_profile(100.0), min_tps=100.0)
 
     def test_rejects_non_positive_min(self):
-        with pytest.raises(GridDomainError):
+        with pytest.raises(ValueError, match=r"^min_tps must be finite and positive, got 0\.0$"):
             default_grid(polkadot_profile(), min_tps=0.0)
 
 
@@ -363,8 +386,8 @@ class TestLogGrid:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0.01, 1000.0, 1), r"^n must be a count in \[2, 2\*\*53\], got 1$"),
-            ((0.01, 1000.0, 2.5), r"^n must be a count in \[2, 2\*\*53\], got 2\.5$"),
+            ((0.01, 1000.0, 1), r"^n_points must be a count in \[2, 2\*\*53\], got 1$"),
+            ((0.01, 1000.0, 2.5), r"^n_points must be a count in \[2, 2\*\*53\], got 2\.5$"),
             ((0.0, 10.0, 5), r"^min_tps must be finite and positive, got 0\.0$"),
             ((NAN, 10.0, 5), r"^min_tps must be finite and positive, got nan$"),
             ((0.01, -10.0, 5), r"^max_tps must be finite and positive, got -10\.0$"),
@@ -382,7 +405,7 @@ class TestLogGrid:
     def test_record_of_its_ends_and_count(self):
         grid = default_grid(polkadot_profile(), 5)
         assert grid == LogGrid(0.01, 1000.0, 5)
-        assert repr(grid) == "LogGrid(min_tps=0.01, max_tps=1000.0, n=5)"
+        assert repr(grid) == "LogGrid(min_tps=0.01, max_tps=1000.0, n_points=5)"
         copy = pickle.loads(pickle.dumps(grid))
         assert copy == grid and hash(copy) == hash(grid) and bits(copy) == bits(grid)
         assert list(reversed(grid)) == list(grid)[::-1] and grid[2] in grid
@@ -403,9 +426,9 @@ def assert_near_exact(value, intercept, slope, rate, w):
 class TestConsumptionBand:
     def test_capped_fit_known_values(self):
         # flat fit at 297 validators, evaluated at 1000 tx/s
-        band = consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [1000.0])
-        assert band.physical[0]
-        lower, upper = band.kwh_per_tx_lower[0], band.kwh_per_tx_upper[0]
+        band = ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(), [1000.0])
+        assert band.physical_run == (0, 1)
+        (lower,), (upper,) = band.kwh_per_tx_at([1000.0])
         assert lower == pytest.approx(297 * 4.31 / (1000 * 3.6e6), rel=1e-12)
         assert upper == pytest.approx(297 * 107.86 / (1000 * 3.6e6), rel=1e-12)
         # published-precision spot values
@@ -417,29 +440,31 @@ class TestConsumptionBand:
         fit = RegressionFit("polkadot", 120.0, 3.5, 0.9, 5, True)
         profile = polkadot_profile()
         grid = default_grid(profile, n_points=50)
-        band = consumption_band(fit, profile, grid)
-        for rate, lower, upper in zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+        band = ConsumptionBand(fit, profile, grid)
+        run = band.grid[slice(*band.physical_run)]
+        assert list(run) == [rate for rate in grid if fit.intercept + fit.slope * rate >= 1.0]
+        for rate, lower, upper in zip(run, *band.kwh_per_tx_at(run)):
             per_tps = fit.intercept / rate + fit.slope
-            if fit.intercept + fit.slope * rate >= 1.0:
-                assert lower == per_tps * (4.31 / JOULES_PER_KWH)
-                assert upper == per_tps * (107.86 / JOULES_PER_KWH)
-                assert_near_exact(lower, fit.intercept, fit.slope, rate, 4.31)
-                assert_near_exact(upper, fit.intercept, fit.slope, rate, 107.86)
+            assert lower == per_tps * (4.31 / JOULES_PER_KWH)
+            assert upper == per_tps * (107.86 / JOULES_PER_KWH)
+            assert_near_exact(lower, fit.intercept, fit.slope, rate, 4.31)
+            assert_near_exact(upper, fit.intercept, fit.slope, rate, 107.86)
 
     def test_flat_fit_band_strictly_decreasing(self):
-        band = consumption_band(
+        band = ConsumptionBand(
             flat_fit("polkadot", 297), polkadot_profile(), default_grid(polkadot_profile())
         )
-        lowers = list(compress(band.kwh_per_tx_lower, band.physical))
-        uppers = list(compress(band.kwh_per_tx_upper, band.physical))
+        start, stop = band.physical_run
+        lowers, uppers = band.kwh_per_tx_at(band.grid[start:stop])
         assert all(b < a for a, b in zip(lowers, lowers[1:]))
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
     def test_proportional_fit_band_constant(self):
         # intercept 0: per-tx energy does not depend on throughput
         fit = RegressionFit("polkadot", 0.0, 2.0, 1.0, 3, True)
-        band = consumption_band(fit, polkadot_profile(), [1.0, 10.0, 100.0])
-        lowers = set(band.kwh_per_tx_lower)
+        band = ConsumptionBand(fit, polkadot_profile(), [1.0, 10.0, 100.0])
+        assert band.physical_run == (0, 3)
+        lowers = set(band.kwh_per_tx_at(band.grid)[0])
         assert len(lowers) == 1
         assert lowers.pop() == pytest.approx(2 * 4.31 / 3.6e6, rel=1e-12)
 
@@ -447,37 +472,34 @@ class TestConsumptionBand:
         # downward-sloping fit crosses below one validator
         fit = RegressionFit("tezos", 440.7, -24.6, 0.8, 8, True)
         profile = NetworkProfile("tezos", ValidatorPowerBounds("tezos", 4.86, 141.65), 1048.0)
-        band = consumption_band(fit, profile, [1.0, 20.0])
-        assert band.physical[0]
-        assert not band.physical[1]
-        assert band.kwh_per_tx_lower[1] == 0.0
-        assert band.kwh_per_tx_upper[1] == 0.0
+        band = ConsumptionBand(fit, profile, [1.0, 20.0])
+        assert band.physical_run == (0, 1)
 
     def test_lower_not_above_upper_everywhere(self):
         fit = RegressionFit("polkadot", 50.0, 1.7, 0.9, 6, True)
-        band = consumption_band(
+        band = ConsumptionBand(
             fit, polkadot_profile(), default_grid(polkadot_profile(), n_points=80)
         )
-        for lower, upper in zip(band.kwh_per_tx_lower, band.kwh_per_tx_upper):
+        for lower, upper in zip(*band.kwh_per_tx_at(band.grid[slice(*band.physical_run)])):
             assert lower <= upper
 
     def test_grid_outside_domain_rejected(self):
         with pytest.raises(GridDomainError):
-            consumption_band(flat_fit("polkadot", 297), polkadot_profile(100.0), [50.0, 200.0])
+            ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(100.0), [50.0, 200.0])
         with pytest.raises(GridDomainError):
-            consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [0.0, 10.0])
+            ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(), [0.0, 10.0])
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(GridDomainError):
-            consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [10.0, 5.0])
+            ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(), [10.0, 5.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(GridDomainError, match=r"^polkadot: empty throughput grid$"):
-            consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [])
+            ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(), [])
 
     def test_network_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            consumption_band(flat_fit("tezos", 400), polkadot_profile(), [10.0])
+            ConsumptionBand(flat_fit("tezos", 400), polkadot_profile(), [10.0])
 
     @pytest.mark.parametrize(
         "intercept, slope, expected", [(0.0, 1e308, 1.197222e302), (1e307, 0.0, 5.986111e300)]
@@ -486,9 +508,11 @@ class TestConsumptionBand:
         # the prediction at 2 tx/s, 2e308 or 1e307 validators, leaves float range
         # or nearly does; validators per tx/s times kWh per validator-second does not
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
-        band = consumption_band(fit, polkadot_profile(), [2.0, 3.0])
-        assert band.kwh_per_tx_lower[0] == pytest.approx(expected, rel=1e-6)
-        assert band.kwh_per_tx_upper[0] == pytest.approx(expected * 107.86 / 4.31, rel=1e-6)
+        band = ConsumptionBand(fit, polkadot_profile(), [2.0, 3.0])
+        assert band.physical_run == (0, 2)
+        (lower,), (upper,) = band.kwh_per_tx_at([2.0])
+        assert lower == pytest.approx(expected, rel=1e-6)
+        assert upper == pytest.approx(expected * 107.86 / 4.31, rel=1e-6)
 
     @pytest.mark.parametrize("intercept, slope", [(0.0, 1e308), (1e307, 0.0)])
     def test_overflow_names_network(self, intercept, slope):
@@ -497,24 +521,24 @@ class TestConsumptionBand:
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
         message = r"^polkadot: band value at tps=2\.0 must be finite and positive, got inf$"
         with pytest.raises(ValueError, match=message):
-            consumption_band(fit, NetworkProfile("polkadot", bounds, 1000.0), [2.0, 3.0])
+            ConsumptionBand(fit, NetworkProfile("polkadot", bounds, 1000.0), [2.0, 3.0])
 
     def test_underflow_names_network_and_tps(self):
         # a 5e-324 W draw makes every physical kWh/tx underflow to 0.0
         profile = NetworkProfile("near", ValidatorPowerBounds("near", 5e-324, 1.0), 100.0)
         message = r"^near: band value at tps=1\.0 must be finite and positive, got 0\.0$"
         with pytest.raises(ValueError, match=message):
-            consumption_band(flat_fit("near", 10), profile, [1.0, 2.0])
+            ConsumptionBand(flat_fit("near", 10), profile, [1.0, 2.0])
 
     @pytest.mark.parametrize("intercept, slope", [(float("nan"), 1.0), (1.0, float("inf"))])
     def test_non_finite_fit_rejected(self, intercept, slope):
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
         with pytest.raises(ValueError, match=r"^polkadot: fit (intercept|slope) must be finite"):
-            consumption_band(fit, polkadot_profile(), [1.0, 2.0])
+            ConsumptionBand(fit, polkadot_profile(), [1.0, 2.0])
 
     def test_nan_grid_rejected(self):
         with pytest.raises(GridDomainError):
-            consumption_band(flat_fit("polkadot", 297), polkadot_profile(), [float("nan"), 1.0])
+            ConsumptionBand(flat_fit("polkadot", 297), polkadot_profile(), [float("nan"), 1.0])
 
     @given(
         grid=st.lists(
@@ -536,10 +560,10 @@ class TestConsumptionBand:
         )
         fit, profile = flat_fit("polkadot", 297), polkadot_profile(100.0)
         if valid:
-            assert consumption_band(fit, profile, grid).tps == tuple(grid)
+            assert ConsumptionBand(fit, profile, grid).grid == tuple(grid)
         else:
             with pytest.raises(GridDomainError):
-                consumption_band(fit, profile, grid)
+                ConsumptionBand(fit, profile, grid)
 
     @settings(deadline=None)
     @given(
@@ -557,10 +581,9 @@ class TestConsumptionBand:
         profile = NetworkProfile("polkadot", bounds, max_tps)
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
         grid = default_grid(profile, n_points=n_points, min_tps=max_tps / 1e4)
-        band = consumption_band(fit, profile, grid)
-        assert band.tps == tuple(grid)
-        columns = zip(band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
-        for rate, lower, upper, physical in columns:
+        band = ConsumptionBand(fit, profile, grid)
+        assert band.grid[:] == tuple(grid)
+        for rate, lower, upper, physical in band_points(band):
             if predict_validators(fit, rate) < 1.0:
                 assert (lower, upper, physical) == (0.0, 0.0, False)
             else:
@@ -585,8 +608,9 @@ class TestConsumptionBand:
         # factor loses no more than that step.
         bounds = ValidatorPowerBounds("polkadot", lower_w, lower_w * upper_ratio)
         fit = RegressionFit("polkadot", intercept, slope, 1.0, 2, True)
-        band = consumption_band(fit, NetworkProfile("polkadot", bounds, rate), [rate])
-        point = (band.kwh_per_tx_lower[0], band.kwh_per_tx_upper[0], band.physical[0])
+        band = ConsumptionBand(fit, NetworkProfile("polkadot", bounds, rate), [rate])
+        ((_, lower, upper, physical),) = band_points(band)
+        point = (lower, upper, physical)
         if predict_validators(fit, rate) < 1.0:
             assert point == (0.0, 0.0, False)
             return
@@ -611,7 +635,7 @@ class TestConsumptionBand:
     @example(case=(RegressionFit("near", 0.0, 24.96, 1.0, 2, True), NEAR_PROFILE, [1.0, 0.0, 2.0]))
     @example(case=(RegressionFit("near", 0.0, 24.96, 1.0, 2, True), NEAR_PROFILE, [2.0, 1.0]))
     def test_bits_match_pointwise_reference(self, case):
-        assert band_outcome(consumption_band, *case) == band_outcome(reference_band, *case)
+        assert band_outcome(ConsumptionBand, *case) == band_outcome(reference_band, *case)
 
     def test_bundled_origin_bands_match_reference(self):
         # every bundled fit is through the origin, and its band has the per-point reference's bits
@@ -622,9 +646,9 @@ class TestConsumptionBand:
         for fit in fits:
             profile = profiles[fit.network]
             grid = default_grid(profile, 20000)
-            start, stop = consumption_band(fit, profile, grid).physical_run
+            start, stop = ConsumptionBand(fit, profile, grid).physical_run
             assert start < stop
-            assert band_outcome(consumption_band, fit, profile, grid) == band_outcome(
+            assert band_outcome(ConsumptionBand, fit, profile, grid) == band_outcome(
                 reference_band, fit, profile, grid
             )
 
@@ -632,7 +656,7 @@ class TestConsumptionBand:
 def near_band(intercept, slope, grid, lower_w=5.5, upper_w=168.1, max_tps=100.0):
     fit = RegressionFit("near", intercept, slope, 1.0, 2, False)
     bounds = ValidatorPowerBounds("near", lower_w, upper_w)
-    return consumption_band(fit, NetworkProfile("near", bounds, max_tps), grid)
+    return ConsumptionBand(fit, NetworkProfile("near", bounds, max_tps), grid)
 
 
 def inverted_profile(lower_w, upper_w, max_tps=100.0):
@@ -642,12 +666,13 @@ def inverted_profile(lower_w, upper_w, max_tps=100.0):
 
 
 class TestConsumptionBandColumns:
-    def test_columns_become_tuples(self):
-        for grid in ([1.0, 2.0], default_grid(NEAR_PROFILE, 3)):
-            band = near_band(0.0, 24.96, grid, max_tps=1e6)
-            columns = (band.tps, band.kwh_per_tx_lower, band.kwh_per_tx_upper, band.physical)
-            assert all(type(column) is tuple and len(column) == len(grid) for column in columns)
-            assert band.tps == tuple(grid)
+    def test_grid_kept_as_a_tuple_or_a_proven_log_grid(self):
+        # a list becomes a tuple of floats; a proven LogGrid is kept, its items unread
+        band = near_band(0.0, 24.96, [1, 2.0], max_tps=1e6)
+        assert band.grid == (1.0, 2.0) and type(band.grid) is tuple
+        assert all(type(rate) is float for rate in band.grid)
+        grid = default_grid(NEAR_PROFILE, 3)
+        assert near_band(0.0, 24.96, grid, max_tps=1e6).grid is grid
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(GridDomainError, match=r"^near: band grid must be strictly"):
@@ -656,14 +681,13 @@ class TestConsumptionBandColumns:
     def test_inverted_physical_point_rejected(self):
         fit = RegressionFit("near", 10.0, 0.0, 1.0, 2, False)
         with pytest.raises(ValueError, match=r"^near: band inverted at tps=1\.0$"):
-            consumption_band(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
+            ConsumptionBand(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
 
     def test_inverted_non_physical_point_allowed(self):
-        # no point is physical, so no value is checked: each is 0.0
+        # no point is physical, so no value is checked
         fit = RegressionFit("near", 0.0, 0.1, 1.0, 2, False)
-        band = consumption_band(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
-        assert band.physical == (False, False)
-        assert band.kwh_per_tx_lower == band.kwh_per_tx_upper == (0.0, 0.0)
+        band = ConsumptionBand(fit, inverted_profile(200.0, 100.0), (1.0, 2.0))
+        assert band.physical_run == (2, 2)  # a rising fit's empty suffix
 
     @pytest.mark.parametrize(
         "band_args, error, message",
@@ -716,8 +740,10 @@ class TestConsumptionBandColumns:
     def test_finite_values_whose_sum_overflows_accepted(self):
         # 1.5e308 and 1.7e308 kWh/tx at every point: finite, though their sum is not
         band = near_band(0.0, 1e308, (1.0, 2.0, 3.0), 5.4e6, 6.12e6)
-        assert band.kwh_per_tx_lower == (1e308 * (5.4e6 / JOULES_PER_KWH),) * 3
-        assert band.kwh_per_tx_upper == (1e308 * (6.12e6 / JOULES_PER_KWH),) * 3
+        assert band.physical_run == (0, 3)
+        lower, upper = band.kwh_per_tx_at(band.grid)
+        assert lower == [1e308 * (5.4e6 / JOULES_PER_KWH)] * 3
+        assert upper == [1e308 * (6.12e6 / JOULES_PER_KWH)] * 3
 
     def test_value_beyond_float_range_named(self):
         message = r"^near: fit intercept must be finite, got a number beyond float range$"
@@ -733,13 +759,13 @@ class TestConsumptionBandColumns:
     @given(case=any_band_case())
     def test_accepts_exactly_the_pointwise_rule(self, case):
         # refusals as well as bands: the same type and message, or the same bits
-        assert band_outcome(consumption_band, *case) == band_outcome(reference_band, *case)
+        assert band_outcome(ConsumptionBand, *case) == band_outcome(reference_band, *case)
 
     @settings(max_examples=20, deadline=None)
     @given(case=band_cases())
     def test_physical_run_holds_the_reference_flags(self, case):
         try:
-            band = consumption_band(*case)
+            band = ConsumptionBand(*case)
         except ValueError:
             assume(False)
         flags = reference_band(*case).physical
@@ -764,13 +790,11 @@ class CountingGrid(LogGrid):
 
 
 def assert_flat_where_formatted_once(band):
-    """Assert the values the chart CSV formats once hold one bit pattern per column: ``0.0``
-    off the physical run, and one value on it when the fit's intercept is 0."""
-    start, stop = band.physical_run
-    for column in (band.kwh_per_tx_lower, band.kwh_per_tx_upper):
-        assert set(bits(column[:start] + column[stop:])) <= set(bits([0.0]))
-        if band.intercept == 0:
-            assert len(set(bits(column[start:stop]))) <= 1
+    """Assert the run the chart CSV formats once, that of a fit with intercept 0, holds one bit
+    pattern per edge. Off the run the CSV prints ``0,0`` without reading the band."""
+    if band.intercept == 0:
+        for edge in band.kwh_per_tx_at(band.grid[slice(*band.physical_run)]):
+            assert len(set(bits(edge))) <= 1
 
 
 class TestRunFlatness:
@@ -780,7 +804,7 @@ class TestRunFlatness:
     @given(case=band_cases())
     def test_matches_per_run_bits(self, case):
         try:
-            band = consumption_band(*case)
+            band = ConsumptionBand(*case)
         except ValueError:
             assume(False)
         assert_flat_where_formatted_once(band)
@@ -789,24 +813,23 @@ class TestRunFlatness:
         # a falling fit: one physical point, then one that is not
         band = near_band(440.7, -24.6, (1.0, 20.0))
         assert band.physical_run == (0, 1)
-        assert band.kwh_per_tx_lower[1:] == band.kwh_per_tx_upper[1:] == (0.0,)
 
     def test_consumption_band_runs_of_bundled_fits_are_flat(self):
         observations = load_snapshots(bundled("observations.csv")).observations
         profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
         for fit in fit_networks(observations):
             profile = profiles[fit.network]
-            band = consumption_band(fit, profile, default_grid(profile, 500))
+            band = ConsumptionBand(fit, profile, default_grid(profile, 500))
             assert band.intercept == 0
             assert_flat_where_formatted_once(band)
 
     def test_varying_runs_of_a_fit_with_an_intercept(self):
         # a rising fit: a flat all-0.0 non-physical prefix, then a varying physical run
         fit = RegressionFit("polkadot", -50.0, 2.0, 1.0, 5, False)
-        band = consumption_band(fit, polkadot_profile(), default_grid(polkadot_profile(), 50))
+        band = ConsumptionBand(fit, polkadot_profile(), default_grid(polkadot_profile(), 50))
         start, stop = band.physical_run
         assert 0 < start < stop == 50
-        assert len(set(band.kwh_per_tx_lower[start:stop])) == stop - start
+        assert len(set(band.kwh_per_tx_at(band.grid[start:stop])[0])) == stop - start
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -825,7 +848,7 @@ class TestRunFlatness:
         message = (f"near: band value at tps={grid[start]!r} "
                    f"must be finite and positive, got {shown}")
         with pytest.raises(ValueError) as raised:
-            consumption_band(fit, profile, grid)
+            ConsumptionBand(fit, profile, grid)
         assert str(raised.value) == message
 
     def test_flat_band_reads_log_n_grid_items(self):
@@ -833,7 +856,7 @@ class TestRunFlatness:
         fit = RegressionFit("near", 0.0, 24.96, 1.0, 2, True)
         for n_points in (200, 20000, 2_000_000):
             grid = CountingGrid(0.01, 1000.0, n_points)
-            svg, _ = render_chart([consumption_band(fit, NEAR_PROFILE, grid)])
+            svg = render_chart([ConsumptionBand(fit, NEAR_PROFILE, grid)])
             assert svg.count("<polygon") == 1
             assert 0 < grid.reads <= 2 * math.log2(n_points) + 8
 
@@ -842,7 +865,8 @@ class TestRunFlatness:
         copy = pickle.loads(pickle.dumps(band))
         assert copy == band and hash(copy) == hash(band)
         assert copy.physical_run == band.physical_run
-        assert copy.kwh_per_tx_lower == band.kwh_per_tx_lower
+        run = band.grid[slice(*band.physical_run)]
+        assert copy.kwh_per_tx_at(run) == band.kwh_per_tx_at(run)
         assert "physical_run" not in repr(band) and "_run" not in repr(band)
         # equality, hashing and repr go by what fixes the values
         assert ConsumptionBand._fields == ("network", "intercept", "slope", "hardware_lower",

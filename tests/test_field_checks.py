@@ -25,7 +25,7 @@ from posenergy.core import (
     energy_per_tx,
     global_power,
 )
-from posenergy.estimator import ReportedEstimate, consumption_band
+from posenergy.estimator import ConsumptionBand, ReportedEstimate
 from posenergy.regression import RegressionFit, predict_validators
 from posenergy.solana import VoteRatioRecord, adjust_tps, adjusted_max_tps
 
@@ -37,7 +37,7 @@ RECORDS = [VoteRatioRecord("2022-01-01", 1, 2, 1.0)]
 
 
 def fit_band(intercept, slope):
-    return consumption_band(RegressionFit("near", intercept, slope, 1.0, 2, True), PROFILE, [1.0])
+    return ConsumptionBand(RegressionFit("near", intercept, slope, 1.0, 2, True), PROFILE, [1.0])
 
 
 # (field as the message names it, attribute it is stored in or None, sign rule, owner,

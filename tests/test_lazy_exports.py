@@ -34,7 +34,6 @@ EXPORTS = [
     "adjusted_max_tps",
     "average_tps",
     "bundled",
-    "consumption_band",
     "contemporary_estimate",
     "default_grid",
     "energy_per_tx",

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_estimator import band_points
 
 from posenergy.baselines import load_baselines
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
-from posenergy.estimator import LogGrid, consumption_band
+from posenergy.estimator import ConsumptionBand, LogGrid
 from posenergy.ingestion import bundled, load_bounds, load_snapshots
 from posenergy.report import (
     TABLE_HEADER,
@@ -213,7 +214,7 @@ def fit_band(name, intercept, slope, grid, watts=(36.0, 360.0)):
     fit = SimpleNamespace(network=name, intercept=intercept, slope=slope)
     bounds = SimpleNamespace(lower_w=watts[0], upper_w=watts[1])
     profile = SimpleNamespace(network=name, bounds=bounds, max_tps=grid[-1])
-    return consumption_band(fit, profile, grid)
+    return ConsumptionBand(fit, profile, grid)
 
 
 def chart_cells(*args, **kwargs):
@@ -309,9 +310,9 @@ def per_row_chart_lines(bands, markers, refs):
     rows = [
         (b.network, t, lo, up, "true" if flag else "false")
         for b in sorted(bands, key=lambda b: b.network)
-        for t, lo, up, flag in zip(b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper, b.physical)
+        for t, lo, up, flag in band_points(b)
     ]
-    extremes = [t for b in bands for t in (b.tps[0], b.tps[-1])]
+    extremes = [t for b in bands for t in (b.grid[0], b.grid[-1])]
     rows += [
         (r.label, t, r.kwh_per_tx_lower, r.kwh_per_tx_upper, "true")
         for r in sorted(refs, key=lambda r: r.label)
@@ -368,7 +369,7 @@ class TestFlatRunFormatting:
             f"{b.network},{format_series(t)},{format_series(lo)},{format_series(up)},"
             f"{'true' if flag else 'false'}\n"
             for b in sorted(bands, key=lambda b: b.network)
-            for t, lo, up, flag in zip(b.tps, b.kwh_per_tx_lower, b.kwh_per_tx_upper, b.physical)
+            for t, lo, up, flag in band_points(b)
         ]
         header = "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
         assert "".join(chart_csv_document(bands)) == header + "".join(expected)
