@@ -141,29 +141,35 @@ class TestGeneralFitPins:
 
 
 class TestVaryingChartPins:
-    """The chart of the same history at 2,000 points, pinned by the sha256 of its output.
+    """The chart of the same history, pinned by the sha256 of its output.
 
     These fits have intercepts near 4,000 validators, so no band run is
     constant and some points are non-physical: the pins hold the path that
-    formats and draws every point of a varying run.
+    formats and draws every point of a varying run. At 2,000 points each
+    band's CSV is one block; at 20,000 points block edges fall inside runs.
     """
 
     @pytest.mark.parametrize(
-        "fmt, flags, digest",
+        "fmt, points, flags, digest",
         [
-            ("csv", (), "d0770883132812a5f3807aecf491ca62d6b858c4ba9a29ffcd6d3065e71a9afa"),
-            ("csv", ("--no-origin",),
+            ("csv", 2000, (), "d0770883132812a5f3807aecf491ca62d6b858c4ba9a29ffcd6d3065e71a9afa"),
+            ("csv", 2000, ("--no-origin",),
              "f4b485e1c6d23d814c143ced9da2eee1df2aee5ecad843478fc254833bc9c61c"),
-            ("svg", (), "4b1b5186752235b53a45a54f4a65e028b8c2f6000d771240b1d90075a8113798"),
-            ("svg", ("--no-origin",),
+            ("svg", 2000, (), "4b1b5186752235b53a45a54f4a65e028b8c2f6000d771240b1d90075a8113798"),
+            ("svg", 2000, ("--no-origin",),
              "480bc00df0f1078badae3a15daa37f19e305c93766de8eb761286a9ad0cf9357"),
+            ("csv", 20000, (), "1d16364bf8088143ebd789793587fe2abea30bed3967731bcc19ef346a0edb65"),
+            ("csv", 20000, ("--no-origin",),
+             "7af2fb25f7544c4fbc86c8fd45ee1523a478c06206c8c6dd463132e366c9e273"),
         ],
-        ids=["csv-origin", "csv-no-origin", "svg-origin", "svg-no-origin"],
+        ids=["csv-origin", "csv-no-origin", "svg-origin", "svg-no-origin",
+             "csv-origin-20000", "csv-no-origin-20000"],
     )
-    def test_chart_digest(self, capsys, tmp_path, fmt, flags, digest):
+    def test_chart_digest(self, capsys, tmp_path, fmt, points, flags, digest):
         path = tmp_path / "history.csv"
         write_ols_history(path)
-        argv = ["chart", "--format", fmt, "--points", "2000", "--observations", str(path), *flags]
+        argv = ["chart", "--format", fmt, "--points", str(points), "--observations", str(path),
+                *flags]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         if fmt == "csv":
