@@ -390,34 +390,50 @@ def _chart_anchor_lines(
     ]
 
 
-def _band_csv(band: ConsumptionBand) -> str:
-    """The band's chart CSV lines, formatted from its physical run by at most three ``%``.
+_CHART_BLOCK_ROWS = 2048
 
-    The points before and after the run print ``0,0,false``. In the run, a
-    fit with intercept 0 gives every point the slope times each hardware
-    factor, so those two values are formatted once; any other fit's tps and
-    values are interleaved row by row. The name is text in each template,
-    with every ``%`` doubled, and ``%.10g`` formats as format_series does.
+
+def _band_blocks(band: ConsumptionBand) -> Iterator[str]:
+    """The band's chart CSV lines in blocks of at most ``_CHART_BLOCK_ROWS`` rows.
+
+    Each block is one bytes ``%`` over the template ``off * k1 + on * k2 +
+    off * k3``, where ``k2`` rows lie in the physical run. The points off the
+    run print ``0,0,false``. In the run, a fit with intercept 0 gives every
+    point the slope times each hardware factor, so those two values are
+    formatted once into ``on``; any other fit's tps and values are
+    interleaved row by row. The name is text in each template, with every
+    ``%`` doubled, and ``%.10g`` formats as format_series does. A block is
+    held only while it is formatted, so the memory of a band's CSV does not
+    grow with its grid.
     """
-    name, grid = band.network.replace("%", "%%"), band.grid
+    # surrogatepass: any str name comes back from the UTF-8 round trip unchanged
+    name, grid = band.network.replace("%", "%%").encode("utf-8", "surrogatepass"), band.grid
     start, stop = band.physical_run
-    off = f"{name},%.10g,0,0,false\n"
-    run = grid[start:stop]
-    if not run:
-        lines = ""
-    elif band.intercept == 0:
-        lower, upper = (format_series(values[0]) for values in band.kwh_per_tx_at(run[:1]))
-        lines = (f"{name},%.10g,{lower},{upper},true\n" * len(run)) % run
+    off = name + b",%.10g,0,0,false\n"
+    flat = band.intercept == 0 and start < stop
+    if flat:
+        lower, upper = band.kwh_per_tx_at(grid[start:start + 1])
+        on = name + f",%.10g,{format_series(lower[0])},{format_series(upper[0])},true\n".encode()
     else:
-        values = [None] * (3 * len(run))
-        values[::3], (values[1::3], values[2::3]) = run, band.kwh_per_tx_at(run)
-        lines = (f"{name},%.10g,%.10g,%.10g,true\n" * len(run)) % tuple(values)
-    return (off * start) % grid[:start] + lines + (off * (len(grid) - stop)) % grid[stop:]
+        on = name + b",%.10g,%.10g,%.10g,true\n"
+    for a in range(0, len(grid), _CHART_BLOCK_ROWS):
+        b = min(a + _CHART_BLOCK_ROWS, len(grid))
+        lo = min(max(start, a), b)  # the run's rows in this block are [lo, hi)
+        hi = max(min(stop, b), lo)
+        if flat or lo == hi:
+            values = grid[a:b]
+        else:
+            run = grid[lo:hi]
+            cells = [None] * (3 * len(run))
+            cells[::3], (cells[1::3], cells[2::3]) = run, band.kwh_per_tx_at(run)
+            values = (*grid[a:lo], *cells, *grid[hi:b])
+        template = off * (lo - a) + on * (hi - lo) + off * (b - hi)
+        yield (template % values).decode("utf-8", "surrogatepass")
 
 
 def _band_lines(band: ConsumptionBand) -> list[str]:
     # Split at "\n" only: str.splitlines would also split a name at "\r", "\x85" or "\u2028".
-    return [line + "\n" for line in _band_csv(band).split("\n")[:-1]]
+    return [line + "\n" for line in "".join(_band_blocks(band)).split("\n")[:-1]]
 
 
 def chart_rows(
@@ -441,11 +457,14 @@ def chart_csv_document(
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> Iterator[str]:
-    """``chart_csv(chart_rows(...))`` in chunks: the header, one text per band, then the anchors.
+    """``chart_csv(chart_rows(...))`` in chunks: the header, each band's blocks, then the anchors.
 
-    The bands come in network order. The anchors, which can raise, are built
-    before this returns.
+    The bands come in network order, and each band comes as blocks of at
+    most ``_CHART_BLOCK_ROWS`` (2,048) of its rows, so no chunk holds two
+    bands and the document's memory does not grow with the grid. The
+    anchors, which can raise, are built before this returns.
     """
     anchors = "".join(_chart_anchor_lines(bands, baseline_markers, reference_bands))
     ordered = sorted(bands, key=lambda b: b.network)
-    return chain([_csv_lines([_CHART_HEADER])], map(_band_csv, ordered), [anchors])
+    blocks = chain.from_iterable(map(_band_blocks, ordered))
+    return chain([_csv_lines([_CHART_HEADER])], blocks, [anchors])

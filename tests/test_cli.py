@@ -400,6 +400,20 @@ class TestStreaming:
         for chunk in chunks:
             assert len({line.split(",")[0] for line in chunk.splitlines()} & band_names) <= 1
 
+    def test_csv_written_in_blocks_at_stress_size(self, capsys, chunks):
+        code, out, _ = run(capsys, "chart", "--format", "csv", "--points", "20000")
+        assert code == 0
+        bands = report.chart_bands(BUNDLED_OBSERVATIONS, BUNDLED_PROFILES, n_points=20000)
+        assert "".join(chunks) == out == report.chart_csv(
+            report.chart_rows(bands, *BASELINE_ELEMENTS)
+        )
+        blocks = chunks[1:-1]  # between the header and the anchors
+        assert len(blocks) == 14 * -(-20000 // report._CHART_BLOCK_ROWS)
+        for block in blocks:
+            names = {line.split(",")[0] for line in block.splitlines()}
+            assert len(names) == 1
+            assert block.count("\n") <= report._CHART_BLOCK_ROWS
+
     def test_svg_written_as_one_chunk(self, capsys, chunks):
         # the canvas, not the grid, bounds the SVG's size, so it is not streamed
         code, out, _ = run(capsys, "chart", "--format", "svg", "--points", "20000")

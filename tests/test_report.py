@@ -1,6 +1,7 @@
 """Deterministic rendering of fit summaries, comparison tables, chart series."""
 
 import datetime as dt
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,14 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_estimator import band_points
 
+from posenergy import report
 from posenergy.baselines import load_baselines
 from posenergy.chart import PointMarker, ReferenceBand
 from posenergy.core import NetworkObservation
 from posenergy.estimator import ConsumptionBand, LogGrid
-from posenergy.ingestion import bundled, load_bounds, load_snapshots
+from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.report import (
     TABLE_HEADER,
     baseline_chart_elements,
+    chart_bands,
     chart_csv,
     chart_csv_document,
     chart_rows,
@@ -341,6 +344,46 @@ class TestChartRunFormatting:
         assert len(rows) == sum(len(b.grid) for b in bands) + 2 * len(refs) + len(markers)
         assert all(row.count("\n") == 1 and row.endswith("\n") for row in rows)
         assert rows == expected
+
+
+class TestChartBlocks:
+    """A band's CSV goes out in blocks of at most ``_CHART_BLOCK_ROWS`` of its own rows."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(bands=st.lists(chart_band(), min_size=1, max_size=4), block_rows=st.integers(1, 7))
+    def test_block_edges_keep_the_rows(self, bands, block_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "_CHART_BLOCK_ROWS", block_rows)
+            chunks = list(chart_csv_document(bands))
+        header = "network,tps,kwh_per_tx_lower,kwh_per_tx_upper,physical\n"
+        assert "".join(chunks) == header + "".join(per_row_chart_lines(bands, [], []))
+        assert (chunks[0], chunks[-1]) == (header, "")
+        blocks = iter(chunks[1:-1])
+        for band in sorted(bands, key=lambda b: b.network):
+            lines, taken = per_row_chart_lines([band], [], []), 0
+            while taken < len(lines):
+                block = [line + "\n" for line in next(blocks).split("\n")[:-1]]
+                assert 1 <= len(block) <= block_rows
+                assert block == lines[taken:taken + len(block)]
+                taken += len(block)
+        assert next(blocks, None) is None
+
+    def test_document_memory_does_not_grow_with_the_grid(self):
+        snapshot, bounds, baselines = bundle()
+        profiles = load_profiles(bundled("profiles.csv"), bounds)
+        elements = baseline_chart_elements(baselines)
+
+        def peak_bytes(n_points):
+            bands = chart_bands(snapshot.observations, profiles, n_points=n_points)
+            tracemalloc.start()
+            try:
+                for _ in chart_csv_document(bands, *elements):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(20_000) <= 1.25 * peak_bytes(2_000)
 
 
 @st.composite
