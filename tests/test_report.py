@@ -351,6 +351,11 @@ class TestChartBlocks:
 
     @settings(deadline=None, max_examples=150)
     @given(bands=st.lists(chart_band(), min_size=1, max_size=4), block_rows=st.integers(1, 7))
+    @example(  # lone surrogates, which a library caller may put in a name, survive the bytes
+        bands=[fit_band("\ud800%", 0.0, 0.5, (1.0, 2.0, 3.0)),
+               fit_band("\udc80,", -1.0, 1.0, (0.5, 1.0, 2.0, 3.0, 4.0))],
+        block_rows=2,
+    )
     def test_block_edges_keep_the_rows(self, bands, block_rows):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report, "_CHART_BLOCK_ROWS", block_rows)
