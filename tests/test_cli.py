@@ -152,6 +152,9 @@ class TestVaryingChartPins:
     @pytest.mark.parametrize(
         "fmt, points, flags, digest",
         [
+            ("svg", 200, (), "6d612226cd920dc749e681760ceaa7b92ceb4c089fa644c162dc396656cf93ee"),
+            ("svg", 200, ("--no-origin",),
+             "d6d1511c4ab4ed8329d96f082207f9296735a4484bf6db45150abb7cfd722ec3"),
             ("csv", 2000, (), "d0770883132812a5f3807aecf491ca62d6b858c4ba9a29ffcd6d3065e71a9afa"),
             ("csv", 2000, ("--no-origin",),
              "f4b485e1c6d23d814c143ced9da2eee1df2aee5ecad843478fc254833bc9c61c"),
@@ -162,7 +165,8 @@ class TestVaryingChartPins:
             ("csv", 20000, ("--no-origin",),
              "7af2fb25f7544c4fbc86c8fd45ee1523a478c06206c8c6dd463132e366c9e273"),
         ],
-        ids=["csv-origin", "csv-no-origin", "svg-origin", "svg-no-origin",
+        ids=["svg-origin-200", "svg-no-origin-200",
+             "csv-origin", "csv-no-origin", "svg-origin", "svg-no-origin",
              "csv-origin-20000", "csv-no-origin-20000"],
     )
     def test_chart_digest(self, capsys, tmp_path, fmt, points, flags, digest):
