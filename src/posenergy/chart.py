@@ -12,11 +12,11 @@ The legend labels are XML-escaped.
 from __future__ import annotations
 
 import math
-from math import floor, log10
+from math import ceil, log10
 from typing import Iterable, Iterator, Sequence
 
 from .core import Record
-from .estimator import ConsumptionBand
+from .estimator import ConsumptionBand, LogGrid
 
 DEFAULT_WIDTH = 1200
 DEFAULT_HEIGHT = 800
@@ -161,11 +161,17 @@ def render_chart(
     Band polygons walk the lower edge left to right, then the upper edge
     back, over each band's physical run. Non-physical points are not drawn,
     nor is a run of one point, nor a marker or reference band that a log
-    axis cannot place (see :func:`_placeable`). Each edge is drawn at canvas
-    resolution (see :func:`_column_ends`), so the markup's size is bounded
-    by the canvas, not by the grid. A band whose fit has intercept 0 is
-    flat over its run, so it draws only the run's two end points, 4
-    vertices, and reads no other grid point.
+    axis cannot place (see :func:`_placeable`). An edge is drawn from the
+    band's fit and the run's two ends, and reads no other grid point. A fit
+    with intercept 0 (flat) or slope 0 (``1/tps``) is straight in log-log,
+    so it draws only the run's two ends, 4 vertices. Any other edge is
+    drawn at ``n = max(2, min(run points, ceil(right - left) + 1))``
+    log-spaced throughputs from end to end, where ``left`` and ``right``
+    are the pixel x of the ends: one sample per pixel column, or the run's
+    own point count where it is sparser than the canvas. An edge is
+    monotone over its run, so between two samples it stays in their
+    bounding box, within ``(right - left) / (n - 1)`` px of the drawn
+    polyline; that is at most 1 px once the run has a point per column.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)
@@ -185,11 +191,10 @@ def render_chart(
         start, stop = band.physical_run
         if stop - start < 2:
             continue
-        if band.intercept == 0:  # a horizontal edge: every point lies on it
-            rates = [band.grid[start], band.grid[stop - 1]]
-        else:
-            run = band.grid[start:stop]
-            rates = [run[i] for i in _column_ends(geom.xs_px(run))]
+        rates = (band.grid[start], band.grid[stop - 1])
+        if band.intercept != 0 and band.slope != 0:  # curved in log-log: sample each column
+            left, right = geom.xs_px(rates)
+            rates = tuple(LogGrid(*rates, max(2, min(stop - start, ceil(right - left) + 1))))
         lower, upper = band.kwh_per_tx_at(rates)
         # Each x is formatted once, with the comma that both of its vertices use.
         xs = [f"{x:.2f}," for x in geom.xs_px(rates)]
@@ -208,23 +213,6 @@ def render_chart(
     parts.extend(_legend(colors))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _column_ends(xs: Sequence[float]) -> list[int]:
-    """Indices of the first and the last of ``xs`` in each whole pixel column.
-
-    These are the vertices an edge draws. A point left out lies in the same
-    column as two drawn points, and a band edge is monotone between them, so
-    it is within one pixel of the drawn edge. The first and last index are
-    always kept, and where consecutive points are a pixel or more apart every
-    index is kept.
-    """
-    columns = [floor(x) for x in xs]
-    neighbours = [None, *columns, None]  # neighbours[i] and [i + 2] flank columns[i]
-    return [
-        i for i, column in enumerate(columns)
-        if neighbours[i] != column or column != neighbours[i + 2]
-    ]
 
 
 def _color_map(

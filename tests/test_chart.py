@@ -1,8 +1,10 @@
 """SVG chart rendering: geometry, polygon coordinates, determinism."""
 
+import bisect
 import math
 import re
 
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
@@ -208,18 +210,23 @@ class TestRenderChart:
         assert text in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_polygon_vertices_match_geometry(self):
-        b = band()
-        svg, geom = render_chart([b]), chart_geometry([b])
-        polygons = parse_polygons(svg)
-        assert len(polygons) == 1
-        vertices = polygons[0]
-        tps = b.grid[slice(*b.physical_run)]
-        lower, upper = b.kwh_per_tx_at(tps)
-        expected = [(geom.x_px(t), geom.y_px(v)) for t, v in zip(tps, lower)]
-        expected += [(geom.x_px(t), geom.y_px(v)) for t, v in zip(reversed(tps), reversed(upper))]
-        assert len(vertices) == len(expected)
-        for (got_x, got_y), (want_x, want_y) in zip(vertices, expected):
-            assert (f"{got_x:.2f}", f"{got_y:.2f}") == (f"{want_x:.2f}", f"{want_y:.2f}")
+        cases = [
+            # 20 / tps validators per tx/s: straight in log-log, drawn by its run's two ends
+            (band(), (0.1, 10.0)),
+            # 20 + 3 * tps validators: curved, drawn at the run's 3 points (a sparse run)
+            (band(slope=3.0), (0.1, 1.0, 10.0)),
+        ]
+        for b, rates in cases:
+            svg, geom = render_chart([b]), chart_geometry([b])
+            polygons = parse_polygons(svg)
+            assert len(polygons) == 1
+            vertices = polygons[0]
+            lower, upper = b.kwh_per_tx_at(rates)
+            expected = [(geom.x_px(t), geom.y_px(v)) for t, v in zip(rates, lower)]
+            expected += [(geom.x_px(t), geom.y_px(v)) for t, v in zip(rates[::-1], upper[::-1])]
+            assert len(vertices) == len(expected)
+            for (got_x, got_y), (want_x, want_y) in zip(vertices, expected):
+                assert (f"{got_x:.2f}", f"{got_y:.2f}") == (f"{want_x:.2f}", f"{want_y:.2f}")
 
     def test_single_point_run_not_drawn(self):
         # a falling fit: 4.5 validators at 1 tx/s, none at 10
@@ -230,6 +237,17 @@ class TestRenderChart:
         marker = PointMarker("visa", 1736.0, 0.0033)
         assert parse_polygons(render_chart([lone], [marker])) == []
         assert chart_geometry([lone], [marker]) == chart_geometry([], [marker])
+
+    def test_run_within_one_pixel_column_draws_its_ends(self):
+        # a curved edge whose two ends both map to x = 80.0: no column to sample, yet two ends
+        grid = (1e300, math.nextafter(1e300, math.inf))
+        b = band(intercept=5.0, slope=1e-290, grid=grid)
+        svg, geom = render_chart([b]), chart_geometry([b])
+        assert geom.x_px(grid[0]) == geom.x_px(grid[1]) == PLOT_LEFT
+        lower, upper = b.kwh_per_tx_at(grid)
+        expected = [(geom.x_px(t), geom.y_px(v)) for t, v in zip(grid, lower)]
+        expected += [(geom.x_px(t), geom.y_px(v)) for t, v in zip(grid[::-1], upper[::-1])]
+        assert parse_polygons(svg) == [[tuple(map(float, printed(*p))) for p in expected]]
 
     def test_marker_circle_position(self):
         marker = PointMarker("visa", 1736.0, 0.00327773)
@@ -339,69 +357,64 @@ def segment_distance(point, a, b):
     return math.hypot(px - ax - t * dx, py - ay - t * dy)
 
 
-def subsequence_indices(drawn, full):
-    """Index in ``full`` of each item of ``drawn``, matched in order, or None if one is missing."""
-    indices, position = [], 0
-    for item in drawn:
-        while position < len(full) and full[position] != item:
-            position += 1
-        if position == len(full):
-            return None
-        indices.append(position)
-        position += 1
-    return indices
-
-
 class TestCanvasResolution:
-    """Each edge draws the first and last grid point of each whole pixel column.
+    """An edge is drawn from its fit and its run's two ends, at canvas resolution.
 
-    The band of a fit with intercept 0 draws only its run's two end points:
-    every other point lies on that horizontal edge.
+    A fit with intercept 0 (flat) or slope 0 (``1/tps``) is straight in
+    log-log and draws its run's two ends. Any other edge draws
+    ``max(2, min(run points, ceil(right - left) + 1))`` samples from end to
+    end: one per pixel column, or one per run point where the run is sparser.
     """
 
     @settings(deadline=None, max_examples=60)
-    @given(bands=st.lists(
-        st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
-    ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))))
-    def test_edges_drawn_at_canvas_resolution(self, bands):
+    @given(
+        bands=st.lists(
+            st.sampled_from(["near", "tezos", "tron"]), min_size=1, max_size=3, unique=True
+        ).flatmap(lambda networks: st.tuples(*map(affine_band, networks))),
+        between=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+    )
+    def test_edges_drawn_at_canvas_resolution(self, bands, between):
         runs = [(b, range(*b.physical_run)) for b in bands]
         runs = [(b, run) for b, run in runs if len(run) >= 2]
         assume(runs)  # else nothing to plot
-        svg, geom = render_chart(bands), chart_geometry(bands)
+        calls = []
+        read = ConsumptionBand.kwh_per_tx_at
+
+        def recording(band, rates):
+            calls.append(tuple(rates))
+            return read(band, calls[-1])
+
+        with mock.patch.object(ConsumptionBand, "kwh_per_tx_at", recording):
+            svg = render_chart(bands)
+        geom = chart_geometry(bands)
         polygons = parse_polygons(svg)
         assert len(polygons) == len(runs)
-        for (b, run), vertices in zip(runs, polygons):
-            rates = b.grid[run.start:run.stop]
-            columns = b.kwh_per_tx_at(rates)
-            xs = [geom.x_px(rate) for rate in rates]
-            edges = [[(x, geom.y_px(value)) for x, value in zip(xs, column)] for column in columns]
-            vertices = [printed(x, y) for x, y in vertices]
+        # the polygons' samples: the last reads, after chart_geometry's reads of the ends
+        for (b, run), samples, vertices in zip(runs, calls[-len(runs):], polygons):
+            first, last = b.grid[run.start], b.grid[run.stop - 1]
+            left, right = geom.x_px(first), geom.x_px(last)
+            straight = b.intercept == 0 or b.slope == 0
+            n = 2 if straight else max(2, min(len(run), math.ceil(right - left) + 1))
+            assert len(samples) == n and (samples[0], samples[-1]) == (first, last)
+            assert all(first <= t <= last for t in samples)
+            # each edge's vertices are its printed samples; the first and last are the run's ends
+            columns = b.kwh_per_tx_at(samples)
             half = len(vertices) // 2
             drawn_edges = vertices[:half], vertices[half:][::-1]
-            kept = subsequence_indices(drawn_edges[0], [printed(*p) for p in edges[0]])
-            # every drawn vertex is the printed pair of a physical grid point of this run
-            assert kept is not None
-            assert drawn_edges[1] == [printed(*edges[1][i]) for i in kept]
-            # the run's first and last points are drawn
-            assert (kept[0], kept[-1]) == (0, len(run) - 1)
-            constant = b.intercept == 0
-            if constant:
-                assert all(len(set(column)) == 1 for column in columns)
-                # a horizontal edge: exactly its two end points are drawn
-                assert kept == [0, len(run) - 1]
-            else:
-                # exactly the first and the last point of each whole pixel column are drawn
-                first, last = {}, {}
-                for i, x in enumerate(xs):
-                    first.setdefault(math.floor(x), i)
-                    last[math.floor(x)] = i
-                assert kept == sorted({*first.values(), *last.values()})
-            # every grid point lies within a pixel of its edge (printing moves a vertex 0.005)
-            for edge, drawn in zip(edges, drawn_edges):
-                segments = [tuple(map(float, v)) for v in drawn]
-                for k, (i, j) in enumerate(zip(kept, kept[1:])):
-                    for point in edge[i:j + 1]:
-                        assert segment_distance(point, segments[k], segments[k + 1]) <= 1.01
-            # points of a varying run a pixel or more apart are all drawn
-            if not constant and all(right - left >= 1.0 for left, right in zip(xs, xs[1:])):
-                assert kept == list(range(len(run)))
+            for column, drawn in zip(columns, drawn_edges):
+                assert [printed(*v) for v in drawn] == [
+                    printed(geom.x_px(t), geom.y_px(value)) for t, value in zip(samples, column)
+                ]
+            # every run point, and throughputs between the ends, lie near the drawn edge
+            low, high = math.log10(first), math.log10(last)
+            rates = [*b.grid[run.start:run.stop],
+                     *(min(max(10.0 ** (low + f * (high - low)), first), last) for f in between)]
+            bound = 0.0 if straight else (right - left) / (n - 1)
+            for column, drawn in zip(b.kwh_per_tx_at(rates), drawn_edges):
+                xs = [x for x, _ in drawn]
+                for t, value in zip(rates, column):
+                    point = geom.x_px(t), geom.y_px(value)
+                    k = bisect.bisect(xs, point[0])
+                    near = range(max(1, k - 1), min(len(drawn), k + 2))
+                    distance = min(segment_distance(point, drawn[j - 1], drawn[j]) for j in near)
+                    assert distance <= bound + 0.01  # printing moves a vertex 0.005 each way

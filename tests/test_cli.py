@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import posenergy
 from posenergy import cli, report
 from posenergy.baselines import load_baselines
-from posenergy.chart import render_chart
+from posenergy.chart import PLOT_LEFT, PLOT_RIGHT, render_chart
 from posenergy.cli import build_parser, main
 from posenergy.estimator import ConsumptionBand, default_grid, find_baseline_errata, find_errata
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_reported, load_snapshots
@@ -145,8 +145,10 @@ class TestVaryingChartPins:
 
     These fits have intercepts near 4,000 validators, so no band run is
     constant and some points are non-physical: the pins hold the path that
-    formats and draws every point of a varying run. At 2,000 points each
-    band's CSV is one block; at 20,000 points block edges fall inside runs.
+    formats every point of a varying run and draws its curved edges. At 200
+    points an edge draws each of its run's points; at 2,000 points it draws
+    one sample per pixel column. At 2,000 points each band's CSV is one
+    block; at 20,000 points block edges fall inside runs.
     """
 
     @pytest.mark.parametrize(
@@ -179,6 +181,19 @@ class TestVaryingChartPins:
         if fmt == "csv":
             assert ",false\n" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [(), ("--no-origin",)], ids=["origin", "no-origin"])
+    def test_svg_edges_at_most_one_vertex_per_pixel_column(self, capsys, tmp_path, flags):
+        path = tmp_path / "history.csv"
+        write_ols_history(path)
+        argv = ["chart", "--format", "svg", "--points", "20000", "--observations", str(path),
+                *flags]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        polygons = ElementTree.fromstring(out).iter(f"{SVG}polygon")
+        edges = [len(polygon.get("points").split()) // 2 for polygon in polygons]
+        assert len(edges) == 14
+        assert max(edges) <= math.ceil(PLOT_RIGHT - PLOT_LEFT) + 1
 
 
 class TestTable:
