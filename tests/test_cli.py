@@ -160,9 +160,9 @@ class TestVaryingChartPins:
             ("csv", 2000, (), "d0770883132812a5f3807aecf491ca62d6b858c4ba9a29ffcd6d3065e71a9afa"),
             ("csv", 2000, ("--no-origin",),
              "f4b485e1c6d23d814c143ced9da2eee1df2aee5ecad843478fc254833bc9c61c"),
-            ("svg", 2000, (), "4b1b5186752235b53a45a54f4a65e028b8c2f6000d771240b1d90075a8113798"),
+            ("svg", 2000, (), "68224f90cbf676cce4fca987478e561e5e6c36a85aa347cbcb8b85787f975696"),
             ("svg", 2000, ("--no-origin",),
-             "480bc00df0f1078badae3a15daa37f19e305c93766de8eb761286a9ad0cf9357"),
+             "b6fc594dffbbb7f8384a95ce2f78a6c01c002ce28dc461db6a0d64f65efd46fb"),
             ("csv", 20000, (), "1d16364bf8088143ebd789793587fe2abea30bed3967731bcc19ef346a0edb65"),
             ("csv", 20000, ("--no-origin",),
              "7af2fb25f7544c4fbc86c8fd45ee1523a478c06206c8c6dd463132e366c9e273"),
