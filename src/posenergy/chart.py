@@ -161,17 +161,16 @@ def render_chart(
     Band polygons walk the lower edge left to right, then the upper edge
     back, over each band's physical run. Non-physical points are not drawn,
     nor is a run of one point, nor a marker or reference band that a log
-    axis cannot place (see :func:`_placeable`). An edge is drawn from the
-    band's fit and the run's two ends, and reads no other grid point. A fit
-    with intercept 0 (flat) or slope 0 (``1/tps``) is straight in log-log,
-    so it draws only the run's two ends, 4 vertices. Any other edge is
-    drawn at ``n = max(2, min(run points, ceil(right - left) + 1))``
-    log-spaced throughputs from end to end, where ``left`` and ``right``
-    are the pixel x of the ends: one sample per pixel column, or the run's
-    own point count where it is sparser than the canvas. An edge is
-    monotone over its run, so between two samples it stays in their
-    bounding box, within ``(right - left) / (n - 1)`` px of the drawn
-    polyline; that is at most 1 px once the run has a point per column.
+    axis cannot place (see :func:`_placeable`). An edge reads only its
+    run's two ends and the band's fit. A fit with intercept 0 (flat) or
+    slope 0 (``1/tps``) is straight in log-log, so its edges are drawn by
+    those two ends, 4 vertices. Any other edge is drawn at ``n = max(2,
+    min(run points, ceil(right - left) + 1))`` log-spaced throughputs from
+    end to end, where ``left`` and ``right`` are the ends' pixel x: one
+    sample per pixel column, or per run point where the run is sparser. An
+    edge is monotone over its run, so between two samples it stays in
+    their bounding box, within ``(right - left) / (n - 1)`` px of the
+    drawn line.
     """
     markers, reference_bands = _placeable(markers, reference_bands)
     geom = chart_geometry(bands, markers, reference_bands)

@@ -25,6 +25,7 @@ from posenergy.chart import (
 from posenergy.core import NetworkProfile, ValidatorPowerBounds
 from posenergy.estimator import ConsumptionBand, default_grid
 from posenergy.regression import RegressionFit
+from test_estimator import NEAR_PROFILE, CountingGrid
 
 
 def band(network="polkadot", intercept=20.0, slope=0.0, grid=(0.1, 1.0, 10.0), watts=(3.6, 36.0)):
@@ -238,6 +239,19 @@ class TestRenderChart:
         assert parse_polygons(render_chart([lone], [marker])) == []
         assert chart_geometry([lone], [marker]) == chart_geometry([], [marker])
 
+    @pytest.mark.parametrize(
+        "intercept, slope", [(0.0, 24.96), (158.0, 0.0), (-50.0, 2.0)],
+        ids=["intercept-0", "slope-0", "varying"],
+    )
+    def test_reads_only_the_run_ends(self, intercept, slope):
+        grid = CountingGrid(0.01, 1000.0, 20000)
+        fit = RegressionFit("near", intercept, slope, 1.0, 2, False)
+        b = ConsumptionBand(fit, NEAR_PROFILE, grid)
+        built = grid.reads
+        render_chart([b])
+        # two ends for chart_geometry, the same two for the polygon
+        assert grid.reads - built == 4
+
     def test_run_within_one_pixel_column_draws_its_ends(self):
         # a curved edge whose two ends both map to x = 80.0: no column to sample, yet two ends
         grid = (1e300, math.nextafter(1e300, math.inf))
@@ -409,7 +423,7 @@ class TestCanvasResolution:
             low, high = math.log10(first), math.log10(last)
             rates = [*b.grid[run.start:run.stop],
                      *(min(max(10.0 ** (low + f * (high - low)), first), last) for f in between)]
-            bound = 0.0 if straight else (right - left) / (n - 1)
+            bound = 0.0 if straight else (right - left) / (n - 1)  # a line holds every point
             for column, drawn in zip(b.kwh_per_tx_at(rates), drawn_edges):
                 xs = [x for x, _ in drawn]
                 for t, value in zip(rates, column):

@@ -146,9 +146,10 @@ class TestVaryingChartPins:
     These fits have intercepts near 4,000 validators, so no band run is
     constant and some points are non-physical: the pins hold the path that
     formats every point of a varying run and draws its curved edges. At 200
-    points an edge draws each of its run's points; at 2,000 points it draws
-    one sample per pixel column. At 2,000 points each band's CSV is one
-    block; at 20,000 points block edges fall inside runs.
+    points a run is sparser than the canvas, so an edge draws one sample per
+    run point; at 2,000 points it draws one per pixel column. At 2,000
+    points each band's CSV is one block; at 20,000 points block edges fall
+    inside runs.
     """
 
     @pytest.mark.parametrize(
