@@ -36,7 +36,7 @@ print(render_grid_text(header, rows))
 # sweep the fits over log-spaced throughput grids and add the reference
 # systems: Bitcoin as a horizontal band, Visa as a single point
 bands = chart_bands(snapshot.observations, profiles)
-markers = observation_markers(snapshot.observations, bounds, [b.network for b in bands])
+markers = observation_markers(snapshot.observations, bounds)
 baseline_markers, reference_bands = baseline_chart_elements(
     load_baselines(bundled("baselines.cfg"))
 )

@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, TextIO
 
 if TYPE_CHECKING:
+    from .core import NetworkObservation
     from .estimator import ContemporaryEstimate, Erratum, ReportedEstimate
+    from .ingestion import Snapshot
     from .report import Row
 
 
@@ -168,14 +170,20 @@ def _print_notes(
         print(f"note: {report.unmatched_note(name)}", file=sys.stderr)
 
 
+def _selected(snapshot: Snapshot, args: argparse.Namespace) -> list[NetworkObservation]:
+    """The observations of the ``--network`` networks, or of every network without the flag."""
+    from . import report
+
+    groups = report.select_networks(snapshot.observations, args.network).values()
+    return [obs for group in groups for obs in group]
+
+
 def _cmd_fit(args: argparse.Namespace) -> None:
     from . import report
     from .ingestion import load_snapshots
 
     snapshot = load_snapshots(args.observations)
-    fits = report.fit_networks(
-        snapshot.observations, networks=args.network, include_origin=not args.no_origin
-    )
+    fits = report.fit_networks(_selected(snapshot, args), include_origin=not args.no_origin)
     _emit_rows(args, *report.fit_rows(fits))
 
 
@@ -188,9 +196,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(args.observations)
     bounds = load_bounds(args.bounds)
     baselines = load_baselines(args.baselines)
-    estimates = report.comparison_estimates(
-        snapshot.observations, bounds, networks=args.network
-    )
+    estimates = report.comparison_estimates(_selected(snapshot, args), bounds)
     reported = load_reported(args.reported) if args.verify else {}
     errata = find_errata(estimates, reported)
     mismatched = find_input_mismatches(estimates, reported)
@@ -210,22 +216,15 @@ def _cmd_chart(args: argparse.Namespace) -> None:
     snapshot = load_snapshots(args.observations)
     bounds = load_bounds(args.bounds)
     profiles = load_profiles(args.profiles, bounds)
-    bands = report.chart_bands(
-        snapshot.observations,
-        profiles,
-        networks=args.network,
-        include_origin=not args.no_origin,
-        min_tps=args.lmin,
-        n_points=args.points,
-    )
+    observations = _selected(snapshot, args)
+    bands = report.chart_bands(observations, profiles, include_origin=not args.no_origin,
+                               min_tps=args.lmin, n_points=args.points)
     baselines = [] if args.no_baselines else load_baselines(args.baselines)
     baseline_markers, reference_bands = report.baseline_chart_elements(baselines)
     if args.format == "csv":
         chunks = report.chart_csv_document(bands, baseline_markers, reference_bands)
     else:
-        markers = report.observation_markers(
-            snapshot.observations, bounds, [b.network for b in bands]
-        ) + baseline_markers
+        markers = report.observation_markers(observations, bounds) + baseline_markers
         chunks = [render_chart(bands, markers, reference_bands)]
     _write(chunks, args.out)
 

@@ -49,11 +49,11 @@ _key = attrgetter("network", "date")
 
 
 class SnapshotFormatError(ValueError):
-    """A snapshot file failed to parse; the message names the row."""
+    """A snapshot file failed to parse, or would not once written; a read names the row."""
 
 
 class DuplicateObservationError(SnapshotFormatError):
-    """Two observation rows in one file share a (network, date) key."""
+    """Two observations of one snapshot, read or to be written, share a (network, date) key."""
 
 
 class MergeConflictError(ValueError):
@@ -184,20 +184,28 @@ def write_snapshot(
     Every record has a row of its own, in canonical order: observations
     sorted by (network, date), then vote records, with an empty validators
     cell, sorted by (date, reported throughput) with ties in input order.
+    Observations that repeat a (network, date) key are refused, as the
+    reader refuses their rows.
 
     An observation written by the last write takes its line from there, so a
     refresh that rewrites a window formats only its new rows. Once the file is
-    written, the module keeps its bytes, its lines and, when no (network, date)
-    repeats and every record is of its exact class, the Snapshot that loading
-    those bytes gives: the records, sorted, in file order. Only the last write
-    is kept, and the next write frees it. For a 250-day window of 14 networks
-    (3,500 lines, a 215 kB file) that is 0.78 MB beyond the records themselves,
-    measured with tracemalloc. Every line is built, and the text encoded, before
-    the file is opened, so a refused write, or one whose text has no UTF-8
-    form, leaves an existing file, and what is kept, as they were.
+    written, the module keeps its bytes, its lines and, when every record is
+    of its exact class, the Snapshot that loading those bytes gives: the
+    records, sorted, in file order. Only the last write is kept, and the next
+    write frees it. For a 250-day window of 14 networks (3,500 lines, a 215 kB
+    file) that is 0.78 MB beyond the records themselves, measured with
+    tracemalloc. Every line is built, and the text encoded, before the file is
+    opened, so a refused write, or one whose text has no UTF-8 form, leaves an
+    existing file, and what is kept, as they were.
     """
     global _last_written
     rows = sorted(observations, key=_key)
+    keys = list(map(_key, rows))
+    if len(set(keys)) < len(keys):
+        network, date = next(a for a, b in zip(keys, keys[1:]) if a == b)
+        raise DuplicateObservationError(
+            f"{os.fspath(path)}: duplicate observation for ({network}, {date.isoformat()})"
+        )
     votes = sorted(vote_records, key=lambda v: (v.date, v.reported_tps))
     known = _last_written[2]
     lines = [known.get(obs) or _observation_line(obs) for obs in rows]
@@ -220,11 +228,9 @@ def write_snapshot(
     data = text.getvalue().encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(data)
-    # a record of a subclass is unequal to the one its row parses as, and a
-    # repeated key must fail at every load
+    # a record of a subclass is unequal to the one its row parses as
     exact = set(map(type, rows)) <= {NetworkObservation}
-    unique = len(set(map(_key, rows))) == len(rows)
-    if exact and unique and set(map(type, votes)) <= {VoteRatioRecord}:
+    if exact and set(map(type, votes)) <= {VoteRatioRecord}:
         snapshot = Snapshot(tuple(rows), tuple(votes))
     else:
         snapshot = None

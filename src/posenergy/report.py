@@ -116,14 +116,12 @@ def select_networks(
 
 
 def fit_networks(
-    observations: Iterable[NetworkObservation],
-    networks: Sequence[str] | None = None,
-    include_origin: bool = True,
+    observations: Iterable[NetworkObservation], include_origin: bool = True
 ) -> list[RegressionFit]:
-    """Fit every requested network (default: all observed), sorted by name."""
+    """Fit every observed network, sorted by name."""
     return [
         fit_affine(group, include_origin=include_origin)
-        for group in select_networks(observations, networks).values()
+        for group in select_networks(observations).values()
     ]
 
 
@@ -215,24 +213,20 @@ def vote_rows(
 
 
 def _latest_observations(
-    observations: Iterable[NetworkObservation],
-    bounds: Mapping[str, ValidatorPowerBounds],
-    networks: Sequence[str] | None,
+    observations: Iterable[NetworkObservation], bounds: Mapping[str, ValidatorPowerBounds]
 ) -> Iterator[tuple[NetworkObservation, ValidatorPowerBounds]]:
-    """Each selected network's latest observation and its power bounds, in name order."""
-    for network, group in select_networks(observations, networks).items():
+    """Each observed network's latest observation and its power bounds, in name order."""
+    for network, group in select_networks(observations).items():
         if network not in bounds:
             raise ValueError(f"no power bounds for network {network!r}")
         yield max(group, key=lambda o: o.date), bounds[network]
 
 
 def comparison_estimates(
-    observations: Iterable[NetworkObservation],
-    bounds: Mapping[str, ValidatorPowerBounds],
-    networks: Sequence[str] | None = None,
+    observations: Iterable[NetworkObservation], bounds: Mapping[str, ValidatorPowerBounds]
 ) -> list[ContemporaryEstimate]:
     """Contemporary estimate at each network's latest observation."""
-    pairs = _latest_observations(observations, bounds, networks)
+    pairs = _latest_observations(observations, bounds)
     return [contemporary_estimate(obs, b) for obs, b in pairs]
 
 
@@ -308,13 +302,12 @@ def render_grid_csv(header: Row, rows: Sequence[Row]) -> str:
 def chart_bands(
     observations: Iterable[NetworkObservation],
     profiles: Mapping[str, NetworkProfile],
-    networks: Sequence[str] | None = None,
     include_origin: bool = True,
     min_tps: float = DEFAULT_MIN_TPS,
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> list[ConsumptionBand]:
     """Each network's band from its :func:`fit_networks` fit, over the default grid."""
-    fits = fit_networks(observations, networks, include_origin)
+    fits = fit_networks(observations, include_origin)
     if not fits:
         raise ValueError("no observations to chart")
     bands = []
@@ -327,9 +320,7 @@ def chart_bands(
 
 
 def observation_markers(
-    observations: Iterable[NetworkObservation],
-    bounds: Mapping[str, ValidatorPowerBounds],
-    networks: Sequence[str],
+    observations: Iterable[NetworkObservation], bounds: Mapping[str, ValidatorPowerBounds]
 ) -> list[PointMarker]:
     """Two markers per network: its contemporary estimate's lower and upper kWh/tx.
 
@@ -337,7 +328,7 @@ def observation_markers(
     """
     from .chart import PointMarker
 
-    pairs = _latest_observations(observations, bounds, networks)
+    pairs = _latest_observations(observations, bounds)
     estimates = [contemporary_estimate(obs, b) for obs, b in pairs if obs.tps > 0]
     return [PointMarker(e.network, e.tps, kwh)
             for e in estimates for kwh in (e.kwh_per_tx_lower, e.kwh_per_tx_upper)]

@@ -415,7 +415,7 @@ class TestStreaming:
         )
         elements = report.baseline_chart_elements(load_baselines(bundled("baselines.cfg")))
         assert len(chunks) == 16  # header, 14 bands, anchors
-        assert "".join(chunks) == out == report.chart_csv(report.chart_rows(bands, *elements))
+        assert "".join(chunks) == out == "".join(report.chart_csv_document(bands, *elements))
         band_names = {b.network for b in bands}
         for chunk in chunks:
             assert len({line.split(",")[0] for line in chunk.splitlines()} & band_names) <= 1
@@ -424,8 +424,8 @@ class TestStreaming:
         code, out, _ = run(capsys, "chart", "--format", "csv", "--points", "20000")
         assert code == 0
         bands = report.chart_bands(BUNDLED_OBSERVATIONS, BUNDLED_PROFILES, n_points=20000)
-        assert "".join(chunks) == out == report.chart_csv(
-            report.chart_rows(bands, *BASELINE_ELEMENTS)
+        assert "".join(chunks) == out == "".join(
+            report.chart_csv_document(bands, *BASELINE_ELEMENTS)
         )
         blocks = chunks[1:-1]  # between the header and the anchors
         assert len(blocks) == 14 * -(-20000 // report._CHART_BLOCK_ROWS)
@@ -480,13 +480,13 @@ class TestChartOutput:
     )
     def test_cli_output_equals_library_output(self, points, count, fmt, data):
         networks = data.draw(st.permutations(NETWORKS))[:count]
-        bands = report.chart_bands(BUNDLED_OBSERVATIONS, BUNDLED_PROFILES, networks=networks,
-                                   n_points=points)
+        observations = [o for o in BUNDLED_OBSERVATIONS if o.network in networks]
+        bands = report.chart_bands(observations, BUNDLED_PROFILES, n_points=points)
         baseline_markers, refs = BASELINE_ELEMENTS
         if fmt == "csv":
-            expected = report.chart_csv(report.chart_rows(bands, baseline_markers, refs))
+            expected = "".join(report.chart_csv_document(bands, baseline_markers, refs))
         else:
-            markers = report.observation_markers(BUNDLED_OBSERVATIONS, BUNDLED_BOUNDS, networks)
+            markers = report.observation_markers(observations, BUNDLED_BOUNDS)
             expected = render_chart(bands, markers + baseline_markers, refs)
         argv = ["chart", "--format", fmt, "--points", str(points)]
         argv += [arg for network in networks for arg in ("--network", network)]
@@ -513,9 +513,9 @@ class TestNarrowGrid:
         argv = ["chart", "--network", "polkadot", "--lmin", repr(self.lmin(side)), "--points", "50"]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        (fit,) = report.fit_networks(BUNDLED_OBSERVATIONS, ["polkadot"])
+        (fit,) = report.fit_networks(report.select_networks(BUNDLED_OBSERVATIONS)["polkadot"])
         band = ConsumptionBand(fit, profile, tuple(grid))
-        assert out == report.chart_csv(report.chart_rows([band], *BASELINE_ELEMENTS))
+        assert out == "".join(report.chart_csv_document([band], *BASELINE_ELEMENTS))
 
     def test_collapsing_grid_refused(self, capsys):
         lmin = 1000.0 - 4 * math.ulp(1000.0)
@@ -602,6 +602,16 @@ class TestNetworkSelection:
                            "--network", "near")
         assert code == 0
         assert svg.count("<polygon") == 1
+
+    @settings(deadline=None, max_examples=15)
+    @given(names=st.lists(st.sampled_from(NETWORKS), min_size=1, max_size=8))
+    def test_flag_order_and_repeats_do_not_matter(self, names):
+        flags = [arg for name in names for arg in ("--network", name)]
+        once = [arg for name in sorted(set(names)) for arg in ("--network", name)]
+        for argv in (["fit"], ["table"], ["chart", "--points", "20"]):
+            code, out, err = run_main([*argv, *flags])
+            assert (code, err) == (0, "")
+            assert out == run_main([*argv, *once])[1]
 
     @pytest.mark.parametrize("command", ["fit", "table", "chart"])
     def test_network_without_observations_named(self, capsys, tmp_path, command):

@@ -225,16 +225,22 @@ class TestParsedRowMemo:
         assert loaded.observations[0].validators == 159
         assert loaded == reference_load_snapshots(path)
 
-    def test_repeated_key_fails_at_its_row_on_every_reload(self, tmp_path, empty_memos):
+    def test_repeated_key_refused_before_the_file_is_opened(self, tmp_path, empty_memos):
         path = tmp_path / "snap.csv"
+        write_snapshot(path, [obs("near", validators=158, tps=6.33)])
+        before, kept = path.read_bytes(), ingestion._last_written
+        # a repeat that differs in a field, and one that is equal
         for rows in ([obs("near"), obs(), obs("near", validators=159)], [obs(), obs()]):
-            write_snapshot(path, rows)
-            for _ in range(3):
+            for target in (path, tmp_path / "new.csv"):
                 with pytest.raises(
                     DuplicateObservationError,
-                    match=rf"^{re.escape(str(path))} row 3: duplicate observation for \(",
+                    match=rf"^{re.escape(str(target))}: duplicate observation for "
+                    rf"\({rows[-1].network}, 2023-01-31\)$",
                 ):
-                    load_snapshots(path)
+                    write_snapshot(target, rows)
+            assert path.read_bytes() == before
+            assert not (tmp_path / "new.csv").exists()
+            assert ingestion._last_written is kept
 
     def test_subclass_records_are_neither_kept_nor_reused(self, tmp_path, empty_memos):
         class Tagged(NetworkObservation):

@@ -37,6 +37,11 @@ from posenergy.report import (
 )
 
 
+def selected(observations, *networks):
+    """The observations of ``networks``, as the CLI's ``--network`` selects them."""
+    return [obs for group in select_networks(observations, networks).values() for obs in group]
+
+
 def bundle():
     snapshot = load_snapshots(bundled("observations.csv"))
     bounds = load_bounds(bundled("bounds.csv"))
@@ -85,6 +90,27 @@ def as_multisets(groups):
     return {network: Counter(rows) for network, rows in groups.items()}
 
 
+# Observations that every network fits and prices: each has power bounds and
+# a positive throughput, so its fit through the origin and its estimate exist.
+FITTED_OBSERVATIONS = st.lists(
+    st.builds(
+        NetworkObservation,
+        network=st.sampled_from(["bnb", "near", "tezos", "tron"]),
+        date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
+        validators=st.integers(0, 500),
+        tps=st.floats(1e-3, 1e4),
+    ),
+    min_size=1,
+    max_size=30,
+)
+BOUNDS = load_bounds(bundled("bounds.csv"))
+
+
+def hexed(record):
+    """A record's fields, each float as ``float.hex``, so equal means equal bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in record._astuple(record))
+
+
 class TestSelectNetworks:
     @given(observations=OBSERVATIONS, data=st.data())
     def test_order_and_repeats_do_not_matter(self, observations, data):
@@ -105,6 +131,26 @@ class TestSelectNetworks:
         with pytest.raises(ValueError, match="^no observations for network 'dogecoin'$"):
             select_networks(rows, ["near", "dogecoin"])
 
+    @settings(deadline=None, max_examples=20)
+    @given(observations=FITTED_OBSERVATIONS, data=st.data())
+    def test_selecting_first_equals_filtering_after(self, observations, data):
+        # the CLI selects --network before it fits or prices, so each result
+        # of a selection is bit for bit the full set's result for that network
+        observed = sorted({o.network for o in observations})
+        requested = data.draw(st.lists(st.sampled_from(observed), min_size=1, max_size=6))
+        chosen = selected(observations, *requested)
+
+        def kept(results, field):
+            return [hexed(r) for r in results if getattr(r, field) in requested]
+
+        assert list(map(hexed, fit_networks(chosen))) == kept(fit_networks(observations), "network")
+        assert list(map(hexed, comparison_estimates(chosen, BOUNDS))) == kept(
+            comparison_estimates(observations, BOUNDS), "network"
+        )
+        assert list(map(hexed, observation_markers(chosen, BOUNDS))) == kept(
+            observation_markers(observations, BOUNDS), "label"
+        )
+
 
 class TestFitNetworks:
     def test_all_bundled_networks(self):
@@ -114,14 +160,9 @@ class TestFitNetworks:
         assert [f.network for f in fits] == sorted(f.network for f in fits)
         assert all(f.origin_included for f in fits)
 
-    def test_unknown_network(self):
-        snapshot, _, _ = bundle()
-        with pytest.raises(ValueError, match="no observations"):
-            fit_networks(snapshot.observations, networks=["dogecoin"])
-
     def test_rows_header(self):
         snapshot, _, _ = bundle()
-        header, rows = fit_rows(fit_networks(snapshot.observations, networks=["near"]))
+        header, rows = fit_rows(fit_networks(selected(snapshot.observations, "near")))
         assert header == ("network", "intercept", "slope", "r2", "n_points", "origin_included")
         assert rows[0][0] == "near"
         assert rows[0][5] == "true"
@@ -139,7 +180,7 @@ class TestComparisonTable:
 
     def test_hedera_cells(self):
         snapshot, bounds, _ = bundle()
-        (estimate,) = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
+        (estimate,) = comparison_estimates(selected(snapshot.observations, "hedera"), bounds)
         (row,) = comparison_rows([estimate])
         assert dict(zip(TABLE_HEADER, row)) == {
             "name": "hedera",
@@ -173,17 +214,17 @@ class TestComparisonTable:
             NetworkObservation("near", "2023-02-10", 158, 6.33),
         ]
         _, bounds, _ = bundle()
-        (tezos,) = comparison_estimates(rows, bounds, networks=["tezos"])
+        (tezos,) = comparison_estimates(selected(rows, "tezos"), bounds)
         assert (tezos.date, tezos.validators, tezos.tps) == (dt.date(2023, 1, 31), 407, 0.9)
 
     def test_missing_bounds(self):
         snapshot, _, _ = bundle()
         with pytest.raises(ValueError, match="no power bounds"):
-            comparison_estimates(snapshot.observations, {}, networks=["near"])
+            comparison_estimates(selected(snapshot.observations, "near"), {})
 
     def test_csv_rendering(self):
         snapshot, bounds, baselines = bundle()
-        estimates = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
+        estimates = comparison_estimates(selected(snapshot.observations, "hedera"), bounds)
         text = render_grid_csv(TABLE_HEADER, comparison_rows(estimates, baselines))
         lines = text.splitlines()
         assert lines[0].startswith("name,validators,tps,kw_lower")
@@ -194,7 +235,7 @@ class TestComparisonTable:
 
     def test_text_rendering_aligns(self):
         snapshot, bounds, _ = bundle()
-        estimates = comparison_estimates(snapshot.observations, bounds, networks=["hedera"])
+        estimates = comparison_estimates(selected(snapshot.observations, "hedera"), bounds)
         text = render_grid_text(TABLE_HEADER, comparison_rows(estimates))
         lines = text.splitlines()
         assert lines[0].split()[:2] == ["name", "validators"]
@@ -434,7 +475,7 @@ class TestChartElements:
 
     def test_observation_markers_two_per_network(self):
         snapshot, bounds, _ = bundle()
-        markers = observation_markers(snapshot.observations, bounds, ["hedera", "near"])
+        markers = observation_markers(selected(snapshot.observations, "hedera", "near"), bounds)
         assert len(markers) == 4
         hedera = [m for m in markers if m.label == "hedera"]
         assert hedera[0].tps == 568.45
@@ -446,7 +487,7 @@ class TestChartElements:
         # the table and the chart price a latest observation through one path
         snapshot, bounds, _ = bundle()
         estimates = comparison_estimates(snapshot.observations, bounds)
-        markers = observation_markers(snapshot.observations, bounds, list(bounds))
+        markers = observation_markers(snapshot.observations, bounds)
         assert markers == [
             PointMarker(e.network, e.tps, kwh)
             for e in estimates
@@ -456,10 +497,11 @@ class TestChartElements:
     def test_observation_markers_without_bounds_refused(self):
         snapshot, _, _ = bundle()
         with pytest.raises(ValueError, match=r"^no power bounds for network 'near'$"):
-            observation_markers(snapshot.observations, {}, ["near"])
+            observation_markers(selected(snapshot.observations, "near"), {})
 
     def test_observation_markers_skip_zero_throughput(self):
         snapshot, bounds, _ = bundle()
         idle = NetworkObservation("near", "2023-02-01", 158, 0.0)
-        markers = observation_markers([*snapshot.observations, idle], bounds, ["hedera", "near"])
+        observations = selected([*snapshot.observations, idle], "hedera", "near")
+        markers = observation_markers(observations, bounds)
         assert [m.label for m in markers] == ["hedera", "hedera"]

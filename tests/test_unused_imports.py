@@ -13,6 +13,25 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "posenergy"
 
 
+def annotation_names(node):
+    """The names in the string annotations of ``node``, a def or an annotated assignment."""
+    annotations = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        arguments = node.args
+        every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                 arguments.vararg, arguments.kwarg]
+        annotations += [a.annotation for a in every if a is not None] + [node.returns]
+    elif isinstance(node, ast.AnnAssign):
+        annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                parsed = ast.parse(part.value, mode="eval")
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
 def unused_imports(source):
     """The names ``source`` imports and never uses, in import order."""
     tree = ast.parse(source)
@@ -28,19 +47,7 @@ def unused_imports(source):
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            arguments = node.args
-            every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
-                     arguments.vararg, arguments.kwarg]
-            annotations += [a.annotation for a in every if a is not None] + [node.returns]
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for annotation in filter(None, annotations):
-            for part in ast.walk(annotation):
-                if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                    parsed = ast.parse(part.value, mode="eval")
-                    used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        used.update(annotation_names(node))
     return [name for name in imported if name not in used]
 
 
