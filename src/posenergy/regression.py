@@ -45,12 +45,6 @@ class RegressionFit(Record):
     origin_included: bool
 
 
-# The last fit of each (network, include_origin), after the throughputs and
-# validator counts it was made from, in input order. A refused fit is never
-# stored, so it is refused again on every call.
-_last_fits: dict[tuple[str, bool], tuple[tuple[float, ...], tuple[int, ...], RegressionFit]] = {}
-
-
 def fit_affine(
     observations: Iterable[NetworkObservation], include_origin: bool = True
 ) -> RegressionFit:
@@ -62,15 +56,6 @@ def fit_affine(
     positions, and it orders its two points, so an origin fit has an
     intercept of exactly zero. Duplicate rows are kept; they legitimately
     raise the weight of that point.
-
-    The last fit of each ``(network, include_origin)`` is kept for the life
-    of the process, with the throughputs and validator counts it was made
-    from, in input order. A call whose points equal those returns that same
-    fit without fitting again, so a refresh that fits a window and then
-    charts it fits each network once. A miss replaces the entry, so the memo
-    holds one entry per key. For the 28 keys of a 14-network, 250-day window,
-    with and without the origin, ``tracemalloc`` counts 0.13 MB while the
-    window's records are loaded, and 0.31 MB once they are dropped.
 
     Raises:
         InsufficientDataError: fewer than two points after origin injection.
@@ -88,34 +73,17 @@ def fit_affine(
     n = len(obs) + 1 if include_origin else len(obs)
     if n < 2:
         raise InsufficientDataError(f"{network}: need at least 2 points, got {n}")
-    # the loaded records are shared between calls, so most items compare by identity
-    tps = tuple([o.tps for o in obs])
-    validators = tuple([o.validators for o in obs])
-    key = (network, include_origin)
-    last = _last_fits.get(key)
-    if last is not None and last[0] == tps and last[1] == validators:
-        return last[2]
-    fit = _least_squares(network, tps, validators, include_origin)
-    _last_fits[key] = (tps, validators, fit)
-    return fit
-
-
-def _least_squares(
-    network: str, tps: Sequence[float], validators: Sequence[int], include_origin: bool
-) -> RegressionFit:
-    """The fit of :func:`fit_affine` over at least two points, computed afresh."""
     # Fit in units of a power of two at or above the largest tps: the sums and
     # squares stay in float range, and a square too small to hold its bits
     # cannot pass the variance floor. The scaling is exact, so only the slope
     # is scaled back; the bound keeps the unit finite for subnormal throughputs.
-    exponent = max(math.frexp(max(tps))[1], -1023)
+    exponent = max(math.frexp(max(o.tps for o in obs))[1], -1023)
     unit = math.ldexp(1.0, -exponent)
-    x = [v * unit for v in tps]
-    y = [float(v) for v in validators]
+    x = [o.tps * unit for o in obs]
+    y = [float(o.validators) for o in obs]
     if include_origin:
         x.append(0.0)
         y.append(0.0)
-    n = len(x)
     x_scale = max(x)
     x_mean = math.fsum(x) / n
     dx = [v - x_mean for v in x]

@@ -115,14 +115,33 @@ def select_networks(
     return {network: groups[network] for network in wanted}
 
 
+# The last call of fit_networks: its observations, its origin flag and the
+# fits it returned. No observations fit no network, so the first entry holds.
+_last_fits: tuple[tuple[NetworkObservation, ...], bool, tuple[RegressionFit, ...]] = ((), True, ())
+
+
 def fit_networks(
     observations: Iterable[NetworkObservation], include_origin: bool = True
 ) -> list[RegressionFit]:
-    """Fit every observed network, sorted by name."""
-    return [
+    """Fit every observed network, sorted by name.
+
+    The observations of the last call, its origin flag and its fits are
+    kept for the life of the process. A call with equal observations, in
+    the same order, and the same flag returns a new list of those fits
+    without fitting again, so a refresh that fits a window and then charts
+    it fits each network once. A call that raises keeps nothing.
+    """
+    global _last_fits
+    window = tuple(observations)  # the caller's own tuple, if it passes one
+    last_window, last_origin, last = _last_fits
+    if window == last_window and include_origin == last_origin:
+        return list(last)
+    fits = [
         fit_affine(group, include_origin=include_origin)
-        for group in select_networks(observations).values()
+        for group in select_networks(window).values()
     ]
+    _last_fits = (window, include_origin, tuple(fits))
+    return fits
 
 
 def fit_rows(fits: Sequence[RegressionFit]) -> tuple[Row, list[Row]]:
@@ -422,21 +441,17 @@ def _band_blocks(band: ConsumptionBand) -> Iterator[str]:
         yield (template % values).decode("utf-8", "surrogatepass")
 
 
-def _band_lines(band: ConsumptionBand) -> list[str]:
-    # Split at "\n" only: str.splitlines would also split a name at "\r", "\x85" or "\u2028".
-    return [line + "\n" for line in "".join(_band_blocks(band)).split("\n")[:-1]]
-
-
 def chart_rows(
     bands: Sequence[ConsumptionBand],
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> list[str]:
-    """The chart CSV lines, one per row: band points sorted by network, then the anchors."""
-    lines = []
-    for band in sorted(bands, key=lambda b: b.network):
-        lines += _band_lines(band)
-    return lines + _chart_anchor_lines(bands, baseline_markers, reference_bands)
+    """The lines of :func:`chart_csv_document` after its header, one per row."""
+    chunks = chart_csv_document(bands, baseline_markers, reference_bands)
+    next(chunks)  # the header
+    # Every chunk ends a line. Split at "\n" only: str.splitlines would also
+    # split a name at "\r", "\x85" or "\u2028".
+    return [line + "\n" for chunk in chunks for line in chunk.split("\n")[:-1]]
 
 
 def chart_csv(rows: Sequence[str]) -> str:
@@ -448,7 +463,7 @@ def chart_csv_document(
     baseline_markers: Sequence[PointMarker] = (),
     reference_bands: Sequence[ReferenceBand] = (),
 ) -> Iterator[str]:
-    """``chart_csv(chart_rows(...))`` in chunks: the header, each band's blocks, then the anchors.
+    """The chart CSV in chunks: the header, each band's blocks, then the anchors.
 
     The bands come in network order, and each band comes as blocks of at
     most ``_CHART_BLOCK_ROWS`` (2,048) of its rows, so no chunk holds two

@@ -2,7 +2,7 @@
 
 import pytest
 
-from posenergy import ingestion, regression
+from posenergy import ingestion, report
 
 
 @pytest.fixture
@@ -10,7 +10,7 @@ def empty_memos():
     """Every per-process memo starts empty, so what they hold comes from this test alone.
 
     Those are the last snapshot file written, with its records and lines, and
-    the last fit of each network.
+    the last call of ``fit_networks``, with its observations and fits.
     """
     ingestion._last_written = (b"", None, {})
-    regression._last_fits.clear()
+    report._last_fits = ((), True, ())

@@ -13,10 +13,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posenergy import regression
+from posenergy import report
 from posenergy.core import NetworkObservation
 from posenergy.ingestion import bundled, load_bounds, load_profiles, load_snapshots
 from posenergy.regression import (
@@ -222,19 +222,23 @@ class TestFitAffine:
             assert fit.r2 == pytest.approx(want_r2, rel=1e-9, abs=1e-9)
 
 
-# Ties and zero throughput are drawn often, so the degenerate-variance and
-# two-point paths are reached as well as the general one.
-FIT_ROWS = st.lists(
-    st.builds(
+def observation_lists(networks):
+    """One to eight observations of the given networks.
+
+    Ties and zero throughput are drawn often, so the degenerate-variance and
+    two-point paths are reached as well as the general one.
+    """
+    row = st.builds(
         NetworkObservation,
-        network=st.just("tezos"),
+        network=st.sampled_from(networks),
         date=st.dates(dt.date(2022, 1, 1), dt.date(2022, 12, 31)),
         validators=st.integers(0, 10**6),
         tps=st.one_of(st.sampled_from([0.0, 0.9, 1.2]), st.floats(1e-3, 1e4)),
-    ),
-    min_size=1,
-    max_size=8,
-)
+    )
+    return st.lists(row, min_size=1, max_size=8)
+
+
+FIT_ROWS = observation_lists(["tezos"])
 
 
 def fit_outcome(rows, include_origin, fit=fit_affine):
@@ -424,99 +428,101 @@ class TestOlsRecovery:
         assert fit.n_points == n
 
 
-def fit_fields(rows, include_origin):
-    """Every field of the fit as ``float.hex`` or as is, or the error's type and message."""
+# Two networks, so a window's fits come from more than one group.
+WINDOW_ROWS = observation_lists(["tezos", "tron"])
+
+# The entry fit_networks starts from, and the empty_memos fixture resets to.
+NO_CALL = ((), True, ())
+
+
+def window_fields(rows, include_origin):
+    """Every field of each fit of :func:`fit_networks`, floats as ``float.hex``, or the
+    error's type and message."""
     try:
-        fit = fit_affine(rows, include_origin=include_origin)
+        fits = fit_networks(rows, include_origin=include_origin)
     except ValueError as exc:
         return type(exc), str(exc)
-    return (fit.network, fit.intercept.hex(), fit.slope.hex(), fit.r2.hex(), fit.n_points,
-            fit.origin_included)
+    return [(f.network, f.intercept.hex(), f.slope.hex(), f.r2.hex(), f.n_points,
+             f.origin_included) for f in fits]
 
 
-class CountingKernel:
-    """Stands in for the least-squares kernel and counts its runs."""
+class CountingFit:
+    """Stands in for ``fit_affine`` inside :func:`fit_networks` and counts its runs."""
 
     def __init__(self):
         self.runs = 0
-        self.kernel = regression._least_squares
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.runs += 1
-        return self.kernel(*args)
+        return fit_affine(*args, **kwargs)
 
 
 @pytest.fixture
-def kernel(monkeypatch):
-    counting = CountingKernel()
-    monkeypatch.setattr(regression, "_least_squares", counting)
+def fits_run(monkeypatch):
+    counting = CountingFit()
+    monkeypatch.setattr(report, "fit_affine", counting)
     return counting
 
 
-def variant_rows(data, rows, include_origin):
-    """Rows and origin flag that differ from the given ones in one way: the
-    order, one throughput, one validator count or the origin flag."""
-    change = data.draw(st.sampled_from(["permute", "tps", "validators", "origin"]))
-    if change == "origin":
-        return rows, not include_origin
-    if change == "permute":
-        changed = data.draw(st.permutations(rows))
-        assume([(o.tps, o.validators) for o in changed] != [(o.tps, o.validators) for o in rows])
-        return changed, include_origin
+def variants(data, rows, include_origin):
+    """The rows and origin flag changed in each one way: one throughput, one
+    validator count, one row dropped, the flag flipped, or the order."""
     i = data.draw(st.integers(0, len(rows) - 1))
     old = rows[i]
-    if change == "tps":
-        tps = data.draw(st.one_of(st.sampled_from([0.0, 0.9, 1.2]), st.floats(1e-3, 1e4)))
-        assume(tps != old.tps)
-        new = NetworkObservation(old.network, old.date, old.validators, tps)
-    else:
-        validators = data.draw(st.integers(0, 10**6))
-        assume(validators != old.validators)
-        new = NetworkObservation(old.network, old.date, validators, old.tps)
-    return rows[:i] + [new] + rows[i + 1:], include_origin
+    tps = data.draw(st.floats(1e-3, 1e4).filter(lambda t: t != old.tps))
+    validators = data.draw(st.integers(0, 10**6).filter(lambda v: v != old.validators))
+    for new in (NetworkObservation(old.network, old.date, old.validators, tps),
+                NetworkObservation(old.network, old.date, validators, old.tps)):
+        yield rows[:i] + [new] + rows[i + 1:], include_origin
+    if len(rows) > 1:
+        yield rows[:i] + rows[i + 1:], include_origin
+    yield rows, not include_origin
+    permuted = data.draw(st.permutations(rows))
+    if permuted != rows:
+        yield permuted, include_origin
 
 
 class TestFitMemo:
-    """The last fit of each network is returned again for equal points."""
+    """fit_networks returns its last call's fits again for equal observations and flag."""
 
-    ROWS = [obs("tezos", 1, 410, 1.2), obs("tezos", 2, 440, 0.8), obs("tezos", 3, 395, 1.6)]
+    ROWS = [obs("tezos", 1, 410, 1.2), obs("tron", 1, 56, 33.4), obs("tezos", 2, 440, 0.8),
+            obs("tezos", 3, 395, 1.6), obs("tron", 2, 60, 30.1)]
 
-    def test_repeated_call_returns_the_same_fit(self, empty_memos, kernel):
-        fit = fit_affine(self.ROWS)
+    def test_repeated_call_returns_the_same_fit(self, empty_memos, fits_run):
+        window = tuple(self.ROWS)
+        fits = fit_networks(window)
+        assert report._last_fits[0] is window  # the caller's tuple is kept, not a copy
         # equal records built afresh compare by value
         rebuilt = [NetworkObservation(o.network, o.date, o.validators, o.tps) for o in self.ROWS]
-        assert fit_affine(self.ROWS) is fit
-        assert fit_affine(rebuilt) is fit
-        assert kernel.runs == 1
+        for again in (fit_networks(window), fit_networks(self.ROWS), fit_networks(rebuilt)):
+            assert [a is b for a, b in zip(again, fits)] == [True, True]
+        assert fits_run.runs == 2
 
-    def test_each_origin_flag_has_its_own_entry(self, empty_memos, kernel):
-        with_origin = fit_affine(self.ROWS, include_origin=True)
-        without = fit_affine(self.ROWS, include_origin=False)
-        assert with_origin.n_points == 4 and without.n_points == 3
-        assert fit_affine(self.ROWS, include_origin=True) is with_origin
-        assert fit_affine(self.ROWS, include_origin=False) is without
-        assert kernel.runs == 2
-
-    @given(rows=FIT_ROWS, include_origin=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    @given(rows=WINDOW_ROWS, include_origin=st.booleans())
     def test_hit_has_the_bits_of_a_fresh_fit(self, rows, include_origin):
-        regression._last_fits.clear()
-        first = fit_fields(rows, include_origin)
-        hit = fit_fields(list(rows), include_origin)
-        regression._last_fits.clear()
-        assert hit == first == fit_fields(rows, include_origin)
+        report._last_fits = NO_CALL
+        first = window_fields(rows, include_origin)
+        counting = CountingFit()
+        with mock.patch.object(report, "fit_affine", counting):
+            hit = window_fields(list(rows), include_origin)
+        report._last_fits = NO_CALL
+        assert hit == first == window_fields(rows, include_origin)
+        # only a refused window is fitted again
+        assert (counting.runs == 0) == isinstance(first, list)
 
-    @given(rows=FIT_ROWS, include_origin=st.booleans(), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    @given(rows=WINDOW_ROWS, include_origin=st.booleans(), data=st.data())
     def test_changed_points_miss_and_match_a_fresh_fit(self, rows, include_origin, data):
-        changed, changed_origin = variant_rows(data, rows, include_origin)
-        assume(len(changed) + changed_origin >= 2)
-        regression._last_fits.clear()
-        fit_fields(rows, include_origin)
-        counting = CountingKernel()
-        with mock.patch.object(regression, "_least_squares", counting):
-            after_first = fit_fields(changed, changed_origin)
-        regression._last_fits.clear()
-        assert counting.runs == 1
-        assert after_first == fit_fields(changed, changed_origin)
+        for changed, changed_origin in variants(data, rows, include_origin):
+            report._last_fits = NO_CALL
+            window_fields(rows, include_origin)
+            counting = CountingFit()
+            with mock.patch.object(report, "fit_affine", counting):
+                after = window_fields(changed, changed_origin)
+            report._last_fits = NO_CALL
+            assert counting.runs >= 1
+            assert after == window_fields(changed, changed_origin)
 
     @pytest.mark.parametrize(
         "tps, error",
@@ -531,23 +537,34 @@ class TestFitMemo:
         ids=["variance", "overflow", "underflow", "slope-range"],
     )
     def test_refused_points_fail_on_every_call_and_leave_no_entry(
-        self, empty_memos, kernel, tps, error
+        self, empty_memos, fits_run, tps, error
     ):
-        rows = [obs("tron", i + 1, 50 + i, t) for i, t in enumerate(tps)]
+        # tezos fits and comes first, so the refusal drops a fit already made
+        tezos = [o for o in self.ROWS if o.network == "tezos"]
+        rows = tezos + [obs("tron", i + 1, 50 + i, t) for i, t in enumerate(tps)]
         for _ in range(3):
             with pytest.raises(error) as caught:
-                fit_affine(rows, include_origin=False)
+                fit_networks(rows, include_origin=False)
             assert type(caught.value) is error
-        assert kernel.runs == 3
-        assert regression._last_fits == {}
+        assert fits_run.runs == 6
+        assert report._last_fits == NO_CALL
 
-    def test_fit_then_chart_fits_each_network_once(self, empty_memos, kernel):
+    def test_returned_list_is_the_callers_own(self, empty_memos, fits_run):
+        fits = fit_networks(self.ROWS)
+        fits.append(fits[0])
+        hit = fit_networks(self.ROWS)
+        assert len(hit) == 2
+        hit.clear()
+        assert [f.network for f in fit_networks(self.ROWS)] == ["tezos", "tron"]
+        assert fits_run.runs == 2
+
+    def test_fit_then_chart_fits_each_network_once(self, empty_memos, fits_run):
         observations = load_snapshots(bundled("observations.csv")).observations
         fits = fit_networks(observations)
         profiles = load_profiles(bundled("profiles.csv"), load_bounds(bundled("bounds.csv")))
         bands = chart_bands(observations, profiles)
         assert len(fits) == len(bands) == 14
-        assert kernel.runs == 14
+        assert fits_run.runs == 14
 
 
 class TestPredictValidators:
